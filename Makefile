@@ -1,13 +1,13 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check vet test race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
+.PHONY: all build check fmt-check vet test race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
 
 all: build check
 
 build:
 	go build ./...
 
-# check is the pre-commit gate: static analysis, the full test suite
+# check is the pre-commit gate: gofmt cleanliness, static analysis, the full test suite
 # under the race detector (the forest/experiment layers are heavily
 # concurrent), the seven equivalence gates (training engine, resume,
 # campaign engine, streaming pool, quantized scoring, ask-tell
@@ -15,7 +15,7 @@ build:
 # and the mixed-fault race soaks, in-process and fleet), the server
 # soak, and smoke-sized runs of the streaming-pool and campaign
 # benchmarks.
-check: vet race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-pool-smoke bench-campaign-smoke
+check: fmt-check vet race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-pool-smoke bench-campaign-smoke
 
 # train-equivalence gates the presorted-column training engine: the
 # builder-equivalence property tests (presorted vs reference builder must
@@ -108,11 +108,14 @@ soak-server:
 # from (campaign seed, rep) and never from scheduling, results travel
 # as checksummed JSON, and the coordinator ingests at most one valid
 # payload per task key. The protocol layer (lease expiry, idempotent
-# completion, stale-lessee acceptance) and the remote evaluator's
-# noise-stream round trip are gated alongside.
+# completion, stale-lessee acceptance), the long-polled lease (a parked
+# worker woken by a submit or a re-queue, released by shutdown and by a
+# cancelled request without losing an attempt, one request per Poll
+# against a coordinator that ignores wait_ms) and the remote
+# evaluator's noise-stream round trip are gated alongside.
 fleet-equivalence:
 	go test -race -run 'TestFleetCampaignMatchesLocal|TestFleetChaosEquivalence|TestFleetKilledMidLeaseEquivalence|TestFleetSchedulerStats|TestFleetRejectsCustomFitter|TestTuneRemoteMatchesLocal' ./internal/experiment ./internal/autotune
-	go test -race -run 'TestCoordinator|TestWorker|TestRemoteEvaluatorMatchesLocal|TestChaos|TestChecksum|TestParseWorkerChaos' ./internal/fleet
+	go test -race -run 'TestCoordinator|TestWorker|TestLeaseHold|TestRemoteEvaluatorMatchesLocal|TestChaos|TestChecksum|TestParseWorkerChaos' ./internal/fleet
 
 # fleet-soak drains a campaign through a fleet of workers with mixed
 # process-level faults — crashes (killed and supervised back up),
@@ -124,8 +127,9 @@ fleet-soak:
 
 # fleet-failover gates the durable coordinator: the journal layer
 # (crash-image recovery, torn-tail truncation at every offset,
-# compaction, halt/reattach, typed shutdown errors), the HTTP submitter
-# client riding out coordinator restarts, and the fleetd drills — the
+# compaction, halt/reattach, typed shutdown errors, held leases released
+# by Close and Halt), the HTTP submitter client riding out coordinator
+# restarts and long-polling job status, and the fleetd drills — the
 # coordinator SIGKILLed mid-campaign and restarted on the same address,
 # the submitter abandoned and reattached by its deterministic job ID —
 # all under the race detector, requiring curves bit-identical to
@@ -135,9 +139,13 @@ fleet-soak:
 # counterpart.
 fleet-failover:
 	go test -race -run 'TestAppendLog' ./internal/runstate
-	go test -race -run 'TestJournal|TestClient|TestRegisterBackoff|TestJobWaitShutdownVsContext|TestCoordinatorCloseFailsPending' ./internal/fleet
+	go test -race -run 'TestJournal|TestClient|TestLeaseHoldReleasedByShutdown|TestRegisterBackoff|TestJobWaitShutdownVsContext|TestCoordinatorCloseFailsPending' ./internal/fleet
 	go test -race -run 'TestFleetd' ./cmd/fleetd
 	go test -race -run 'TestServerChaosClientFaults' ./internal/server
+
+# fmt-check fails when any Go file is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	go vet ./...

@@ -182,7 +182,7 @@ func BenchmarkCampaignFig2(b *testing.B) {
 		cells = res.Scheduler.Tasks
 	}
 	b.StopTimer()
-	reportCampaign(b, "local", cells, st)
+	reportCampaign(b, "local", cells, st, 0)
 }
 
 // BenchmarkCampaignFig2Sequential is the retained pre-campaign path over

@@ -49,7 +49,8 @@ type benchCampaignEntry struct {
 	Cells       int     `json:"cells"`
 	Workers     int     `json:"workers"`
 	Utilization float64 `json:"utilization"`
-	Requeues    int     `json:"requeues"`
+	Steals      int     `json:"steals"`   // scheduler steals (fleet mode: extra lease attempts)
+	Requeues    int64   `json:"requeues"` // fleet coordinator re-queues; 0 in local mode
 	GitSHA      string  `json:"git_sha"`
 	Timestamp   string  `json:"timestamp"`
 }
@@ -126,8 +127,9 @@ func campaignBenchProblems(b *testing.B) int {
 }
 
 // reportCampaign attaches the scheduler metrics to the benchmark output
-// and records the trajectory entry for the run.
-func reportCampaign(b *testing.B, mode string, cells int, st campaign.Stats) {
+// and records the trajectory entry for the run. requeues is the fleet
+// coordinator's re-queue count over the run (0 for the local drain).
+func reportCampaign(b *testing.B, mode string, cells int, st campaign.Stats, requeues int64) {
 	wallMs := float64(b.Elapsed().Nanoseconds()) / 1e6 / float64(b.N)
 	b.ReportMetric(st.Utilization, "utilization")
 	b.ReportMetric(float64(st.Steals), "steals")
@@ -140,7 +142,8 @@ func reportCampaign(b *testing.B, mode string, cells int, st campaign.Stats) {
 		Cells:       cells,
 		Workers:     st.Workers,
 		Utilization: st.Utilization,
-		Requeues:    st.Steals,
+		Steals:      st.Steals,
+		Requeues:    requeues,
 		GitSHA:      gitSHA(),
 		Timestamp:   time.Now().UTC().Format(time.RFC3339),
 	})
@@ -179,6 +182,7 @@ func BenchmarkCampaignFig2Fleet(b *testing.B) {
 
 	var st campaign.Stats
 	cells := 0
+	requeues := coord.Stats().Requeues
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		items := make([]experiment.CampaignItem, len(problems))
@@ -195,7 +199,7 @@ func BenchmarkCampaignFig2Fleet(b *testing.B) {
 		cells = res.Scheduler.Tasks
 	}
 	b.StopTimer()
-	reportCampaign(b, "fleet", cells, st)
+	reportCampaign(b, "fleet", cells, st, coord.Stats().Requeues-requeues)
 
 	cancel()
 	for i := 0; i < nWorkers; i++ {

@@ -12,11 +12,13 @@ import (
 )
 
 // Client is a Submitter backed by a resident coordinator's HTTP job
-// API (cmd/fleetd). It is built for the failover story: Wait polls
-// through coordinator outages and restarts — the journal keeps the job
-// alive on the other side — and cancelling Wait's context abandons the
-// poll without cancelling the job server-side, which is exactly what a
-// submitter that intends to restart and reattach wants. Results are
+// API (cmd/fleetd). Wait long-polls: each status request lets the
+// coordinator hold the answer until the job is done, for up to Poll.
+// It is built for the failover story: Wait polls through coordinator
+// outages and restarts — the journal keeps the job alive on the other
+// side — and cancelling Wait's context abandons the poll without
+// cancelling the job server-side, which is exactly what a submitter
+// that intends to restart and reattach wants. Results are
 // read before the job is released, so a submitter crash between the
 // two never loses collected work.
 type Client struct {
@@ -24,6 +26,8 @@ type Client struct {
 	Base string
 
 	// Poll is the job-status poll interval; <= 0 defaults to 200ms.
+	// Each status request asks the coordinator to hold its answer for
+	// up to Poll, so Wait returns as soon as the job finishes.
 	Poll time.Duration
 
 	// RetryFor bounds how long SubmitTasks and SubmitterStats retry
@@ -71,8 +75,8 @@ func (cl *Client) logf(format string, args ...interface{}) {
 
 // do sends one JSON request and decodes the response into out (when
 // non-nil and the status is a 2xx). Error-status bodies are decoded
-// into a readable error.
-func (cl *Client) do(method, path string, body, out interface{}) (int, error) {
+// into a readable error. ctx cuts a held request short.
+func (cl *Client) do(ctx context.Context, method, path string, body, out interface{}) (int, error) {
 	base := strings.TrimRight(cl.Base, "/")
 	var rd io.Reader
 	if body != nil {
@@ -82,7 +86,7 @@ func (cl *Client) do(method, path string, body, out interface{}) (int, error) {
 		}
 		rd = &buf
 	}
-	req, err := http.NewRequest(method, base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
 	if err != nil {
 		return 0, err
 	}
@@ -126,7 +130,7 @@ func (cl *Client) SubmitTasks(id string, specs []TaskSpec) (Handle, bool, error)
 	warned := false
 	for {
 		var resp SubmitJobResponse
-		status, err := cl.do(http.MethodPost, "/fleet/jobs", SubmitJobRequest{ID: id, Specs: specs}, &resp)
+		status, err := cl.do(context.Background(), http.MethodPost, "/fleet/jobs", SubmitJobRequest{ID: id, Specs: specs}, &resp)
 		if err == nil {
 			return &remoteJob{cl: cl, id: resp.Job}, resp.Attached, nil
 		}
@@ -147,7 +151,7 @@ func (cl *Client) SubmitterStats() (Stats, error) {
 	deadline := time.Now().Add(cl.retryFor())
 	for {
 		var st Stats
-		status, err := cl.do(http.MethodGet, "/fleet/stats", nil, &st)
+		status, err := cl.do(context.Background(), http.MethodGet, "/fleet/stats", nil, &st)
 		if err == nil {
 			return st, nil
 		}
@@ -163,7 +167,7 @@ func (cl *Client) SubmitterStats() (Stats, error) {
 // were carried over, not re-run.
 func (cl *Client) Recovered() (completed, requeued []string, err error) {
 	var resp RecoveredResponse
-	if _, err := cl.do(http.MethodGet, "/fleet/recovered", nil, &resp); err != nil {
+	if _, err := cl.do(context.Background(), http.MethodGet, "/fleet/recovered", nil, &resp); err != nil {
 		return nil, nil, err
 	}
 	return resp.Completed, resp.Requeued, nil
@@ -178,7 +182,11 @@ type remoteJob struct {
 func (r *remoteJob) ID() string { return r.id }
 
 // Wait polls the job until done, reads the results, then releases the
-// job. Outages are ridden out, not surfaced: an unreachable or
+// job. Each poll asks the coordinator to hold its answer until the job
+// is done, for up to Poll; a poll answered sooner (an outage, or a
+// coordinator that predates long-polling) is followed by a sleep for
+// the rest of Poll, so requests never come faster than one per Poll.
+// Outages are ridden out, not surfaced: an unreachable or
 // draining coordinator just extends the poll, because the journaled
 // job will still be there when it returns. ctx's cancellation abandons
 // the poll with ctx's error and leaves the job held — Attach later to
@@ -188,16 +196,21 @@ func (r *remoteJob) Wait(ctx context.Context) ([]TaskResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	poll := r.cl.poll()
+	path := fmt.Sprintf("/fleet/jobs/%s?wait_ms=%d", r.id, poll.Milliseconds())
 	warned := false
 	for {
+		start := time.Now()
 		var resp JobStatusResponse
-		status, err := r.cl.do(http.MethodGet, "/fleet/jobs/"+r.id, nil, &resp)
+		status, err := r.cl.do(ctx, http.MethodGet, path, nil, &resp)
 		switch {
 		case err == nil && resp.Done:
 			r.release()
 			return resp.Results, nil
 		case err == nil:
 			warned = false
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
 		case status == http.StatusNotFound:
 			return nil, fmt.Errorf("%w: %q", ErrUnknownJob, r.id)
 		case retriable(status):
@@ -208,7 +221,7 @@ func (r *remoteJob) Wait(ctx context.Context) ([]TaskResult, error) {
 		default:
 			return nil, err
 		}
-		t := time.NewTimer(r.cl.poll())
+		t := time.NewTimer(poll - time.Since(start))
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -223,7 +236,7 @@ func (r *remoteJob) Wait(ctx context.Context) ([]TaskResult, error) {
 // is next compacted, never loses data.
 func (r *remoteJob) release() {
 	for attempt := 0; attempt < 3; attempt++ {
-		if _, err := r.cl.do(http.MethodDelete, "/fleet/jobs/"+r.id, nil, nil); err == nil {
+		if _, err := r.cl.do(context.Background(), http.MethodDelete, "/fleet/jobs/"+r.id, nil, nil); err == nil {
 			return
 		}
 		time.Sleep(r.cl.poll())

@@ -24,7 +24,9 @@ type Config struct {
 	Heartbeat time.Duration
 
 	// Poll is the idle lease-poll interval advertised to workers; <= 0
-	// defaults to 200ms.
+	// defaults to 200ms. A worker with nothing to run asks the
+	// coordinator to hold its next lease request for up to Poll, so a
+	// submit wakes it at once instead of after a sleep.
 	Poll time.Duration
 
 	// MaxAttempts bounds lease grants per task before it is failed
@@ -64,6 +66,16 @@ func (c Config) poll() time.Duration {
 		return 200 * time.Millisecond
 	}
 	return c.Poll
+}
+
+// holdFor caps a requested hold at the heartbeat interval, so neither
+// a parked worker's registration nor a long-polled job status outlives
+// one beat.
+func (c Config) holdFor(wait time.Duration) time.Duration {
+	if hb := c.heartbeat(); wait > hb {
+		return hb
+	}
+	return wait
 }
 
 func (c Config) maxAttempts() int {
@@ -191,6 +203,10 @@ type Coordinator struct {
 	st      Stats
 	jnl     *journal
 
+	// wake is closed (and replaced) whenever a task enters the queue or
+	// the coordinator shuts down, releasing every held lease request.
+	wake chan struct{}
+
 	recCompleted []string
 	recRequeued  []string
 
@@ -220,6 +236,7 @@ func Open(cfg Config) (*Coordinator, error) {
 		tasks:   make(map[string]*task),
 		jobs:    make(map[string]*Job),
 		workers: make(map[string]*workerState),
+		wake:    make(chan struct{}),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -296,6 +313,7 @@ func (c *Coordinator) Close() {
 			c.finishLocked(t, TaskResult{Failed: "coordinator closed"})
 		}
 	}
+	c.wakeLocked()
 	if c.jnl != nil {
 		c.jnl.close()
 		c.jnl = nil
@@ -322,6 +340,7 @@ func (c *Coordinator) Halt() {
 	for _, j := range c.jobs {
 		j.interruptIfPending()
 	}
+	c.wakeLocked()
 	if c.jnl != nil {
 		c.jnl.close()
 		c.jnl = nil
@@ -329,6 +348,13 @@ func (c *Coordinator) Halt() {
 	c.mu.Unlock()
 	close(c.stop)
 	<-c.done
+}
+
+// wakeLocked releases every lease request held on the current wake
+// channel; they re-check the queue (or the closed flag) under c.mu.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 func (c *Coordinator) logf(format string, args ...interface{}) {
@@ -403,6 +429,7 @@ func (c *Coordinator) requeueLocked(t *task, cause string) {
 	t.worker = ""
 	c.queue = append(c.queue, t)
 	c.st.Requeues++
+	c.wakeLocked()
 }
 
 // finishLocked records a task's terminal result and notifies its job.
@@ -473,19 +500,63 @@ func (c *Coordinator) Deregister(id string) error {
 }
 
 // Lease hands the worker the oldest queued task, or nil when the queue
-// is empty. A lease counts one attempt, is journaled before it is
-// granted (so replayed attempts still respect MaxAttempts), and must
-// be renewed by heartbeat within the TTL.
+// is empty, without waiting. It is LeaseWait with no hold.
 func (c *Coordinator) Lease(workerID string) (*TaskSpec, error) {
+	return c.LeaseWait(context.Background(), workerID, 0)
+}
+
+// LeaseWait hands the worker the oldest queued task. On an empty queue
+// it holds the request for up to wait — capped at the heartbeat
+// interval, so a parked worker's registration cannot lapse — and
+// answers as soon as a submit or a re-queue puts a task in the queue.
+// It answers nil once the hold passes, ctx's error when ctx ends, and
+// ErrClosed when the coordinator shuts down; a lease is never granted
+// to a request whose ctx is already done, so an abandoned hold leaves
+// the task queued with its attempts untouched.
+//
+// A lease counts one attempt, is journaled before it is granted (so
+// replayed attempts still respect MaxAttempts), and must be renewed by
+// heartbeat within the TTL.
+func (c *Coordinator) LeaseWait(ctx context.Context, workerID string, wait time.Duration) (*TaskSpec, error) {
+	wait = c.cfg.holdFor(wait)
+	var expired <-chan time.Time
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+	for {
+		if c.closed {
+			return nil, ErrClosed
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		w := c.workers[workerID]
+		if w == nil {
+			return nil, ErrUnknownWorker
+		}
+		spec, err := c.grantLocked(w)
+		if spec != nil || err != nil || wait <= 0 {
+			return spec, err
+		}
+		if expired == nil {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			expired = t.C
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		case <-expired:
+			wait = 0 // one last look at the queue, then answer empty
+		}
+		c.mu.Lock()
 	}
-	w := c.workers[workerID]
-	if w == nil {
-		return nil, ErrUnknownWorker
-	}
+}
+
+// grantLocked leases the oldest queued task to w, or returns nil when
+// the queue is empty. Every call renews w's registration.
+func (c *Coordinator) grantLocked(w *workerState) (*TaskSpec, error) {
 	now := time.Now()
 	w.deadline = now.Add(c.cfg.leaseTTL())
 	for len(c.queue) > 0 {
@@ -502,7 +573,7 @@ func (c *Coordinator) Lease(workerID string) (*TaskSpec, error) {
 		c.queue = c.queue[1:]
 		t.state = taskLeased
 		t.attempts++
-		t.worker = workerID
+		t.worker = w.id
 		t.deadline = now.Add(c.cfg.leaseTTL())
 		w.leases[t.spec.Key] = t
 		spec := t.spec
@@ -701,6 +772,24 @@ func (j *Job) interruptIfPending() {
 	}
 }
 
+// hold blocks for up to wait — capped at the heartbeat interval, like a
+// held lease — or until the job finishes, the coordinator shuts down
+// under it, or ctx ends: the server half of a long-polled job status.
+func (j *Job) hold(ctx context.Context, wait time.Duration) {
+	wait = j.c.cfg.holdFor(wait)
+	if wait <= 0 {
+		return
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-j.done:
+	case <-j.intr:
+	case <-ctx.Done():
+	case <-t.C:
+	}
+}
+
 // progress reports the job's size and unfinished-task count.
 func (j *Job) progress() (total, remaining int) {
 	j.mu.Lock()
@@ -819,6 +908,7 @@ func (c *Coordinator) submitLocked(id string, specs []TaskSpec) (*Job, error) {
 	}
 	c.jobs[id] = j
 	c.st.Submitted += int64(len(specs))
+	c.wakeLocked()
 	return j, nil
 }
 

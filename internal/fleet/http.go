@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -26,7 +27,10 @@ type RegisterResponse struct {
 	PollMS      int64  `json:"poll_ms"`
 }
 
-// LeaseRequest asks for one task.
+// LeaseRequest asks for one task. How long an idle coordinator may
+// hold the request travels as the wait_ms query parameter, not as a
+// body field: a coordinator that predates long-polling rejects unknown
+// body fields but ignores the parameter and answers at once.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 }
@@ -122,7 +126,8 @@ type fleetErrorBody struct {
 //
 //	POST   /fleet/workers       register
 //	DELETE /fleet/workers/{id}  deregister (graceful drain)
-//	POST   /fleet/lease         lease one task (204 when idle)
+//	POST   /fleet/lease         lease one task; ?wait_ms=N holds an idle
+//	                            request until a task is queued (204 when none)
 //	POST   /fleet/heartbeat     renew registration + leases
 //	POST   /fleet/complete      deliver a result (idempotent per key)
 //	POST   /fleet/fail          report an execution failure
@@ -132,7 +137,8 @@ type fleetErrorBody struct {
 // and the submitter-facing job API (what fleet.Client speaks):
 //
 //	POST   /fleet/jobs          submit, or submit-or-attach with an ID
-//	GET    /fleet/jobs/{id}     progress; results once done (IDs may contain slashes)
+//	GET    /fleet/jobs/{id}     progress; results once done (IDs may contain slashes);
+//	                            ?wait_ms=N holds the answer until the job is done
 //	DELETE /fleet/jobs/{id}     release the job's keys (idempotent)
 //	GET    /fleet/recovered     keys restored by the boot journal replay
 func (c *Coordinator) Handler() http.Handler {
@@ -185,6 +191,20 @@ func fleetDecodeBody(r *http.Request, v interface{}) error {
 	return nil
 }
 
+// fleetWaitParam reads the optional wait_ms query parameter: how long
+// the caller lets an idle request be held. Absent means no hold.
+func fleetWaitParam(r *http.Request) (time.Duration, error) {
+	s := r.URL.Query().Get("wait_ms")
+	if s == "" {
+		return 0, nil
+	}
+	ms, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || ms < 0 {
+		return 0, fmt.Errorf("fleet: wait_ms=%q: want a non-negative integer", s)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := fleetDecodeBody(r, &req); err != nil {
@@ -218,7 +238,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		fleetWriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec, err := c.Lease(req.Worker)
+	wait, err := fleetWaitParam(r)
+	if err != nil {
+		fleetWriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	spec, err := c.LeaseWait(r.Context(), req.Worker, wait)
 	if err != nil {
 		fleetWriteError(w, fleetErrStatus(err), err)
 		return
@@ -304,11 +329,17 @@ func (c *Coordinator) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+	wait, err := fleetWaitParam(r)
+	if err != nil {
+		fleetWriteError(w, http.StatusBadRequest, err)
+		return
+	}
 	j, err := c.Attach(r.PathValue("id"))
 	if err != nil {
 		fleetWriteError(w, fleetErrStatus(err), err)
 		return
 	}
+	j.hold(r.Context(), wait)
 	total, remaining := j.progress()
 	resp := JobStatusResponse{Job: j.ID(), Total: total, Remaining: remaining, Done: remaining == 0}
 	if resp.Done {

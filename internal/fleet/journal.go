@@ -170,7 +170,7 @@ func journalSegments(dir string) ([]string, error) {
 // recovery is the state reconstructed from a journal replay.
 type recovery struct {
 	tasks   map[string]*task
-	order   []*task          // live tasks in submission order
+	order   []*task            // live tasks in submission order
 	jobs    map[string][]*task // unreleased jobs → their tasks in order
 	jobFPs  map[string]uint64  // job → spec fingerprint
 	lastSeg int                // highest segment number seen

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -315,9 +316,17 @@ func (w *Worker) register(ctx context.Context) (string, Config, error) {
 // serve runs one registration's lease loops until drain or until the
 // coordinator forgets the worker (returns true: re-register).
 func (w *Worker) serve(ctx context.Context, hardCtx context.Context, id string, params Config) bool {
-	// sctx stops leasing: on drain (ctx) or on a 404 (re-register).
+	// sctx stops leasing, and cuts a held lease request short: on
+	// drain (ctx), on Kill, or on a 404 (re-register).
 	sctx, scancel := context.WithCancel(ctx)
 	defer scancel()
+	go func() {
+		select {
+		case <-w.killCh:
+			scancel()
+		case <-sctx.Done():
+		}
+	}()
 	var reregged atomic.Bool
 	trigger := func() {
 		if reregged.CompareAndSwap(false, true) {
@@ -352,7 +361,16 @@ func (w *Worker) serve(ctx context.Context, hardCtx context.Context, id string, 
 	return false
 }
 
+// slotLoop leases and runs tasks until sctx ends. An idle slot parks
+// in the coordinator: each lease request asks for a hold of up to Poll
+// (wait_ms), which a submit cuts short. The first re-poll after a
+// completed task asks for no hold, so a submitter waiting for the
+// worker to come back idle sees it at once. A 204 that arrives sooner
+// than the hold asked for — a coordinator that predates long-polling
+// answers at once — is followed by a sleep for the rest of Poll, which
+// keeps the old one-request-per-Poll cadence against such a peer.
 func (w *Worker) slotLoop(sctx, hardCtx context.Context, id string, params Config, trigger func()) {
+	wait := params.Poll
 	for {
 		select {
 		case <-sctx.Done():
@@ -365,7 +383,10 @@ func (w *Worker) slotLoop(sctx, hardCtx context.Context, id string, params Confi
 			w.sleep(sctx, 10*time.Millisecond)
 			continue
 		}
-		spec, status, err := w.lease(id)
+		start := time.Now()
+		spec, status, err := w.lease(sctx, id, wait)
+		asked := wait
+		wait = params.Poll
 		if err != nil {
 			w.sleep(sctx, params.Poll)
 			continue
@@ -380,13 +401,14 @@ func (w *Worker) slotLoop(sctx, hardCtx context.Context, id string, params Confi
 				w.sleep(sctx, params.Poll)
 				continue
 			}
-			w.sleep(sctx, params.Poll)
+			w.sleep(sctx, asked-time.Since(start))
 			continue
 		}
 		w.execute(hardCtx, id, spec, params)
 		if w.killed() {
 			return
 		}
+		wait = 0
 	}
 }
 
@@ -501,9 +523,15 @@ func (w *Worker) heartbeatLoop(id string, params Config, stop, done chan struct{
 	}
 }
 
-func (w *Worker) lease(id string) (*TaskSpec, int, error) {
+// lease asks for one task, letting an idle coordinator hold the
+// request for up to wait. ctx cuts a held request short.
+func (w *Worker) lease(ctx context.Context, id string, wait time.Duration) (*TaskSpec, int, error) {
+	path := "/fleet/lease"
+	if wait > 0 {
+		path += "?wait_ms=" + strconv.FormatInt(wait.Milliseconds(), 10)
+	}
 	var resp LeaseResponse
-	status, err := w.post("/fleet/lease", LeaseRequest{Worker: id}, &resp)
+	status, err := w.postCtx(ctx, path, LeaseRequest{Worker: id}, &resp)
 	if err != nil {
 		return nil, status, err
 	}
@@ -554,19 +582,24 @@ func (w *Worker) postFail(id, key, msg string) {
 // bodyless call in the protocol); out may be nil to discard the
 // response.
 func (w *Worker) post(path string, body, out interface{}) (int, error) {
+	return w.postCtx(context.Background(), path, body, out)
+}
+
+// postCtx is post with a request context.
+func (w *Worker) postCtx(ctx context.Context, path string, body, out interface{}) (int, error) {
 	base := strings.TrimRight(w.Coordinator, "/")
 	var (
 		req *http.Request
 		err error
 	)
 	if body == nil {
-		req, err = http.NewRequest(http.MethodDelete, base+path, nil)
+		req, err = http.NewRequestWithContext(ctx, http.MethodDelete, base+path, nil)
 	} else {
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(body); err != nil {
 			return 0, err
 		}
-		req, err = http.NewRequest(http.MethodPost, base+path, &buf)
+		req, err = http.NewRequestWithContext(ctx, http.MethodPost, base+path, &buf)
 		if req != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}

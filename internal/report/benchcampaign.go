@@ -18,7 +18,8 @@ type BenchCampaignEntry struct {
 	Cells       int     `json:"cells"`
 	Workers     int     `json:"workers"`
 	Utilization float64 `json:"utilization"`
-	Requeues    int     `json:"requeues"`
+	Steals      int     `json:"steals"`
+	Requeues    int64   `json:"requeues"`
 	GitSHA      string  `json:"git_sha"`
 	Timestamp   string  `json:"timestamp"`
 }
@@ -41,13 +42,13 @@ func BenchCampaign(path string, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "## Campaign drain (`make bench-campaign`)\n\n")
-	fmt.Fprintf(w, "| mode | ms/cell | per-core ms | cells | workers | util | requeues | commit | recorded |\n")
-	fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|---|\n")
+	fmt.Fprintf(w, "| mode | ms/cell | per-core ms | cells | workers | util | steals | requeues | commit | recorded |\n")
+	fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|---|---|\n")
 	latest := map[string]BenchCampaignEntry{}
 	for _, e := range entries {
-		fmt.Fprintf(w, "| %s | %.1f | %.1f | %d | %d | %.2f | %d | %s | %s |\n",
+		fmt.Fprintf(w, "| %s | %.1f | %.1f | %d | %d | %.2f | %d | %d | %s | %s |\n",
 			e.Mode, e.MsPerCell, e.MsPerCell*float64(e.Workers),
-			e.Cells, e.Workers, e.Utilization, e.Requeues, e.GitSHA, e.Timestamp)
+			e.Cells, e.Workers, e.Utilization, e.Steals, e.Requeues, e.GitSHA, e.Timestamp)
 		latest[e.Mode] = e
 	}
 	if lo, ok := latest["local"]; ok {
