@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check fmt-check vet test race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
+.PHONY: all build check fmt-check vet test race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-train-smoke bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
 
 all: build check
 
@@ -13,17 +13,21 @@ build:
 # campaign engine, streaming pool, quantized scoring, ask-tell
 # sessions, fleet drain), the chaos gates (fault-injection equivalence
 # and the mixed-fault race soaks, in-process and fleet), the server
-# soak, and smoke-sized runs of the streaming-pool and campaign
-# benchmarks.
-check: fmt-check vet race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-pool-smoke bench-campaign-smoke
+# soak, and smoke-sized runs of the training, streaming-pool and
+# campaign benchmarks.
+check: fmt-check vet race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-train-smoke bench-pool-smoke bench-campaign-smoke
 
 # train-equivalence gates the presorted-column training engine: the
 # builder-equivalence property tests (presorted vs reference builder must
-# emit bit-identical trees) and the forest fit path with DisableBagging
-# on and off, all under the race detector so the per-worker workspace
-# reuse is exercised concurrently.
+# emit bit-identical trees), the shared-rank path (column ranking, and
+# every tree forest.Fit and forest.Update build from shared ranks equal
+# to the reference builder on its materialised bootstrap, generator end
+# state included), the non-finite feature rejection the ranking relies
+# on, and the forest fit path with DisableBagging on and off, all under
+# the race detector so the per-worker workspace reuse and the shared
+# read-only ranks are exercised concurrently.
 train-equivalence:
-	go test -race -run 'TestBuilderEquivalence|TestWorkspaceReuse|TestForestFitBaggingModes|TestOOBParallel' ./internal/tree ./internal/forest
+	go test -race -run 'TestBuilderEquivalence|TestWorkspaceReuse|TestRank|TestFitRejectsNonFinite|TestForestFitBaggingModes|TestOOBParallel' ./internal/tree ./internal/forest
 
 # resume-equivalence gates the checkpoint/resume subsystem: an
 # interrupted run continued from its snapshot must be bit-identical to
@@ -161,9 +165,19 @@ bench:
 	go test -bench=. -benchmem -run xxx ./...
 
 # Training-engine benchmarks only: paper-scale tree/forest fits on the
-# presorted engine vs the retained reference builder.
+# presorted engine vs the retained reference builder, plus the
+# tune-shaped forest refit. Each run appends one entry per benchmark to
+# BENCH_train.json (schema: train_bench_test.go), the recorded
+# trajectory that bench-train-smoke guards against.
 bench-train:
-	go test -bench 'TreeFit|ForestFit' -benchmem -run xxx .
+	BENCH_TRAIN_JSON=BENCH_train.json go test -bench 'TreeFit|ForestFit' -benchmem -run xxx .
+
+# Smoke-sized bench-train for the check gate and CI: the paper-scale and
+# tune-shaped forest refits for about half a second each — fails if
+# either one's per-core ms/fit exceeds twice its most recent
+# BENCH_train.json entry (the 2x margin absorbs runner noise).
+bench-train-smoke:
+	TRAIN_BENCH_BASELINE=BENCH_train.json go test -bench 'BenchmarkForestFit$$|BenchmarkForestFitTune$$' -benchmem -benchtime 500ms -run xxx .
 
 # Campaign-engine benchmarks: the work-stealing grid drain vs the
 # retained sequential path vs the fleet drain (coordinator + two

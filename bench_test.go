@@ -32,7 +32,6 @@ import (
 	"repro/internal/space"
 	"repro/internal/spapt"
 	"repro/internal/transfer"
-	"repro/internal/tree"
 	"repro/internal/tuning"
 )
 
@@ -644,80 +643,6 @@ func BenchmarkForestSerialize(b *testing.B) {
 		}
 		if f2.NumTrees() != 64 {
 			b.Fatal("round trip lost trees")
-		}
-	}
-}
-
-// ---- Training engine (DESIGN.md §8) ----
-
-// trainingSetup builds a paper-scale training matrix: n rows over a
-// mixed 10-column space (6 numeric compilation-parameter-style columns
-// quantised to coarse level grids, so duplicate values abound as in real
-// tuning spaces, plus 4 categorical columns), with an interacting target.
-func trainingSetup(n int) (X [][]float64, y []float64, fs []space.Feature) {
-	r := rng.New(77)
-	fs = make([]space.Feature, 10)
-	levels := []int{4, 8, 16, 32, 6, 12}
-	for j := 0; j < 6; j++ {
-		fs[j] = space.Feature{Name: "u", Kind: space.FeatNumeric}
-	}
-	for j := 6; j < 10; j++ {
-		fs[j] = space.Feature{Name: "c", Kind: space.FeatCategorical, NumCategories: 4 + j - 6}
-	}
-	X = make([][]float64, n)
-	y = make([]float64, n)
-	for i := range X {
-		row := make([]float64, 10)
-		for j := 0; j < 6; j++ {
-			row[j] = float64(r.Intn(levels[j]))
-		}
-		for j := 6; j < 10; j++ {
-			row[j] = float64(r.Intn(fs[j].NumCategories))
-		}
-		X[i] = row
-		y[i] = row[0]*row[1] + 3*row[2] + 10*float64(int(row[6])%2) + row[4]*float64(int(row[8])%3) + r.Norm()
-	}
-	return X, y, fs
-}
-
-// BenchmarkTreeFit measures one tree induction at paper scale (n≈3000,
-// d=10 mixed) on the presorted-column engine with a reused workspace —
-// the per-tree cost inside every forest refit of Algorithm 1.
-func BenchmarkTreeFit(b *testing.B) {
-	X, y, fs := trainingSetup(3000)
-	ws := tree.NewWorkspace()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.FitWorkspace(X, y, fs, tree.Config{}, nil, ws); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTreeFitReference is the pre-presort baseline: the retained
-// per-node-sorting builder on the same data. The two builders produce
-// bit-identical trees (see internal/tree's equivalence property test),
-// so the ratio of these two benchmarks is pure engine speedup.
-func BenchmarkTreeFitReference(b *testing.B) {
-	X, y, fs := trainingSetup(3000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.FitReference(X, y, fs, tree.Config{}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkForestFit measures a full B=64 forest refit at paper scale —
-// the per-iteration training cost of Algorithm 1's step 2, including
-// bootstrap resampling, parallel tree fitting and the parallel
-// out-of-bag pass.
-func BenchmarkForestFit(b *testing.B) {
-	X, y, fs := trainingSetup(3000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := forest.Fit(X, y, fs, forest.Config{NumTrees: 64}, rng.New(uint64(i))); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

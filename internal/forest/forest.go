@@ -124,6 +124,13 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 		return nil, fmt.Errorf("forest: no features")
 	}
 
+	// Rank the training columns once (this also validates X); every tree
+	// derives its presorted column orders from these shared, read-only
+	// ranks with a counting sort of its own sample.
+	ranks, err := tree.RankColumns(X, features)
+	if err != nil {
+		return nil, err
+	}
 	treeCfg := cfg.Tree
 
 	b := cfg.numTrees()
@@ -132,10 +139,17 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 	compiled := make([]*tree.Compiled, b)
 	inBag := make([][]bool, b) // inBag[t][i]: sample i used by tree t
 	errs := make([]error, b)
+	var identity []int32 // the DisableBagging sample: every row once
+	if cfg.DisableBagging {
+		identity = make([]int32, n)
+		for i := range identity {
+			identity[i] = int32(i)
+		}
+	}
 
 	// One goroutine per worker slot, each fitting a strided subset of the
 	// ensemble with slot-local scratch: a tree.Workspace (the presorted
-	// engine's reusable buffers) and one bootstrap pair (bx, by) reused
+	// engine's reusable buffers) and one bootstrap picks buffer reused
 	// across all of the slot's trees instead of allocated per tree.
 	// Per-tree RNG streams come from r.Child(t), so the fitted forest is
 	// independent of worker count and scheduling.
@@ -149,26 +163,18 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 		go func(w int) {
 			defer wg.Done()
 			ws := tree.NewWorkspace()
-			var bx [][]float64
-			var by []float64
+			picks := identity
 			if !cfg.DisableBagging {
-				bx = make([][]float64, n)
-				by = make([]float64, n)
+				picks = make([]int32, n)
 			}
 			for t := w; t < b; t += workers {
 				tr := r.Child(uint64(t))
-				if cfg.DisableBagging {
-					trees[t], errs[t] = tree.FitWorkspace(X, y, features, treeCfg, tr, ws)
-				} else {
+				if !cfg.DisableBagging {
 					bag := make([]bool, n)
-					for i := 0; i < n; i++ {
-						j := tr.Intn(n)
-						bx[i], by[i] = X[j], y[j]
-						bag[j] = true
-					}
+					drawBootstrap(picks, bag, tr)
 					inBag[t] = bag
-					trees[t], errs[t] = tree.FitWorkspace(bx, by, features, treeCfg, tr, ws)
 				}
+				trees[t], errs[t] = tree.FitRanked(ranks, y, picks, treeCfg, tr, ws)
 				if errs[t] == nil {
 					compiled[t] = trees[t].Compile()
 				}
@@ -190,6 +196,20 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 		f.oob = f.oobRMSE(X, y, inBag)
 	}
 	return f, nil
+}
+
+// drawBootstrap fills picks with a bootstrap resample of len(picks) rows
+// (one tr.Intn draw per sample, in order) and, when bag is non-nil, flags
+// every drawn row in it.
+func drawBootstrap(picks []int32, bag []bool, tr *rng.RNG) {
+	n := len(picks)
+	for i := range picks {
+		j := tr.Intn(n)
+		picks[i] = int32(j)
+		if bag != nil {
+			bag[j] = true
+		}
+	}
 }
 
 // oobRMSE computes the out-of-bag RMSE: each sample is predicted only by

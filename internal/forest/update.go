@@ -33,21 +33,20 @@ func (f *Forest) Update(X [][]float64, y []float64, r *rng.RNG) error {
 	if k < 1 {
 		k = 1
 	}
-	// One bootstrap pair and one presorted-engine workspace serve all k
-	// sequential refits of this update.
-	n := len(X)
-	bx := make([][]float64, n)
-	by := make([]float64, n)
+	// The columns are ranked once for all k refits; one picks buffer and
+	// one presorted-engine workspace serve them all too.
+	ranks, err := tree.RankColumns(X, f.features)
+	if err != nil {
+		return fmt.Errorf("forest: Update: %w", err)
+	}
+	picks := make([]int32, len(X))
 	ws := tree.NewWorkspace()
 	for i := 0; i < k; i++ {
 		slot := f.nextRefresh % len(f.trees)
 		f.nextRefresh++
 		tr := r.Child(uint64(slot))
-		for j := 0; j < n; j++ {
-			pick := tr.Intn(n)
-			bx[j], by[j] = X[pick], y[pick]
-		}
-		nt, err := tree.FitWorkspace(bx, by, f.features, treeCfg, tr, ws)
+		drawBootstrap(picks, nil, tr)
+		nt, err := tree.FitRanked(ranks, y, picks, treeCfg, tr, ws)
 		if err != nil {
 			return fmt.Errorf("forest: Update refit slot %d: %w", slot, err)
 		}

@@ -1,6 +1,9 @@
 package tree
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -10,16 +13,25 @@ import (
 // This file implements the presorted-column training engine. The
 // reference builder (reference.go) re-sorts every numeric candidate
 // column at every node — O(m log m) comparisons and a fresh index slice
-// per feature per node. Here each numeric column's sample order is
-// sorted ONCE per tree, by (value, sample position), and threaded down
-// the recursion: at every split the node's segment of each column order
-// is stably partitioned with the left/right mask, so both children
-// inherit already-sorted segments and split search degenerates to a
-// single allocation-free linear scan.
+// per feature per node. Here each numeric column of the training set is
+// ranked ONCE (RankColumns: one sort, dense ranks), however many trees
+// are then fitted to row samples of it. A tree derives each column's
+// sample order, sorted by (value, sample position), from the ranks with
+// an O(n + levels) counting sort, and threads it down the recursion: at
+// every split the node's segment of each column order is stably
+// partitioned with the left/right mask, so both children inherit
+// already-sorted segments and split search degenerates to a single
+// allocation-free linear scan.
 //
 // Bit-identity with the reference builder is a hard invariant, pinned by
 // presort_test.go. It holds because:
 //
+//   - Feature values are finite (validateMatrix), so < is a total order
+//     on each column and the dense rank (ties by ==, so -0 and +0 share
+//     a rank) orders rows exactly as their values do. A counting sort of
+//     sample positions 0..n-1 keyed by the rank of the row each position
+//     was drawn from is stable in position, so it yields exactly the
+//     (value, position) order the reference's comparator sort defines.
 //   - A node's sample list (idx) is always in ascending sample order in
 //     both builders (the root is 0..n-1 and stable partitioning
 //     preserves relative order), so leaf statistics and categorical
@@ -34,37 +46,118 @@ import (
 //     partial shuffle would be cheaper but cannot reproduce rng.Perm's
 //     output: perm[0] depends on every swap of the backward pass.
 
+// Ranks is a training matrix whose numeric columns have been ranked once,
+// ready for any number of FitRanked calls on row samples of it. It is
+// read-only after RankColumns returns, so concurrent fits may share it.
+type Ranks struct {
+	x        [][]float64
+	features []space.Feature
+
+	// rank[f][i] is the dense rank of X[i][f] among column f's distinct
+	// values (0 for the smallest); levels[f] is the number of distinct
+	// values. Both are unset for categorical columns.
+	rank   [][]int32
+	levels []int
+}
+
+// RankColumns validates X against features — a non-empty matrix of
+// finite values, one column per feature — and ranks each numeric column
+// with one sort. Equal values (by ==, so -0 and +0) share a rank.
+func RankColumns(X [][]float64, features []space.Feature) (*Ranks, error) {
+	if err := validateMatrix(X, features); err != nil {
+		return nil, err
+	}
+	n := len(X)
+	d := len(features)
+	rk := &Ranks{x: X, features: features, rank: make([][]int32, d), levels: make([]int, d)}
+	type entry struct {
+		v float64
+		i int32
+	}
+	col := make([]entry, n)
+	for f, ft := range features {
+		if ft.Kind == space.FeatCategorical {
+			continue
+		}
+		for i, row := range X {
+			col[i] = entry{row[f], int32(i)}
+		}
+		slices.SortFunc(col, func(a, b entry) int { return cmp.Compare(a.v, b.v) })
+		rank := make([]int32, n)
+		level := int32(0)
+		for k, e := range col {
+			if k > 0 && e.v != col[k-1].v {
+				level++
+			}
+			rank[e.i] = level
+		}
+		rk.rank[f] = rank
+		rk.levels[f] = int(level) + 1
+	}
+	return rk, nil
+}
+
 // FitWorkspace builds a regression tree on (X, y) with the presorted-
 // column engine, reusing ws across calls; ws may be nil, in which case a
 // throwaway workspace is allocated. See Fit for the argument contract.
 func FitWorkspace(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG, ws *Workspace) (*Regressor, error) {
-	mtry, err := validateFit(X, y, features, cfg, r)
+	rk, err := RankColumns(X, features)
+	if err != nil {
+		return nil, err
+	}
+	picks := make([]int32, len(X))
+	for i := range picks {
+		picks[i] = int32(i)
+	}
+	return FitRanked(rk, y, picks, cfg, r, ws)
+}
+
+// FitRanked builds a regression tree on the row sample picks of a ranked
+// training set: sample k is the row (X[picks[k]], y[picks[k]]) of the
+// matrix X that rk ranked, so a bootstrap resample passes its draws and
+// the full set passes 0..n-1. The tree is bit-identical to FitWorkspace
+// on the materialised sample and consumes r identically. ws may be nil,
+// as for FitWorkspace.
+func FitRanked(rk *Ranks, y []float64, picks []int32, cfg Config, r *rng.RNG, ws *Workspace) (*Regressor, error) {
+	if len(rk.x) != len(y) {
+		return nil, fmt.Errorf("tree: len(X)=%d but len(y)=%d", len(rk.x), len(y))
+	}
+	if len(picks) == 0 {
+		return nil, fmt.Errorf("tree: empty training set")
+	}
+	for k, p := range picks {
+		if p < 0 || int(p) >= len(y) {
+			return nil, fmt.Errorf("tree: sample %d picks row %d of %d", k, p, len(y))
+		}
+	}
+	mtry, err := resolveMtry(len(rk.features), cfg, r)
 	if err != nil {
 		return nil, err
 	}
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	n := len(X)
-	ws.ensure(n, features)
+	n := len(picks)
+	ws.ensure(n, rk)
 
 	b := &psBuilder{
-		X: X, y: y, features: features, cfg: cfg, mtry: mtry, r: r, ws: ws,
+		X: ws.rows[:n], y: ws.ys[:n], features: rk.features, cfg: cfg, mtry: mtry, r: r, ws: ws,
 		minLeaf: cfg.minLeaf(), minSplit: cfg.minSplit(),
 		idx: ws.idx[:n], mask: ws.mask[:n],
 		scratchIdx: ws.scratchIdx[:n], scratchVals: ws.scratchVals[:n],
 	}
-	for i := range b.idx {
-		b.idx[i] = int32(i)
+	for k, p := range picks {
+		b.X[k], b.y[k] = rk.x[p], y[p]
+		b.idx[k] = int32(k)
 	}
-	b.presort()
+	b.presort(rk, picks)
 	root := b.build(0, n, 0)
-	return &Regressor{features: features, root: root, cfg: cfg}, nil
+	return &Regressor{features: rk.features, root: root, cfg: cfg}, nil
 }
 
 // psBuilder carries the state of one presorted induction run. The slice
 // fields are views into the workspace buffers, resliced to this fit's
-// dimensions.
+// dimensions; X and y hold the materialised sample rows.
 type psBuilder struct {
 	X        [][]float64
 	y        []float64
@@ -100,28 +193,33 @@ type psSplit struct {
 	isCat     bool
 }
 
-// presort fills each numeric column's order with 0..n-1 sorted by
-// (value, position) and caches the sorted values alongside. This is the
-// only sort of the whole fit.
-func (b *psBuilder) presort() {
-	n := len(b.X)
+// presort fills each numeric column's order with the sample positions
+// 0..n-1 sorted by (value, position), by a stable counting sort keyed on
+// the rank of the row each position was drawn from, and caches the
+// sorted values alongside. The tree performs no comparison sort at all.
+func (b *psBuilder) presort(rk *Ranks, picks []int32) {
+	n := len(picks)
 	X := b.X
-	for f, ft := range b.features {
-		if ft.Kind == space.FeatCategorical {
+	for f, rank := range rk.rank {
+		if rank == nil {
 			continue
 		}
-		ord := b.ws.ords[f][:n]
-		for i := range ord {
-			ord[i] = int32(i)
+		// start[l] becomes the first output slot of rank l: bucket counts
+		// shifted by one, then prefix-summed.
+		start := b.ws.count[:rk.levels[f]+1]
+		clear(start)
+		for _, p := range picks {
+			start[rank[p]+1]++
 		}
-		sort.Slice(ord, func(a, c int) bool {
-			ia, ic := ord[a], ord[c]
-			va, vc := X[ia][f], X[ic][f]
-			if va != vc {
-				return va < vc
-			}
-			return ia < ic
-		})
+		for l := 1; l < len(start); l++ {
+			start[l] += start[l-1]
+		}
+		ord := b.ws.ords[f][:n]
+		for k, p := range picks {
+			l := rank[p]
+			ord[start[l]] = int32(k)
+			start[l]++
+		}
 		vals := b.ws.vals[f][:n]
 		for k, i := range ord {
 			vals[k] = X[i][f]

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -279,6 +280,129 @@ func TestPresortedMatchesExistingBehaviors(t *testing.T) {
 		m2, v2, c2 := ref.PredictWithStats(probe)
 		if m1 != m2 || v1 != v2 || c1 != c2 {
 			t.Fatalf("prediction mismatch at probe %d", i)
+		}
+	}
+}
+
+// TestRankColumns pins the ranking contract: dense ranks in value order,
+// equal values (including -0 and +0) sharing one rank, and no ranks for
+// categorical columns.
+func TestRankColumns(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	fs := []space.Feature{
+		{Name: "x", Kind: space.FeatNumeric},
+		{Name: "c", Kind: space.FeatCategorical, NumCategories: 3},
+	}
+	X := [][]float64{{0.5, 2}, {negZero, 0}, {-1, 1}, {0, 1}, {0.5, 0}, {-1, 2}}
+	rk, err := RankColumns(X, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int32{2, 1, 0, 1, 2, 0}
+	for i, r := range rk.rank[0] {
+		if r != want[i] {
+			t.Fatalf("rank[0] = %v, want %v", rk.rank[0], want)
+		}
+	}
+	if rk.levels[0] != 3 {
+		t.Fatalf("levels[0] = %d, want 3", rk.levels[0])
+	}
+	if rk.rank[1] != nil {
+		t.Fatal("categorical column was ranked")
+	}
+}
+
+// TestRankedSampleMatchesReference is the ranked path's contract at the
+// tree layer: FitRanked on a row sample (bootstraps with heavy
+// multiplicity, repeated rows, mixed -0/+0 values, subspacing) must emit
+// the tree FitReference builds on the materialised sample and consume
+// the generator identically.
+func TestRankedSampleMatchesReference(t *testing.T) {
+	ws := NewWorkspace()
+	for seed := uint64(1); seed <= 30; seed++ {
+		r := rng.New(seed * 7919)
+		n := 5 + r.Intn(80)
+		d := 1 + r.Intn(6)
+		X, y, fs := mixedSpace(r, n, d)
+		for _, row := range X {
+			for j, v := range row {
+				if v == 0 && fs[j].Kind == space.FeatNumeric && r.Bool(0.5) {
+					row[j] = math.Copysign(0, -1)
+				}
+			}
+		}
+		rk, err := RankColumns(X, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Draw from a small subset of rows so multiplicities are heavy.
+		m := 1 + r.Intn(n)
+		picks := make([]int32, n+r.Intn(n))
+		bx := make([][]float64, len(picks))
+		by := make([]float64, len(picks))
+		for k := range picks {
+			picks[k] = int32(r.Intn(m))
+			bx[k], by[k] = X[picks[k]], y[picks[k]]
+		}
+		cfg := Config{MinSamplesLeaf: 1 + r.Intn(3), KeepTargets: r.Bool(0.5)}
+		if d > 1 && r.Bool(0.6) {
+			cfg.MaxFeatures = 1 + r.Intn(d-1)
+		}
+		r1, r2 := rng.New(seed), rng.New(seed)
+		got, err := FitRanked(rk, y, picks, cfg, r1, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := FitReference(bx, by, fs, cfg, r2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !nodesEqual(got.root, want.root) {
+			t.Fatalf("seed %d: ranked tree differs from the reference (n=%d d=%d cfg=%+v)", seed, n, d, cfg)
+		}
+		if r1.Uint64() != r2.Uint64() {
+			t.Fatalf("seed %d: RNG streams diverged", seed)
+		}
+	}
+}
+
+// TestRankedFitErrors pins FitRanked's argument checks.
+func TestRankedFitErrors(t *testing.T) {
+	rk, err := RankColumns([][]float64{{1}, {2}}, numFeatures(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FitRanked(rk, []float64{1}, []int32{0}, Config{}, nil, nil); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+	if _, err := FitRanked(rk, []float64{1, 2}, nil, Config{}, nil, nil); err == nil {
+		t.Fatal("empty sample accepted")
+	}
+	if _, err := FitRanked(rk, []float64{1, 2}, []int32{0, 2}, Config{}, nil, nil); err == nil {
+		t.Fatal("out-of-range pick accepted")
+	}
+}
+
+// TestFitRejectsNonFinite pins the finiteness check: ranking needs a
+// total order, so NaN and ±Inf feature values are rejected by every
+// entry point with an error naming the row and column.
+func TestFitRejectsNonFinite(t *testing.T) {
+	fs := numFeatures(2)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		X := [][]float64{{1, 2}, {3, 4}, {5, bad}}
+		y := []float64{1, 2, 3}
+		for name, fit := range map[string]func() error{
+			"Fit":          func() error { _, err := Fit(X, y, fs, Config{}, nil); return err },
+			"FitReference": func() error { _, err := FitReference(X, y, fs, Config{}, nil); return err },
+			"RankColumns":  func() error { _, err := RankColumns(X, fs); return err },
+		} {
+			err := fit()
+			if err == nil {
+				t.Fatalf("%s accepted %v", name, bad)
+			}
+			if !strings.Contains(err.Error(), "row 2 column 1") {
+				t.Fatalf("%s error does not name the cell: %v", name, err)
+			}
 		}
 	}
 }

@@ -12,14 +12,15 @@
 // of their training targets so that the forest can compute the
 // law-of-total-variance uncertainty of Hutter et al. 2014.
 //
-// Two builders produce these trees. Fit (and FitWorkspace) run the
-// presorted-column engine of presort.go: each numeric column's sample
-// order is sorted once per tree and stably partitioned down the
-// recursion, so split search is a single allocation-free linear scan per
-// node. FitReference runs the retained per-node-sorting builder of
-// reference.go. The two are bit-identical — same splits, thresholds,
-// leaf statistics and RNG stream consumption — which presort_test.go
-// pins with a property test.
+// Two builders produce these trees. Fit, FitWorkspace and FitRanked run
+// the presorted-column engine of presort.go: each numeric column of the
+// training set is ranked once (RankColumns), every tree derives its
+// column orders from the ranks with a counting sort of its sample, and
+// the orders are stably partitioned down the recursion, so split search
+// is a single allocation-free linear scan per node. FitReference runs
+// the retained per-node-sorting builder of reference.go. The two are
+// bit-identical — same splits, thresholds, leaf statistics and RNG
+// stream consumption — which presort_test.go pins with property tests.
 package tree
 
 import (
@@ -107,22 +108,44 @@ type Regressor struct {
 // validateFit checks the (X, y, features, cfg, r) combination shared by
 // every builder entry point and resolves the effective mtry.
 func validateFit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (mtry int, err error) {
-	if len(X) == 0 {
-		return 0, fmt.Errorf("tree: empty training set")
+	if err := validateMatrix(X, features); err != nil {
+		return 0, err
 	}
 	if len(X) != len(y) {
 		return 0, fmt.Errorf("tree: len(X)=%d but len(y)=%d", len(X), len(y))
 	}
+	return resolveMtry(len(features), cfg, r)
+}
+
+// validateMatrix checks that X is a non-empty matrix with one column per
+// feature and only finite values. Finiteness is what makes every column
+// totally ordered by <, the premise of ranking (RankColumns) and of the
+// builders' (value, position) sort: a NaN compares false against
+// everything, so a column containing one has no well-defined order.
+func validateMatrix(X [][]float64, features []space.Feature) error {
+	if len(X) == 0 {
+		return fmt.Errorf("tree: empty training set")
+	}
 	d := len(features)
 	if d == 0 {
-		return 0, fmt.Errorf("tree: no features")
+		return fmt.Errorf("tree: no features")
 	}
 	for i, row := range X {
 		if len(row) != d {
-			return 0, fmt.Errorf("tree: row %d has %d columns, want %d", i, len(row), d)
+			return fmt.Errorf("tree: row %d has %d columns, want %d", i, len(row), d)
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("tree: row %d column %d (%s) is %v; feature values must be finite", i, j, features[j].Name, v)
+			}
 		}
 	}
-	mtry = cfg.MaxFeatures
+	return nil
+}
+
+// resolveMtry resolves cfg.MaxFeatures against d features.
+func resolveMtry(d int, cfg Config, r *rng.RNG) (int, error) {
+	mtry := cfg.MaxFeatures
 	if mtry <= 0 || mtry > d {
 		mtry = d
 	}
@@ -138,8 +161,9 @@ func validateFit(X [][]float64, y []float64, features []space.Feature, cfg Confi
 // cfg.MaxFeatures selects all features.
 //
 // Fit runs the presorted-column engine with a throwaway workspace; call
-// FitWorkspace with a reused Workspace when fitting many trees (the
-// random forest's per-worker loop does).
+// FitWorkspace with a reused Workspace when fitting many trees, or
+// RankColumns once and FitRanked per tree when the trees are fitted to
+// row samples of one training set (the random forest does).
 func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (*Regressor, error) {
 	return FitWorkspace(X, y, features, cfg, r, nil)
 }

@@ -15,6 +15,15 @@ import "repro/internal/space"
 // by newNode are owned by the tree that received them and are never
 // touched again by the workspace.
 type Workspace struct {
+	// rows/ys are the fit's materialised sample: rows[k] aliases the
+	// training row that sample position k was drawn from.
+	rows [][]float64
+	ys   []float64
+
+	// count holds the counting-sort buckets of presort, one per rank
+	// level of the column being ordered, plus one.
+	count []int32
+
 	// idx is the per-node sample list, stably partitioned in place down
 	// the recursion; idx segments are always in ascending sample order.
 	idx []int32
@@ -56,15 +65,18 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// ensure sizes the buffers for a fit of n samples over the given
-// features, growing (never shrinking) capacities as needed.
-func (w *Workspace) ensure(n int, features []space.Feature) {
+// ensure sizes the buffers for a fit of n samples of the ranked set rk,
+// growing (never shrinking) capacities as needed.
+func (w *Workspace) ensure(n int, rk *Ranks) {
 	if cap(w.idx) < n {
+		w.rows = make([][]float64, n)
+		w.ys = make([]float64, n)
 		w.idx = make([]int32, n)
 		w.scratchIdx = make([]int32, n)
 		w.scratchVals = make([]float64, n)
 		w.mask = make([]bool, n)
 	}
+	features := rk.features
 	d := len(features)
 	if len(w.ords) < d {
 		ords := make([][]int32, d)
@@ -88,6 +100,9 @@ func (w *Workspace) ensure(n int, features []space.Feature) {
 		if cap(w.ords[f]) < n {
 			w.ords[f] = make([]int32, n)
 			w.vals[f] = make([]float64, n)
+		}
+		if cap(w.count) < rk.levels[f]+1 {
+			w.count = make([]int32, rk.levels[f]+1)
 		}
 	}
 	if cap(w.cats) < maxCat {
