@@ -69,9 +69,16 @@ chaos-soak:
 # PredictBatch per row, the bounded top-k reducers match the sort-based
 # selection helpers on the shared ordering-contract table, RunStream
 # equals Run end to end (including resume from any snapshot), and the
-# full Tune pipeline lands on the same configuration either way.
+# full Tune pipeline lands on the same configuration either way. The
+# keyed 8-lane tree walk is gated on adversarial rows (NaN of both
+# signs, infinities, both zeros, one ulp either side of every split,
+# out-of-range category codes, every ragged group length): every exact
+# batch entry must equal PredictWithUncertainty bit for bit, the lane
+# and scalar walks must equal the pointer tree, and the float-to-key
+# map must preserve order (TestKeyOrder, plus FuzzKeyOrder's committed
+# seed corpus).
 pool-equivalence:
-	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory' ./internal/core ./internal/pool ./internal/forest ./internal/autotune
+	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree
 
 # quant-equivalence gates the quantized scoring kernel against the
 # exact engine on the paper's own spaces (SPAPT atax, Kripke, Hypre):
@@ -200,22 +207,25 @@ bench-campaign-smoke:
 
 # Streaming-pool benchmark: PWU-score a pool that is never materialized
 # (generate -> encode -> 64-tree score -> bounded top-k), on both the
-# exact and the quantized kernel. POOL_BENCH_N sets the pool size; the
-# default is 200k and the 10^7-config demonstration is
+# exact and the quantized kernel, on one core (-cpu 1). POOL_BENCH_N
+# sets the pool size; the default is 200k and the 10^7-config
+# demonstration is
 # POOL_BENCH_N=10000000 (B/op stays flat — peak memory is
 # O(workers x shard), not O(pool)). Each run appends machine-readable
 # entries to BENCH_pool.json (schema: pool_bench_test.go), the recorded
 # benchmark trajectory that bench-pool-smoke guards against and
 # `go run ./cmd/report -bench-pool BENCH_pool.json` renders.
 bench-pool:
-	BENCH_POOL_JSON=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -run xxx .
+	BENCH_POOL_JSON=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -cpu 1 -run xxx .
 
 # Smoke-sized bench-pool for the check gate and CI: a 20k pool, one
-# iteration — proves the pipeline end to end in about a second and
-# fails if either kernel's ns/candidate exceeds twice its most recent
-# BENCH_pool.json entry (the 2x margin absorbs runner noise).
+# iteration at -cpu 1 — proves the pipeline end to end in about a
+# second and fails if either kernel's ns/candidate exceeds twice its
+# most recent BENCH_pool.json entry at the same worker count (bench-pool
+# records at -cpu 1 too, so the baseline is like for like; the 2x
+# margin absorbs runner noise).
 bench-pool-smoke:
-	POOL_BENCH_N=20000 POOL_BENCH_BASELINE=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -benchtime 1x -run xxx .
+	POOL_BENCH_N=20000 POOL_BENCH_BASELINE=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -benchtime 1x -cpu 1 -run xxx .
 
 # Regenerate every table and figure of the paper (quick, shape-preserving).
 figures:

@@ -130,14 +130,16 @@ func TestEvaldEndToEnd(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("evald exited uncleanly after SIGTERM: %v", err)
-	}
+	// Read stderr to EOF before Wait: Wait closes the pipe, and a line
+	// the scanner has not read by then is lost.
 	var drained bool
 	for line := range lines {
 		if strings.Contains(line, "drained cleanly") {
 			drained = true
 		}
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("evald exited uncleanly after SIGTERM: %v", err)
 	}
 	if !drained {
 		t.Error("evald never logged a clean drain")

@@ -214,26 +214,34 @@ func drawBootstrap(picks []int32, bag []bool, tr *rng.RNG) {
 
 // oobRMSE computes the out-of-bag RMSE: each sample is predicted only by
 // the trees whose bootstrap excluded it. Rows are chunked across the
-// worker pool with the tree loop outermost per chunk (one compiled
-// tree's flat arrays stay cache-resident while the chunk streams through
-// them); each row's vote sum still accumulates in ascending tree order
-// and the final reduction runs serially in row order, so the result is
+// worker pool; each chunk is keyed once and walks the compiled trees
+// eight rows at a time (see ScoreBatch), tree loop outermost per tile.
+// Each row's vote sum still accumulates in ascending tree order and the
+// final reduction runs serially in row order, so the result is
 // bit-identical regardless of worker count.
 func (f *Forest) oobRMSE(X [][]float64, y []float64, inBag [][]bool) float64 {
 	n := len(X)
+	d := len(f.features)
 	sums := make([]float64, n)
 	votes := make([]int, n)
 	f.parallelRows(n, func(lo, hi int) {
-		for t, tr := range f.compiled {
-			bag := inBag[t]
-			for i := lo; i < hi; i++ {
-				if bag[i] {
-					continue
+		ksp, xk := keyRows(X[lo:hi], d)
+		var buf tileLeaves
+		tiles(hi-lo, &buf, func(tlo, thi int, leaves []int32) {
+			for t, tr := range f.compiled {
+				walkLeaves(tr, xk[tlo*d:], d, leaves)
+				bag := inBag[t]
+				for j := tlo; j < thi; j++ {
+					i := lo + j
+					if bag[i] {
+						continue
+					}
+					sums[i] += tr.LeafMean(leaves[j-tlo])
+					votes[i]++
 				}
-				sums[i] += tr.Predict(X[i])
-				votes[i]++
 			}
-		}
+		})
+		keyPool.Put(ksp)
 	})
 	var sse float64
 	covered := 0

@@ -68,17 +68,25 @@ func sameMatrix(a, b [][]float64) bool {
 // slots over all of c's rows, parallel over row chunks, and stamps the
 // slots' generations current.
 func (f *Forest) refreshCache(c *poolCache, slots []int) {
+	d := len(f.features)
 	f.parallelRows(len(c.X), func(lo, hi int) {
-		// Slot-outer keeps one tree's flat arrays cache-resident
-		// across the whole row chunk (see PredictBatch).
-		for _, t := range slots {
-			tr := f.compiled[t]
-			for r := lo; r < hi; r++ {
-				m, v, _ := tr.PredictStats(c.X[r])
-				c.mean[r*c.b+t] = m
-				c.lvar[r*c.b+t] = v
+		// Each chunk keys its rows once; slot-outer per tile keeps the
+		// tile's keys L1-resident across the slots (see ScoreBatch).
+		ksp, xk := keyRows(c.X[lo:hi], d)
+		var buf tileLeaves
+		tiles(hi-lo, &buf, func(tlo, thi int, leaves []int32) {
+			for _, t := range slots {
+				tr := f.compiled[t]
+				walkLeaves(tr, xk[tlo*d:], d, leaves)
+				for j := tlo; j < thi; j++ {
+					l := leaves[j-tlo]
+					r := (lo + j) * c.b
+					c.mean[r+t] = tr.LeafMean(l)
+					c.lvar[r+t] = tr.LeafVariance(l)
+				}
 			}
-		}
+		})
+		keyPool.Put(ksp)
 	})
 	for _, t := range slots {
 		c.gen[t] = f.treeGen[t]

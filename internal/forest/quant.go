@@ -9,17 +9,18 @@ import (
 
 // Quantized scoring. EnableQuant compiles every ensemble slot into its
 // float32 CompiledQ form (internal/tree); ScoreBatchQ then scores batches
-// through the packed trees with the same (tree-block × row-tile) blocking
-// as ScoreBatch plus two quantized-only wins: each row is narrowed to
-// float32 once per batch — into transposed feature-major 8-row groups —
-// and rows walk the trees eight at a time (tree.CompiledQ.Leaf8T),
-// overlapping the eight branchless traversal chains in the out-of-order
-// core. The 8-byte packed nodes fit roughly twice as many trees per
-// L2-resident block as the exact engine's 16-byte nodes.
+// through the packed trees with the same keyed 8-lane walk and
+// (tree-block × row-tile) blocking as ScoreBatch: each row is narrowed
+// to float32 once per batch — into transposed feature-major 8-row
+// groups — and rows walk the trees eight at a time
+// (tree.CompiledQ.Leaf8T). Its only remaining edges over the exact
+// kernel are the 8-byte packed nodes (twice as many trees per
+// L2-resident block as the exact engine's 16-byte nodes) and plain
+// moment sums in place of the Welford recurrence.
 //
 // The quantized path is opt-in and approximate (float32 leaf statistics;
 // see the error bounds pinned in internal/tree/quant_test.go); the exact
-// ScoreBatch path remains the default and is untouched. Like every other
+// ScoreBatch path remains the default. Like every other
 // forest entry, EnableQuant must not run concurrently with Update, but
 // ScoreBatchQ is safe for concurrent calls once the quantized slots are
 // compiled.
@@ -173,8 +174,9 @@ func qrowScratch(n int) (sp *[]int32, xq []int32) {
 
 // padRaggedGroup fills the empty lanes of a ragged final 8-row group
 // with copies of the last real row: any real row terminates the 8-lane
-// walk, and pad lanes' results are simply never read.
-func padRaggedGroup(xq []int32, n, d int) {
+// walk, and pad lanes' results are simply never read. It serves both
+// the exact kernel's uint64 keys and the quantized kernel's int32 keys.
+func padRaggedGroup[K uint64 | int32](xq []K, n, d int) {
 	if n%8 == 0 {
 		return
 	}

@@ -157,11 +157,19 @@ type Uniform struct {
 	n    int
 	pos  int
 	r    *rng.RNG
+
+	// levels caches each parameter's level count, so a draw does not
+	// copy the Parameter struct out of the space per Intn.
+	levels []int
 }
 
 // NewUniform builds a uniform sampling source of n candidates.
 func NewUniform(sp *space.Space, seed uint64, n int) *Uniform {
-	u := &Uniform{sp: sp, seed: seed, n: n}
+	levels := make([]int, sp.NumParams())
+	for j := range levels {
+		levels[j] = sp.Param(j).NumLevels()
+	}
+	u := &Uniform{sp: sp, seed: seed, n: n, levels: levels}
 	u.Reset()
 	return u
 }
@@ -187,11 +195,10 @@ func (u *Uniform) Next(dst []space.Config) int {
 	if rem := u.n - u.pos; k > rem {
 		k = rem
 	}
-	d := u.sp.NumParams()
 	for i := 0; i < k; i++ {
 		c := dst[i]
-		for j := 0; j < d; j++ {
-			c[j] = u.r.Intn(u.sp.Param(j).NumLevels())
+		for j, nl := range u.levels {
+			c[j] = u.r.Intn(nl)
 		}
 	}
 	u.pos += k

@@ -14,6 +14,7 @@ package rng
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -109,30 +110,15 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded generation.
 	bound := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, bound)
+	hi, lo := bits.Mul64(x, bound)
 	if lo < bound {
 		threshold := (-bound) % bound
 		for lo < threshold {
 			x = r.Uint64()
-			hi, lo = mul64(x, bound)
+			hi, lo = bits.Mul64(x, bound)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.

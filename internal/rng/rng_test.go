@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -346,4 +347,46 @@ func BenchmarkNorm(b *testing.B) {
 		sink = r.Norm()
 	}
 	_ = sink
+}
+
+// mul64Schoolbook is the four-partial-product 128-bit multiply Intn used
+// before it switched to bits.Mul64; it stays as the oracle that pins the
+// switch to an identical product.
+func mul64Schoolbook(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	w0 := a0 * b0
+	t := a1*b0 + w0>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += a0 * b1
+	hi = a1*b1 + w2 + w1>>32
+	lo = a * b
+	return
+}
+
+// TestMul64MatchesSchoolbook asserts bits.Mul64 (Intn's bounded-draw
+// product) equals the hand-built 128-bit product on edge and random
+// operands, so the Intn stream is unchanged by the switch.
+func TestMul64MatchesSchoolbook(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(a, b uint64) {
+		gh, gl := bits.Mul64(a, b)
+		wh, wl := mul64Schoolbook(a, b)
+		if gh != wh || gl != wl {
+			t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), schoolbook (%#x, %#x)", a, b, gh, gl, wh, wl)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := New(99)
+	for i := 0; i < 200000; i++ {
+		a, b := r.Uint64(), r.Uint64()
+		check(a, b)
+		check(a, b>>uint(r.Intn(64)))
+	}
 }

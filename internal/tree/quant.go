@@ -6,12 +6,12 @@ import (
 )
 
 // CompiledQ is the float32-quantized form of a Compiled tree: each node
-// packed into one 8-byte word (half of flatNode's 16 bytes), preorder
-// layout preserved, leaf statistics carried in float32 side arrays. It is
-// the node format of the forest's blocked scoring kernel
-// (forest.ScoreBatchQ): half the node-array footprint means twice as many
-// trees fit in L2 per tree block, and one 64-bit load fetches a whole
-// node.
+// packed into one 8-byte word (half of the exact flatNode's 16 bytes),
+// preorder layout preserved, leaf statistics carried in float32 side
+// arrays. It is the node format of the forest's quantized blocked
+// scoring kernel (forest.ScoreBatchQ): half the node-array footprint
+// means twice as many trees fit in L2 per tree block, and one 64-bit
+// load fetches a whole node.
 //
 // Thresholds and feature values are compared as *sort keys*: int32
 // images of float32 values under an order-preserving bijection (sortKey).
@@ -32,7 +32,9 @@ import (
 // threshold may route differently; quant_test.go bounds the resulting
 // μ/σ divergence.
 //
-// The exact Compiled path is untouched and remains the default engine.
+// The exact Compiled path remains the default engine; its keyed 8-lane
+// walk (Compiled.Leaf8T) uses the same branchless scheme on exact
+// uint64 keys of the float64 values, with no rounding at all.
 
 // qCatFlag marks categorical split nodes in the feature field, mirroring
 // catFlag in the exact engine but sized for the 16-bit field.
@@ -163,71 +165,38 @@ func (c *Compiled) Quantize() (*CompiledQ, error) {
 		mean:  make([]float32, n),
 		vari:  make([]float32, n),
 		count: make([]int32, n),
+		depth: c.depth,
 	}
 	if len(c.catBits) > 0 {
 		q.catBits = append([]uint64(nil), c.catBits...)
 	}
 	for i, nd := range c.nodes {
-		rd := int64(nd.right) - int64(i) - 1
-		if nd.feature >= 0 && rd > 32767 {
-			return nil, fmt.Errorf("tree: left subtree of %d nodes exceeds the quantized form's right-delta limit", rd)
-		}
-		switch {
-		case nd.feature < 0: // leaf
-			q.mean[i] = float32(nd.threshold)
+		if nd.isLeaf() {
+			q.mean[i] = float32(c.mean[i])
 			q.vari[i] = float32(c.variance[i])
-			q.count[i] = nd.right
+			q.count[i] = c.count[i]
 			q.nodes[i] = makeQNode(qLeafKey, 0, -1)
-		case nd.feature&catFlag != 0: // categorical split
-			f := nd.feature &^ catFlag
-			if f >= 1<<11 {
-				return nil, fmt.Errorf("tree: feature id %d exceeds the quantized form's pre-scaled 11-bit limit", f)
-			}
-			bits := math.Float64bits(nd.threshold)
-			off, ncat := bits>>32, uint64(uint32(bits))
+			continue
+		}
+		if nd.rdelta > 32767 {
+			return nil, fmt.Errorf("tree: left subtree of %d nodes exceeds the quantized form's right-delta limit", nd.rdelta)
+		}
+		f := nd.feature()
+		if f >= 1<<11 {
+			return nil, fmt.Errorf("tree: feature id %d exceeds the quantized form's pre-scaled 11-bit limit", f)
+		}
+		if nd.feat&catFlag != 0 {
+			off, ncat := nd.key>>32, uint64(uint32(nd.key))
 			if off >= 1<<18 || ncat >= 1<<14 {
 				return nil, fmt.Errorf("tree: categorical split (%d words, %d categories) exceeds the quantized packing", off, ncat)
 			}
 			q.hasCat = true
-			q.nodes[i] = makeQNode(
-				int32(uint32(off)<<14|uint32(ncat)),
-				int16(f)*8|qCatFlag,
-				int16(rd),
-			)
-		default: // numeric split
-			if nd.feature >= 1<<11 {
-				return nil, fmt.Errorf("tree: feature id %d exceeds the quantized form's pre-scaled 11-bit limit", nd.feature)
-			}
-			q.nodes[i] = makeQNode(
-				sortKey(qThreshold(nd.threshold)),
-				int16(nd.feature)*8,
-				int16(rd),
-			)
-		}
-	}
-	q.depth = flatDepth(c.nodes)
-	return q, nil
-}
-
-// flatDepth computes the maximum root-to-leaf depth of a preorder flat
-// tree (a lone root is depth 0).
-func flatDepth(nodes []flatNode) int32 {
-	type rec struct{ id, d int32 }
-	stack := make([]rec, 1, 64)
-	var maxd int32
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := nodes[r.id]
-		if nd.feature < 0 {
-			if r.d > maxd {
-				maxd = r.d
-			}
+			q.nodes[i] = makeQNode(int32(uint32(off)<<14|uint32(ncat)), int16(f)*8|qCatFlag, int16(nd.rdelta))
 			continue
 		}
-		stack = append(stack, rec{r.id + 1, r.d + 1}, rec{nd.right, r.d + 1})
+		q.nodes[i] = makeQNode(sortKey(qThreshold(keyValue(nd.key))), int16(f)*8, int16(nd.rdelta))
 	}
-	return maxd
+	return q, nil
 }
 
 // CompileQ flattens and quantizes the tree in one step.

@@ -11,25 +11,7 @@ import (
 // leafOf walks the exact compiled tree to its leaf node id — the
 // quantized form preserves the preorder layout, so leaf ids are directly
 // comparable between the two engines.
-func leafOf(c *Compiled, x []float64) int32 {
-	i := int32(0)
-	for {
-		nd := c.nodes[i]
-		f := nd.feature
-		if f < 0 {
-			return i
-		}
-		if f&catFlag == 0 {
-			if x[f] <= nd.threshold {
-				i++
-			} else {
-				i = nd.right
-			}
-		} else {
-			i = c.stepCat(nd, x, i)
-		}
-	}
-}
+func leafOf(c *Compiled, x []float64) int32 { return c.leaf(x) }
 
 func leafOfQ(c *CompiledQ, x []float64) int32 {
 	xq := make([]int32, len(x))
@@ -200,22 +182,23 @@ func nearThresholdOnPath(c *Compiled, x []float64) bool {
 	i := int32(0)
 	for {
 		nd := c.nodes[i]
-		f := nd.feature
-		if f < 0 {
+		if nd.isLeaf() {
 			return false
 		}
-		if f&catFlag == 0 {
-			ulp := math.Max(math.Abs(x[f]), math.Abs(nd.threshold)) * 1.3e-7
-			if math.Abs(x[f]-nd.threshold) <= ulp {
+		f := nd.feature()
+		if nd.feat&catFlag == 0 {
+			th := keyValue(nd.key)
+			ulp := math.Max(math.Abs(x[f]), math.Abs(th)) * 1.3e-7
+			if math.Abs(x[f]-th) <= ulp {
 				return true
 			}
-			if x[f] <= nd.threshold {
+			if x[f] <= th {
 				i++
 			} else {
-				i = nd.right
+				i += 1 + nd.rdelta
 			}
 		} else {
-			i = c.stepCat(nd, x, i)
+			i = c.stepCat(nd, x[f], i)
 		}
 	}
 }
@@ -348,32 +331,30 @@ func TestQuantLeaf4MatchesLeaf(t *testing.T) {
 func TestQuantizeOverflow(t *testing.T) {
 	// 65537 nodes: one root split whose children chain past the uint16 id
 	// space. Shape does not matter — only the node count triggers.
-	big := &Compiled{nodes: make([]flatNode, 65537), variance: make([]float64, 65537)}
+	big := &Compiled{nodes: make([]flatNode, 65537)}
 	if _, err := big.Quantize(); err == nil {
 		t.Fatal("65537-node tree quantized without error")
 	}
-	// Feature id beyond 14 bits.
-	wide := &Compiled{
-		nodes: []flatNode{
-			{feature: 1 << 14, threshold: 0.5, right: 2},
-			{feature: -1, threshold: 1, right: 1},
-			{feature: -1, threshold: 2, right: 1},
-		},
-		variance: []float64{0, 0, 0},
+	leaves := []flatNode{{rdelta: -1}, {rdelta: -1}}
+	stats := func(c *Compiled) *Compiled {
+		c.mean, c.variance, c.count = []float64{0, 1, 2}, []float64{0, 0, 0}, []int32{0, 1, 1}
+		return c
 	}
+	// Feature id beyond 14 bits.
+	wide := stats(&Compiled{
+		nodes: append([]flatNode{{key: Key(0.5), feat: 1 << 14 * 8, rdelta: 1}}, leaves...),
+		depth: 1,
+	})
 	if _, err := wide.Quantize(); err == nil {
 		t.Fatal("feature id 2^14 quantized without error")
 	}
 	// Categorical packing beyond 14 bits of categories.
-	cat := &Compiled{
-		nodes: []flatNode{
-			{feature: 0 | catFlag, threshold: math.Float64frombits(uint64(0)<<32 | uint64(1<<14)), right: 2},
-			{feature: -1, threshold: 1, right: 1},
-			{feature: -1, threshold: 2, right: 1},
-		},
-		variance: []float64{0, 0, 0},
-		catBits:  make([]uint64, 1<<14/64),
-	}
+	cat := stats(&Compiled{
+		nodes:   append([]flatNode{{key: uint64(0)<<32 | uint64(1<<14), feat: catFlag, rdelta: 1}}, leaves...),
+		catBits: make([]uint64, 1<<14/64),
+		depth:   1,
+		hasCat:  true,
+	})
 	if _, err := cat.Quantize(); err == nil {
 		t.Fatal("2^14-category split quantized without error")
 	}
