@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check fmt-check vet test race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-train-smoke bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
+.PHONY: all build check fmt-check vet test race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-train-smoke bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
 
 all: build check
 
@@ -9,13 +9,13 @@ build:
 
 # check is the pre-commit gate: gofmt cleanliness, static analysis, the full test suite
 # under the race detector (the forest/experiment layers are heavily
-# concurrent), the seven equivalence gates (training engine, resume,
-# campaign engine, streaming pool, quantized scoring, ask-tell
-# sessions, fleet drain), the chaos gates (fault-injection equivalence
+# concurrent), the six equivalence gates (training engine, resume,
+# campaign engine, streaming pool, ask-tell sessions, fleet drain), the
+# chaos gates (fault-injection equivalence
 # and the mixed-fault race soaks, in-process and fleet), the server
 # soak, and smoke-sized runs of the training, streaming-pool and
 # campaign benchmarks.
-check: fmt-check vet race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence quant-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-train-smoke bench-pool-smoke bench-campaign-smoke
+check: fmt-check vet race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-train-smoke bench-pool-smoke bench-campaign-smoke
 
 # train-equivalence gates the presorted-column training engine: the
 # builder-equivalence property tests (presorted vs reference builder must
@@ -72,23 +72,18 @@ chaos-soak:
 # full Tune pipeline lands on the same configuration either way. The
 # keyed 8-lane tree walk is gated on adversarial rows (NaN of both
 # signs, infinities, both zeros, one ulp either side of every split,
-# out-of-range category codes, every ragged group length): every exact
-# batch entry must equal PredictWithUncertainty bit for bit, the lane
-# and scalar walks must equal the pointer tree, and the float-to-key
-# map must preserve order (TestKeyOrder, plus FuzzKeyOrder's committed
-# seed corpus).
+# out-of-range category codes, every ragged group length): every batch
+# entry must equal PredictWithUncertainty bit for bit, the lane and
+# scalar walks must equal the pointer tree, and the float-to-key map
+# must preserve order (TestKeyOrder, plus FuzzKeyOrder's committed seed
+# corpus). The cross-scan score cache is gated too: per-slot panels
+# aggregated over every slot must equal ScoreBatch, PredictBatch must
+# match per-row prediction on chunks straddling the row tile, a
+# warm-update streamed run must be bit-identical with the cache on,
+# starved or off, and warm streamed Tune must land where warm in-memory
+# Tune does.
 pool-equivalence:
-	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree
-
-# quant-equivalence gates the quantized scoring kernel against the
-# exact engine on the paper's own spaces (SPAPT atax, Kripke, Hypre):
-# per-candidate (μ, σ) within the documented float32 tolerance over a
-# 20k-candidate pool, and the streamed PWU top-k selection identical
-# through either kernel — plus the tree-layer property tests (monotone
-# threshold rounding, packed-node round trips, categorical splits) and
-# the kernel's shard-invariance, cache-bit-identity and race checks.
-quant-equivalence:
-	go test -race -run 'TestQuantTopKMatchesExact|TestQuant|TestScoreBatchQ|TestEnableQuant|TestStreamQuant|TestStreamCacheEquivalence' . ./internal/tree ./internal/forest ./internal/core
+	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder|TestExactSlotsAggregateBitIdentical|TestPredictBatchRaggedChunks|TestStreamCacheEquivalence' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree
 
 # session-equivalence gates the ask-tell session refactor: the drivers
 # (Run/Resume/RunStream/ResumeStream) are thin loops over core.Session,
@@ -206,8 +201,8 @@ bench-campaign-smoke:
 	CAMPAIGN_BENCH_PROBLEMS=2 CAMPAIGN_BENCH_BASELINE=BENCH_campaign.json go test -bench 'BenchmarkCampaignFig2$$|BenchmarkCampaignFig2Fleet$$' -benchmem -benchtime 1x -run xxx .
 
 # Streaming-pool benchmark: PWU-score a pool that is never materialized
-# (generate -> encode -> 64-tree score -> bounded top-k), on both the
-# exact and the quantized kernel, on one core (-cpu 1). POOL_BENCH_N
+# (generate -> encode -> 64-tree score -> bounded top-k) on the forest's
+# exact kernel, on one core (-cpu 1). POOL_BENCH_N
 # sets the pool size; the default is 200k and the 10^7-config
 # demonstration is
 # POOL_BENCH_N=10000000 (B/op stays flat — peak memory is
@@ -220,8 +215,8 @@ bench-pool:
 
 # Smoke-sized bench-pool for the check gate and CI: a 20k pool, one
 # iteration at -cpu 1 — proves the pipeline end to end in about a
-# second and fails if either kernel's ns/candidate exceeds twice its
-# most recent BENCH_pool.json entry at the same worker count (bench-pool
+# second and fails if its ns/candidate exceeds twice the most recent
+# exact BENCH_pool.json entry at the same worker count (bench-pool
 # records at -cpu 1 too, so the baseline is like for like; the 2x
 # margin absorbs runner noise).
 bench-pool-smoke:

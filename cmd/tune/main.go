@@ -73,7 +73,6 @@ func main() {
 	every := flag.Int("every", 10, "iterations between snapshots (with -checkpoint)")
 	retries := flag.Int("retries", 0, "retry budget per failed measurement")
 	stream := flag.Bool("stream", false, "stream the candidate pool shard by shard instead of materializing it\n(same result bit for bit; memory stays bounded for huge -pool sizes)")
-	quant := flag.Bool("quant", false, "score streamed scans on the quantized forest kernel (~3x faster;\nfloat32 score rounding may shift selections within tolerance); requires -stream")
 	warm := flag.Bool("warm", false, "refit by partial ensemble update each iteration; with -stream,\nunchanged trees' scores are cached across scan iterations")
 	poolSize := flag.Int("pool", 0, "unlabeled candidate pool size (0 = pipeline default)")
 	shard := flag.Int("shard", 0, "candidates per scoring shard with -stream (0 = default 1024)")
@@ -124,10 +123,6 @@ func main() {
 	cfg.Chaos = scenario
 	cfg.Stream = *stream
 	cfg.StreamShard = *shard
-	if *quant && !*stream {
-		fatal(fmt.Errorf("-quant needs -stream: the quantized kernel scores streamed pool scans"))
-	}
-	cfg.Quant = *quant
 	cfg.WarmUpdate = *warm
 	if *poolSize > 0 {
 		cfg.PoolSize = *poolSize
@@ -169,11 +164,7 @@ func main() {
 	fmt.Printf("pipeline: %d real runs -> %s search x %d -> verify %d\n\n",
 		cfg.ModelBudget, cfg.Searcher, cfg.SearchBudget, cfg.Verify)
 	if cfg.Stream {
-		kernel := "exact"
-		if cfg.Quant {
-			kernel = "quantized"
-		}
-		fmt.Printf("pool: %d candidates, streamed shard by shard (%s kernel)\n\n", cfg.PoolSize, kernel)
+		fmt.Printf("pool: %d candidates, streamed shard by shard\n\n", cfg.PoolSize)
 	}
 	if *checkpoint != "" {
 		if _, err := os.Stat(*checkpoint); err == nil {

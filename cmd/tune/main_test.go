@@ -87,19 +87,3 @@ func TestExitCodes(t *testing.T) {
 		t.Fatalf("interrupt left no checkpoint: %v", err)
 	}
 }
-
-// TestQuantRequiresStream: -quant is a streaming-kernel switch; without
-// -stream the binary must refuse with a clear message before any work.
-func TestQuantRequiresStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and drives the real binary")
-	}
-	bin := buildTune(t)
-	out, err := exec.Command(bin, "-bench", "atax", "-quant").CombinedOutput()
-	if code := exitCode(t, err); code != 1 {
-		t.Fatalf("-quant without -stream exited %d, want 1\n%s", code, out)
-	}
-	if !strings.Contains(string(out), "-stream") {
-		t.Fatalf("error does not point at -stream:\n%s", out)
-	}
-}

@@ -94,13 +94,6 @@ type Config struct {
 	StreamShard   int
 	StreamWorkers int
 
-	// Quant scores streamed pool scans on the forest's quantized kernel
-	// (packed float32 trees, ~3× per-candidate throughput; scores carry
-	// float32 rounding, so selections may diverge from the exact kernel
-	// within that tolerance — see the quant-equivalence gate). Requires
-	// Stream; Tune rejects Quant without it.
-	Quant bool
-
 	// WarmUpdate refits the surrogate by partially updating the
 	// ensemble each iteration instead of retraining from scratch. With
 	// Stream it also enables the cross-scan score cache: unchanged
@@ -182,9 +175,6 @@ func Tune(ctx context.Context, p bench.Problem, cfg Config, seed uint64) (*Outco
 	if cfg.Verify < 1 {
 		return nil, fmt.Errorf("autotune: verify count %d", cfg.Verify)
 	}
-	if cfg.Quant && !cfg.Stream {
-		return nil, fmt.Errorf("autotune: Quant requires Stream (the quantized kernel serves streamed pool scans)")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -213,7 +203,7 @@ func Tune(ctx context.Context, p bench.Problem, cfg Config, seed uint64) (*Outco
 		NInit: 10, NBatch: 5, NMax: cfg.ModelBudget,
 		Forest: cfg.Forest, Failure: cfg.Failure,
 		StreamShard: cfg.StreamShard, StreamWorkers: cfg.StreamWorkers,
-		Quant: cfg.Quant, WarmUpdate: cfg.WarmUpdate,
+		WarmUpdate: cfg.WarmUpdate,
 	}
 	if cfg.CheckpointPath != "" {
 		params.CheckpointEvery = cfg.CheckpointEvery

@@ -333,19 +333,6 @@ type Params struct {
 	StreamShard   int
 	StreamWorkers int
 
-	// Quant routes RunStream's pool scans through the model's quantized
-	// scoring kernel (forest.ScoreBatchQ: packed 8-byte float32 nodes,
-	// branchless 8-lane traversal — roughly 3× the exact kernel's
-	// per-candidate throughput). The model must support quantization
-	// (the default forest does; RunStream fails on the first scan
-	// otherwise). Scan scores then carry float32 leaf rounding, so
-	// selections may diverge from the exact kernel's within that
-	// tolerance — the quant-equivalence gate measures the divergence on
-	// the paper's spaces. Selection-time beliefs recorded for the label
-	// guard and Result.Selections still come from the exact model.
-	// The in-memory Run ignores Quant.
-	Quant bool
-
 	// StreamCacheMB bounds the cross-scan score cache (pool.ScanCache)
 	// active during warm-update streaming runs: per-candidate per-tree
 	// score panels are kept across iterations so each scan re-walks only

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/forest"
 	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
@@ -38,27 +37,6 @@ func (s *Session) batchScorer() pool.BatchScorer {
 	return &streamScorer{m: s.model}
 }
 
-// quantizable is the quantized-view hook Params.Quant needs from the
-// model; *forest.Forest implements it.
-type quantizable interface {
-	Quantized() (*forest.QuantScorer, error)
-}
-
-// scanScorer returns the scorer the streamed pool scans run on: the
-// model's quantized view under Params.Quant (refreshing the compiled
-// quantized slots, so warm updates recompile only the trees they
-// replaced), the model itself otherwise.
-func (s *Session) scanScorer() (pool.BatchScorer, error) {
-	if !s.p.Quant {
-		return s.batchScorer(), nil
-	}
-	q, ok := s.model.(quantizable)
-	if !ok {
-		return nil, fmt.Errorf("core: Params.Quant needs a model with a quantized scorer, %T has none", s.model)
-	}
-	return q.Quantized()
-}
-
 // poolStream is the session's PoolStream view: the source minus the
 // taken set, scored by the current model.
 type poolStream struct {
@@ -77,10 +55,7 @@ func (ps *poolStream) Rand() *rng.RNG { return ps.s.r }
 
 // Scan implements PoolStream.
 func (ps *poolStream) Scan(consume func(ord int, x []float64, mu, sigma float64)) error {
-	sc, err := ps.s.scanScorer()
-	if err != nil {
-		return err
-	}
+	sc := ps.s.batchScorer()
 	cfg := pool.ScanConfig{
 		Shard:   ps.s.p.StreamShard,
 		Workers: ps.s.p.StreamWorkers,

@@ -254,3 +254,28 @@ func TestFetchConfigsSequentialSource(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamCacheEquivalence: the cross-scan score cache is a pure
+// performance device — a warm-update streamed run with the cache on (the
+// default), at a starvation budget, and fully off must be bit-identical.
+func TestStreamCacheEquivalence(t *testing.T) {
+	sp, ev := quadSpace(t)
+	src := pool.NewUniform(sp, 51, 150)
+	run := func(cacheMB int) *Result {
+		t.Helper()
+		p := streamParams()
+		p.WarmUpdate = true
+		p.StreamCacheMB = cacheMB
+		p.StreamShard = 32
+		res, err := RunStream(context.Background(), src, ev, PWU{Alpha: 0.05}, p, rng.New(9), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(-1) // cache disabled
+	assertSameResult(t, "default cache", run(0), want)
+	// A starvation budget covers only a prefix of the pool: the rest
+	// takes the fresh-score path every scan. Still bit-identical.
+	assertSameResult(t, "tiny cache", run(1), want)
+}

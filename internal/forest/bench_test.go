@@ -41,16 +41,3 @@ func BenchmarkScoreBatchExact(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(X)), "ns/row")
 }
-
-func BenchmarkScoreBatchQuant(b *testing.B) {
-	f, X := benchForest(b)
-	if err := f.EnableQuant(); err != nil {
-		b.Fatal(err)
-	}
-	mu, sg := make([]float64, len(X)), make([]float64, len(X))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ScoreBatchQ(X, mu, sg)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(X)), "ns/row")
-}

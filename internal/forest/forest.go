@@ -100,10 +100,6 @@ type Forest struct {
 	// see PredictCached.
 	cache *poolCache
 	aux   []*poolCache
-
-	// qstate holds the opt-in quantized compilation of the ensemble;
-	// nil until EnableQuant. See quant.go.
-	qstate *quantState
 }
 
 // Fit trains a forest on (X, y) with the column description features.
@@ -312,27 +308,6 @@ func (f *Forest) predictReference(x []float64) (mu, sigma float64) {
 func (f *Forest) finishMoments(mean, m2, leafVar float64) (mu, sigma float64) {
 	b := float64(len(f.trees))
 	variance := m2 / b
-	if variance < 0 {
-		variance = 0
-	}
-	if f.cfg.Uncertainty == TotalVariance {
-		variance += leafVar / b
-	}
-	return mean, math.Sqrt(variance)
-}
-
-// finishSums converts plain moment sums (Σm, Σm², Σvar over the
-// ensemble) into (μ, σ). The quantized kernel accumulates these instead
-// of the Welford recurrence — three independent add chains per lane
-// instead of a serial dependency through the running mean — at the cost
-// of the cancellation in Σm²−(Σm)²/b, which is benign in float64 for
-// values already rounded through float32 leaves. Quantized scoring and
-// quantized cache re-aggregation share this one finisher, keeping them
-// bit-identical to each other.
-func (f *Forest) finishSums(s1, s2, leafVar float64) (mu, sigma float64) {
-	b := float64(len(f.trees))
-	mean := s1 / b
-	variance := s2/b - mean*mean
 	if variance < 0 {
 		variance = 0
 	}

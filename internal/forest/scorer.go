@@ -6,10 +6,9 @@ import (
 	"repro/internal/tree"
 )
 
-// Blocked scoring kernels. Both batch scorers — the exact ScoreBatch and
-// the quantized ScoreBatchQ — key every row once per batch into
-// transposed 8-row groups, walk the rows eight at a time through each
-// tree, and run the same (tree-block × row-tile) loop nest:
+// Blocked scoring kernel. ScoreBatch keys every row once per batch into
+// transposed 8-row groups, walks the rows eight at a time through each
+// tree, and runs a (tree-block × row-tile) loop nest:
 //
 //	for each tree block (node arrays totalling <= treeBlockBytes, ~L2)
 //	    for each row tile (rowTile rows: keyed rows + accumulator panel, ~L1)
@@ -22,18 +21,18 @@ import (
 // whole ensemble cycling through cache once per shard. Each row's
 // Welford accumulation still happens in ascending tree order (blocks
 // partition the ensemble in order, and every row visits the blocks in
-// order), so the exact kernel stays bit-identical to
-// PredictWithUncertainty no matter how the blocking divides the work.
-// Every exact batch entry — ScoreBatch (behind PredictBatch and the
-// streaming scan), ScoreSlots, the pool/aux cache refresh behind
-// PredictPool and PredictCached, and the out-of-bag pass — runs this one
-// keyed walk; the scalar Compiled.PredictStats serves single rows only.
+// order), so the kernel stays bit-identical to PredictWithUncertainty
+// no matter how the blocking divides the work. Every batch entry —
+// ScoreBatch (behind PredictBatch and the streaming scan), ScoreSlots,
+// the pool/aux cache refresh behind PredictPool and PredictCached, and
+// the out-of-bag pass — runs this one keyed walk; the scalar
+// Compiled.PredictStats serves single rows only.
 
 // rowTile is the blocking tile: enough rows to amortize a tree's node
 // array walking over a hot panel, small enough that the tile's keys
-// (rowTile × d uint64/int32) and its 3×rowTile float64 accumulator
-// panel fit comfortably in L1 alongside the current node path. It is a
-// multiple of 8, so only a batch's last tile can hold a ragged group.
+// (rowTile × d uint64) and its 3×rowTile float64 accumulator panel fit
+// comfortably in L1 alongside the current node path. It is a multiple
+// of 8, so only a batch's last tile can hold a ragged group.
 const rowTile = 128
 
 // treeBlockBytes is the L2 budget one tree block's node arrays must fit
@@ -60,14 +59,16 @@ func accPanels(n int) (sp *[]float64, mean, m2, leafVar []float64) {
 	return sp, s[:n], s[n : 2*n], s[2*n : 3*n]
 }
 
-// treeBlocks partitions ensemble slots [0, b) into contiguous runs whose
+// treeBlocks partitions the ensemble's slots into contiguous runs whose
 // summed node-array bytes stay within treeBlockBytes (every block holds
-// at least one tree). bytesOf reports slot t's node-array footprint.
-func treeBlocks(b int, bytesOf func(t int) int) [][2]int {
+// at least one tree). Only the node array counts: the walk touches
+// nothing else, and leaf statistics are read once per row at its end.
+func treeBlocks(compiled []*tree.Compiled) [][2]int {
 	var blocks [][2]int
+	b := len(compiled)
 	lo, sz := 0, 0
-	for t := 0; t < b; t++ {
-		n := bytesOf(t)
+	for t, c := range compiled {
+		n := c.NodeBytes()
 		if t > lo && sz+n > treeBlockBytes {
 			blocks = append(blocks, [2]int{lo, t})
 			lo, sz = t, 0
@@ -80,7 +81,7 @@ func treeBlocks(b int, bytesOf func(t int) int) [][2]int {
 	return blocks
 }
 
-// keyPool recycles the keyed row groups of the exact kernels.
+// keyPool recycles the keyed row groups of the batch kernels.
 var keyPool = sync.Pool{New: func() interface{} { s := []uint64(nil); return &s }}
 
 // keyRows keys every row of X once into 8-row feature-major groups:
@@ -102,6 +103,22 @@ func keyRows(X [][]float64, d int) (sp *[]uint64, xk []uint64) {
 	}
 	padRaggedGroup(xk, n, d)
 	return sp, xk
+}
+
+// padRaggedGroup fills the empty lanes of a ragged final 8-row group
+// with copies of the last real row: any real row terminates the 8-lane
+// walk, and pad lanes' results are simply never read.
+func padRaggedGroup(xk []uint64, n, d int) {
+	if n%8 == 0 {
+		return
+	}
+	base := (n / 8) * 8 * d
+	lastK := (n - 1) % 8
+	for k := n % 8; k < 8; k++ {
+		for f := 0; f < d; f++ {
+			xk[base+f*8+k] = xk[base+f*8+lastK]
+		}
+	}
 }
 
 // walkLeaves writes tree c's leaf node id for every keyed row group of
@@ -147,11 +164,7 @@ func (f *Forest) ScoreBatch(X [][]float64, mu, sigma []float64) {
 	d := len(f.features)
 	ksp, xk := keyRows(X, d)
 	asp, mean, m2, leafVar := accPanels(n)
-	blocks := treeBlocks(len(f.compiled), func(t int) int {
-		// The walk only touches the node array; leaf statistics are read
-		// once per row at its end.
-		return f.compiled[t].NodeBytes()
-	})
+	blocks := treeBlocks(f.compiled)
 	var buf tileLeaves
 	// The row tile stays on even when the whole ensemble is one resident
 	// block: the eight concurrent walks consume keys fast enough that the
@@ -184,12 +197,6 @@ func (f *Forest) ScoreBatch(X [][]float64, mu, sigma []float64) {
 // NumSlots returns the ensemble size; part of the slot-scorer contract
 // the cross-scan cache (internal/pool.ScanCache) keys its panels by.
 func (f *Forest) NumSlots() int { return len(f.compiled) }
-
-// ScorerIdentity keys cached cross-scan panels: a warm Update keeps the
-// forest (its slot generations record what changed), while a fresh Fit
-// returns a new forest — whose generation counters restart at zero — and
-// therefore a new identity, forcing a cache cold start.
-func (f *Forest) ScorerIdentity() interface{} { return f }
 
 // SlotGens returns a copy of the per-slot generation counters: a slot's
 // counter advances exactly when Update replaces its tree, so equality of

@@ -71,3 +71,69 @@ func TestScoreBatchConcurrent(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestExactSlotsAggregateBitIdentical: Forest.ScoreSlots over all slots
+// followed by AggregateSlots must reproduce ScoreBatch bit for bit —
+// the contract the cross-scan cache's cached-panel path relies on.
+func TestExactSlotsAggregateBitIdentical(t *testing.T) {
+	X, y := friedman(rng.New(81), 100)
+	f, err := Fit(X, y, numFeatures(7), Config{NumTrees: 12}, rng.New(82))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSlotsMatchBatch(t, f, X)
+}
+
+// checkSlotsMatchBatch scores every slot of f over X in two chunks,
+// aggregates the panels, and requires the result to equal ScoreBatch.
+func checkSlotsMatchBatch(t *testing.T, f *Forest, X [][]float64) {
+	t.Helper()
+	n := len(X)
+	b := f.NumSlots()
+	want := make([]float64, n)
+	wantS := make([]float64, n)
+	f.ScoreBatch(X, want, wantS)
+	mean := make([][]float64, n)
+	lvar := make([][]float64, n)
+	for i := range mean {
+		mean[i] = make([]float64, b)
+		lvar[i] = make([]float64, b)
+	}
+	// Score the slots in two arbitrary chunks to prove partial rescoring
+	// composes.
+	slots := make([]int, b)
+	for t := range slots {
+		slots[t] = t
+	}
+	f.ScoreSlots(X, slots[:b/2], mean, lvar)
+	f.ScoreSlots(X, slots[b/2:], mean, lvar)
+	mu := make([]float64, n)
+	sigma := make([]float64, n)
+	f.AggregateSlots(mean, lvar, mu, sigma)
+	for i := 0; i < n; i++ {
+		if mu[i] != want[i] || sigma[i] != wantS[i] {
+			t.Fatalf("row %d: slots+aggregate (%v, %v) vs batch (%v, %v)",
+				i, mu[i], sigma[i], want[i], wantS[i])
+		}
+	}
+}
+
+// TestPredictBatchRaggedChunks: parallelRows rounds worker chunks up to
+// whole row tiles; batch sizes straddling the tile boundary must still
+// match per-row prediction exactly.
+func TestPredictBatchRaggedChunks(t *testing.T) {
+	X, y := friedman(rng.New(83), 2*rowTile+1)
+	f, err := Fit(X, y, numFeatures(7), Config{NumTrees: 8, Workers: 4}, rng.New(84))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{rowTile - 1, rowTile, rowTile + 1, 2*rowTile - 1, 2*rowTile + 1} {
+		mu, sigma := f.PredictBatch(X[:n])
+		for i := 0; i < n; i++ {
+			wm, ws := f.PredictWithUncertainty(X[i])
+			if mu[i] != wm || sigma[i] != ws {
+				t.Fatalf("n=%d row %d: PredictBatch (%v, %v), single (%v, %v)", n, i, mu[i], sigma[i], wm, ws)
+			}
+		}
+	}
+}

@@ -14,8 +14,7 @@ import "sync"
 
 // SlotScorer is a BatchScorer whose score decomposes over generation-
 // counted slots (ensemble members) — the contract the cross-scan cache
-// needs to reuse per-slot work. forest.Forest (exact) and
-// forest.QuantScorer (quantized) implement it.
+// needs to reuse per-slot work. *forest.Forest implements it.
 //
 // Required invariants, pinned by the forest tests:
 //
@@ -25,13 +24,13 @@ import "sync"
 //     is safe for concurrent calls on disjoint panel rows.
 //   - AggregateSlots over panels filled for *all* slots is bit-identical
 //     to ScoreBatch on the same rows.
-//   - ScorerIdentity() is equal (==) across calls exactly while cached
-//     panels remain meaningful: a warm-updated model keeps its identity
-//     (slot generations record what changed), a freshly fitted model —
-//     whose generation counters restart — must present a new one.
+//   - Implementations are comparable pointers, and the cache keys its
+//     panels by the SlotScorer value itself: a warm-updated model is
+//     the same pointer (slot generations record what changed), while a
+//     freshly fitted model — whose generation counters restart — is a
+//     new one, forcing a cold start.
 type SlotScorer interface {
 	BatchScorer
-	ScorerIdentity() interface{}
 	NumSlots() int
 	SlotGens() []uint64
 	ScoreSlots(X [][]float64, slots []int, mean, lvar [][]float64)
@@ -43,8 +42,8 @@ type CacheStats struct {
 	// Scans is the number of committed (fully completed) scans.
 	Scans int
 
-	// Resets counts cold restarts: first use, scorer identity change,
-	// or a pool/ensemble shape change.
+	// Resets counts cold restarts: first use, a different scorer, or a
+	// pool/ensemble shape change.
 	Resets int
 
 	// StaleSlots is the number of slots re-walked for cached rows on
@@ -57,7 +56,7 @@ type CacheStats struct {
 }
 
 // ScanCache holds score panels across Scans. One cache serves one
-// logical scorer at a time (identity tracked via ScorerIdentity); pass
+// scorer at a time (a different SlotScorer resets it); pass
 // it to successive Scans through ScanConfig.Cache. Not safe for use by
 // concurrent Scans — the streaming engine runs one scan at a time.
 //
@@ -70,8 +69,8 @@ type ScanCache struct {
 	budget int64
 
 	mu    sync.Mutex
-	ident interface{}
-	gens  []uint64 // committed generation snapshot; nil until first commit
+	sc    SlotScorer // scorer the panels belong to; nil until first scan
+	gens  []uint64   // committed generation snapshot; nil until first commit
 	rows  int
 	slots int
 	mean  [][]float64
@@ -107,18 +106,17 @@ type scanPlan struct {
 }
 
 // begin prepares the cache for a scan over poolLen candidates scored by
-// sc, resetting it when the scorer identity or panel shape changed.
+// sc, resetting it when the scorer or the panel shape changed.
 func (c *ScanCache) begin(sc SlotScorer, poolLen int) *scanPlan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	slots := sc.NumSlots()
-	ident := sc.ScorerIdentity()
 	rows := poolLen
 	if perRow := int64(slots) * 16; perRow > 0 && int64(rows)*perRow > c.budget {
 		rows = int(c.budget / perRow)
 	}
-	if ident != c.ident || slots != c.slots || rows != c.rows {
-		c.ident, c.slots, c.rows = ident, slots, rows
+	if sc != c.sc || slots != c.slots || rows != c.rows {
+		c.sc, c.slots, c.rows = sc, slots, rows
 		c.gens = nil
 		flat := make([]float64, 2*rows*slots)
 		c.mean = make([][]float64, rows)

@@ -18,9 +18,8 @@ func newFakeSlotScorer(slots int) *fakeSlotScorer {
 	return &fakeSlotScorer{gens: make([]uint64, slots)}
 }
 
-func (f *fakeSlotScorer) ScorerIdentity() interface{} { return f }
-func (f *fakeSlotScorer) NumSlots() int               { return len(f.gens) }
-func (f *fakeSlotScorer) SlotGens() []uint64          { return append([]uint64(nil), f.gens...) }
+func (f *fakeSlotScorer) NumSlots() int      { return len(f.gens) }
+func (f *fakeSlotScorer) SlotGens() []uint64 { return append([]uint64(nil), f.gens...) }
 
 func (f *fakeSlotScorer) slotVal(t int, x []float64) (m, v float64) {
 	s := 0.0

@@ -23,9 +23,10 @@ type BenchPoolEntry struct {
 }
 
 // BenchPool renders the newest recorded bench-pool measurement per
-// kernel as a Markdown section: the per-candidate and per-core cost,
-// the projected wall-clock for a 10^7-candidate pool, and — when both
-// kernels have entries — the quantized kernel's speedup over exact.
+// kernel as a Markdown section: the per-candidate and per-core cost and
+// the projected wall-clock for a 10^7-candidate pool. Entries of
+// kernels no longer benchmarked (the removed quantized kernel) still
+// render as history, with the commit that recorded them.
 func BenchPool(path string, w io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -56,14 +57,6 @@ func BenchPool(path string, w io.Writer) error {
 		fmt.Fprintf(w, "| %s | %.0f | %.0f | %.1f s | %d | %d | %d | %s |\n",
 			e.Kernel, e.NsPerCandidate, perCore,
 			e.NsPerCandidate*1e7/1e9, e.BPerOp, e.PoolSize, e.Workers, e.GitSHA)
-	}
-	if ex, ok := latest["exact"]; ok {
-		if q, ok := latest["quant"]; ok && q.NsPerCandidate > 0 {
-			exCore := ex.NsPerCandidate * float64(ex.Workers)
-			qCore := q.NsPerCandidate * float64(q.Workers)
-			fmt.Fprintf(w, "\nQuantized kernel speedup: %.2fx per core (exact %.0f ns, quant %.0f ns).\n",
-				exCore/qCore, exCore, qCore)
-		}
 	}
 	return nil
 }

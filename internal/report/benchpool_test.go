@@ -11,11 +11,12 @@ import (
 func TestBenchPoolRendersLatestPerKernel(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_pool.json")
-	// Two exact entries (the stale one must lose) plus one quant entry.
+	// Two exact entries (the stale one must lose) plus one historical
+	// entry of the removed quant kernel.
 	data := `[
 	  {"bench":"PoolStreamPWU","kernel":"exact","ns_per_candidate":9000,"b_per_op":1,"pool_size":1000,"shard":1024,"workers":1,"git_sha":"old","timestamp":"t0"},
 	  {"bench":"PoolStreamPWU","kernel":"exact","ns_per_candidate":4000,"b_per_op":2,"pool_size":200000,"shard":1024,"workers":1,"git_sha":"abc1234","timestamp":"t1"},
-	  {"bench":"PoolStreamPWU","kernel":"quant","ns_per_candidate":1000,"b_per_op":3,"pool_size":200000,"shard":1024,"workers":2,"git_sha":"abc1234","timestamp":"t1"}
+	  {"bench":"PoolStreamPWU","kernel":"quant","ns_per_candidate":1000,"b_per_op":3,"pool_size":200000,"shard":1024,"workers":2,"git_sha":"f675e74","timestamp":"t1"}
 	]`
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
@@ -28,8 +29,8 @@ func TestBenchPoolRendersLatestPerKernel(t *testing.T) {
 	for _, want := range []string{
 		"| exact | 4000 |",      // newest exact entry, not the stale 9000
 		"| quant | 1000 | 2000", // per-core ns = ns x workers
+		"| 2 | f675e74 |",       // historical row keeps its commit
 		"abc1234",
-		"speedup: 2.00x per core", // 4000x1 vs 1000x2
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
@@ -37,6 +38,9 @@ func TestBenchPoolRendersLatestPerKernel(t *testing.T) {
 	}
 	if strings.Contains(out, "| exact | 9000 |") {
 		t.Fatalf("stale exact entry rendered:\n%s", out)
+	}
+	if strings.Contains(out, "speedup") {
+		t.Fatalf("kernel speedup line rendered:\n%s", out)
 	}
 }
 

@@ -4,14 +4,14 @@
 // (default 200k; set POOL_BENCH_N=10000000 for the 10^7-config
 // demonstration) with a paper-scale 64-tree forest and reduces the PWU
 // scores into a bounded top-k heap — the exact hot path of
-// core.RunStream's selection step, on the default exact kernel (a
+// core.RunStream's selection step, on the forest's batch kernel (a
 // branchless 8-lane walk over order-preserving uint64 keys of the
-// float64 features, bit-identical to the scalar walk).
-// BenchmarkPoolStreamPWUQuant runs the same pipeline on the forest's
-// quantized kernel (packed 8-byte float32 nodes, the same 8-lane walk),
-// the -quant path of cmd/tune. The pool is never materialized: peak
-// memory is O(workers x shard) regardless of POOL_BENCH_N, which
-// -benchmem makes visible (B/op stays flat as the pool grows).
+// float64 features, bit-identical to the scalar walk). Entries are
+// recorded under kernel "exact"; BENCH_pool.json's older entries of the
+// removed float32 quant kernel are history and never serve as a
+// baseline. The pool is never materialized: peak memory is
+// O(workers x shard) regardless of POOL_BENCH_N, which -benchmem makes
+// visible (B/op stays flat as the pool grows).
 //
 // The reported ns/candidate metric is the honest per-candidate cost of
 // generate + encode + 64-tree score + heap push on this machine; total
@@ -68,7 +68,7 @@ func poolBenchN(b *testing.B) int {
 // BENCH_pool.json (an array, newest entry last).
 type benchPoolEntry struct {
 	Bench          string  `json:"bench"`
-	Kernel         string  `json:"kernel"` // "exact" | "quant"
+	Kernel         string  `json:"kernel"` // "exact"
 	NsPerCandidate float64 `json:"ns_per_candidate"`
 	BPerOp         int64   `json:"b_per_op"`
 	PoolSize       int     `json:"pool_size"`
@@ -178,8 +178,8 @@ func poolBenchForest(b *testing.B) (bench.Problem, *forest.Forest) {
 }
 
 // poolBenchLoop drives the generate -> encode -> score -> top-k pipeline
-// with the given scorer and records the result under the kernel name.
-func poolBenchLoop(b *testing.B, p bench.Problem, sc pool.BatchScorer, kernel string) {
+// with the given scorer and records the result.
+func poolBenchLoop(b *testing.B, p bench.Problem, sc pool.BatchScorer) {
 	sp := p.Space()
 	n := poolBenchN(b)
 	strat := core.PWU{Alpha: 0.05}
@@ -207,7 +207,7 @@ func poolBenchLoop(b *testing.B, p bench.Problem, sc pool.BatchScorer, kernel st
 	b.ReportMetric(float64(n), "pool_size")
 	recordPoolBench(b, benchPoolEntry{
 		Bench:          "PoolStreamPWU",
-		Kernel:         kernel,
+		Kernel:         "exact",
 		NsPerCandidate: perCand,
 		BPerOp:         int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(b.N),
 		PoolSize:       n,
@@ -220,14 +220,5 @@ func poolBenchLoop(b *testing.B, p bench.Problem, sc pool.BatchScorer, kernel st
 
 func BenchmarkPoolStreamPWU(b *testing.B) {
 	p, f := poolBenchForest(b)
-	poolBenchLoop(b, p, f, "exact")
-}
-
-func BenchmarkPoolStreamPWUQuant(b *testing.B) {
-	p, f := poolBenchForest(b)
-	qs, err := f.Quantized()
-	if err != nil {
-		b.Fatal(err)
-	}
-	poolBenchLoop(b, p, qs, "quant")
+	poolBenchLoop(b, p, f)
 }
