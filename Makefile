@@ -31,18 +31,23 @@ train-equivalence:
 
 # resume-equivalence gates the checkpoint/resume subsystem: an
 # interrupted run continued from its snapshot must be bit-identical to
-# the uninterrupted run (cold-refit and warm-update forests, the
-# snapshot JSON round trip, and the pipeline-level Tune resume).
+# the uninterrupted run (cold-refit and warm-update forests, a lazily
+# generated source, the snapshot JSON round trip, and the pipeline-level
+# Tune resume), and checkpoints written by the retired materialized-pool
+# engine must still resume onto the session goldens — or be rejected
+# when their pool or membership list does not fit.
 resume-equivalence:
-	go test -race -run 'TestResumeEquivalence|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint' ./internal/core ./internal/autotune ./internal/runstate
+	go test -race -run 'TestResumeEquivalence|TestResumeStreamEquivalence|TestLegacyCheckpoint|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint' ./internal/core ./internal/autotune ./internal/runstate
 
 # campaign-equivalence gates the campaign engine: the work-stealing
 # drain must reproduce the retained sequential RunAll path bit for bit
 # for every strategy and any worker count, the single-flight dataset
 # cache must build each repetition's dataset exactly once, and the
-# cached checkpoint-evaluation path must equal PredictBatch exactly.
+# cached checkpoint-evaluation path (each warm repetition scans its
+# held-out set through a pool.ScanCache) must equal PredictBatch
+# exactly, down to identical learning curves.
 campaign-equivalence:
-	go test -race -run 'TestCampaignMatchesSequential|TestCampaignWorkerInvariance|TestCampaignDatasetCacheHits|TestCampaignWarmUpdate|TestAggregatePartialRepsCount|TestPredictCachedMatchesBatch|TestSchedulerRunsEveryTaskOnce|TestDatasetCacheSingleFlight' ./internal/experiment ./internal/forest ./internal/campaign
+	go test -race -run 'TestCampaignMatchesSequential|TestCampaignWorkerInvariance|TestCampaignDatasetCacheHits|TestCampaignWarmUpdate|TestAggregatePartialRepsCount|TestPredictCachedMatchesBatch|TestEngineSwapCurvesIdentical|TestSchedulerRunsEveryTaskOnce|TestDatasetCacheSingleFlight' ./internal/experiment ./internal/forest ./internal/campaign
 
 # chaos-equivalence gates the fault injector against the run engine: a
 # transient-only scenario fully covered by retries must leave every
@@ -62,14 +67,19 @@ chaos-equivalence:
 chaos-soak:
 	go test -race -run 'TestChaosSoakMixedFaults|TestCampaignQuarantinesPanickedCells|TestSchedulerQuarantinesPanics|TestTimeoutCutsHangAsRetryable|TestNoGoroutineLeakCancelDuringHang|TestBackoffInterruptedByCancel|TestBackoffClampedByTimeout' ./internal/experiment ./internal/campaign ./internal/core
 
-# pool-equivalence gates the streaming sharded scoring pipeline: the
-# streaming selection path must be bit-identical to the in-memory path
-# for every strategy, invariant across shard sizes and worker counts —
-# sources replay materialized draws exactly, ScoreBatch equals
-# PredictBatch per row, the bounded top-k reducers match the sort-based
-# selection helpers on the shared ordering-contract table, RunStream
-# equals Run end to end (including resume from any snapshot), and the
-# full Tune pipeline lands on the same configuration either way. The
+# pool-equivalence gates the streaming sharded scoring pipeline, the
+# engine's only selection path: every strategy's SelectStream must equal
+# the sort-based reference selection kept in the tests, invariant across
+# shard sizes and worker counts (pools smaller than one shard and a
+# one-candidate pool included; concurrent scans sharing the recycled
+# scan buffers must each deliver what they deliver alone) — sources
+# replay materialized draws
+# exactly, ScoreBatch equals PredictBatch per row, the bounded top-k
+# reducers match the sort-based oracle on the shared ordering-contract
+# table, a run over a lazy source equals the run over the same
+# candidates as a pool.Slice end to end (including resume from any
+# snapshot), and the full Tune pipeline lands where the materialized
+# model phase does. The
 # keyed 8-lane tree walk is gated on adversarial rows (NaN of both
 # signs, infinities, both zeros, one ulp either side of every split,
 # out-of-range category codes, every ragged group length): every batch
@@ -78,23 +88,26 @@ chaos-soak:
 # must preserve order (TestKeyOrder, plus FuzzKeyOrder's committed seed
 # corpus). The cross-scan score cache is gated too: per-slot panels
 # aggregated over every slot must equal ScoreBatch, PredictBatch must
-# match per-row prediction on chunks straddling the row tile, a
-# warm-update streamed run must be bit-identical with the cache on,
-# starved or off, and warm streamed Tune must land where warm in-memory
-# Tune does.
+# match per-row prediction on chunks straddling the row tile, cached
+# scans of a forest must equal PredictBatch after any sequence of
+# partial updates, a warm-update run must be bit-identical with the
+# cache on, starved or off, and on the forest's scorer or a plain
+# PredictBatch model, and warm Tune must land where the warm
+# materialized model phase does.
 pool-equivalence:
-	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder|TestExactSlotsAggregateBitIdentical|TestPredictBatchRaggedChunks|TestStreamCacheEquivalence' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree
+	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanConcurrentScans|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder|TestExactSlotsAggregateBitIdentical|TestPredictBatchRaggedChunks|TestPredictPool|TestUpdateRotationKeepsCacheConsistent|TestPoolPredictorPathBitIdentical|TestStreamCacheEquivalence' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree
 
 # session-equivalence gates the ask-tell session refactor: the drivers
-# (Run/Resume/RunStream/ResumeStream) are thin loops over core.Session,
-# and every strategy's trajectory — materialized and streamed, resumed
-# from every checkpoint prefix — must stay bit-identical to the
-# pre-refactor goldens pinned in testdata/session_golden.json. The
+# (Run/Resume) are thin loops over core.Session, and every strategy's
+# trajectory — over a lazy source and over the same candidates as a
+# pool.Slice, resumed from every checkpoint prefix, and resumed from the
+# retired materialized engine's checkpoints — must stay bit-identical
+# to the pre-refactor goldens pinned in testdata/session_golden.json. The
 # daemon half kills a tuned process mid-batch over HTTP, restarts it,
 # and requires the recovered session's curve to equal an undisturbed
 # daemon's, plus the snapshot version-tolerance contract.
 session-equivalence:
-	go test -race -run 'TestSessionEquivalenceGolden|TestSessionResumeEveryPrefix|TestSnapshotVersionTolerance|TestSession' ./internal/core
+	go test -race -run 'TestSessionEquivalenceGolden|TestSessionResumeEveryPrefix|TestLegacyCheckpoint|TestSnapshotVersionTolerance|TestSession' ./internal/core
 	go test -race -run 'TestDaemonKillRecoverEquivalence' ./cmd/tuned
 
 # soak-server floods one tuned session manager with >1000 concurrent

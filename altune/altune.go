@@ -33,6 +33,7 @@ import (
 	"repro/internal/gp"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/runstate"
 	"repro/internal/search"
@@ -165,8 +166,9 @@ const (
 // Strategy selects the next batch of pool candidates.
 type Strategy = core.Strategy
 
-// Candidates is the strategy's view of the remaining pool.
-type Candidates = core.Candidates
+// PoolStream is the strategy's view of the remaining pool: a scored
+// stream of candidates (ordinal, features, μ, σ).
+type PoolStream = core.PoolStream
 
 // Params are Algorithm 1's knobs (NInit/NBatch/NMax/Forest).
 type Params = core.Params
@@ -175,7 +177,7 @@ type Params = core.Params
 // telemetry (Result.Stats) and the final RNG stream position.
 type Result = core.Result
 
-// IterStats is one iteration's telemetry (timings, retries, cache use).
+// IterStats is one iteration's telemetry (timings, retries, guard activity).
 type IterStats = core.IterStats
 
 // RunStats aggregates IterStats over a run (see Result.Telemetry).
@@ -225,18 +227,18 @@ type (
 	EI = core.EI
 )
 
-// Run executes the paper's Algorithm 1. Cancelling ctx drains the run
-// at the next boundary and returns the partial Result with an error
-// wrapping ctx.Err().
-func Run(ctx context.Context, sp *Space, pool []Config, ev Evaluator, strat Strategy, params Params, r *RNG, obs Observer) (*Result, error) {
-	return core.Run(ctx, sp, pool, ev, strat, params, r, obs)
+// Run executes the paper's Algorithm 1 over the unlabeled pool cfgs of
+// space sp. Cancelling ctx drains the run at the next boundary and
+// returns the partial Result with an error wrapping ctx.Err().
+func Run(ctx context.Context, sp *Space, cfgs []Config, ev Evaluator, strat Strategy, params Params, r *RNG, obs Observer) (*Result, error) {
+	return core.Run(ctx, pool.NewSlice(sp, cfgs), ev, strat, params, r, obs)
 }
 
 // Resume continues a checkpointed run bit-identically from a Snapshot;
 // the caller regenerates the deterministic inputs (space, pool,
 // evaluator, strategy, params) exactly as in the original run.
-func Resume(ctx context.Context, snap *Snapshot, sp *Space, pool []Config, ev Evaluator, strat Strategy, params Params, obs Observer) (*Result, error) {
-	return core.Resume(ctx, snap, sp, pool, ev, strat, params, obs)
+func Resume(ctx context.Context, snap *Snapshot, sp *Space, cfgs []Config, ev Evaluator, strat Strategy, params Params, obs Observer) (*Result, error) {
+	return core.Resume(ctx, snap, pool.NewSlice(sp, cfgs), ev, strat, params, obs)
 }
 
 // SaveSnapshot writes a snapshot atomically to path (temp file +

@@ -28,6 +28,7 @@ import (
 	"repro/internal/kripke"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/spapt"
@@ -308,7 +309,7 @@ func BenchmarkFig8SurrogateTuning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := rng.New(48)
 		ds := buildDataset(b, p, sc.PoolSize, sc.TestSize, r.Split())
-		res, err := core.Run(context.Background(), p.Space(), ds.Pool, bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
+		res, err := core.Run(context.Background(), pool.NewSlice(p.Space(), ds.Pool), bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
 			core.Params{NInit: sc.NInit, NBatch: sc.NBatch, NMax: sc.NMax, Forest: sc.Forest}, r.Split(), nil)
 		if err != nil {
 			b.Fatal(err)
@@ -466,7 +467,7 @@ func BenchmarkAblationGPSurrogate(b *testing.B) {
 		run := func(fitter core.Fitter) float64 {
 			r := rng.New(60)
 			ds := buildDataset(b, p, sc.PoolSize, sc.TestSize, r.Split())
-			res, err := core.Run(context.Background(), p.Space(), ds.Pool, bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
+			res, err := core.Run(context.Background(), pool.NewSlice(p.Space(), ds.Pool), bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
 				core.Params{NInit: sc.NInit, NBatch: sc.NBatch, NMax: sc.NMax, Forest: sc.Forest, Fitter: fitter}, r.Split(), nil)
 			if err != nil {
 				b.Fatal(err)
@@ -505,7 +506,7 @@ func BenchmarkAblationWarmUpdate(b *testing.B) {
 		run := func(warm bool) float64 {
 			r := rng.New(62)
 			ds := buildDataset(b, p, sc.PoolSize, sc.TestSize, r.Split())
-			res, err := core.Run(context.Background(), p.Space(), ds.Pool, bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
+			res, err := core.Run(context.Background(), pool.NewSlice(p.Space(), ds.Pool), bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
 				core.Params{NInit: sc.NInit, NBatch: sc.NBatch, NMax: sc.NMax, Forest: sc.Forest, WarmUpdate: warm}, r.Split(), nil)
 			if err != nil {
 				b.Fatal(err)
@@ -593,7 +594,7 @@ func BenchmarkAblationCalibration(b *testing.B) {
 			ds := buildDataset(b, p, sc.PoolSize, sc.TestSize, r.Split())
 			fc := sc.Forest
 			fc.Uncertainty = u
-			res, err := core.Run(context.Background(), p.Space(), ds.Pool, bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
+			res, err := core.Run(context.Background(), pool.NewSlice(p.Space(), ds.Pool), bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
 				core.Params{NInit: sc.NInit, NBatch: sc.NBatch, NMax: sc.NMax, Forest: fc}, r.Split(), nil)
 			if err != nil {
 				b.Fatal(err)
@@ -668,9 +669,10 @@ func pow(x, e float64) float64 {
 
 // ---- Inference engine (DESIGN.md §7) ----
 
-// inferenceSetup trains a paper-scale surrogate (64 trees on 500 labels
-// of the atax space, §III-D) and encodes a 7000-row scoring pool.
-func inferenceSetup(b *testing.B) (*forest.Forest, [][]float64) {
+// inferenceFixture trains a paper-scale surrogate (64 trees on 500
+// labels of the atax space, §III-D) and samples a 7000-config scoring
+// pool; it returns the forest, the space, the training set and the pool.
+func inferenceFixture(b *testing.B) (*forest.Forest, *space.Space, [][]float64, []float64, []space.Config) {
 	b.Helper()
 	p, err := bench.ByName("atax")
 	if err != nil {
@@ -689,8 +691,14 @@ func inferenceSetup(b *testing.B) (*forest.Forest, [][]float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := sp.EncodeAll(sp.SampleConfigs(r.Split(), 7000))
-	return f, pool
+	return f, sp, X, y, sp.SampleConfigs(r.Split(), 7000)
+}
+
+// inferenceSetup is inferenceFixture with the pool encoded as a matrix.
+func inferenceSetup(b *testing.B) (*forest.Forest, [][]float64) {
+	b.Helper()
+	f, sp, _, _, cfgs := inferenceFixture(b)
+	return f, sp.EncodeAll(cfgs)
 }
 
 // BenchmarkPredictBatchFlat7000 measures one full pool-scoring pass on
@@ -714,19 +722,42 @@ func BenchmarkPredictBatchPointer7000(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatchPoolCached7000 measures the steady-state scoring
-// path core.Run actually takes: the pool bound once, per-tree
-// predictions cached, each iteration only aggregating cached values.
-func BenchmarkPredictBatchPoolCached7000(b *testing.B) {
-	f, pool := inferenceSetup(b)
-	rows := make([]int, len(pool))
-	for i := range rows {
-		rows[i] = i
+// BenchmarkScanCache7000 measures the per-iteration pool scoring of a
+// warm-update run at paper scale: the 7000-config pool as a pool.Slice,
+// scanned through the forest with a pool.ScanCache, exactly as Run scores
+// it. "steady" rescans an unchanged forest, so every panel is reused and
+// only re-aggregated; "after-update" applies one warm Update (refreshing
+// 16 of the 64 trees, untimed) before each timed scan, which then
+// re-walks just those trees. BenchmarkPredictBatchFlat7000 is the full
+// rescore both are measured against (DESIGN.md §7).
+func BenchmarkScanCache7000(b *testing.B) {
+	f, sp, X, y, cfgs := inferenceFixture(b)
+	src := pool.NewSlice(sp, cfgs)
+	scan := func(cache *pool.ScanCache) {
+		if err := pool.Scan(src, f, pool.ScanConfig{Cache: cache}, func(int, []float64, float64, float64) {}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	f.BindPool(pool)
-	f.PredictPool(rows[:1]) // force the initial fill out of the timed loop
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.PredictPool(rows)
-	}
+	b.Run("steady", func(b *testing.B) {
+		cache := pool.NewScanCache(0)
+		scan(cache) // the cold fill stays out of the timed loop
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scan(cache)
+		}
+	})
+	b.Run("after-update", func(b *testing.B) {
+		cache := pool.NewScanCache(0)
+		scan(cache)
+		r := rng.New(92)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := f.Update(X, y, r.Split()); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			scan(cache)
+		}
+	})
 }

@@ -24,6 +24,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/forest"
 	"repro/internal/gp"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -66,7 +67,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := core.Run(ctx, p.Space(), ds.Pool, bench.Evaluator(p, r.Split()), core.PWU{Alpha: 0.05},
+		res, err := core.Run(ctx, pool.NewSlice(p.Space(), ds.Pool), bench.Evaluator(p, r.Split()), core.PWU{Alpha: 0.05},
 			core.Params{NInit: 10, NBatch: 5, NMax: *labels, Fitter: v.fitter}, r.Split(), nil)
 		if err != nil {
 			fatal(err)

@@ -7,12 +7,11 @@
 //
 //	tune -bench atax [-budget 200] [-searcher anneal] [-verify 5] [-seed 42]
 //	     [-checkpoint tune.ckpt] [-every 10] [-retries 2] [-timeout 30s]
-//	     [-chaos err=0.1,hang=0.01] [-stream] [-pool 1000000] [-shard 1024]
+//	     [-chaos err=0.1,hang=0.01] [-pool 1000000] [-shard 1024]
 //
-// With -stream, the candidate pool of the model phase is generated lazily
-// and scored shard by shard instead of being materialized, so -pool can
-// scale to production spaces (10^6+) with bounded memory; the result is
-// bit-identical to the in-memory mode for the same seed.
+// The candidate pool of the model phase is generated lazily and scored
+// shard by shard, never materialized, so -pool can scale to production
+// spaces (10^6+) with bounded memory; -shard never changes the result.
 //
 // With -checkpoint, the expensive model-building phase is resumable:
 // SIGINT drains the current measurement, writes a snapshot, and exits
@@ -72,10 +71,9 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "snapshot file making the model phase resumable")
 	every := flag.Int("every", 10, "iterations between snapshots (with -checkpoint)")
 	retries := flag.Int("retries", 0, "retry budget per failed measurement")
-	stream := flag.Bool("stream", false, "stream the candidate pool shard by shard instead of materializing it\n(same result bit for bit; memory stays bounded for huge -pool sizes)")
-	warm := flag.Bool("warm", false, "refit by partial ensemble update each iteration; with -stream,\nunchanged trees' scores are cached across scan iterations")
+	warm := flag.Bool("warm", false, "refit by partial ensemble update each iteration;\nunchanged trees' scores are cached across scan iterations")
 	poolSize := flag.Int("pool", 0, "unlabeled candidate pool size (0 = pipeline default)")
-	shard := flag.Int("shard", 0, "candidates per scoring shard with -stream (0 = default 1024)")
+	shard := flag.Int("shard", 0, "candidates per scoring shard (0 = default 1024)")
 	timeout := flag.Duration("timeout", 0, "per-measurement deadline; a hung run is cut off and retried (0 = none)")
 	chaosSpec := flag.String("chaos", "", "fault-injection scenario for the model phase;\n"+chaos.Grammar)
 	remote := flag.String("remote", "", "serve a fleet coordinator on this host:port and offload measurements to remote evald workers")
@@ -121,7 +119,6 @@ func main() {
 	cfg.Failure = core.FailurePolicy{MaxRetries: *retries, Backoff: 100 * time.Millisecond,
 		MaxBackoff: 5 * time.Second, Timeout: *timeout}
 	cfg.Chaos = scenario
-	cfg.Stream = *stream
 	cfg.StreamShard = *shard
 	cfg.WarmUpdate = *warm
 	if *poolSize > 0 {
@@ -163,9 +160,6 @@ func main() {
 	fmt.Printf("tuning %s (%s)\n", p.Name(), p.Description())
 	fmt.Printf("pipeline: %d real runs -> %s search x %d -> verify %d\n\n",
 		cfg.ModelBudget, cfg.Searcher, cfg.SearchBudget, cfg.Verify)
-	if cfg.Stream {
-		fmt.Printf("pool: %d candidates, streamed shard by shard\n\n", cfg.PoolSize)
-	}
 	if *checkpoint != "" {
 		if _, err := os.Stat(*checkpoint); err == nil {
 			fmt.Printf("resuming model phase from %s\n\n", *checkpoint)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/forest"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -123,7 +124,7 @@ func TestEndToEndModelPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(context.Background(), p.Space(), ds.Pool, bench.Evaluator(p, r.Split()), core.PWU{Alpha: 0.05},
+	res, err := core.Run(context.Background(), pool.NewSlice(p.Space(), ds.Pool), bench.Evaluator(p, r.Split()), core.PWU{Alpha: 0.05},
 		core.Params{NInit: 10, NBatch: 10, NMax: 80, Forest: forest.Config{NumTrees: 16}}, r.Split(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +202,7 @@ func TestNoisyLabelsStillConverge(t *testing.T) {
 	ev := core.AdaptEvaluator(core.LegacyEvaluatorFunc(func(c space.Config) float64 {
 		return p.TrueTime(c) * nr.LogNormal(-0.5*0.3*0.3, 0.3)
 	}))
-	res, err := core.Run(context.Background(), p.Space(), ds.Pool, ev, core.PWU{Alpha: 0.1},
+	res, err := core.Run(context.Background(), pool.NewSlice(p.Space(), ds.Pool), ev, core.PWU{Alpha: 0.1},
 		core.Params{NInit: 10, NBatch: 10, NMax: 120, Forest: forest.Config{NumTrees: 32}}, r.Split(), nil)
 	if err != nil {
 		t.Fatal(err)

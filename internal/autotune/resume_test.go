@@ -10,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/runstate"
 )
@@ -21,8 +22,9 @@ import (
 //
 // The interruption is staged deterministically: the test rebuilds the
 // model phase exactly as Tune wires it (same seed-derived RNG splits,
-// same pool, same params) and cancels via an observer after a few
-// iterations, so a real drain snapshot lands at the checkpoint path.
+// the same lazily generated pool source, same params) and drives it
+// through core.Run, cancelling via an observer after a few iterations,
+// so a real drain snapshot lands at the checkpoint path.
 func TestTuneCheckpointResume(t *testing.T) {
 	p, err := bench.ByName("atax")
 	if err != nil {
@@ -38,9 +40,8 @@ func TestTuneCheckpointResume(t *testing.T) {
 
 	ckpt := filepath.Join(t.TempDir(), "tune.ckpt")
 	r := rng.New(seed)
-	sp := p.Space()
 	ev := bench.Evaluator(p, r.Split())
-	pool := sp.SampleConfigs(r.Split(), cfg.PoolSize)
+	src := pool.NewUniform(p.Space(), r.Split().Seed(), cfg.PoolSize)
 	params := core.Params{
 		NInit: 10, NBatch: 5, NMax: cfg.ModelBudget,
 		Forest: cfg.Forest, Failure: cfg.Failure,
@@ -48,7 +49,7 @@ func TestTuneCheckpointResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = core.Run(ctx, sp, pool, ev, core.PWU{Alpha: cfg.Alpha}, params, r.Split(),
+	_, err = core.Run(ctx, src, ev, core.PWU{Alpha: cfg.Alpha}, params, r.Split(),
 		func(s *core.State) error {
 			if s.Iteration == 4 {
 				cancel()
@@ -107,9 +108,8 @@ func TestTuneRejectsForeignCheckpoint(t *testing.T) {
 	// ensure a snapshot exists by staging a real one when it did not.
 	if _, statErr := os.Stat(ckpt); statErr != nil {
 		r := rng.New(5)
-		sp := p.Space()
 		ev := bench.Evaluator(p, r.Split())
-		pool := sp.SampleConfigs(r.Split(), cfg.PoolSize)
+		src := pool.NewUniform(p.Space(), r.Split().Seed(), cfg.PoolSize)
 		params := core.Params{
 			NInit: 10, NBatch: 5, NMax: cfg.ModelBudget,
 			Forest: cfg.Forest, Failure: cfg.Failure,
@@ -117,7 +117,7 @@ func TestTuneRejectsForeignCheckpoint(t *testing.T) {
 		}
 		ictx, icancel := context.WithCancel(context.Background())
 		defer icancel()
-		_, runErr := core.Run(ictx, sp, pool, ev, core.PWU{Alpha: cfg.Alpha}, params, r.Split(),
+		_, runErr := core.Run(ictx, src, ev, core.PWU{Alpha: cfg.Alpha}, params, r.Split(),
 			func(s *core.State) error {
 				if s.Iteration == 2 {
 					icancel()

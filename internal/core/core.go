@@ -5,7 +5,10 @@
 // The loop (Fig. 1 of the paper):
 //
 //  1. Sample n_init configurations uniformly from the unlabeled pool and
-//     evaluate them (cold-start phase).
+//     evaluate them (cold-start phase). The pool is a pool.Source: a
+//     materialized slice (pool.NewSlice) or a lazily generated stream
+//     (pool.NewUniform, pool.NewEnumeration, ...), scored shard by shard
+//     so memory stays bounded whatever its size.
 //  2. Fit a random forest to the labeled set.
 //  3. Ask the sampling strategy for the next batch, using the forest's
 //     per-configuration prediction mean μ and uncertainty σ over the
@@ -33,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/forest"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -133,37 +137,6 @@ type Updatable interface {
 	// Update refits the model in place given the full current training
 	// set (old samples first, new samples appended at the end).
 	Update(X [][]float64, y []float64, r *rng.RNG) error
-}
-
-// PoolPredictor is an optional Model capability: bind the run's fixed
-// pool matrix once, then score arbitrary subsets of it by pool-row
-// index. Models that implement it (forest.Forest) let Run skip
-// rebuilding the candidate matrix every iteration and reuse cached
-// per-tree predictions — after a partial Update only the refreshed
-// trees' rows are recomputed. Implementations must return exactly the
-// values PredictBatch would return for the same rows.
-type PoolPredictor interface {
-	// BindPool registers the pool feature matrix; it is called before
-	// every PredictPool and must be cheap when the matrix is already
-	// bound.
-	BindPool(poolX [][]float64)
-
-	// PredictPool returns prediction means and uncertainties for the
-	// pool rows with the given indices.
-	PredictPool(rows []int) (mu, sigma []float64)
-}
-
-// CachedBatchPredictor is an optional Model capability: predict a fixed
-// feature matrix (identity-keyed, e.g. a held-out test set evaluated at
-// every checkpoint) from cached per-tree predictions, recomputing only
-// what a partial Update invalidated. Implementations must return exactly
-// the values PredictBatch would return for the same matrix.
-// forest.Forest implements it; the experiment harness uses it for
-// checkpoint evaluation during warm-update runs.
-type CachedBatchPredictor interface {
-	// PredictCached returns prediction means and uncertainties for every
-	// row of X.
-	PredictCached(X [][]float64) (mu, sigma []float64)
 }
 
 // FailureAction selects what the engine does with a configuration whose
@@ -324,17 +297,17 @@ type Params struct {
 	// json.Marshaler set this to make their runs resumable.
 	ModelLoader func(data []byte) (Model, error)
 
-	// StreamShard and StreamWorkers tune RunStream's sharded pool scan:
+	// StreamShard and StreamWorkers tune the sharded pool scan:
 	// candidates per scoring shard and concurrent scoring workers
-	// (<= 0 uses the pool package defaults of 1024 and GOMAXPROCS).
-	// They are performance knobs only — selection is bit-identical
-	// across every setting, which the pool-equivalence gate enforces —
-	// and the in-memory Run ignores them.
+	// (<= 0 uses the pool package defaults of 1024 and GOMAXPROCS; both
+	// are capped by the pool size). They are performance knobs only —
+	// selection is bit-identical across every setting, which the
+	// pool-equivalence gate enforces.
 	StreamShard   int
 	StreamWorkers int
 
 	// StreamCacheMB bounds the cross-scan score cache (pool.ScanCache)
-	// active during warm-update streaming runs: per-candidate per-tree
+	// active during warm-update runs: per-candidate per-tree
 	// score panels are kept across iterations so each scan re-walks only
 	// the ensemble slots the preceding partial Update actually refreshed.
 	// 0 means a 256 MiB default, < 0 disables the cache; candidates
@@ -417,11 +390,6 @@ type IterStats struct {
 	// machine time of quarantined measurements and of re-measurements
 	// beyond the median that became the label.
 	GuardCost float64 `json:"guard_cost,omitempty"`
-
-	// PoolCached reports whether candidate scoring went through the
-	// pool-prediction cache (PoolPredictor) instead of a rebuilt
-	// candidate matrix.
-	PoolCached bool `json:"pool_cached,omitempty"`
 }
 
 // RunStats aggregates IterStats over a run.
@@ -439,9 +407,6 @@ type RunStats struct {
 	GuardRemeasured  int
 	GuardQuarantined int
 	GuardCost        float64
-
-	// CachedIterations counts iterations scored via the pool cache.
-	CachedIterations int
 
 	// Events counts telemetry events (cold start + iterations).
 	Events int
@@ -534,40 +499,39 @@ func (r *Result) Telemetry() RunStats {
 		a.GuardRemeasured += s.GuardRemeasured
 		a.GuardQuarantined += s.GuardQuarantined
 		a.GuardCost += s.GuardCost
-		if s.PoolCached {
-			a.CachedIterations++
-		}
 		a.Events++
 	}
 	return a
 }
 
-// Run executes Algorithm 1.
+// Run executes Algorithm 1 over the candidate pool src.
 //
 // ctx cancels the run: the engine drains cleanly at the next boundary
 // (between measurements or iterations), writes a final snapshot when a
 // Checkpoint sink is configured, and returns the partial Result with an
 // error wrapping ctx.Err().
 //
-// sp describes the parameter space; pool is the unlabeled data pool
-// X_pool (the surrogate of the whole space); ev labels configurations;
-// strat picks batches; r provides all randomness; obs may be nil.
-//
-// The pool slice is not modified; Run tracks membership internally.
+// src is the unlabeled data pool X_pool (the surrogate of the whole
+// space) and supplies the parameter space; wrap a materialized
+// []space.Config in pool.NewSlice. Each iteration's scoring streams
+// shard by shard through the model on a bounded set of worker buffers
+// (peak memory O(workers × shard), never O(pool)), and the strategy
+// reduces the scored stream into its batch. ev labels configurations;
+// strat picks batches; r provides all randomness; obs may be nil. The
+// result is a pure function of the candidate sequence, ev, strat,
+// params and r — invariant across shard sizes, worker counts and
+// source kinds (the pool-equivalence gate).
 //
 // Run is a thin driver over the ask-tell Session (session.go): it asks
 // for batches, labels them in-process under the failure policy, and
-// tells the labels back — bit-identical to the historical monolithic
-// loop, which the session-equivalence goldens pin.
-func Run(ctx context.Context, sp *space.Space, pool []space.Config, ev Evaluator, strat Strategy, params Params, r *rng.RNG, obs Observer) (*Result, error) {
-	if sp == nil {
-		return nil, fmt.Errorf("core: nil space")
-	}
-	if ev == nil || strat == nil || r == nil {
-		return nil, fmt.Errorf("core: nil evaluator, strategy or generator")
+// tells the labels back. Snapshots record the source fingerprint and
+// the taken set; Resume continues from one.
+func Run(ctx context.Context, src pool.Source, ev Evaluator, strat Strategy, params Params, r *rng.RNG, obs Observer) (*Result, error) {
+	if ev == nil {
+		return nil, fmt.Errorf("core: nil evaluator")
 	}
 	s, err := NewSession(SessionConfig{
-		Space: sp, Pool: pool, Strategy: strat, Params: params,
+		Source: src, Strategy: strat, Params: params,
 		RNG: r, Observer: obs, Evaluator: ev,
 	})
 	if err != nil {
@@ -586,15 +550,4 @@ func median(xs []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// compact removes the taken pool indices from remaining, preserving order.
-func compact(remaining []int, taken map[int]bool) []int {
-	out := remaining[:0]
-	for _, idx := range remaining {
-		if !taken[idx] {
-			out = append(out, idx)
-		}
-	}
-	return out
 }

@@ -7,9 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/forest"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
+
+// sliceOf wraps a materialized pool as the engine's candidate source.
+func sliceOf(sp *space.Space, cfgs []space.Config) pool.Source {
+	return pool.NewSlice(sp, cfgs)
+}
 
 // quadSpace is a tiny test problem: two numeric parameters, execution
 // time = (a-5)^2 + (b-3)^2 + 1, minimum 1 at (5, 3).
@@ -35,25 +41,25 @@ func TestRunValidation(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(1), 50)
 	r := rng.New(2)
-	if _, err := Run(context.Background(), nil, pool, ev, PWU{Alpha: 0.05}, Params{}, r, nil); err == nil {
+	if _, err := Run(context.Background(), sliceOf(nil, pool), ev, PWU{Alpha: 0.05}, Params{}, r, nil); err == nil {
 		t.Fatal("nil space accepted")
 	}
-	if _, err := Run(context.Background(), sp, pool, nil, PWU{Alpha: 0.05}, Params{}, r, nil); err == nil {
+	if _, err := Run(context.Background(), sliceOf(sp, pool), nil, PWU{Alpha: 0.05}, Params{}, r, nil); err == nil {
 		t.Fatal("nil evaluator accepted")
 	}
-	if _, err := Run(context.Background(), sp, pool, ev, nil, Params{}, r, nil); err == nil {
+	if _, err := Run(context.Background(), sliceOf(sp, pool), ev, nil, Params{}, r, nil); err == nil {
 		t.Fatal("nil strategy accepted")
 	}
-	if _, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.05}, Params{}, nil, nil); err == nil {
+	if _, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.05}, Params{}, nil, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
-	if _, err := Run(context.Background(), sp, pool[:5], ev, PWU{Alpha: 0.05}, Params{NInit: 10}, r, nil); err == nil {
+	if _, err := Run(context.Background(), sliceOf(sp, pool[:5]), ev, PWU{Alpha: 0.05}, Params{NInit: 10}, r, nil); err == nil {
 		t.Fatal("pool smaller than NInit accepted")
 	}
-	if _, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.05}, Params{NMax: 1000}, r, nil); err == nil {
+	if _, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.05}, Params{NMax: 1000}, r, nil); err == nil {
 		t.Fatal("NMax beyond pool accepted")
 	}
-	if _, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.05}, Params{NInit: 40, NMax: 20}, r, nil); err == nil {
+	if _, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.05}, Params{NInit: 40, NMax: 20}, r, nil); err == nil {
 		t.Fatal("NInit beyond NMax accepted")
 	}
 }
@@ -61,7 +67,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunReachesNMax(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(3), 80)
-	res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.05}, Params{NInit: 8, NBatch: 3, NMax: 30, Forest: smallForest()}, rng.New(4), nil)
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.05}, Params{NInit: 8, NBatch: 3, NMax: 30, Forest: smallForest()}, rng.New(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +88,7 @@ func TestRunDeterministic(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(5), 80)
 	run := func() []float64 {
-		res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.05}, Params{NInit: 5, NMax: 25, Forest: smallForest()}, rng.New(6), nil)
+		res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.05}, Params{NInit: 5, NMax: 25, Forest: smallForest()}, rng.New(6), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +105,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunNoDuplicateLabels(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleDistinct(rng.New(7), 60)
-	res, err := Run(context.Background(), sp, pool, ev, MaxU{}, Params{NInit: 5, NMax: 40, Forest: smallForest()}, rng.New(8), nil)
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, MaxU{}, Params{NInit: 5, NMax: 40, Forest: smallForest()}, rng.New(8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,7 @@ func TestObserverCalls(t *testing.T) {
 		}
 		return nil
 	}
-	_, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.05}, Params{NInit: 5, NBatch: 5, NMax: 20, Forest: smallForest()}, rng.New(10), obs)
+	_, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.05}, Params{NInit: 5, NBatch: 5, NMax: 20, Forest: smallForest()}, rng.New(10), obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +160,7 @@ func TestObserverErrorAborts(t *testing.T) {
 		}
 		return nil
 	}
-	_, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.05}, Params{NInit: 5, NMax: 20, Forest: smallForest()}, rng.New(12), obs)
+	_, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.05}, Params{NInit: 5, NMax: 20, Forest: smallForest()}, rng.New(12), obs)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -166,7 +172,7 @@ func TestObserverErrorAborts(t *testing.T) {
 func TestRecordSelections(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(13), 60)
-	res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.05}, Params{NInit: 5, NMax: 20, Forest: smallForest(), RecordSelections: true}, rng.New(14), nil)
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.05}, Params{NInit: 5, NMax: 20, Forest: smallForest(), RecordSelections: true}, rng.New(14), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +196,7 @@ func TestRecordSelections(t *testing.T) {
 func TestNoSelectionsWithoutFlag(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(15), 60)
-	res, err := Run(context.Background(), sp, pool, ev, Random{}, Params{NInit: 5, NMax: 15, Forest: smallForest()}, rng.New(16), nil)
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, Random{}, Params{NInit: 5, NMax: 15, Forest: smallForest()}, rng.New(16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestActiveLearningBeatsNothingOnQuadratic(t *testing.T) {
 	sp, ev := quadSpace(t)
 	r := rng.New(17)
 	pool := sp.SampleConfigs(r, 90)
-	res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1}, Params{NInit: 10, NMax: 60, Forest: forest.Config{NumTrees: 64}}, rng.New(18), nil)
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1}, Params{NInit: 10, NMax: 60, Forest: forest.Config{NumTrees: 64}}, rng.New(18), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,16 +225,16 @@ func TestActiveLearningBeatsNothingOnQuadratic(t *testing.T) {
 func TestBadStrategyIndexRejected(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(19), 60)
-	bad := strategyFunc{name: "bad", f: func(c *Candidates, n int) []int { return []int{c.Len() + 5} }}
-	if _, err := Run(context.Background(), sp, pool, ev, bad, Params{NInit: 5, NMax: 10, Forest: smallForest()}, rng.New(20), nil); err == nil {
+	bad := strategyFunc{name: "bad", f: func(ps PoolStream, n int) []int { return []int{ps.Len() + 5} }}
+	if _, err := Run(context.Background(), sliceOf(sp, pool), ev, bad, Params{NInit: 5, NMax: 10, Forest: smallForest()}, rng.New(20), nil); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
-	dup := strategyFunc{name: "dup", f: func(c *Candidates, n int) []int { return []int{0, 0} }}
-	if _, err := Run(context.Background(), sp, pool, ev, dup, Params{NInit: 5, NBatch: 2, NMax: 10, Forest: smallForest()}, rng.New(21), nil); err == nil {
+	dup := strategyFunc{name: "dup", f: func(ps PoolStream, n int) []int { return []int{0, 0} }}
+	if _, err := Run(context.Background(), sliceOf(sp, pool), ev, dup, Params{NInit: 5, NBatch: 2, NMax: 10, Forest: smallForest()}, rng.New(21), nil); err == nil {
 		t.Fatal("duplicate index accepted")
 	}
-	empty := strategyFunc{name: "empty", f: func(c *Candidates, n int) []int { return nil }}
-	if _, err := Run(context.Background(), sp, pool, ev, empty, Params{NInit: 5, NMax: 10, Forest: smallForest()}, rng.New(22), nil); err == nil {
+	empty := strategyFunc{name: "empty", f: func(ps PoolStream, n int) []int { return nil }}
+	if _, err := Run(context.Background(), sliceOf(sp, pool), ev, empty, Params{NInit: 5, NMax: 10, Forest: smallForest()}, rng.New(22), nil); err == nil {
 		t.Fatal("empty selection accepted")
 	}
 }
@@ -236,11 +242,13 @@ func TestBadStrategyIndexRejected(t *testing.T) {
 // strategyFunc lets tests inject malformed strategies.
 type strategyFunc struct {
 	name string
-	f    func(c *Candidates, n int) []int
+	f    func(ps PoolStream, n int) []int
 }
 
-func (s strategyFunc) Name() string                      { return s.name }
-func (s strategyFunc) Select(c *Candidates, n int) []int { return s.f(c, n) }
+func (s strategyFunc) Name() string { return s.name }
+func (s strategyFunc) SelectStream(ps PoolStream, n int) ([]int, error) {
+	return s.f(ps, n), nil
+}
 
 func TestCustomFitter(t *testing.T) {
 	// A constant-model fitter: proves Run honours Params.Fitter and
@@ -257,7 +265,7 @@ func TestCustomFitter(t *testing.T) {
 		mean /= float64(len(y))
 		return constModel{mean}, nil
 	}
-	res, err := Run(context.Background(), sp, pool, ev, Random{}, Params{NInit: 5, NBatch: 5, NMax: 20, Fitter: fitter}, rng.New(31), nil)
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, Random{}, Params{NInit: 5, NBatch: 5, NMax: 20, Fitter: fitter}, rng.New(31), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +296,7 @@ func TestWarmUpdatePath(t *testing.T) {
 	// refitted; the run must still complete and produce a usable model.
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(32), 80)
-	res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 10, NBatch: 5, NMax: 50, Forest: smallForest(), WarmUpdate: true}, rng.New(33), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -306,11 +314,11 @@ func TestBestYReachesStrategy(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(34), 60)
 	var seen []float64
-	probe := strategyFunc{name: "probe", f: func(c *Candidates, n int) []int {
-		seen = append(seen, c.BestY)
+	probe := strategyFunc{name: "probe", f: func(ps PoolStream, n int) []int {
+		seen = append(seen, ps.BestY())
 		return []int{0}
 	}}
-	res, err := Run(context.Background(), sp, pool, ev, probe, Params{NInit: 5, NMax: 10, Forest: smallForest()}, rng.New(35), nil)
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, probe, Params{NInit: 5, NMax: 10, Forest: smallForest()}, rng.New(35), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +353,7 @@ func TestBatchDedupPrefersDistinctConfigs(t *testing.T) {
 		pool = append(pool, base.Clone())
 	}
 	pool = append(pool, sp.SampleConfigs(rng.New(36), 10)...)
-	res, err := Run(context.Background(), sp, pool, ev, MaxU{}, Params{NInit: 5, NBatch: 3, NMax: 20, Forest: smallForest()}, rng.New(37), nil)
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, MaxU{}, Params{NInit: 5, NBatch: 3, NMax: 20, Forest: smallForest()}, rng.New(37), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +375,7 @@ func TestPoolNotMutated(t *testing.T) {
 	for i, c := range pool {
 		snapshot[i] = c.Key()
 	}
-	if _, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.05}, Params{NInit: 5, NMax: 20, Forest: smallForest()}, rng.New(24), nil); err != nil {
+	if _, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.05}, Params{NInit: 5, NMax: 20, Forest: smallForest()}, rng.New(24), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range pool {
@@ -378,9 +386,10 @@ func TestPoolNotMutated(t *testing.T) {
 }
 
 // noPoolModel wraps a forest but exposes only the base Model interface,
-// hiding the PoolPredictor (and Updatable) capabilities. It forces Run
-// onto the candidate-matrix fallback path, the reference for the cached
-// pool-scoring path.
+// hiding the forest's concurrent batch scorer, its per-slot scoring
+// contract (and Updatable). It forces Run onto the serialized
+// PredictBatch adapter with no cross-scan cache, the reference for the
+// forest's cached scoring path.
 type noPoolModel struct{ f *forest.Forest }
 
 func (m noPoolModel) Predict(x []float64) float64 { return m.f.Predict(x) }
@@ -389,26 +398,27 @@ func (m noPoolModel) PredictBatch(X [][]float64) (mu, sigma []float64) {
 }
 
 // noPoolUpdatable additionally forwards warm updates, so the warm-update
-// loop runs without pool caching.
+// loop runs without the cross-scan score cache.
 type noPoolUpdatable struct{ noPoolModel }
 
 func (m noPoolUpdatable) Update(X [][]float64, y []float64, r *rng.RNG) error {
 	return m.noPoolModel.f.Update(X, y, r)
 }
 
-// TestPoolPredictorPathBitIdentical pins the cached pool-scoring path to
-// the plain PredictBatch path bit for bit, end to end through Algorithm
-// 1: same seed, same strategy, the only difference being whether the
-// model advertises PoolPredictor. Selections (the values the strategy
-// acted on) and labels must match exactly, in both cold-refit and
-// warm-update modes — the latter exercises cache invalidation after
+// TestPoolPredictorPathBitIdentical pins the forest's pool-scoring path
+// (concurrent ScoreBatch, plus the pool.ScanCache in warm mode) to the
+// plain PredictBatch path bit for bit, end to end through Algorithm 1:
+// same seed, same strategy, the only difference being whether the model
+// advertises the scorer capabilities. Selections (the values the
+// strategy acted on) and labels must match exactly, in both cold-refit
+// and warm-update modes — the latter exercises cache invalidation after
 // partial updates.
 func TestPoolPredictorPathBitIdentical(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(40), 120)
 	run := func(fitter Fitter, warm bool) *Result {
 		t.Helper()
-		res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+		res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 			Params{NInit: 10, NBatch: 3, NMax: 40, Forest: smallForest(),
 				Fitter: fitter, WarmUpdate: warm, RecordSelections: true},
 			rng.New(41), nil)

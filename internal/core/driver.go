@@ -13,7 +13,7 @@ import (
 // This file is the in-process driver side of the ask-tell split: the
 // retry/timeout/backoff machinery that used to live inside the
 // monolithic loop, now operating on the caller's side of a Session.
-// Run/RunStream/Resume/ResumeStream are driveSession over an in-process
+// Run and Resume are driveSession over an in-process
 // labeler; a remote caller (internal/server's clients) implements the
 // same contract over HTTP.
 

@@ -67,7 +67,7 @@ func TestRetryPolicyCompletesRun(t *testing.T) {
 	// Distinct configs: the transient-failure counter is per config key,
 	// so a duplicated pool entry would sail through on its second visit.
 	pool := sp.SampleDistinct(rng.New(50), 60)
-	res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NBatch: 3, NMax: 20, Forest: smallForest(),
 			Failure: fastRetry(2, FailAbort)},
 		rng.New(51), nil)
@@ -103,7 +103,7 @@ func TestZeroPolicyAbortsOnFirstFailure(t *testing.T) {
 	sp, _ := quadSpace(t)
 	ev := &flakyEvaluator{sp: sp, failuresPerConfig: 1}
 	pool := sp.SampleConfigs(rng.New(52), 60)
-	res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NMax: 20, Forest: smallForest()}, rng.New(53), nil)
 	if err == nil {
 		t.Fatal("zero failure policy tolerated a failure")
@@ -121,7 +121,7 @@ func TestFailSkipDropsCursedConfigs(t *testing.T) {
 	pool := sp.SampleDistinct(rng.New(54), 60)
 	cursed := map[string]bool{pool[3].Key(): true, pool[17].Key(): true, pool[40].Key(): true}
 	ev := &flakyEvaluator{sp: sp, permanent: cursed}
-	res, err := Run(context.Background(), sp, pool, ev, MaxU{},
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, MaxU{},
 		Params{NInit: 8, NBatch: 4, NMax: 40, Forest: smallForest(),
 			Failure: fastRetry(1, FailSkip)},
 		rng.New(55), nil)
@@ -156,7 +156,7 @@ func TestAllColdStartFailuresExhaustPool(t *testing.T) {
 		permanent[c.Key()] = true
 	}
 	ev := &flakyEvaluator{sp: sp, permanent: permanent}
-	_, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+	_, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NMax: 20, Forest: smallForest(), Failure: fastRetry(0, FailSkip)},
 		rng.New(57), nil)
 	if !errors.Is(err, ErrPoolExhausted) {
@@ -170,7 +170,7 @@ func TestCancelMidColdStart(t *testing.T) {
 	defer cancel()
 	ev := &flakyEvaluator{sp: sp, cancelAfter: 3, cancel: cancel}
 	pool := sp.SampleConfigs(rng.New(58), 60)
-	res, err := Run(ctx, sp, pool, ev, PWU{Alpha: 0.1},
+	res, err := Run(ctx, sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 10, NMax: 30, Forest: smallForest()}, rng.New(59), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -197,7 +197,7 @@ func TestCancelMidLoopDrainsCheckpoint(t *testing.T) {
 		}
 		return nil
 	}
-	res, err := Run(ctx, sp, sp.SampleConfigs(rng.New(60), 80), ev, PWU{Alpha: 0.1},
+	res, err := Run(ctx, sliceOf(sp, sp.SampleConfigs(rng.New(60), 80)), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NBatch: 3, NMax: 50, Forest: smallForest(),
 			CheckpointEvery: 100, // periodic snapshots never due; only the drain writes
 			Checkpoint:      func(s *Snapshot) error { last = s; return nil }},
@@ -267,7 +267,7 @@ func resumeFixture(t *testing.T, warm bool) {
 		WarmUpdate: warm, RecordSelections: true}
 
 	// Reference: the run that is never interrupted.
-	full, err := Run(context.Background(), sp, pool,
+	full, err := Run(context.Background(), sliceOf(sp, pool),
 		&statefulEval{sp: sp, r: rng.New(evSeed)}, PWU{Alpha: 0.1}, params, rng.New(seed+1), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func resumeFixture(t *testing.T, warm bool) {
 	ip := params
 	ip.CheckpointEvery = 1000 // only the drain writes
 	ip.Checkpoint = func(s *Snapshot) error { snap = s; return nil }
-	_, err = Run(ctx, sp, pool,
+	_, err = Run(ctx, sliceOf(sp, pool),
 		&statefulEval{sp: sp, r: rng.New(evSeed)}, PWU{Alpha: 0.1}, ip, rng.New(seed+1),
 		func(s *State) error {
 			if s.Iteration == stopAt {
@@ -306,7 +306,7 @@ func resumeFixture(t *testing.T, warm bool) {
 	if err := json.Unmarshal(data, &loaded); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Resume(context.Background(), &loaded, sp, pool,
+	resumed, err := Resume(context.Background(), &loaded, sliceOf(sp, pool),
 		&statefulEval{sp: sp, r: rng.New(999)}, // wrong seed on purpose; state comes from the snapshot
 		PWU{Alpha: 0.1}, params, nil)
 	if err != nil {
@@ -363,7 +363,7 @@ func TestResumeValidation(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(80), 60)
 	var snap *Snapshot
-	_, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+	_, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NBatch: 5, NMax: 20, Forest: smallForest(),
 			CheckpointEvery: 1, Checkpoint: func(s *Snapshot) error { snap = s; return nil }},
 		rng.New(81), nil)
@@ -371,19 +371,19 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatalf("setup run: err=%v snap=%v", err, snap)
 	}
 
-	if _, err := Resume(context.Background(), nil, sp, pool, ev, PWU{Alpha: 0.1}, Params{NMax: 20}, nil); err == nil {
+	if _, err := Resume(context.Background(), nil, sliceOf(sp, pool), ev, PWU{Alpha: 0.1}, Params{NMax: 20}, nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
 	bad := *snap
 	bad.Version = 99
-	if _, err := Resume(context.Background(), &bad, sp, pool, ev, PWU{Alpha: 0.1}, Params{NMax: 20}, nil); err == nil {
+	if _, err := Resume(context.Background(), &bad, sliceOf(sp, pool), ev, PWU{Alpha: 0.1}, Params{NMax: 20}, nil); err == nil {
 		t.Fatal("wrong snapshot version accepted")
 	}
 	otherPool := sp.SampleConfigs(rng.New(82), 60)
-	if _, err := Resume(context.Background(), snap, sp, otherPool, ev, PWU{Alpha: 0.1}, Params{NMax: 20}, nil); err == nil {
+	if _, err := Resume(context.Background(), snap, sliceOf(sp, otherPool), ev, PWU{Alpha: 0.1}, Params{NMax: 20}, nil); err == nil {
 		t.Fatal("mismatched pool accepted (hash check missing)")
 	}
-	if _, err := Resume(context.Background(), snap, sp, pool[:30], ev, PWU{Alpha: 0.1}, Params{NMax: 20}, nil); err == nil {
+	if _, err := Resume(context.Background(), snap, sliceOf(sp, pool[:30]), ev, PWU{Alpha: 0.1}, Params{NMax: 20}, nil); err == nil {
 		t.Fatal("short pool accepted")
 	}
 }
@@ -392,7 +392,7 @@ func TestCheckpointCadence(t *testing.T) {
 	sp, ev := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(83), 80)
 	var iters []int
-	_, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+	_, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NBatch: 5, NMax: 40, Forest: smallForest(),
 			CheckpointEvery: 3, Checkpoint: func(s *Snapshot) error { iters = append(iters, s.Iteration); return nil }},
 		rng.New(84), nil)
@@ -419,7 +419,7 @@ func TestNoGoroutineLeakOnCancel(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		ev := &flakyEvaluator{sp: sp, cancelAfter: 12, cancel: cancel}
-		_, err := Run(ctx, sp, pool, ev, PWU{Alpha: 0.1},
+		_, err := Run(ctx, sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 			Params{NInit: 8, NBatch: 2, NMax: 60, Forest: smallForest()}, rng.New(uint64(86+i)), nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {

@@ -43,7 +43,7 @@ func TestTimeoutCutsHangAsRetryable(t *testing.T) {
 	pool := sp.SampleDistinct(rng.New(90), 60)
 	ev := &hangingEvaluator{sp: sp, hangSet: map[int]bool{3: true, 9: true}}
 	start := time.Now()
-	res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NBatch: 2, NMax: 16, Forest: smallForest(),
 			Failure: FailurePolicy{MaxRetries: 1, Timeout: 60 * time.Millisecond}},
 		rng.New(91), nil)
@@ -75,7 +75,7 @@ func TestTimeoutErrorIsNotCancellation(t *testing.T) {
 	sp, _ := quadSpace(t)
 	pool := sp.SampleConfigs(rng.New(92), 40)
 	ev := &hangingEvaluator{sp: sp, hangAll: true}
-	_, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+	_, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NMax: 10, Forest: smallForest(),
 			Failure: FailurePolicy{Timeout: 25 * time.Millisecond}},
 		rng.New(93), nil)
@@ -127,7 +127,7 @@ func TestBackoffInterruptedByCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := Run(ctx, sp, pool, ev, PWU{Alpha: 0.1},
+	_, err := Run(ctx, sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NMax: 10, Forest: smallForest(),
 			Failure: FailurePolicy{MaxRetries: 1000, Backoff: time.Hour}},
 		rng.New(95), nil)
@@ -147,7 +147,7 @@ func TestBackoffClampedByTimeout(t *testing.T) {
 	pool := sp.SampleDistinct(rng.New(96), 60)
 	ev := &failNTimesEvaluator{sp: sp, n: 1}
 	start := time.Now()
-	res, err := Run(context.Background(), sp, pool, ev, PWU{Alpha: 0.1},
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NMax: 12, Forest: smallForest(),
 			Failure: FailurePolicy{MaxRetries: 2, Backoff: time.Hour, Timeout: 30 * time.Millisecond}},
 		rng.New(97), nil)
@@ -177,7 +177,7 @@ func TestNoGoroutineLeakCancelDuringHang(t *testing.T) {
 		ev := &hangingEvaluator{sp: sp, hangSet: map[int]bool{7: true}}
 		errc := make(chan error, 1)
 		go func() {
-			_, err := Run(ctx, sp, pool, ev, PWU{Alpha: 0.1},
+			_, err := Run(ctx, sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 				Params{NInit: 5, NBatch: 1, NMax: 30, Forest: smallForest()}, rng.New(uint64(99+i)), nil)
 			errc <- err
 		}()
@@ -252,7 +252,7 @@ func TestGuardRemeasuresOutlier(t *testing.T) {
 	// Call 7 is the second loop iteration's measurement (5 cold-start
 	// calls, then one per iteration).
 	ev := &corruptingEvaluator{corrupt: map[int]bool{7: true}, factor: 8}
-	res, err := Run(context.Background(), sp, pool, ev, Random{},
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, Random{},
 		guardParams(LabelGuard{Z: 4, K: 3}), rng.New(101), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestGuardQuarantinesOutlier(t *testing.T) {
 	sp, _ := quadSpace(t)
 	pool := sp.SampleDistinct(rng.New(102), 40)
 	ev := &corruptingEvaluator{corrupt: map[int]bool{7: true}, factor: 8}
-	res, err := Run(context.Background(), sp, pool, ev, Random{},
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, Random{},
 		guardParams(LabelGuard{Z: 4, Action: GuardQuarantine}), rng.New(103), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestGuardPassesHonestLabels(t *testing.T) {
 	pool := sp.SampleDistinct(rng.New(104), 40)
 	run := func(guard LabelGuard) *Result {
 		ev := &corruptingEvaluator{} // always clean
-		res, err := Run(context.Background(), sp, pool, ev, Random{}, guardParams(guard), rng.New(105), nil)
+		res, err := Run(context.Background(), sliceOf(sp, pool), ev, Random{}, guardParams(guard), rng.New(105), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func TestGuardCostSurvivesSnapshot(t *testing.T) {
 	// so capture the snapshot only for its bookkeeping fields.
 	params.CheckpointEvery = 1
 	params.Checkpoint = func(s *Snapshot) error { snap = s; return nil }
-	res, err := Run(context.Background(), sp, pool, ev, Random{}, params, rng.New(107), nil)
+	res, err := Run(context.Background(), sliceOf(sp, pool), ev, Random{}, params, rng.New(107), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/forest"
@@ -20,10 +21,12 @@ import (
 // The session-equivalence gate: the run engine's observable behavior —
 // labels, selections, telemetry counters, RNG stream position, and the
 // snapshot wire format — is pinned to goldens captured from the
-// pre-refactor monolithic Run/RunStream loops. The ask-tell Session
-// rebuild must reproduce them bit for bit for all 8 strategies, in both
-// the materialized and the streamed mode, and from a resume at every
-// checkpoint prefix.
+// pre-refactor monolithic streamed loop. The ask-tell Session must
+// reproduce them bit for bit for all 8 strategies, over a lazy source
+// and over the same candidates materialized as a pool.Slice, and from a
+// resume at every checkpoint prefix. Checkpoints written by the retired
+// materialized engine (testdata/legacy_v1_*.json) must resume onto the
+// same goldens.
 //
 // Regenerate with SESSION_GOLDEN_UPDATE=1 (only legitimate when the
 // engine's observable contract deliberately changes).
@@ -83,7 +86,9 @@ func goldenStrategies(t testing.TB) []Strategy {
 	return out
 }
 
-// goldenCase is one (strategy, mode) cell of the golden table.
+// goldenCase is one strategy's cell of the golden table. Streamed is
+// always true; it stays in the wire form so the cells keep the bytes
+// they were captured with.
 type goldenCase struct {
 	Strategy     string          `json:"strategy"`
 	Streamed     bool            `json:"streamed"`
@@ -129,31 +134,17 @@ func canonicalSnapshot(t testing.TB, snap *Snapshot) json.RawMessage {
 	return data
 }
 
-// goldenRun executes one cell and returns the case plus every boundary
-// snapshot (CheckpointEvery = 1).
-func goldenRun(t testing.TB, strat Strategy, streamed bool) (goldenCase, []*Snapshot) {
-	t.Helper()
-	sp := goldenSpace()
-	src := pool.NewUniform(sp, goldenPoolSeed, goldenPoolSize)
-	ev := goldenEvaluator(sp)
-	var snaps []*Snapshot
-	params := goldenParams(func(s *Snapshot) error { snaps = append(snaps, s); return nil })
-	var (
-		res *Result
-		err error
-	)
-	if streamed {
-		res, err = RunStream(context.Background(), src, ev, strat, params, rng.New(goldenRunSeed), nil)
-	} else {
-		res, err = Run(context.Background(), sp, materialize(t, src), ev, strat, params, rng.New(goldenRunSeed), nil)
-	}
-	if err != nil {
-		t.Fatalf("%s streamed=%v: %v", strat.Name(), streamed, err)
-	}
-	mid := snaps[len(snaps)/2]
-	gc := goldenCase{
+// goldenSource is the fixture pool: a lazily generated uniform sample.
+func goldenSource(sp *space.Space) pool.Source {
+	return pool.NewUniform(sp, goldenPoolSeed, goldenPoolSize)
+}
+
+// resultCase renders a run's deterministic outcome as a golden cell,
+// with no snapshot attached.
+func resultCase(strat Strategy, res *Result) goldenCase {
+	return goldenCase{
 		Strategy:     strat.Name(),
-		Streamed:     streamed,
+		Streamed:     true,
 		TrainConfigs: res.TrainConfigs,
 		TrainY:       res.TrainY,
 		Selections:   res.Selections,
@@ -162,10 +153,35 @@ func goldenRun(t testing.TB, strat Strategy, streamed bool) (goldenCase, []*Snap
 		Stats:        zeroDurations(res.Stats),
 		FailedCost:   res.FailedCost,
 		GuardCost:    res.GuardCost,
-		SnapshotAt:   mid.Iteration,
-		Snapshot:     canonicalSnapshot(t, mid),
 	}
+}
+
+// goldenRun executes one cell over src and returns the case plus every
+// boundary snapshot (CheckpointEvery = 1).
+func goldenRun(t testing.TB, strat Strategy, src pool.Source) (goldenCase, []*Snapshot) {
+	t.Helper()
+	ev := goldenEvaluator(src.Space())
+	var snaps []*Snapshot
+	params := goldenParams(func(s *Snapshot) error { snaps = append(snaps, s); return nil })
+	res, err := Run(context.Background(), src, ev, strat, params, rng.New(goldenRunSeed), nil)
+	if err != nil {
+		t.Fatalf("%s: %v", strat.Name(), err)
+	}
+	mid := snaps[len(snaps)/2]
+	gc := resultCase(strat, res)
+	gc.SnapshotAt = mid.Iteration
+	gc.Snapshot = canonicalSnapshot(t, mid)
 	return gc, snaps
+}
+
+// assertSameOutcome requires two cells to agree on everything but the
+// snapshot: labels, selections, RNG position and telemetry counters.
+func assertSameOutcome(t testing.TB, label string, got, want goldenCase) {
+	t.Helper()
+	got.SnapshotAt, got.Snapshot = want.SnapshotAt, want.Snapshot
+	if g, w := marshalGolden(t, []goldenCase{got}), marshalGolden(t, []goldenCase{want}); !bytes.Equal(g, w) {
+		t.Fatalf("%s diverged:\n got: %.2000s\nwant: %.2000s", label, g, w)
+	}
 }
 
 // materialize drains a source into a config slice, the same candidate
@@ -192,15 +208,6 @@ func materialize(t testing.TB, src pool.Source) []space.Config {
 	return out
 }
 
-// caseKey identifies a golden cell in failure messages.
-func caseKey(gc goldenCase) string {
-	mode := "run"
-	if gc.Streamed {
-		mode = "stream"
-	}
-	return fmt.Sprintf("%s/%s", gc.Strategy, mode)
-}
-
 func marshalGolden(t testing.TB, cases []goldenCase) []byte {
 	t.Helper()
 	data, err := json.MarshalIndent(cases, "", " ")
@@ -210,15 +217,18 @@ func marshalGolden(t testing.TB, cases []goldenCase) []byte {
 	return append(data, '\n')
 }
 
-// TestSessionEquivalenceGolden pins every strategy's full run, in both
-// modes, to the pre-refactor goldens.
+// TestSessionEquivalenceGolden pins every strategy's full run to the
+// pre-refactor goldens, and requires the run over the same candidates
+// materialized as a pool.Slice to land on the identical outcome.
 func TestSessionEquivalenceGolden(t *testing.T) {
+	sp := goldenSpace()
+	mem := materialize(t, goldenSource(sp))
 	var cases []goldenCase
 	for _, strat := range goldenStrategies(t) {
-		for _, streamed := range []bool{false, true} {
-			gc, _ := goldenRun(t, strat, streamed)
-			cases = append(cases, gc)
-		}
+		gc, _ := goldenRun(t, strat, goldenSource(sp))
+		cases = append(cases, gc)
+		sliced, _ := goldenRun(t, strat, pool.NewSlice(sp, mem))
+		assertSameOutcome(t, strat.Name()+" over pool.Slice", sliced, gc)
 	}
 	got := marshalGolden(t, cases)
 
@@ -251,7 +261,7 @@ func TestSessionEquivalenceGolden(t *testing.T) {
 	for i := range cases {
 		g, w := marshalGolden(t, cases[i:i+1]), marshalGolden(t, wantCases[i:i+1])
 		if !bytes.Equal(g, w) {
-			t.Errorf("%s diverged from pre-refactor golden:\n got: %.2000s\nwant: %.2000s", caseKey(cases[i]), g, w)
+			t.Errorf("%s diverged from pre-refactor golden:\n got: %.2000s\nwant: %.2000s", cases[i].Strategy, g, w)
 		}
 	}
 	if !t.Failed() {
@@ -260,50 +270,118 @@ func TestSessionEquivalenceGolden(t *testing.T) {
 }
 
 // TestSessionResumeEveryPrefix proves resumability from every checkpoint
-// boundary: for each strategy and mode, resuming from each of the run's
+// boundary: for each strategy, resuming from each of the run's
 // snapshots must land on exactly the uninterrupted run's result.
 func TestSessionResumeEveryPrefix(t *testing.T) {
 	sp := goldenSpace()
 	for _, strat := range goldenStrategies(t) {
-		for _, streamed := range []bool{false, true} {
-			full, snaps := goldenRun(t, strat, streamed)
-			ev := goldenEvaluator(sp)
-			for _, snap := range snaps {
-				params := goldenParams(nil)
-				params.CheckpointEvery = 0
-				var (
-					res *Result
-					err error
-				)
-				if streamed {
-					src := pool.NewUniform(sp, goldenPoolSeed, goldenPoolSize)
-					res, err = ResumeStream(context.Background(), snap, src, ev, strat, params, nil)
-				} else {
-					src := pool.NewUniform(sp, goldenPoolSeed, goldenPoolSize)
-					res, err = Resume(context.Background(), snap, sp, materialize(t, src), ev, strat, params, nil)
-				}
-				if err != nil {
-					t.Fatalf("%s: resume from iteration %d: %v", caseKey(full), snap.Iteration, err)
-				}
-				got := goldenCase{
-					Strategy:     full.Strategy,
-					Streamed:     streamed,
-					TrainConfigs: res.TrainConfigs,
-					TrainY:       res.TrainY,
-					Selections:   res.Selections,
-					Iterations:   res.Iterations,
-					RNG:          res.RNGState,
-					Stats:        zeroDurations(res.Stats),
-					FailedCost:   res.FailedCost,
-					GuardCost:    res.GuardCost,
-					SnapshotAt:   full.SnapshotAt,
-					Snapshot:     full.Snapshot,
-				}
-				g, w := marshalGolden(t, []goldenCase{got}), marshalGolden(t, []goldenCase{full})
-				if !bytes.Equal(g, w) {
-					t.Fatalf("%s: resume from iteration %d diverged from the uninterrupted run", caseKey(full), snap.Iteration)
-				}
+		full, snaps := goldenRun(t, strat, goldenSource(sp))
+		for _, snap := range snaps {
+			params := goldenParams(nil)
+			params.CheckpointEvery = 0
+			res, err := Resume(context.Background(), snap, goldenSource(sp), goldenEvaluator(sp), strat, params, nil)
+			if err != nil {
+				t.Fatalf("%s: resume from iteration %d: %v", strat.Name(), snap.Iteration, err)
 			}
+			assertSameOutcome(t, fmt.Sprintf("%s: resume from iteration %d", strat.Name(), snap.Iteration), resultCase(strat, res), full)
 		}
+	}
+}
+
+// loadGoldenCells reads the committed golden table keyed by strategy.
+func loadGoldenCells(t *testing.T) map[string]goldenCase {
+	t.Helper()
+	data, err := os.ReadFile(sessionGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []goldenCase
+	if err := json.Unmarshal(data, &cells); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]goldenCase, len(cells))
+	for _, c := range cells {
+		out[c.Strategy] = c
+	}
+	return out
+}
+
+// loadLegacySnapshot reads a full checkpoint written by the retired
+// materialized-pool engine (Streamed unset, membership in Remaining) at
+// the golden fixture's mid-run boundary.
+func loadLegacySnapshot(t *testing.T, strategy string) *Snapshot {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy_v1_"+strings.ToLower(strategy)+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Streamed || snap.Remaining == nil || snap.Version != snapshotVersion {
+		t.Fatalf("%s: fixture is not a legacy materialized checkpoint", strategy)
+	}
+	return &snap
+}
+
+// TestLegacyCheckpointResume: checkpoints the materialized engine wrote
+// resume through the single driver — over the same candidates as a
+// pool.Slice, or replayed lazily by the source that generated them — and
+// land bit-identically on the golden cell of the uninterrupted run.
+func TestLegacyCheckpointResume(t *testing.T) {
+	sp := goldenSpace()
+	golden := loadGoldenCells(t)
+	for _, name := range []string{"PWU", "PBUS", "Random"} {
+		strat, err := ByName(name, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources := map[string]pool.Source{
+			"slice":   pool.NewSlice(sp, materialize(t, goldenSource(sp))),
+			"uniform": goldenSource(sp),
+		}
+		for kind, src := range sources {
+			params := goldenParams(nil)
+			params.CheckpointEvery = 0
+			res, err := Resume(context.Background(), loadLegacySnapshot(t, name), src, goldenEvaluator(sp), strat, params, nil)
+			if err != nil {
+				t.Fatalf("%s over %s: %v", name, kind, err)
+			}
+			assertSameOutcome(t, name+" legacy resume over "+kind, resultCase(strat, res), golden[name])
+		}
+	}
+}
+
+// TestLegacyCheckpointRejected: a legacy checkpoint must not resume over
+// a different pool, nor with a membership list the materialized engine
+// could never have written.
+func TestLegacyCheckpointRejected(t *testing.T) {
+	sp := goldenSpace()
+	params := goldenParams(nil)
+	params.CheckpointEvery = 0
+	resume := func(snap *Snapshot, src pool.Source) error {
+		_, err := Resume(context.Background(), snap, src, goldenEvaluator(sp), PWU{Alpha: 0.05}, params, nil)
+		return err
+	}
+	other := pool.NewSlice(sp, materialize(t, pool.NewUniform(sp, goldenPoolSeed+1, goldenPoolSize)))
+	if err := resume(loadLegacySnapshot(t, "PWU"), other); err == nil || !strings.Contains(err.Error(), "pool hash") {
+		t.Fatalf("wrong pool: %v", err)
+	}
+	mem := materialize(t, goldenSource(sp))
+	swapped := loadLegacySnapshot(t, "PWU")
+	swapped.Remaining[3], swapped.Remaining[4] = swapped.Remaining[4], swapped.Remaining[3]
+	if err := resume(swapped, pool.NewSlice(sp, mem)); err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Fatalf("non-ascending Remaining: %v", err)
+	}
+	repeated := loadLegacySnapshot(t, "PWU")
+	repeated.Remaining[1] = repeated.Remaining[0]
+	if err := resume(repeated, pool.NewSlice(sp, mem)); err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Fatalf("repeated Remaining entry: %v", err)
+	}
+	outOfRange := loadLegacySnapshot(t, "PWU")
+	outOfRange.Remaining[len(outOfRange.Remaining)-1] = goldenPoolSize
+	if err := resume(outOfRange, pool.NewSlice(sp, mem)); err == nil || !strings.Contains(err.Error(), "out of pool range") {
+		t.Fatalf("out-of-range Remaining entry: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/forest"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -50,14 +51,21 @@ func checkSnapshotVersion(v int) error {
 
 // Snapshot is the complete serializable state of a run at an iteration
 // boundary. Together with the inputs that are regenerated
-// deterministically by the caller (the space, the pool, the evaluator,
-// the strategy, the params), it is sufficient for Resume to continue
-// the run bit-identically — same labels, same selections, same RNG
-// stream position — as if it had never stopped.
+// deterministically by the caller (the pool source, the evaluator, the
+// strategy, the params), it is sufficient for Resume to continue the
+// run bit-identically — same labels, same selections, same RNG stream
+// position — as if it had never stopped.
 //
 // The pool itself is not stored (it can be huge and is deterministic
 // from the caller's seed); PoolSize and PoolHash fingerprint it so
 // Resume can reject a mismatched pool instead of silently diverging.
+//
+// The engine writes only the streamed form (Streamed set, membership in
+// Taken, PoolHash the source's Fingerprint). Checkpoints written by
+// older engine generations that materialized the pool (Streamed unset,
+// membership in Remaining, PoolHash over the pool's level indices)
+// still resume: ResumeSession re-derives the legacy fingerprint from the
+// source and converts Remaining into its complement.
 type Snapshot struct {
 	Version   int `json:"version"`
 	Iteration int `json:"iteration"`
@@ -66,20 +74,20 @@ type Snapshot struct {
 	PoolSize int    `json:"pool_size"`
 	PoolHash uint64 `json:"pool_hash"`
 
-	// Remaining is the unlabeled pool membership, as indices into the
-	// original pool, in engine order. Streamed runs leave it nil: their
-	// membership is the complement of Taken, which scales with labels
-	// collected instead of pool size.
+	// Remaining is the legacy membership record: the unlabeled pool as
+	// ascending indices into the original pool. Only materialized-pool
+	// checkpoints carry it; the engine writes nil.
 	Remaining []int `json:"remaining"`
 
-	// Streamed marks a snapshot taken by RunStream. Such snapshots store
-	// Taken instead of Remaining, fingerprint the candidate source in
-	// PoolHash, and resume via ResumeStream. Both fields are additive to
-	// the version-1 format: pre-streaming snapshots load unchanged.
+	// Streamed marks a snapshot that stores Taken instead of Remaining
+	// and fingerprints the candidate source in PoolHash — every
+	// snapshot the engine writes. Both fields are additive to the
+	// version-1 format: legacy materialized-pool snapshots load
+	// unchanged with Streamed unset.
 	Streamed bool `json:"streamed,omitempty"`
 
 	// Taken is the sorted set of global source indices already removed
-	// from the pool of a streamed run.
+	// from the pool.
 	Taken []int `json:"taken,omitempty"`
 
 	// TrainConfigs / TrainY are the labeled set in labeling order.
@@ -114,8 +122,11 @@ type Snapshot struct {
 	Service json.RawMessage `json:"service,omitempty"`
 }
 
-// poolHash fingerprints a pool with FNV-1a over its level indices.
-func poolHash(pool []space.Config) uint64 {
+// poolHash is the legacy materialized-pool fingerprint: FNV-1a over the
+// source's length and level indices, read in one generation-only pass.
+// Only resuming a legacy checkpoint needs it; sources fingerprint
+// themselves (pool.Source.Fingerprint) for everything the engine writes.
+func poolHash(src pool.Source) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
@@ -125,14 +136,43 @@ func poolHash(pool []space.Config) uint64 {
 			v >>= 8
 		}
 	}
-	mix(uint64(len(pool)))
-	for _, c := range pool {
+	mix(uint64(src.Len()))
+	c := make(space.Config, src.Space().NumParams())
+	buf := []space.Config{c}
+	src.Reset()
+	for src.Next(buf) == 1 {
 		mix(uint64(len(c)))
 		for _, lvl := range c {
 			mix(uint64(int64(lvl)))
 		}
 	}
 	return h
+}
+
+// takenFromRemaining converts a legacy snapshot's Remaining list into
+// the complement taken set over a pool of n candidates. The legacy
+// engine kept Remaining strictly ascending (it only ever compacted an
+// ascending list), which is what makes a candidate's rank in it equal
+// to its ordinal among non-taken candidates; anything else is rejected.
+func takenFromRemaining(remaining []int, n int) ([]int, error) {
+	for i, idx := range remaining {
+		if idx < 0 || idx >= n {
+			return nil, fmt.Errorf("core: snapshot remaining index %d out of pool range", idx)
+		}
+		if i > 0 && idx <= remaining[i-1] {
+			return nil, fmt.Errorf("core: snapshot remaining set not strictly ascending at %d", i)
+		}
+	}
+	taken := make([]int, 0, n-len(remaining))
+	next := 0
+	for g := 0; g < n; g++ {
+		if next < len(remaining) && remaining[next] == g {
+			next++
+			continue
+		}
+		taken = append(taken, g)
+	}
+	return taken, nil
 }
 
 // checkpoint hands a snapshot to the configured sink when due: after
@@ -206,16 +246,10 @@ func (s *Session) snapshot() (*Snapshot, error) {
 		snap.Version = snapshotVersionService
 		snap.Service = append(json.RawMessage(nil), s.service...)
 	}
-	if s.src != nil {
-		snap.Streamed = true
-		snap.PoolSize = s.src.Len()
-		snap.PoolHash = s.src.Fingerprint()
-		snap.Taken = append([]int(nil), s.taken...)
-	} else {
-		snap.PoolSize = len(s.pl)
-		snap.PoolHash = poolHash(s.pl)
-		snap.Remaining = append([]int(nil), s.remaining...)
-	}
+	snap.Streamed = true
+	snap.PoolSize = s.src.Len()
+	snap.PoolHash = s.src.Fingerprint()
+	snap.Taken = append([]int(nil), s.taken...)
 	if sev, ok := s.ev.(StatefulEvaluator); ok {
 		st := sev.EvaluatorState()
 		snap.Evaluator = &st
@@ -223,7 +257,7 @@ func (s *Session) snapshot() (*Snapshot, error) {
 	return snap, nil
 }
 
-// defaultModelLoader is the Resume/ResumeStream model fallback, matching
+// defaultModelLoader is the Resume model fallback, matching
 // the default forest Fitter.
 func defaultModelLoader(data []byte) (Model, error) {
 	return forest.Load(bytes.NewReader(data))
@@ -231,25 +265,20 @@ func defaultModelLoader(data []byte) (Model, error) {
 
 // ResumeSession rebuilds a Session from a Snapshot at the iteration
 // boundary it was taken at. The configuration supplies the regenerated
-// deterministic inputs (pool or source — validated against the
-// snapshot's fingerprint — strategy and params, which must match the
-// original run's); the snapshot restores the labeled set, pool
-// membership, the generator, the fitted model and, when present, the
-// evaluator's noise stream (via SessionConfig.Evaluator). The
-// configuration's RNG is ignored; the generator always resumes from the
-// snapshot's stream position.
+// deterministic inputs (the source — validated against the snapshot's
+// fingerprint — strategy and params, which must match the original
+// run's); the snapshot restores the labeled set, pool membership, the
+// generator, the fitted model and, when present, the evaluator's noise
+// stream (via SessionConfig.Evaluator). The configuration's RNG is
+// ignored; the generator always resumes from the snapshot's stream
+// position. Legacy materialized-pool snapshots resume too, over a
+// source replaying the same candidate sequence (see Snapshot).
 func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
 	}
 	if err := checkSnapshotVersion(snap.Version); err != nil {
 		return nil, err
-	}
-	if snap.Streamed && cfg.Source == nil {
-		return nil, fmt.Errorf("core: snapshot was taken by a streamed run; use a Source to resume it")
-	}
-	if !snap.Streamed && cfg.Source != nil {
-		return nil, fmt.Errorf("core: snapshot was taken by an in-memory run; use a Pool to resume it")
 	}
 	if cfg.Service == nil {
 		cfg.Service = snap.Service
@@ -258,19 +287,28 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.src != nil {
-		if s.src.Len() != snap.PoolSize {
-			return nil, fmt.Errorf("core: source size %d does not match snapshot's %d", s.src.Len(), snap.PoolSize)
-		}
+	if s.src.Len() != snap.PoolSize {
+		return nil, fmt.Errorf("core: source size %d does not match snapshot's %d", s.src.Len(), snap.PoolSize)
+	}
+	taken := snap.Taken
+	if snap.Streamed {
 		if h := s.src.Fingerprint(); h != snap.PoolHash {
 			return nil, fmt.Errorf("core: source fingerprint %#x does not match snapshot's %#x (different source or seed)", h, snap.PoolHash)
 		}
-	} else {
-		if len(s.pl) != snap.PoolSize {
-			return nil, fmt.Errorf("core: pool size %d does not match snapshot's %d", len(s.pl), snap.PoolSize)
+		for i, g := range taken {
+			if g < 0 || g >= s.src.Len() {
+				return nil, fmt.Errorf("core: snapshot taken index %d out of source range", g)
+			}
+			if i > 0 && g <= taken[i-1] {
+				return nil, fmt.Errorf("core: snapshot taken set not sorted and unique at %d", i)
+			}
 		}
-		if h := poolHash(s.pl); h != snap.PoolHash {
+	} else {
+		if h := poolHash(s.src); h != snap.PoolHash {
 			return nil, fmt.Errorf("core: pool hash %#x does not match snapshot's %#x (different pool or seed)", h, snap.PoolHash)
+		}
+		if taken, err = takenFromRemaining(snap.Remaining, s.src.Len()); err != nil {
+			return nil, err
 		}
 	}
 	if len(snap.TrainConfigs) != len(snap.TrainY) {
@@ -278,22 +316,6 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 	}
 	if len(snap.TrainY) == 0 || len(snap.TrainY) > s.p.NMax {
 		return nil, fmt.Errorf("core: snapshot labeled-set size %d outside (0, NMax=%d]", len(snap.TrainY), s.p.NMax)
-	}
-	if s.src != nil {
-		for i, g := range snap.Taken {
-			if g < 0 || g >= s.src.Len() {
-				return nil, fmt.Errorf("core: snapshot taken index %d out of source range", g)
-			}
-			if i > 0 && g <= snap.Taken[i-1] {
-				return nil, fmt.Errorf("core: snapshot taken set not sorted and unique at %d", i)
-			}
-		}
-	} else {
-		for _, idx := range snap.Remaining {
-			if idx < 0 || idx >= len(s.pl) {
-				return nil, fmt.Errorf("core: snapshot remaining index %d out of pool range", idx)
-			}
-		}
 	}
 
 	r, err := rng.FromState(snap.RNG)
@@ -331,11 +353,7 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 		Iterations:   snap.Iteration,
 		Model:        model,
 	}
-	if s.src != nil {
-		s.taken = append(s.taken[:0], snap.Taken...)
-	} else {
-		s.remaining = append(s.remaining[:0], snap.Remaining...)
-	}
+	s.taken = append(s.taken[:0], taken...)
 	for _, c := range snap.TrainConfigs {
 		s.trainX = append(s.trainX, s.sp.Encode(c))
 	}
@@ -353,33 +371,21 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 // Resume continues a run from a Snapshot, bit-identically to the run
 // that would have happened without the interruption: same labeled set,
 // same selections, same RNG stream position (proven by the equivalence
-// test and enforced by `make resume-equivalence`).
+// tests and enforced by `make resume-equivalence`).
 //
-// The caller regenerates the run's deterministic inputs — the space,
-// the pool (validated against the snapshot's fingerprint), the
-// evaluator, the strategy and the params, which must match the original
-// run — and Resume restores the rest from the snapshot: the labeled
-// set, pool membership, the loop generator, the fitted model (via
+// The caller regenerates the run's deterministic inputs — the pool
+// source (validated against the snapshot's fingerprint), the evaluator,
+// the strategy and the params, which must match the original run — and
+// Resume restores the rest from the snapshot: the labeled set, pool
+// membership, the loop generator, the fitted model (via
 // params.ModelLoader, defaulting to the forest format) and, for
 // StatefulEvaluator evaluators, the evaluator's noise stream.
-func Resume(ctx context.Context, snap *Snapshot, sp *space.Space, pool []space.Config, ev Evaluator, strat Strategy, params Params, obs Observer) (*Result, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: nil snapshot")
-	}
-	if err := checkSnapshotVersion(snap.Version); err != nil {
-		return nil, err
-	}
-	if snap.Streamed {
-		return nil, fmt.Errorf("core: snapshot was taken by a streamed run; use ResumeStream")
-	}
-	if sp == nil {
-		return nil, fmt.Errorf("core: nil space")
-	}
-	if ev == nil || strat == nil {
-		return nil, fmt.Errorf("core: nil evaluator or strategy")
+func Resume(ctx context.Context, snap *Snapshot, src pool.Source, ev Evaluator, strat Strategy, params Params, obs Observer) (*Result, error) {
+	if ev == nil {
+		return nil, fmt.Errorf("core: nil evaluator")
 	}
 	s, err := ResumeSession(snap, SessionConfig{
-		Space: sp, Pool: pool, Strategy: strat, Params: params, Observer: obs, Evaluator: ev,
+		Source: src, Strategy: strat, Params: params, Observer: obs, Evaluator: ev,
 	})
 	if err != nil {
 		return nil, err

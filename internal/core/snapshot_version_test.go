@@ -19,11 +19,11 @@ func TestSnapshotVersionTolerance(t *testing.T) {
 	ctx := context.Background()
 	sp := goldenSpace()
 
-	// A version-1 snapshot from a plain in-memory run.
+	// A version-1 snapshot from a plain run.
 	poolCfgs := sp.SampleConfigs(rng.New(401), 80)
 	ev := goldenEvaluator(sp)
 	var v1 *Snapshot
-	_, err := Run(ctx, sp, poolCfgs, ev, PWU{Alpha: 0.1},
+	_, err := Run(ctx, sliceOf(sp, poolCfgs), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NBatch: 2, NMax: 15, Forest: smallForest(),
 			CheckpointEvery: 1, Checkpoint: func(s *Snapshot) error { v1 = s; return nil }},
 		rng.New(402), nil)
@@ -43,7 +43,7 @@ func TestSnapshotVersionTolerance(t *testing.T) {
 	if err := json.Unmarshal(data, &rt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(ctx, &rt, sp, poolCfgs, goldenEvaluator(sp), PWU{Alpha: 0.1},
+	if _, err := Resume(ctx, &rt, sliceOf(sp, poolCfgs), goldenEvaluator(sp), PWU{Alpha: 0.1},
 		Params{NInit: 5, NBatch: 2, NMax: 15, Forest: smallForest()}, nil); err != nil {
 		t.Fatalf("v1 round-trip resume: %v", err)
 	}
@@ -105,15 +105,15 @@ func TestSnapshotVersionTolerance(t *testing.T) {
 		bad := *v1
 		bad.Version = v
 		var verr *SnapshotVersionError
-		if _, err := Resume(ctx, &bad, sp, poolCfgs, ev, PWU{Alpha: 0.1}, Params{NMax: 15}, nil); !errors.As(err, &verr) || verr.Version != v {
+		if _, err := Resume(ctx, &bad, sliceOf(sp, poolCfgs), ev, PWU{Alpha: 0.1}, Params{NMax: 15}, nil); !errors.As(err, &verr) || verr.Version != v {
 			t.Fatalf("Resume(version=%d): %v", v, err)
 		}
-		badStream := *v2
-		badStream.Version = v
-		if _, err := ResumeStream(ctx, &badStream, src, ev, PWU{Alpha: 0.1}, Params{NMax: 15}, nil); !errors.As(err, &verr) {
-			t.Fatalf("ResumeStream(version=%d): %v", v, err)
+		badService := *v2
+		badService.Version = v
+		if _, err := Resume(ctx, &badService, src, ev, PWU{Alpha: 0.1}, Params{NMax: 15}, nil); !errors.As(err, &verr) {
+			t.Fatalf("Resume(service, version=%d): %v", v, err)
 		}
-		if _, err := ResumeSession(&bad, SessionConfig{Space: sp, Pool: poolCfgs, Strategy: PWU{Alpha: 0.1}, Params: Params{NMax: 15}}); !errors.As(err, &verr) {
+		if _, err := ResumeSession(&bad, SessionConfig{Source: sliceOf(sp, poolCfgs), Strategy: PWU{Alpha: 0.1}, Params: Params{NMax: 15}}); !errors.As(err, &verr) {
 			t.Fatalf("ResumeSession(version=%d): %v", v, err)
 		}
 	}

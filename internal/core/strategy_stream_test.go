@@ -8,11 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// selectionContractCases is the shared fixture both selection paths run
-// against: the in-memory sort-based helpers and the streaming reducers
-// must produce identical output on every row, including the edge cases
-// that used to panic the helpers (k beyond len, negative k) and the
-// NaN/tie/duplicate corners.
+// selectionContractCases is the shared fixture the selection contract is
+// pinned on: the sort-based reference helpers (oracle_test.go) and the
+// streaming reducers must produce identical output on every row,
+// including the edge cases that used to panic the helpers (k beyond
+// len, negative k) and the NaN/tie/duplicate corners.
 var selectionContractCases = []struct {
 	name   string
 	scores []float64
@@ -65,9 +65,10 @@ func contractCandidates(scores []float64, vecIDs []int) *Candidates {
 	return &Candidates{X: X, Mu: scores, Sigma: scores}
 }
 
-// TestSelectionContractSharedTable runs the in-memory helpers and the
-// streaming reducers against the same table and requires identical
-// output — the satellite bugfix pin: both paths share one contract.
+// TestSelectionContractSharedTable runs the sort-based reference helpers
+// and the streaming reducers against the same table and requires
+// identical output: the reducers implement exactly the reference
+// contract.
 func TestSelectionContractSharedTable(t *testing.T) {
 	for _, tc := range selectionContractCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,7 +82,7 @@ func TestSelectionContractSharedTable(t *testing.T) {
 				for i, s := range tc.scores {
 					top.Push(i, s, nil)
 					bot.Push(i, s, nil)
-					dis.Push(i, s, c.XAt(i))
+					dis.Push(i, s, c.X[i])
 				}
 				if got := top.Result(); !sameIdx(got, memTop) {
 					t.Fatalf("k=%d top: stream %v, memory %v", k, got, memTop)
@@ -117,23 +118,6 @@ func TestSelectionHelpersClampK(t *testing.T) {
 			t.Fatalf("topKDistinctByScore k=%d returned %d indices, want %d", k, len(got), want)
 		}
 	}
-}
-
-// memStream adapts an in-memory Candidates view to the PoolStream
-// interface: the reference implementation SelectStream is tested against.
-type memStream struct {
-	c *Candidates
-	r *rng.RNG
-}
-
-func (m *memStream) Len() int       { return m.c.Len() }
-func (m *memStream) BestY() float64 { return m.c.BestY }
-func (m *memStream) Rand() *rng.RNG { return m.r }
-func (m *memStream) Scan(consume func(ord int, x []float64, mu, sigma float64)) error {
-	for i := 0; i < m.c.Len(); i++ {
-		consume(i, m.c.XAt(i), m.c.Mu[i], m.c.Sigma[i])
-	}
-	return nil
 }
 
 func sameIdx(a, b []int) bool {
@@ -182,8 +166,9 @@ func streamContractCandidates(r *rng.RNG, n int) *Candidates {
 }
 
 // TestSelectStreamMatchesSelect: for every built-in strategy, the
-// streaming selection must return exactly the indices the in-memory
-// selection returns and leave the generator at the same stream position.
+// streaming selection must return exactly the indices the sort-based
+// reference selection (refSelect) returns and leave the generator at
+// the same stream position.
 func TestSelectStreamMatchesSelect(t *testing.T) {
 	strategies := []Strategy{
 		PWU{Alpha: 0.05}, PBUS{}, BRS{}, BestPerf{}, MaxU{}, Random{}, CV{}, EI{},
@@ -193,21 +178,17 @@ func TestSelectStreamMatchesSelect(t *testing.T) {
 		n := 1 + gen.Intn(50)
 		c := streamContractCandidates(gen, n)
 		for _, strat := range strategies {
-			ss, ok := strat.(StreamStrategy)
-			if !ok {
-				t.Fatalf("built-in strategy %s does not implement StreamStrategy", strat.Name())
-			}
 			for _, nBatch := range []int{0, 1, 3, n, n + 2, -1} {
 				seed := gen.Uint64()
 				memR, strR := rng.New(seed), rng.New(seed)
 				c.Rand = memR
-				want := strat.Select(c, nBatch)
-				got, err := ss.SelectStream(&memStream{c: c, r: strR}, nBatch)
+				want := refSelect(strat, c, nBatch)
+				got, err := strat.SelectStream(&memStream{c: c, r: strR}, nBatch)
 				if err != nil {
 					t.Fatalf("%s: SelectStream: %v", strat.Name(), err)
 				}
 				if !sameIdx(got, want) {
-					t.Fatalf("%s (n=%d, nBatch=%d): stream %v, memory %v\nmu=%v\nsigma=%v",
+					t.Fatalf("%s (n=%d, nBatch=%d): stream %v, reference %v\nmu=%v\nsigma=%v",
 						strat.Name(), n, nBatch, got, want, c.Mu, c.Sigma)
 				}
 				if memR.Uint64() != strR.Uint64() {

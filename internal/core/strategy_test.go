@@ -59,7 +59,7 @@ func TestPWUSelectTopScores(t *testing.T) {
 	sigma := []float64{5, 1, 5, 1}
 	// Scores rank: idx0 (fast, uncertain) > idx1 (fast) > idx2 (uncertain) > idx3.
 	c := mkCandidates(mu, sigma, 1)
-	sel := PWU{Alpha: 0.05}.Select(c, 2)
+	sel := selectMem(t, PWU{Alpha: 0.05}, c, 2)
 	if sel[0] != 0 || sel[1] != 1 {
 		t.Fatalf("PWU selected %v", sel)
 	}
@@ -76,7 +76,7 @@ func TestPBUSRespectsPerformanceFilter(t *testing.T) {
 	}
 	sigma[0] = 1e9 // slowest is extremely uncertain, but must be filtered out
 	c := mkCandidates(mu, sigma, 1)
-	sel := PBUS{PerfFrac: 0.1}.Select(c, 1)
+	sel := selectMem(t, PBUS{PerfFrac: 0.1}, c, 1)
 	if sel[0] != 9 {
 		t.Fatalf("PBUS selected %v, want 9", sel)
 	}
@@ -87,7 +87,7 @@ func TestPBUSUncertaintyWithinFilter(t *testing.T) {
 	mu := []float64{1, 2, 50, 60}
 	sigma := []float64{0.1, 5, 100, 100}
 	c := mkCandidates(mu, sigma, 1)
-	sel := PBUS{PerfFrac: 0.5}.Select(c, 1)
+	sel := selectMem(t, PBUS{PerfFrac: 0.5}, c, 1)
 	if sel[0] != 1 {
 		t.Fatalf("PBUS selected %v, want 1", sel)
 	}
@@ -98,7 +98,7 @@ func TestPBUSFilterExpandsToBatch(t *testing.T) {
 	mu := []float64{4, 3, 2, 1}
 	sigma := []float64{1, 1, 1, 1}
 	c := mkCandidates(mu, sigma, 1)
-	sel := PBUS{PerfFrac: 0.01}.Select(c, 3)
+	sel := selectMem(t, PBUS{PerfFrac: 0.01}, c, 3)
 	if len(sel) != 3 {
 		t.Fatalf("PBUS returned %d indices", len(sel))
 	}
@@ -120,7 +120,7 @@ func TestBRSSamplesWithinTopFraction(t *testing.T) {
 	c := mkCandidates(mu, sigma, 7)
 	counts := map[int]int{}
 	for rep := 0; rep < 200; rep++ {
-		for _, i := range (BRS{TopFrac: 0.1}).Select(c, 1) {
+		for _, i := range selectMem(t, BRS{TopFrac: 0.1}, c, 1) {
 			counts[i]++
 		}
 	}
@@ -138,7 +138,7 @@ func TestBestPerfGreedy(t *testing.T) {
 	mu := []float64{5, 1, 3}
 	sigma := []float64{9, 9, 9}
 	c := mkCandidates(mu, sigma, 1)
-	sel := BestPerf{}.Select(c, 2)
+	sel := selectMem(t, BestPerf{}, c, 2)
 	if sel[0] != 1 || sel[1] != 2 {
 		t.Fatalf("BestPerf selected %v", sel)
 	}
@@ -148,7 +148,7 @@ func TestMaxUGreedy(t *testing.T) {
 	mu := []float64{1, 1, 1}
 	sigma := []float64{2, 9, 5}
 	c := mkCandidates(mu, sigma, 1)
-	sel := MaxU{}.Select(c, 2)
+	sel := selectMem(t, MaxU{}, c, 2)
 	if sel[0] != 1 || sel[1] != 2 {
 		t.Fatalf("MaxU selected %v", sel)
 	}
@@ -160,7 +160,7 @@ func TestRandomUniform(t *testing.T) {
 	c := mkCandidates(mu, sigma, 11)
 	hit := map[int]bool{}
 	for rep := 0; rep < 500; rep++ {
-		for _, i := range (Random{}).Select(c, 2) {
+		for _, i := range selectMem(t, Random{}, c, 2) {
 			hit[i] = true
 		}
 	}
@@ -174,8 +174,8 @@ func TestCVEqualsPWUAlphaZero(t *testing.T) {
 	sigma := []float64{1, 8, 0.4, 2}
 	c1 := mkCandidates(mu, sigma, 1)
 	c2 := mkCandidates(mu, sigma, 1)
-	a := CV{}.Select(c1, 2)
-	b := PWU{Alpha: 0}.Select(c2, 2)
+	a := selectMem(t, CV{}, c1, 2)
+	b := selectMem(t, PWU{Alpha: 0}, c2, 2)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("CV %v != PWU(0) %v", a, b)
@@ -216,7 +216,7 @@ func TestEISelect(t *testing.T) {
 	sigma := []float64{0.1, 0.1, 0.1}
 	c := mkCandidates(mu, sigma, 1)
 	c.BestY = 10
-	sel := EI{}.Select(c, 1)
+	sel := selectMem(t, EI{}, c, 1)
 	if sel[0] != 1 {
 		t.Fatalf("EI selected %v, want the clear improver", sel)
 	}
@@ -266,7 +266,7 @@ func TestAllStrategiesReturnDistinctValidIndices(t *testing.T) {
 		for _, s := range strategies {
 			batch := 1 + r.Intn(5)
 			c := mkCandidates(mu, sigma, seed+1)
-			sel := s.Select(c, batch)
+			sel := selectMem(t, s, c, batch)
 			want := batch
 			if want > n {
 				want = n
@@ -294,7 +294,7 @@ func TestBatchLargerThanPool(t *testing.T) {
 	sigma := []float64{1, 2}
 	for _, s := range []Strategy{PWU{Alpha: 0.05}, PBUS{}, BRS{}, BestPerf{}, MaxU{}, Random{}} {
 		c := mkCandidates(mu, sigma, 3)
-		sel := s.Select(c, 10)
+		sel := selectMem(t, s, c, 10)
 		if len(sel) != 2 {
 			t.Fatalf("%s returned %d indices for oversize batch", s.Name(), len(sel))
 		}
@@ -359,8 +359,8 @@ func TestStrategiesDeterministicUnderNaN(t *testing.T) {
 	mu := []float64{1, nan, 3, 4, nan, 6, 7, 8}
 	sigma := []float64{nan, 1, nan, 2, 1, nan, 2, 1}
 	for _, s := range []Strategy{PWU{Alpha: 0.05}, PBUS{PerfFrac: 0.25}, BestPerf{}, MaxU{}, EI{}} {
-		a := s.Select(mkCandidates(mu, sigma, 9), 4)
-		b := s.Select(mkCandidates(mu, sigma, 9), 4)
+		a := selectMem(t, s, mkCandidates(mu, sigma, 9), 4)
+		b := selectMem(t, s, mkCandidates(mu, sigma, 9), 4)
 		if !sliceEq(a, b) {
 			t.Fatalf("%s not deterministic under NaN: %v vs %v", s.Name(), a, b)
 		}

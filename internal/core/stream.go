@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -67,45 +66,6 @@ func (ps *poolStream) Scan(consume func(ord int, x []float64, mu, sigma float64)
 		cfg.Cache = ps.s.cache
 	}
 	return pool.Scan(ps.s.src, sc, cfg, consume)
-}
-
-// RunStream executes Algorithm 1 over a lazily generated candidate pool.
-//
-// It is Run for pools too large to materialize: candidates come from a
-// deterministic pool.Source instead of a []space.Config slice, each
-// iteration's scoring streams shard-by-shard through the model on a
-// bounded set of worker buffers (peak memory O(workers × shard), never
-// O(pool)), and the strategy reduces the scored stream with the exact
-// selection contract of the in-memory helpers. For the same candidate
-// sequence, evaluator, strategy, params and generator, RunStream's result
-// is bit-identical to Run's — same labels, same selections, same RNG
-// stream position — invariant across shard sizes and worker counts (the
-// pool-equivalence gate).
-//
-// strat must implement StreamStrategy (all built-in strategies do).
-// Context handling, failure policy, label guard, telemetry and
-// checkpointing behave exactly as in Run; snapshots record the source
-// fingerprint and the taken set instead of the remaining list, and are
-// resumed with ResumeStream. Like Run, it is a thin driver over the
-// ask-tell Session.
-func RunStream(ctx context.Context, src pool.Source, ev Evaluator, strat Strategy, params Params, r *rng.RNG, obs Observer) (*Result, error) {
-	if src == nil {
-		return nil, fmt.Errorf("core: nil source")
-	}
-	if src.Space() == nil {
-		return nil, fmt.Errorf("core: source has nil space")
-	}
-	if ev == nil || strat == nil || r == nil {
-		return nil, fmt.Errorf("core: nil evaluator, strategy or generator")
-	}
-	s, err := NewSession(SessionConfig{
-		Source: src, Strategy: strat, Params: params,
-		RNG: r, Observer: obs, Evaluator: ev,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return driveSession(ctx, s, ev)
 }
 
 // markTaken inserts global index g into the sorted taken set.
@@ -174,39 +134,4 @@ func (s *Session) fetchConfigs(globals []int) ([]space.Config, error) {
 		base += n
 	}
 	return out, nil
-}
-
-// ResumeStream continues a streamed run from a Snapshot taken by
-// RunStream, bit-identically to the uninterrupted run. The caller
-// regenerates the deterministic inputs — the source (validated against
-// the snapshot's fingerprint), the evaluator, the strategy and the params
-// — and the snapshot restores the labeled set, the taken set, the loop
-// generator, the fitted model and, for StatefulEvaluator evaluators, the
-// noise stream.
-func ResumeStream(ctx context.Context, snap *Snapshot, src pool.Source, ev Evaluator, strat Strategy, params Params, obs Observer) (*Result, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: nil snapshot")
-	}
-	if err := checkSnapshotVersion(snap.Version); err != nil {
-		return nil, err
-	}
-	if !snap.Streamed {
-		return nil, fmt.Errorf("core: snapshot was taken by an in-memory run; use Resume")
-	}
-	if src == nil {
-		return nil, fmt.Errorf("core: nil source")
-	}
-	if src.Space() == nil {
-		return nil, fmt.Errorf("core: source has nil space")
-	}
-	if ev == nil || strat == nil {
-		return nil, fmt.Errorf("core: nil evaluator or strategy")
-	}
-	s, err := ResumeSession(snap, SessionConfig{
-		Source: src, Strategy: strat, Params: params, Observer: obs, Evaluator: ev,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return driveSession(ctx, s, ev)
 }

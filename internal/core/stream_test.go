@@ -12,8 +12,8 @@ import (
 )
 
 // assertSameResult requires two runs to be bit-identical in everything
-// deterministic: labels, labeled configs, selection records and the final
-// generator stream position.
+// deterministic: labels, labeled configs, selection records, telemetry
+// counters and the final generator stream position.
 func assertSameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if got.Iterations != want.Iterations {
@@ -42,6 +42,15 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 	if got.RNGState != want.RNGState {
 		t.Fatalf("%s: final generator state diverged", label)
 	}
+	gs, ws := zeroDurations(got.Stats), zeroDurations(want.Stats)
+	if len(gs) != len(ws) {
+		t.Fatalf("%s: %d telemetry events, want %d", label, len(gs), len(ws))
+	}
+	for i := range ws {
+		if gs[i] != ws[i] {
+			t.Fatalf("%s: telemetry event %d is %+v, want %+v", label, i, gs[i], ws[i])
+		}
+	}
 }
 
 func streamParams() Params {
@@ -49,10 +58,11 @@ func streamParams() Params {
 }
 
 // TestRunStreamMatchesRun is the pool-equivalence gate in miniature:
-// for every paper strategy (plus the extension baselines), the streamed
-// engine over a lazily generated pool must reproduce the in-memory
-// engine's run bit for bit — same labels, same selections, same final
-// generator state — for every shard size and worker count.
+// for every paper strategy (plus the extension baselines), a run
+// streaming a lazily generated pool must reproduce the run over the same
+// candidates materialized as a pool.Slice bit for bit — same labels,
+// same selections, same telemetry counters, same final generator state —
+// for every shard size and worker count.
 func TestRunStreamMatchesRun(t *testing.T) {
 	sp, ev := quadSpace(t)
 	const poolSeed, n = 91, 120
@@ -68,7 +78,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	for _, strat := range strategies {
 		strat := strat
 		t.Run(strat.Name(), func(t *testing.T) {
-			want, err := Run(context.Background(), sp, mem, ev, strat, streamParams(), rng.New(7), nil)
+			want, err := Run(context.Background(), pool.NewSlice(sp, mem), ev, strat, streamParams(), rng.New(7), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +93,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 					for _, workers := range workerSet {
 						p := streamParams()
 						p.StreamShard, p.StreamWorkers = shard, workers
-						got, err := RunStream(context.Background(), v.src, ev, strat, p, rng.New(7), nil)
+						got, err := Run(context.Background(), v.src, ev, strat, p, rng.New(7), nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -95,34 +105,36 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunStreamEnumerationSource drives the streamed engine over a lazily
-// enumerated full space — the never-materialized path a 10^7 space uses.
+// TestRunStreamEnumerationSource drives the engine over a lazily
+// enumerated full space — the never-materialized path a 10^7 space uses —
+// and requires the run over the materialized enumeration to match it.
 func TestRunStreamEnumerationSource(t *testing.T) {
 	sp, ev := quadSpace(t)
 	src, err := pool.NewEnumeration(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(context.Background(), sp, sp.Enumerate(), ev, PWU{Alpha: 0.05}, streamParams(), rng.New(19), nil)
+	want, err := Run(context.Background(), pool.NewSlice(sp, sp.Enumerate()), ev, PWU{Alpha: 0.05}, streamParams(), rng.New(19), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStream(context.Background(), src, ev, PWU{Alpha: 0.05}, streamParams(), rng.New(19), nil)
+	got, err := Run(context.Background(), src, ev, PWU{Alpha: 0.05}, streamParams(), rng.New(19), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, "enumeration", got, want)
 }
 
-// TestResumeStreamEquivalence: interrupting a streamed run at a snapshot
-// boundary and resuming reproduces the uninterrupted run exactly.
+// TestResumeStreamEquivalence: interrupting a run over a lazy source at a
+// snapshot boundary and resuming reproduces the uninterrupted run
+// exactly.
 func TestResumeStreamEquivalence(t *testing.T) {
 	sp, ev := quadSpace(t)
 	const poolSeed, n = 33, 100
 	src := pool.NewUniform(sp, poolSeed, n)
 
 	p := streamParams()
-	want, err := RunStream(context.Background(), src, ev, PWU{Alpha: 0.05}, p, rng.New(5), nil)
+	want, err := Run(context.Background(), src, ev, PWU{Alpha: 0.05}, p, rng.New(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +143,7 @@ func TestResumeStreamEquivalence(t *testing.T) {
 	p2 := streamParams()
 	p2.CheckpointEvery = 2
 	p2.Checkpoint = func(s *Snapshot) error { snaps = append(snaps, s); return nil }
-	if _, err := RunStream(context.Background(), src, ev, PWU{Alpha: 0.05}, p2, rng.New(5), nil); err != nil {
+	if _, err := Run(context.Background(), src, ev, PWU{Alpha: 0.05}, p2, rng.New(5), nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) < 2 {
@@ -139,9 +151,9 @@ func TestResumeStreamEquivalence(t *testing.T) {
 	}
 	for _, snap := range snaps {
 		if !snap.Streamed {
-			t.Fatal("streamed run produced a non-streamed snapshot")
+			t.Fatal("run produced a legacy (non-streamed) snapshot")
 		}
-		got, err := ResumeStream(context.Background(), snap, src, ev, PWU{Alpha: 0.05}, streamParams(), nil)
+		got, err := Resume(context.Background(), snap, src, ev, PWU{Alpha: 0.05}, streamParams(), nil)
 		if err != nil {
 			t.Fatalf("resume from iteration %d: %v", snap.Iteration, err)
 		}
@@ -152,80 +164,64 @@ func TestResumeStreamEquivalence(t *testing.T) {
 // TestResumeStreamRejectsMismatches: snapshot/source cross-checks.
 func TestResumeStreamRejectsMismatches(t *testing.T) {
 	sp, ev := quadSpace(t)
-	src := pool.NewUniform(sp, 1, 80)
-	p := streamParams()
-	var snap *Snapshot
-	p.CheckpointEvery = 1
-	p.Checkpoint = func(s *Snapshot) error { snap = s; return nil }
-	if _, err := RunStream(context.Background(), src, ev, PWU{Alpha: 0.05}, p, rng.New(2), nil); err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("no snapshot taken")
-	}
 	strat := PWU{Alpha: 0.05}
-	if _, err := ResumeStream(context.Background(), snap, pool.NewUniform(sp, 2, 80), ev, strat, streamParams(), nil); err == nil {
+	snapOf := func(src pool.Source) *Snapshot {
+		t.Helper()
+		p := streamParams()
+		var snap *Snapshot
+		p.CheckpointEvery = 1
+		p.Checkpoint = func(s *Snapshot) error { snap = s; return nil }
+		if _, err := Run(context.Background(), src, ev, strat, p, rng.New(2), nil); err != nil {
+			t.Fatal(err)
+		}
+		if snap == nil {
+			t.Fatal("no snapshot taken")
+		}
+		return snap
+	}
+	snap := snapOf(pool.NewUniform(sp, 1, 80))
+	if _, err := Resume(context.Background(), snap, pool.NewUniform(sp, 2, 80), ev, strat, streamParams(), nil); err == nil {
 		t.Fatal("wrong-seed source accepted")
 	}
-	if _, err := ResumeStream(context.Background(), snap, pool.NewUniform(sp, 1, 81), ev, strat, streamParams(), nil); err == nil {
+	if _, err := Resume(context.Background(), snap, pool.NewUniform(sp, 1, 81), ev, strat, streamParams(), nil); err == nil {
 		t.Fatal("wrong-size source accepted")
 	}
-	// A streamed snapshot cannot be resumed by the in-memory Resume, and
-	// an in-memory snapshot cannot be resumed by ResumeStream.
-	memPool := sp.SampleConfigs(rng.New(1), 80)
-	if _, err := Resume(context.Background(), snap, sp, memPool, ev, strat, streamParams(), nil); err == nil {
-		t.Fatal("Resume accepted a streamed snapshot")
-	}
-	var memSnap *Snapshot
-	pm := streamParams()
-	pm.CheckpointEvery = 1
-	pm.Checkpoint = func(s *Snapshot) error { memSnap = s; return nil }
-	if _, err := Run(context.Background(), sp, memPool, ev, strat, pm, rng.New(2), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResumeStream(context.Background(), memSnap, pool.NewUniform(sp, 1, 80), ev, strat, streamParams(), nil); err == nil {
-		t.Fatal("ResumeStream accepted an in-memory snapshot")
+	// A materialized pool is fingerprinted by content: a slice holding
+	// different candidates is refused.
+	sliceSnap := snapOf(pool.NewSlice(sp, sp.SampleConfigs(rng.New(1), 80)))
+	if _, err := Resume(context.Background(), sliceSnap, pool.NewSlice(sp, sp.SampleConfigs(rng.New(3), 80)), ev, strat, streamParams(), nil); err == nil {
+		t.Fatal("different-content slice accepted")
 	}
 }
 
-// TestRunStreamValidation mirrors TestRunValidation for the streamed
-// entry point.
+// TestRunStreamValidation checks the driver's input validation.
 func TestRunStreamValidation(t *testing.T) {
 	sp, ev := quadSpace(t)
 	src := pool.NewUniform(sp, 1, 50)
 	r := rng.New(2)
 	strat := PWU{Alpha: 0.05}
-	if _, err := RunStream(context.Background(), nil, ev, strat, Params{}, r, nil); err == nil {
+	if _, err := Run(context.Background(), nil, ev, strat, Params{}, r, nil); err == nil {
 		t.Fatal("nil source accepted")
 	}
-	if _, err := RunStream(context.Background(), src, nil, strat, Params{}, r, nil); err == nil {
+	if _, err := Run(context.Background(), src, nil, strat, Params{}, r, nil); err == nil {
 		t.Fatal("nil evaluator accepted")
 	}
-	if _, err := RunStream(context.Background(), src, ev, nil, Params{}, r, nil); err == nil {
+	if _, err := Run(context.Background(), src, ev, nil, Params{}, r, nil); err == nil {
 		t.Fatal("nil strategy accepted")
 	}
-	if _, err := RunStream(context.Background(), src, ev, strat, Params{}, nil, nil); err == nil {
+	if _, err := Run(context.Background(), src, ev, strat, Params{}, nil, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
-	if _, err := RunStream(context.Background(), pool.NewUniform(sp, 1, 5), ev, strat, Params{NInit: 10}, r, nil); err == nil {
+	if _, err := Run(context.Background(), pool.NewUniform(sp, 1, 5), ev, strat, Params{NInit: 10}, r, nil); err == nil {
 		t.Fatal("pool smaller than NInit accepted")
 	}
-	if _, err := RunStream(context.Background(), src, ev, strat, Params{NMax: 1000}, r, nil); err == nil {
+	if _, err := Run(context.Background(), src, ev, strat, Params{NMax: 1000}, r, nil); err == nil {
 		t.Fatal("NMax beyond pool accepted")
 	}
-	if _, err := RunStream(context.Background(), src, ev, strat, Params{NInit: 40, NMax: 20}, r, nil); err == nil {
+	if _, err := Run(context.Background(), src, ev, strat, Params{NInit: 40, NMax: 20}, r, nil); err == nil {
 		t.Fatal("NInit beyond NMax accepted")
 	}
-	if _, err := RunStream(context.Background(), src, ev, memOnlyStrategy{}, Params{NInit: 5, NMax: 10}, r, nil); err == nil {
-		t.Fatal("non-streaming strategy accepted")
-	}
 }
-
-// memOnlyStrategy implements Strategy but not StreamStrategy.
-type memOnlyStrategy struct{}
-
-func (memOnlyStrategy) Name() string                           { return "MemOnly" }
-func (memOnlyStrategy) Select(c *Candidates, nBatch int) []int { return []int{0} }
 
 // TestFetchConfigsSequentialSource: the generation-only fetch path (no
 // random access) must return the right configs for repeated and
@@ -267,7 +263,7 @@ func TestStreamCacheEquivalence(t *testing.T) {
 		p.WarmUpdate = true
 		p.StreamCacheMB = cacheMB
 		p.StreamShard = 32
-		res, err := RunStream(context.Background(), src, ev, PWU{Alpha: 0.05}, p, rng.New(9), nil)
+		res, err := Run(context.Background(), src, ev, PWU{Alpha: 0.05}, p, rng.New(9), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,8 +127,9 @@ func TestCampaignDatasetCacheHits(t *testing.T) {
 }
 
 // TestCampaignWarmUpdate exercises the cached checkpoint-evaluation path
-// (PredictCached on the shared test matrix) end to end: warm-update
-// campaigns must equal warm-update sequential runs bit for bit.
+// (each repetition's ScanCache over the shared test set) end to end:
+// warm-update campaigns must equal warm-update sequential runs bit for
+// bit.
 func TestCampaignWarmUpdate(t *testing.T) {
 	p, err := bench.ByName("atax")
 	if err != nil {

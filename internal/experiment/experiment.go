@@ -22,6 +22,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/forest"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -154,7 +155,7 @@ type CurveSet struct {
 	CC []float64
 
 	// Stats aggregates the run engine's telemetry over every completed
-	// repetition (fit/select/eval wall time, retries, cache hits).
+	// repetition (fit/select/eval wall time, retries, skips, guard activity).
 	Stats core.RunStats
 
 	// Reps is the number of repetitions the curves average; it equals
@@ -175,7 +176,6 @@ func (c *CurveSet) merge(s core.RunStats) {
 	c.Stats.GuardRemeasured += s.GuardRemeasured
 	c.Stats.GuardQuarantined += s.GuardQuarantined
 	c.Stats.GuardCost += s.GuardCost
-	c.Stats.CachedIterations += s.CachedIterations
 	c.Stats.Events += s.Events
 }
 
@@ -355,19 +355,25 @@ func buildDataset(ctx context.Context, p bench.Problem, sc Scale, _ uint64, r *r
 	return ds, ds.TestX(), nil
 }
 
-// testPredict evaluates the surrogate on the held-out test matrix. Warm
+// testPredict evaluates the surrogate on the held-out test set. Warm
 // runs keep one forest alive across checkpoints with only a few trees
-// refreshed in between, so the cached per-tree path recomputes just
-// those trees (bit-identical to PredictBatch); cold refits see a fresh
-// model at every checkpoint, where a cache could never be reused and the
-// plain batch path avoids carrying one.
-func testPredict(m core.Model, testX [][]float64, warm bool) []float64 {
-	if cp, ok := m.(core.CachedBatchPredictor); warm && ok {
-		mu, _ := cp.PredictCached(testX)
-		return mu
+// refreshed in between, so they scan the test set (test, as a source)
+// through the repetition's cross-scan cache, which re-walks just those
+// trees — bit-identical to PredictBatch by the pool.SlotScorer
+// contract. Cold refits (cache nil) see a fresh model at every
+// checkpoint, where a cache could never be reused and the plain batch
+// path over the encoded matrix testX avoids carrying one.
+func testPredict(m core.Model, testX [][]float64, test pool.Source, cache *pool.ScanCache) ([]float64, error) {
+	ss, ok := m.(pool.SlotScorer)
+	if cache == nil || !ok {
+		mu, _ := m.PredictBatch(testX)
+		return mu, nil
 	}
-	mu, _ := m.PredictBatch(testX)
-	return mu
+	mu := make([]float64, test.Len())
+	err := pool.Scan(test, ss, pool.ScanConfig{Cache: cache}, func(ord int, _ []float64, mean, _ float64) {
+		mu[ord] = mean
+	})
+	return mu, err
 }
 
 // runOnce executes one repetition and returns the per-checkpoint RMSE@α
@@ -393,6 +399,14 @@ func runOnce(ctx context.Context, p bench.Problem, strategyName string, sc Scale
 		want[s] = true
 	}
 
+	var (
+		testSrc   pool.Source
+		testCache *pool.ScanCache
+	)
+	if sc.WarmUpdate {
+		testSrc = pool.NewSlice(p.Space(), ds.Test)
+		testCache = pool.NewScanCache(0)
+	}
 	lastRecorded := -1
 	obs := func(st *core.State) error {
 		n := len(st.TrainY)
@@ -402,7 +416,10 @@ func runOnce(ctx context.Context, p bench.Problem, strategyName string, sc Scale
 			return nil
 		}
 		lastRecorded = n
-		pred := testPredict(st.Model, testX, sc.WarmUpdate)
+		pred, err := testPredict(st.Model, testX, testSrc, testCache)
+		if err != nil {
+			return err
+		}
 		rr.rmse = append(rr.rmse, metrics.RMSEAtAlpha(ds.TestY, pred, sc.Alpha))
 		rr.cc = append(rr.cc, metrics.CumulativeCost(st.TrainY))
 		return nil
@@ -417,7 +434,7 @@ func runOnce(ctx context.Context, p bench.Problem, strategyName string, sc Scale
 	params := core.Params{NInit: sc.NInit, NBatch: sc.NBatch, NMax: sc.NMax,
 		Forest: sc.Forest, Fitter: sc.Fitter, WarmUpdate: sc.WarmUpdate,
 		Failure: sc.Failure, Guard: sc.Guard}
-	res, err := core.Run(ctx, p.Space(), ds.Pool, ev, strat, params, r, obs)
+	res, err := core.Run(ctx, pool.NewSlice(p.Space(), ds.Pool), ev, strat, params, r, obs)
 	if res != nil {
 		rr.stats = res.Telemetry()
 	}

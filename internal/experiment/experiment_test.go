@@ -226,8 +226,10 @@ func TestCheckpointSizesEdgeCases(t *testing.T) {
 	}
 }
 
-// noPoolModel hides the forest's PoolPredictor capability so core.Run
-// scores candidates through plain PredictBatch.
+// noPoolModel hides the forest's scorer capabilities (concurrent
+// ScoreBatch, per-slot scoring) so core.Run scores candidates — and the
+// harness scores the held-out set — through plain PredictBatch, with no
+// cross-scan cache.
 type noPoolModel struct{ f *forest.Forest }
 
 func (m noPoolModel) Predict(x []float64) float64 { return m.f.Predict(x) }
@@ -235,39 +237,50 @@ func (m noPoolModel) PredictBatch(X [][]float64) (mu, sigma []float64) {
 	return m.f.PredictBatch(X)
 }
 
-// TestEngineSwapCurvesIdentical runs the same PWU experiment with the
-// cached pool-scoring engine and with the plain batch engine; the
-// learning curves must be byte-identical, proving the engine swap is
-// invisible to the science.
+// noPoolUpdatable additionally forwards warm updates.
+type noPoolUpdatable struct{ noPoolModel }
+
+func (m noPoolUpdatable) Update(X [][]float64, y []float64, r *rng.RNG) error {
+	return m.f.Update(X, y, r)
+}
+
+// TestEngineSwapCurvesIdentical runs the same PWU experiment on the
+// forest's scoring engine and on the plain batch engine, cold and warm;
+// the learning curves must be byte-identical, proving the engine — and,
+// in warm mode, the cross-scan caches over the pool and the held-out
+// set — is invisible to the science.
 func TestEngineSwapCurvesIdentical(t *testing.T) {
 	p, err := bench.ByName("atax")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := Smoke()
-	base, err := RunStrategy(context.Background(), p, "PWU", sc, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped := sc
-	swapped.Fitter = func(X [][]float64, y []float64, fs []space.Feature, r *rng.RNG) (core.Model, error) {
-		f, err := forest.Fit(X, y, fs, sc.Forest, r)
+	for _, warm := range []bool{false, true} {
+		sc := Smoke()
+		sc.WarmUpdate = warm
+		base, err := RunStrategy(context.Background(), p, "PWU", sc, 7)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		return noPoolModel{f}, nil
-	}
-	alt, err := RunStrategy(context.Background(), p, "PWU", swapped, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.RMSE) != len(alt.RMSE) {
-		t.Fatalf("curve lengths differ: %d vs %d", len(base.RMSE), len(alt.RMSE))
-	}
-	for i := range base.RMSE {
-		if base.RMSE[i] != alt.RMSE[i] || base.CC[i] != alt.CC[i] || base.RMSEStd[i] != alt.RMSEStd[i] {
-			t.Fatalf("checkpoint %d: (%v,%v,%v) vs (%v,%v,%v)", i,
-				base.RMSE[i], base.CC[i], base.RMSEStd[i], alt.RMSE[i], alt.CC[i], alt.RMSEStd[i])
+		swapped := sc
+		swapped.Fitter = func(X [][]float64, y []float64, fs []space.Feature, r *rng.RNG) (core.Model, error) {
+			f, err := forest.Fit(X, y, fs, sc.Forest, r)
+			if err != nil {
+				return nil, err
+			}
+			return noPoolUpdatable{noPoolModel{f}}, nil
+		}
+		alt, err := RunStrategy(context.Background(), p, "PWU", swapped, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(base.RMSE) != len(alt.RMSE) {
+			t.Fatalf("warm=%v: curve lengths differ: %d vs %d", warm, len(base.RMSE), len(alt.RMSE))
+		}
+		for i := range base.RMSE {
+			if base.RMSE[i] != alt.RMSE[i] || base.CC[i] != alt.CC[i] || base.RMSEStd[i] != alt.RMSEStd[i] {
+				t.Fatalf("warm=%v checkpoint %d: (%v,%v,%v) vs (%v,%v,%v)", warm, i,
+					base.RMSE[i], base.CC[i], base.RMSEStd[i], alt.RMSE[i], alt.CC[i], alt.RMSEStd[i])
+			}
 		}
 	}
 }

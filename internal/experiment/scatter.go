@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -44,7 +45,7 @@ func SelectionScatter(ctx context.Context, p bench.Problem, strategyName string,
 		NInit: sc.NInit, NBatch: sc.NBatch, NMax: sc.NMax,
 		Forest: sc.Forest, RecordSelections: true,
 	}
-	res, err := core.Run(ctx, p.Space(), ds.Pool, ev, strat, params, r, nil)
+	res, err := core.Run(ctx, pool.NewSlice(p.Space(), ds.Pool), ev, strat, params, r, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: scatter %s/%s: %w", p.Name(), strategyName, err)
 	}

@@ -558,16 +558,16 @@ func (g *Generator) Telemetry() error {
 	sort.Strings(names)
 
 	var b strings.Builder
-	b.WriteString("benchmark,strategy,reps,events,fit_ms,select_ms,eval_ms,retries,skips,cached_iterations," +
+	b.WriteString("benchmark,strategy,reps,events,fit_ms,select_ms,eval_ms,retries,skips," +
 		"timeouts,guard_flagged,guard_remeasured,guard_quarantined,guard_cost\n")
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond)) }
 	for _, name := range names {
 		for _, cs := range g.curves[name] {
 			st := cs.Stats
-			b.WriteString(fmt.Sprintf("%s,%s,%d,%d,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%.4f\n",
+			b.WriteString(fmt.Sprintf("%s,%s,%d,%d,%s,%s,%s,%d,%d,%d,%d,%d,%d,%.4f\n",
 				name, cs.Strategy, cs.Reps, st.Events,
 				ms(st.FitTime), ms(st.SelectTime), ms(st.EvalTime),
-				st.EvalRetries, st.EvalSkips, st.CachedIterations,
+				st.EvalRetries, st.EvalSkips,
 				st.EvalTimeouts, st.GuardFlagged, st.GuardRemeasured, st.GuardQuarantined, st.GuardCost))
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -23,7 +24,7 @@ func surrogateModel(ctx context.Context, p bench.Problem, sc experiment.Scale, r
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(ctx, p.Space(), ds.Pool, bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
+	res, err := core.Run(ctx, pool.NewSlice(p.Space(), ds.Pool), bench.Evaluator(p, r.Split()), core.PWU{Alpha: sc.Alpha},
 		core.Params{NInit: sc.NInit, NBatch: sc.NBatch, NMax: sc.NMax, Forest: sc.Forest}, r.Split(), nil)
 	if err != nil {
 		return nil, err

@@ -90,16 +90,10 @@ type Forest struct {
 	nextRefresh int
 
 	// treeGen counts how many times each ensemble slot has been
-	// replaced by Update; the pool-prediction cache compares it against
-	// its own snapshot to recompute only refreshed slots.
+	// replaced by Update; the cross-scan score cache (pool.ScanCache,
+	// via SlotGens) compares it against its own snapshot to recompute
+	// only refreshed slots.
 	treeGen []uint64
-
-	// cache holds per-tree predictions over a fixed pool matrix; see
-	// BindPool / PredictPool. aux holds the same kind of cache for
-	// additional identity-keyed matrices (e.g. the held-out test set);
-	// see PredictCached.
-	cache *poolCache
-	aux   []*poolCache
 }
 
 // Fit trains a forest on (X, y) with the column description features.

@@ -82,8 +82,8 @@ func adversarialProbes(t *testing.T, f *Forest, base [][]float64, r *rng.RNG) []
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestExactKernelsBitIdentical is the keyed lane walk's bit-identity
-// gate on adversarial rows: ScoreBatch, ScoreSlots + AggregateSlots,
-// PredictPool, PredictCached and PredictBatch must each equal
+// gate on adversarial rows: ScoreBatch, ScoreSlots + AggregateSlots and
+// PredictBatch must each equal
 // PredictWithUncertainty bit for bit, which must equal the pointer-tree
 // reference — numeric-only and categorical forests, a forest of
 // single-leaf trees, both σ estimators, and every batch length
@@ -169,16 +169,6 @@ func TestExactKernelsBitIdentical(t *testing.T) {
 			mu, sigma = f.PredictBatch(X)
 			check("PredictBatch", n, mu, sigma)
 
-			mu, sigma = f.PredictCached(X)
-			check("PredictCached", n, mu, sigma)
-
-			f.BindPool(X)
-			rows := make([]int, n)
-			for i := range rows {
-				rows[i] = i
-			}
-			mu, sigma = f.PredictPool(rows)
-			check("PredictPool", n, mu, sigma)
 		}
 	}
 }

@@ -23,10 +23,10 @@ import (
 // partition the ensemble in order, and every row visits the blocks in
 // order), so the kernel stays bit-identical to PredictWithUncertainty
 // no matter how the blocking divides the work. Every batch entry —
-// ScoreBatch (behind PredictBatch and the streaming scan), ScoreSlots,
-// the pool/aux cache refresh behind PredictPool and PredictCached, and
-// the out-of-bag pass — runs this one keyed walk; the scalar
-// Compiled.PredictStats serves single rows only.
+// ScoreBatch (behind PredictBatch and the streaming scan), ScoreSlots
+// (the cross-scan cache's partial rescore) and the out-of-bag pass —
+// runs this one keyed walk; the scalar Compiled.PredictStats serves
+// single rows only.
 
 // rowTile is the blocking tile: enough rows to amortize a tree's node
 // array walking over a hot panel, small enough that the tile's keys

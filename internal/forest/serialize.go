@@ -77,7 +77,6 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 	}
 	f.nextRefresh = d.NextRefresh % len(trees)
 	f.treeGen = make([]uint64, len(trees))
-	f.cache = nil
 	return nil
 }
 

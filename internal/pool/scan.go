@@ -27,18 +27,19 @@ type BatchScorer interface {
 // pool-equivalence gate pins that.
 type ScanConfig struct {
 	// Shard is the number of candidates generated, encoded and scored as
-	// one unit; <= 0 defaults to 1024.
+	// one unit; <= 0 defaults to 1024. It is capped at the pool size, so
+	// a small pool never allocates buffers it cannot fill.
 	Shard int
 
 	// Workers is the number of concurrent scoring workers; <= 0 defaults
-	// to GOMAXPROCS.
+	// to GOMAXPROCS. It is capped at the number of shards, since a worker
+	// without a shard to score would only hold idle buffers.
 	Workers int
 
 	// Skip lists global candidate indices to omit (ascending, unique) —
 	// the engine's already-labeled configurations. Ordinals passed to the
-	// consumer are ranks among the non-skipped candidates, i.e. exactly
-	// the candidate indices the in-memory engine's `remaining` view would
-	// have used.
+	// consumer are ranks among the non-skipped candidates, the index
+	// space strategies select in.
 	Skip []int
 
 	// Cache, when non-nil, reuses per-slot score panels across scans
@@ -55,8 +56,62 @@ type ScanConfig struct {
 // at most workers+1 of them regardless of pool size.
 type shardBuf struct {
 	configs []space.Config
-	base    int // global index of configs[0]
-	n       int // filled count
+	flat    []int // backing store of configs
+	base    int   // global index of configs[0]
+	n       int   // filled count
+}
+
+// workerBuf is one worker's encode/score scratch for a shard.
+type workerBuf struct {
+	flat          []float64 // backing store of rows
+	rows          [][]float64
+	ords, globals []int
+	mus, sigmas   []float64
+	mrows, vrows  [][]float64 // cached-panel rows (cache plans only)
+}
+
+// shardBufs and workerBufs recycle scan buffers across Scans: the engine
+// rescans the same pool every iteration, and small pools would otherwise
+// spend as much on allocating shard buffers as on scoring them.
+var (
+	shardBufs  = sync.Pool{New: func() interface{} { return new(shardBuf) }}
+	workerBufs = sync.Pool{New: func() interface{} { return new(workerBuf) }}
+)
+
+// grow returns s resliced to n, reallocating only when its capacity is
+// short. Contents are not preserved; every user overwrites them.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// getShardBuf checks out a shard buffer of shard configs of d levels.
+func getShardBuf(shard, d int) *shardBuf {
+	b := shardBufs.Get().(*shardBuf)
+	b.flat = grow(b.flat, shard*d)
+	b.configs = grow(b.configs, shard)
+	for i := range b.configs {
+		b.configs[i] = space.Config(b.flat[i*d : (i+1)*d : (i+1)*d])
+	}
+	return b
+}
+
+// getWorkerBuf checks out a worker scratch for shard rows of d features.
+func getWorkerBuf(shard, d int, cached bool) *workerBuf {
+	w := workerBufs.Get().(*workerBuf)
+	w.flat = grow(w.flat, shard*d)
+	w.rows = grow(w.rows, shard)
+	for i := range w.rows {
+		w.rows[i] = w.flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	w.ords, w.globals = grow(w.ords, shard), grow(w.globals, shard)
+	w.mus, w.sigmas = grow(w.mus, shard), grow(w.sigmas, shard)
+	if cached {
+		w.mrows, w.vrows = grow(w.mrows, shard), grow(w.vrows, shard)
+	}
+	return w
 }
 
 // Scan streams every candidate of src through the scorer and hands each
@@ -85,9 +140,15 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 	if shard <= 0 {
 		shard = 1024
 	}
+	if n := src.Len(); shard > n {
+		shard = max(n, 1)
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if shards := (src.Len() + shard - 1) / shard; workers > shards {
+		workers = max(shards, 1)
 	}
 	skip := cfg.Skip
 	for i := 1; i < len(skip); i++ {
@@ -107,17 +168,9 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 		plan = cfg.Cache.begin(ss, src.Len())
 	}
 
-	newBuf := func() *shardBuf {
-		b := &shardBuf{configs: make([]space.Config, shard)}
-		flat := make([]int, shard*d)
-		for i := range b.configs {
-			b.configs[i] = space.Config(flat[i*d : (i+1)*d : (i+1)*d])
-		}
-		return b
-	}
 	free := make(chan *shardBuf, workers+1)
 	for i := 0; i < workers+1; i++ {
-		free <- newBuf()
+		free <- getShardBuf(shard, d)
 	}
 	tasks := make(chan *shardBuf)
 
@@ -127,20 +180,14 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			flat := make([]float64, shard*d)
-			rows := make([][]float64, shard)
-			for i := range rows {
-				rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
-			}
-			ords := make([]int, shard)
-			globals := make([]int, shard)
-			mus := make([]float64, shard)
-			sigmas := make([]float64, shard)
-			var mrows, vrows [][]float64
-			if plan != nil {
-				mrows = make([][]float64, shard)
-				vrows = make([][]float64, shard)
-			}
+			wb := getWorkerBuf(shard, d, plan != nil)
+			defer func() {
+				// Drop references into the cache's panels before pooling.
+				clear(wb.mrows)
+				clear(wb.vrows)
+				workerBufs.Put(wb)
+			}()
+			rows, ords, globals, mus, sigmas := wb.rows, wb.ords, wb.globals, wb.mus, wb.sigmas
 			for buf := range tasks {
 				// si indexes the first skip entry not yet passed; for a
 				// kept global g, si equals the count of skipped globals
@@ -159,7 +206,7 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 					kept++
 				}
 				if kept > 0 {
-					scoreShard(sc, plan, globals[:kept], rows[:kept], mus[:kept], sigmas[:kept], mrows, vrows)
+					scoreShard(sc, plan, globals[:kept], rows[:kept], mus[:kept], sigmas[:kept], wb.mrows, wb.vrows)
 					mu.Lock()
 					for j := 0; j < kept; j++ {
 						consume(ords[j], rows[j], mus[j], sigmas[j])
@@ -177,6 +224,7 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 		buf := <-free
 		n := src.Next(buf.configs)
 		if n == 0 {
+			free <- buf
 			break
 		}
 		buf.base, buf.n = global, n
@@ -185,6 +233,9 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 	}
 	close(tasks)
 	wg.Wait()
+	for i := 0; i < workers+1; i++ {
+		shardBufs.Put(<-free)
+	}
 	if global != src.Len() {
 		return fmt.Errorf("pool: source produced %d candidates, Len() promised %d", global, src.Len())
 	}

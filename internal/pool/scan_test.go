@@ -1,9 +1,12 @@
 package pool
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -85,26 +88,102 @@ func TestScanExactlyOnce(t *testing.T) {
 
 // TestScanShardWorkerInvariance: the reduced selection is bit-identical
 // across shard sizes and worker counts — the pool-equivalence property at
-// the pool layer.
+// the pool layer — including pools smaller than one shard and a
+// one-candidate pool, where the shard and worker caps engage.
 func TestScanShardWorkerInvariance(t *testing.T) {
-	src := scanTestSource(t, 311)
-	reduce := func(cfg ScanConfig) []int {
-		tk := NewTopKDistinct(7)
-		if err := Scan(src, &sumScorer{}, cfg, func(ord int, x []float64, mu, sigma float64) {
-			tk.Push(ord, sigma/math.Max(mu, 1e-9), x)
-		}); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{311, 5, 1} {
+		src := scanTestSource(t, n)
+		reduce := func(cfg ScanConfig) []int {
+			tk := NewTopKDistinct(7)
+			if err := Scan(src, &sumScorer{}, cfg, func(ord int, x []float64, mu, sigma float64) {
+				tk.Push(ord, sigma/math.Max(mu, 1e-9), x)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return tk.Result()
 		}
-		return tk.Result()
-	}
-	want := reduce(ScanConfig{Shard: src.Len(), Workers: 1})
-	for _, shard := range []int{1, 3, 64, 1024} {
-		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0) + 2} {
-			got := reduce(ScanConfig{Shard: shard, Workers: workers})
-			if !sameInts(got, want) {
-				t.Fatalf("shard=%d workers=%d selected %v, serial selected %v", shard, workers, got, want)
+		want := reduce(ScanConfig{Shard: src.Len(), Workers: 1})
+		if len(want) != min(n, 7) {
+			t.Fatalf("n=%d: serial scan selected %d candidates", n, len(want))
+		}
+		for _, shard := range []int{0, 1, 3, 64, 1024} {
+			for _, workers := range []int{0, 1, 2, runtime.GOMAXPROCS(0) + 2} {
+				got := reduce(ScanConfig{Shard: shard, Workers: workers})
+				if !sameInts(got, want) {
+					t.Fatalf("n=%d shard=%d workers=%d selected %v, serial selected %v", n, shard, workers, got, want)
+				}
 			}
 		}
+	}
+}
+
+// TestScanConcurrentScans: scans running at once share the recycled
+// shard and worker buffers; over pools of different shapes, so a buffer
+// changes size between checkouts, every scan must still deliver exactly
+// what it delivers alone, with each row's features matching its scores.
+func TestScanConcurrentScans(t *testing.T) {
+	wide := space.MustNew(
+		space.Num("a", 1, 2, 3), space.Num("b", 1, 2), space.Num("c", 4, 5, 6),
+		space.Bool("d"), space.Cat("e", "x", "y"),
+	)
+	cases := []struct {
+		src func() Source
+		cfg ScanConfig
+	}{
+		{func() Source { return scanTestSource(t, 311) }, ScanConfig{Shard: 64, Workers: 2}},
+		{func() Source { return scanTestSource(t, 5) }, ScanConfig{}},
+		{func() Source { return NewUniform(wide, 5, 700) }, ScanConfig{Shard: 7, Workers: 3}},
+	}
+	// scan returns each ordinal's mu, or an error when a delivered row's
+	// features do not sum to its score (a buffer overwritten mid-scan).
+	scan := func(src Source, cfg ScanConfig) ([]float64, error) {
+		mus := make([]float64, src.Len())
+		var bad error
+		err := Scan(src, &sumScorer{}, cfg, func(ord int, x []float64, mu, _ float64) {
+			var sum float64
+			for _, v := range x {
+				sum += v
+			}
+			if sum != mu && bad == nil {
+				bad = fmt.Errorf("ordinal %d: features sum to %v, score %v", ord, sum, mu)
+			}
+			mus[ord] = mu
+		})
+		if err == nil {
+			err = bad
+		}
+		return mus, err
+	}
+	want := make([][]float64, len(cases))
+	for i, c := range cases {
+		var err error
+		if want[i], err = scan(c.src(), c.cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := cases[g%len(cases)]
+			for rep := 0; rep < 5; rep++ {
+				got, err := scan(c.src(), c.cfg)
+				if err == nil && !slices.Equal(got, want[g%len(cases)]) {
+					err = fmt.Errorf("case %d: concurrent scan diverged from the serial one", g%len(cases))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

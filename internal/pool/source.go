@@ -13,8 +13,8 @@
 //     of workers, each with reusable config/matrix buffers, so peak memory
 //     is O(workers × shard), not O(pool).
 //   - TopK / BottomK reduce the scored stream into exactly the selection
-//     the in-memory sort-based helpers of internal/core would have made:
-//     same NaN sinking, same index tie-breaks, same duplicate suppression.
+//     a sort-based pass over the materialized scores would make: same NaN
+//     sinking, same index tie-breaks, same duplicate suppression.
 package pool
 
 import (
@@ -269,9 +269,9 @@ func (l *LHS) Fingerprint() uint64 {
 	return fnvMix(h, uint64(l.n))
 }
 
-// Slice adapts a materialized pool to the Source interface, so the
-// streaming engine can run over small in-memory pools too (and be tested
-// for bit-identity against the in-memory engine on the same data).
+// Slice adapts a materialized pool to the Source interface: the form
+// every caller holding a []space.Config (the experiment harness's
+// datasets, a held-out test set) hands to the engine.
 type Slice struct {
 	sp      *space.Space
 	configs []space.Config

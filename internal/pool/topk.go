@@ -7,8 +7,8 @@ import (
 
 // VectorKey builds a hashable key for a feature vector: the raw IEEE-754
 // bytes of every component. It is the duplicate-recognition key of batch
-// selection; internal/core's in-memory selection helpers and this
-// package's streaming reducers must agree on it byte for byte.
+// selection; the streaming reducers and the sort-based reference
+// selection their tests check them against agree on it byte for byte.
 func VectorKey(x []float64) string {
 	b := make([]byte, 0, 8*len(x))
 	for _, v := range x {
@@ -39,17 +39,17 @@ func better(a, b item) bool {
 }
 
 // TopK reduces a stream of (ord, score) candidates into the same selection
-// the in-memory sort-based helpers of internal/core produce, in the same
-// order, using O(k) memory:
+// the sort-based reference — score every candidate, stable-sort, slice;
+// kept as the oracle in this package's and internal/core's tests —
+// produces, in the same order, using O(k) memory:
 //
-//   - NaN scores sink to the losing end (topKByScore/bottomKByScore's
-//     sinkNaNs), ties break toward the smaller ordinal
-//     (sort.SliceStable over ascending indices), and Result lists the
-//     selection best-first.
+//   - NaN scores sink to the losing end, ties break toward the smaller
+//     ordinal (sort.SliceStable over ascending indices), and Result
+//     lists the selection best-first.
 //   - In distinct mode (NewTopKDistinct), duplicate feature vectors are
-//     suppressed exactly as topKDistinctByScore does: the selection
-//     prefers the best candidate of each distinct vector, and duplicates
-//     fill the tail only when distinct vectors run out.
+//     suppressed exactly as in the reference: the selection prefers the
+//     best candidate of each distinct vector, and duplicates fill the
+//     tail only when distinct vectors run out.
 //
 // Candidates may be pushed in any order: the retained state is a function
 // of the candidate set only, so concurrent shard scoring needs no ordering
@@ -71,7 +71,7 @@ type TopK struct {
 
 	// dups retains, while no representative has been evicted, the best
 	// k-1 non-representative candidates — exactly the duplicate-fill
-	// pool topKDistinctByScore falls back on when fewer than k distinct
+	// pool the reference falls back on when fewer than k distinct
 	// vectors exist. The first eviction proves at least k+1 distinct
 	// vectors, which makes duplicate fill unreachable, so the heap is
 	// dropped and no longer maintained.
@@ -79,8 +79,8 @@ type TopK struct {
 	evicted bool
 }
 
-// NewTopK returns a reducer selecting the k largest-scoring candidates
-// (k-th order statistics of topKByScore). k < 0 is treated as 0.
+// NewTopK returns a reducer selecting the k largest-scoring candidates.
+// k < 0 is treated as 0.
 func NewTopK(k int) *TopK {
 	if k < 0 {
 		k = 0
@@ -89,7 +89,7 @@ func NewTopK(k int) *TopK {
 }
 
 // NewTopKDistinct returns a reducer selecting the k largest-scoring
-// candidates with duplicate-vector suppression (topKDistinctByScore).
+// candidates with duplicate-vector suppression.
 func NewTopKDistinct(k int) *TopK {
 	if k < 0 {
 		k = 0
@@ -274,7 +274,7 @@ func (t *TopK) Len() int { return len(t.heap) }
 // the k-th order statistic, i.e. the selection boundary — as the original
 // (un-negated) score and its ordinal. ok is false while nothing is
 // retained. A NaN score surfaces as its sunk value (-Inf for top-k, +Inf
-// for bottom-k), matching what the in-memory sort compares.
+// for bottom-k), matching what the reference sort compares.
 func (t *TopK) Worst() (score float64, ord int, ok bool) {
 	if len(t.heap) == 0 {
 		return 0, 0, false
@@ -287,14 +287,14 @@ func (t *TopK) Worst() (score float64, ord int, ok bool) {
 }
 
 // Result returns the selected ordinals, best first — byte-identical to
-// what the corresponding internal/core helper returns for the same
-// candidate set. It does not consume the reducer.
+// what the sort-based reference returns for the same candidate set. It
+// does not consume the reducer.
 func (t *TopK) Result() []int {
 	items := append([]item(nil), t.heap...)
 	sort.Slice(items, func(a, b int) bool { return better(items[a], items[b]) })
 	if t.distinct && len(items) < t.k && len(t.dups) > 0 {
 		// Fewer than k distinct vectors: fill the tail with the best
-		// duplicates, exactly like topKDistinctByScore's fallback. No
+		// duplicates, exactly like the reference's fallback. No
 		// eviction can have happened (that requires > k distinct
 		// vectors), so dups holds precisely the best non-representative
 		// candidates seen.

@@ -267,29 +267,31 @@ func telemetrySection(path string, bw *bufio.Writer) error {
 	}
 	defer f.Close()
 
-	// Two header generations: the original ten columns, and the chaos
-	// harness's extension with timeout and label-guard counters. Older
+	// Three header generations: the original ten columns, the chaos
+	// harness's extension with timeout and label-guard counters, and the
+	// current form without the retired cached_iterations column. Older
 	// artifact directories stay readable.
 	const headerV1 = "benchmark,strategy,reps,events,fit_ms,select_ms,eval_ms,retries,skips,cached_iterations"
-	const headerV2 = headerV1 + ",timeouts,guard_flagged,guard_remeasured,guard_quarantined,guard_cost"
+	const guardCols = ",timeouts,guard_flagged,guard_remeasured,guard_quarantined,guard_cost"
+	const headerV3 = "benchmark,strategy,reps,events,fit_ms,select_ms,eval_ms,retries,skips" + guardCols
 
 	sc := bufio.NewScanner(f)
 	if !sc.Scan() {
 		return fmt.Errorf("report: empty telemetry file %s", path)
 	}
 	header := sc.Text()
-	if header != headerV1 && header != headerV2 {
+	if header != headerV1 && header != headerV1+guardCols && header != headerV3 {
 		return fmt.Errorf("report: unexpected telemetry header in %s", path)
 	}
-	cols := 10
-	guarded := header == headerV2
-	if guarded {
-		cols = 15
+	col := map[string]int{}
+	for i, name := range strings.Split(header, ",") {
+		col[name] = i
 	}
+	_, guarded := col["timeouts"]
 	type agg struct {
 		fit, sel, eval      float64
 		retries, skips      int
-		cachedIters, events int
+		events              int
 		timeouts            int
 		flagged, remeasured int
 		quarantined         int
@@ -299,7 +301,7 @@ func telemetrySection(path string, bw *bufio.Writer) error {
 	var order []string
 	for sc.Scan() {
 		parts := strings.Split(sc.Text(), ",")
-		if len(parts) != cols {
+		if len(parts) != len(col) {
 			continue
 		}
 		a, ok := byStrategy[parts[1]]
@@ -308,31 +310,20 @@ func telemetrySection(path string, bw *bufio.Writer) error {
 			byStrategy[parts[1]] = a
 			order = append(order, parts[1])
 		}
-		ev, _ := strconv.Atoi(parts[3])
-		fit, _ := strconv.ParseFloat(parts[4], 64)
-		sel, _ := strconv.ParseFloat(parts[5], 64)
-		evalMs, _ := strconv.ParseFloat(parts[6], 64)
-		retries, _ := strconv.Atoi(parts[7])
-		skips, _ := strconv.Atoi(parts[8])
-		cached, _ := strconv.Atoi(parts[9])
-		a.events += ev
-		a.fit += fit
-		a.sel += sel
-		a.eval += evalMs
-		a.retries += retries
-		a.skips += skips
-		a.cachedIters += cached
+		atoi := func(name string) int { v, _ := strconv.Atoi(parts[col[name]]); return v }
+		atof := func(name string) float64 { v, _ := strconv.ParseFloat(parts[col[name]], 64); return v }
+		a.events += atoi("events")
+		a.fit += atof("fit_ms")
+		a.sel += atof("select_ms")
+		a.eval += atof("eval_ms")
+		a.retries += atoi("retries")
+		a.skips += atoi("skips")
 		if guarded {
-			timeouts, _ := strconv.Atoi(parts[10])
-			flagged, _ := strconv.Atoi(parts[11])
-			remeasured, _ := strconv.Atoi(parts[12])
-			quarantined, _ := strconv.Atoi(parts[13])
-			gcost, _ := strconv.ParseFloat(parts[14], 64)
-			a.timeouts += timeouts
-			a.flagged += flagged
-			a.remeasured += remeasured
-			a.quarantined += quarantined
-			a.guardCost += gcost
+			a.timeouts += atoi("timeouts")
+			a.flagged += atoi("guard_flagged")
+			a.remeasured += atoi("guard_remeasured")
+			a.quarantined += atoi("guard_quarantined")
+			a.guardCost += atof("guard_cost")
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -344,12 +335,12 @@ func telemetrySection(path string, bw *bufio.Writer) error {
 
 	fmt.Fprintln(bw, "### Run-engine telemetry")
 	fmt.Fprintln(bw)
-	fmt.Fprintln(bw, "| strategy | iterations | fit s | select s | eval s | retries | skips | pool-cached |")
-	fmt.Fprintln(bw, "|---|---|---|---|---|---|---|---|")
+	fmt.Fprintln(bw, "| strategy | iterations | fit s | select s | eval s | retries | skips |")
+	fmt.Fprintln(bw, "|---|---|---|---|---|---|---|")
 	for _, name := range order {
 		a := byStrategy[name]
-		fmt.Fprintf(bw, "| %s | %d | %.2f | %.2f | %.2f | %d | %d | %d |\n",
-			name, a.events, a.fit/1000, a.sel/1000, a.eval/1000, a.retries, a.skips, a.cachedIters)
+		fmt.Fprintf(bw, "| %s | %d | %.2f | %.2f | %.2f | %d | %d |\n",
+			name, a.events, a.fit/1000, a.sel/1000, a.eval/1000, a.retries, a.skips)
 	}
 	fmt.Fprintln(bw)
 

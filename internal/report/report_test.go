@@ -95,9 +95,10 @@ func TestGenerateEmptyDir(t *testing.T) {
 	}
 }
 
-// TestTelemetrySectionBothGenerations: the report must parse both the
-// original ten-column telemetry artifact and the hardened-evaluation
-// extension, rendering the guard table only when something fired.
+// TestTelemetrySectionBothGenerations: the report must parse the
+// original ten-column telemetry artifact, the hardened-evaluation
+// extension, and the current form without the retired cached_iterations
+// column, rendering the guard table only when something fired.
 func TestTelemetrySectionBothGenerations(t *testing.T) {
 	run := func(csv string) string {
 		dir := t.TempDir()
@@ -126,6 +127,15 @@ func TestTelemetrySectionBothGenerations(t *testing.T) {
 	for _, want := range []string{"Run-engine telemetry", "Hardened evaluation", "| PWU | 3 | 5 | 4 | 1 | 12.500 |"} {
 		if !strings.Contains(v2, want) {
 			t.Fatalf("v2 report missing %q:\n%s", want, v2)
+		}
+	}
+
+	v3 := run("benchmark,strategy,reps,events,fit_ms,select_ms,eval_ms,retries,skips," +
+		"timeouts,guard_flagged,guard_remeasured,guard_quarantined,guard_cost\n" +
+		"atax,PWU,3,45,1200.000,80.000,3400.000,7,0,3,5,4,1,12.5000\n")
+	for _, want := range []string{"| PWU | 45 | 1.20 | 0.08 | 3.40 | 7 | 0 |", "| PWU | 3 | 5 | 4 | 1 | 12.500 |"} {
+		if !strings.Contains(v3, want) {
+			t.Fatalf("v3 report missing %q:\n%s", want, v3)
 		}
 	}
 

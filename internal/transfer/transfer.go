@@ -27,6 +27,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/forest"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -94,7 +95,7 @@ func Run(ctx context.Context, source, target bench.Problem, cfg Config, seed uin
 	// Build the source model with PWU active learning on the source
 	// platform.
 	srcPool := source.Space().SampleConfigs(r.Split(), cfg.PoolSize)
-	srcRes, err := core.Run(ctx, source.Space(), srcPool, bench.Evaluator(source, r.Split()),
+	srcRes, err := core.Run(ctx, pool.NewSlice(source.Space(), srcPool), bench.Evaluator(source, r.Split()),
 		core.PWU{Alpha: cfg.Alpha},
 		core.Params{NInit: 10, NBatch: 5, NMax: cfg.SourceBudget, Forest: cfg.Forest}, r.Split(), nil)
 	if err != nil {

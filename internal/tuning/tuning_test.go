@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/forest"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/stats"
@@ -73,7 +74,7 @@ func TestSurrogateTuningComparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(context.Background(), p.Space(), ds.Pool, bench.Evaluator(p, r.Split()), core.PWU{Alpha: 0.05},
+	res, err := core.Run(context.Background(), pool.NewSlice(p.Space(), ds.Pool), bench.Evaluator(p, r.Split()), core.PWU{Alpha: 0.05},
 		core.Params{NInit: 10, NBatch: 10, NMax: 150, Forest: forest.Config{NumTrees: 32}}, r.Split(), nil)
 	if err != nil {
 		t.Fatal(err)

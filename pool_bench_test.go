@@ -4,7 +4,7 @@
 // (default 200k; set POOL_BENCH_N=10000000 for the 10^7-config
 // demonstration) with a paper-scale 64-tree forest and reduces the PWU
 // scores into a bounded top-k heap — the exact hot path of
-// core.RunStream's selection step, on the forest's batch kernel (a
+// core.Run's selection step, on the forest's batch kernel (a
 // branchless 8-lane walk over order-preserving uint64 keys of the
 // float64 features, bit-identical to the scalar walk). Entries are
 // recorded under kernel "exact"; BENCH_pool.json's older entries of the
