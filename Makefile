@@ -18,12 +18,14 @@ build:
 check: fmt-check vet race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-train-smoke bench-pool-smoke bench-campaign-smoke
 
 # train-equivalence gates the presorted-column training engine: the
-# builder-equivalence property tests (presorted vs reference builder must
-# emit bit-identical trees), the shared-rank path (column ranking, and
-# every tree forest.Fit and forest.Update build from shared ranks equal
-# to the reference builder on its materialised bootstrap, generator end
-# state included), the non-finite feature rejection the ranking relies
-# on, and the forest fit path with DisableBagging on and off, all under
+# builder-equivalence property tests (tree.Fit must emit trees
+# bit-identical to the per-node-sorting test oracle FitReference in
+# internal/tree/reference_test.go), the shared-rank path (column
+# ranking, FitRanked on bootstraps equal to the oracle on the
+# materialised sample, and every tree forest.Fit and forest.Update build
+# from shared ranks equal to tree.Fit on its materialised bootstrap,
+# generator end state included), the non-finite feature rejection the
+# ranking relies on, and the forest fit path with DisableBagging on and off, all under
 # the race detector so the per-worker workspace reuse and the shared
 # read-only ranks are exercised concurrently.
 train-equivalence:
@@ -40,7 +42,8 @@ resume-equivalence:
 	go test -race -run 'TestResumeEquivalence|TestResumeStreamEquivalence|TestLegacyCheckpoint|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint' ./internal/core ./internal/autotune ./internal/runstate
 
 # campaign-equivalence gates the campaign engine: the work-stealing
-# drain must reproduce the retained sequential RunAll path bit for bit
+# drain must reproduce the sequential per-strategy test oracle
+# (runAllSequential in internal/experiment/campaign_test.go) bit for bit
 # for every strategy and any worker count, the single-flight dataset
 # cache must build each repetition's dataset exactly once, and the
 # cached checkpoint-evaluation path (each warm repetition scans its
@@ -122,8 +125,9 @@ soak-server:
 # fleet-equivalence gates the distributed evaluation fleet: a campaign
 # drained through the lease-based coordinator by network workers — one,
 # two or four of them, chaos-ridden (hang/panic/corrupt injection) or
-# killed mid-lease — must produce curves bit-identical to the retained
-# RunAllSequential path for every strategy, because cell seeds derive
+# killed mid-lease — must produce curves bit-identical to the
+# sequential test oracle runAllSequential (internal/experiment) for
+# every strategy, because cell seeds derive
 # from (campaign seed, rep) and never from scheduling, results travel
 # as checksummed JSON, and the coordinator ingests at most one valid
 # payload per task key. The protocol layer (lease expiry, idempotent
@@ -151,9 +155,10 @@ fleet-soak:
 # restarts and long-polling job status, and the fleetd drills — the
 # coordinator SIGKILLed mid-campaign and restarted on the same address,
 # the submitter abandoned and reattached by its deterministic job ID —
-# all under the race detector, requiring curves bit-identical to
-# RunAllSequential, zero re-executions of journaled completions, and
-# zero goroutine leaks. The tuned client-fault drill (retransmits,
+# all under the race detector, requiring curves bit-identical to the
+# local drain experiment.RunAll (which campaign-equivalence pins to the
+# runAllSequential oracle), zero re-executions of journaled
+# completions, and zero goroutine leaks. The tuned client-fault drill (retransmits,
 # mid-tell stalls, dropped asks) rides along as the session-layer
 # counterpart.
 fleet-failover:
@@ -179,11 +184,12 @@ race:
 bench:
 	go test -bench=. -benchmem -run xxx ./...
 
-# Training-engine benchmarks only: paper-scale tree/forest fits on the
-# presorted engine vs the retained reference builder, plus the
-# tune-shaped forest refit. Each run appends one entry per benchmark to
-# BENCH_train.json (schema: train_bench_test.go), the recorded
-# trajectory that bench-train-smoke guards against.
+# Training-engine benchmarks only: paper-scale tree and forest fits on
+# the presorted engine, plus the tune-shaped forest refit (the reference
+# builder is a test oracle, timed unrecorded by
+# `go test -bench FitReference ./internal/tree`). Each run appends one
+# entry per benchmark to BENCH_train.json (schema: train_bench_test.go),
+# the recorded trajectory that bench-train-smoke guards against.
 bench-train:
 	BENCH_TRAIN_JSON=BENCH_train.json go test -bench 'TreeFit|ForestFit' -benchmem -run xxx .
 
@@ -194,15 +200,17 @@ bench-train:
 bench-train-smoke:
 	TRAIN_BENCH_BASELINE=BENCH_train.json go test -bench 'BenchmarkForestFit$$|BenchmarkForestFitTune$$' -benchmem -benchtime 500ms -run xxx .
 
-# Campaign-engine benchmarks: the work-stealing grid drain vs the
-# retained sequential path vs the fleet drain (coordinator + two
-# network workers) on a Fig. 2-shaped grid, plus the CSV writer. Each
-# run appends mode=local and mode=fleet entries to BENCH_campaign.json
-# (schema: campaign_bench_test.go), the recorded trajectory that
+# Campaign-engine benchmarks: the work-stealing grid drain vs the fleet
+# drain (coordinator + two network workers) on a Fig. 2-shaped grid,
+# the sequential test oracle on the same default grid (unrecorded,
+# internal/experiment), plus the CSV writer. Each run appends
+# mode=local and mode=fleet entries to BENCH_campaign.json (schema:
+# campaign_bench_test.go), the recorded trajectory that
 # bench-campaign-smoke guards against and
 # `go run ./cmd/report -bench-campaign BENCH_campaign.json` renders.
 bench-campaign:
 	BENCH_CAMPAIGN_JSON=BENCH_campaign.json go test -bench 'BenchmarkCampaignFig2' -benchmem -run xxx .
+	go test -bench 'BenchmarkCampaignFig2Sequential' -benchmem -run xxx ./internal/experiment
 	go test -bench 'WriteCSV' -benchmem -run xxx ./internal/dataset
 
 # Smoke-sized bench-campaign for the check gate and CI: a two-kernel

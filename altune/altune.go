@@ -135,17 +135,6 @@ type Evaluator = core.Evaluator
 // EvaluatorFunc adapts a function to Evaluator.
 type EvaluatorFunc = core.EvaluatorFunc
 
-// LegacyEvaluator is the context-free labeling contract for infallible
-// evaluators; lift one into Run with AdaptEvaluator.
-type LegacyEvaluator = core.LegacyEvaluator
-
-// LegacyEvaluatorFunc adapts a function to LegacyEvaluator.
-type LegacyEvaluatorFunc = core.LegacyEvaluatorFunc
-
-// AdaptEvaluator lifts a LegacyEvaluator into the context-aware
-// contract.
-func AdaptEvaluator(ev LegacyEvaluator) Evaluator { return core.AdaptEvaluator(ev) }
-
 // StatefulEvaluator is an Evaluator whose internal generator state can
 // be captured in snapshots and restored on resume.
 type StatefulEvaluator = core.StatefulEvaluator

@@ -16,7 +16,10 @@ func TestCustomSpaceEndToEnd(t *testing.T) {
 		altune.Cat("schedule", "static", "dynamic", "guided"),
 		altune.Bool("pin"),
 	)
-	ev := altune.AdaptEvaluator(altune.LegacyEvaluatorFunc(func(c altune.Config) float64 {
+	ev := altune.EvaluatorFunc(func(ctx context.Context, c altune.Config) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		threads := sp.ValueByName(c, "threads")
 		base := 16 / threads
 		if sp.NameOf(c, sp.IndexOf("schedule")) == "dynamic" {
@@ -25,8 +28,8 @@ func TestCustomSpaceEndToEnd(t *testing.T) {
 		if sp.ValueByName(c, "pin") != 0 {
 			base *= 0.9
 		}
-		return base + 0.1
-	}))
+		return base + 0.1, nil
+	})
 	pool := sp.SampleConfigs(altune.NewRNG(1), 60)
 	res, err := altune.Run(context.Background(), sp, pool, ev, altune.PWU{Alpha: 0.1},
 		altune.Params{NInit: 8, NMax: 40, Forest: altune.ForestConfig{NumTrees: 16}},

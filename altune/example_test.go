@@ -15,13 +15,16 @@ func ExampleRun() {
 		altune.Num("threads", 1, 2, 4, 8),
 		altune.Bool("pin"),
 	)
-	ev := altune.AdaptEvaluator(altune.LegacyEvaluatorFunc(func(c altune.Config) float64 {
+	ev := altune.EvaluatorFunc(func(ctx context.Context, c altune.Config) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		t := 8 / sp.ValueByName(c, "threads")
 		if sp.ValueByName(c, "pin") != 0 {
 			t *= 0.9
 		}
-		return t + 0.1
-	}))
+		return t + 0.1, nil
+	})
 	pool := sp.SampleConfigs(altune.NewRNG(1), 50)
 	res, err := altune.Run(context.Background(), sp, pool, ev, altune.PWU{Alpha: 0.1},
 		altune.Params{NInit: 5, NBatch: 5, NMax: 25,

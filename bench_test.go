@@ -156,8 +156,9 @@ func campaignFig2Problems(b *testing.B) []bench.Problem {
 // BenchmarkCampaignFig2 measures the campaign engine on a Fig. 2-shaped
 // grid: (4 kernels × 6 strategies × reps) drained by the work-stealing
 // pool with single-flight dataset sharing. Compare against
-// BenchmarkCampaignFig2Sequential — same grid, same bit-identical
-// curves, run strategy-by-strategy — for the engine's speedup, and
+// internal/experiment's BenchmarkCampaignFig2Sequential — the default
+// grid with the same bit-identical curves, run strategy-by-strategy —
+// for the engine's speedup, and
 // against BenchmarkCampaignFig2Fleet (campaign_bench_test.go) for the
 // fleet transport's overhead. Records a mode=local entry in the
 // BENCH_campaign.json trajectory.
@@ -183,21 +184,6 @@ func BenchmarkCampaignFig2(b *testing.B) {
 	}
 	b.StopTimer()
 	reportCampaign(b, "local", cells, st, 0)
-}
-
-// BenchmarkCampaignFig2Sequential is the retained pre-campaign path over
-// the same grid: strategies in series, repetitions in parallel, one
-// dataset build per (strategy, repetition).
-func BenchmarkCampaignFig2Sequential(b *testing.B) {
-	sc := figScale()
-	problems := campaignFig2Problems(b)
-	for i := 0; i < b.N; i++ {
-		for _, p := range problems {
-			if _, err := experiment.RunAllSequential(context.Background(), p, core.StrategyNames(), sc, 42); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
 // BenchmarkFig3KernelCC regenerates Fig. 3's series: cumulative labeling
@@ -709,16 +695,6 @@ func BenchmarkPredictBatchFlat7000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.PredictBatch(pool)
-	}
-}
-
-// BenchmarkPredictBatchPointer7000 is the pointer-walking baseline the
-// flat engine is measured against.
-func BenchmarkPredictBatchPointer7000(b *testing.B) {
-	f, pool := inferenceSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.PredictBatchReference(pool)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestEvaldEndToEnd(t *testing.T) {
 			},
 		})
 	}
-	job, err := coord.Submit(specs)
+	job, _, err := coord.SubmitTasks("", specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,7 +290,9 @@ func testClient(base string) *fleet.Client {
 // (its crash) and restarted on the same address. The resident workers
 // re-register on their own, a fresh submitter re-derives the same
 // deterministic job ID and reattaches, and the finished curves must be
-// bit-identical to RunAllSequential for every strategy — with the
+// bit-identical to the local drain (experiment.RunAll, which
+// experiment's TestCampaignMatchesSequential pins to the sequential
+// oracle) for every strategy — with the
 // replay counter proving that no cell completed before the crash was
 // ever executed again.
 func TestFleetdFailover(t *testing.T) {
@@ -313,7 +315,7 @@ func TestFleetdFailover(t *testing.T) {
 		Seed:       77,
 	}
 	totalCells := int64(len(names) * sc.Reps)
-	seq, err := experiment.RunAllSequential(context.Background(), p, names, sc, 77)
+	local, err := experiment.RunAll(context.Background(), p, names, sc, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +361,7 @@ func TestFleetdFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reattached drain: %v", err)
 	}
-	assertCurveSetsEqual(t, "failover", res.Curves[p.Name()], seq)
+	assertCurveSetsEqual(t, "failover", res.Curves[p.Name()], local)
 
 	// Replay counter: a cell whose completion survived in the journal
 	// must never have been executed again after the restart.
@@ -424,7 +426,7 @@ func TestFleetdSubmitterReattach(t *testing.T) {
 		Strategies: names,
 		Seed:       123,
 	}
-	seq, err := experiment.RunAllSequential(context.Background(), p, names, sc, 123)
+	local, err := experiment.RunAll(context.Background(), p, names, sc, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +453,7 @@ func TestFleetdSubmitterReattach(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reattached drain: %v", err)
 	}
-	assertCurveSetsEqual(t, "reattach", res.Curves[p.Name()], seq)
+	assertCurveSetsEqual(t, "reattach", res.Curves[p.Name()], local)
 
 	// The coordinator never died and no lease bounced, so abandoning
 	// the waiter must not have cost a single re-execution.

@@ -35,10 +35,13 @@ func main() {
 		sp.NumParams(), cardinality(sp))
 
 	// 2. Provide the annotator. Replace the body with "run the program,
-	// return wall seconds" for a real application. A plain func(Config)
-	// float64 adapts into the context-aware Evaluator interface; measure
-	// functions that can fail or block implement Evaluator directly.
-	measure := func(c altune.Config) float64 {
+	// return wall seconds" for a real application. The evaluator receives
+	// the run's context: return ctx.Err() once it is done, and a non-nil
+	// error when a measurement fails.
+	ev := altune.EvaluatorFunc(func(ctx context.Context, c altune.Config) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		block := sp.ValueByName(c, "block")
 		threads := sp.ValueByName(c, "threads")
 		placement := sp.NameOf(c, sp.IndexOf("placement"))
@@ -57,9 +60,8 @@ func main() {
 		if huge {
 			t *= 0.93
 		}
-		return t + 0.05
-	}
-	ev := altune.AdaptEvaluator(altune.LegacyEvaluatorFunc(measure))
+		return t + 0.05, nil
+	})
 
 	// 3. Active learning with PWU.
 	pool := sp.SampleConfigs(altune.NewRNG(1), 2000)
@@ -85,9 +87,13 @@ func main() {
 			best, bestV = i, v
 		}
 	}
+	actual, err := ev.Evaluate(ctx, pool[best])
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nrecommended: %s\n", sp.String(pool[best]))
 	fmt.Printf("predicted %.3f s (sigma %.3f), actual %.3f s, default (first sample) %.3f s\n",
-		bestV, sigma[best], measure(pool[best]), res.TrainY[0])
+		bestV, sigma[best], actual, res.TrainY[0])
 
 	// 5. Which parameters did the model find important? FeatureUsage is
 	// forest-specific, so assert down from the surrogate interface.

@@ -199,9 +199,12 @@ func TestNoisyLabelsStillConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	nr := r.Split()
-	ev := core.AdaptEvaluator(core.LegacyEvaluatorFunc(func(c space.Config) float64 {
-		return p.TrueTime(c) * nr.LogNormal(-0.5*0.3*0.3, 0.3)
-	}))
+	ev := core.EvaluatorFunc(func(ctx context.Context, c space.Config) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		return p.TrueTime(c) * nr.LogNormal(-0.5*0.3*0.3, 0.3), nil
+	})
 	res, err := core.Run(context.Background(), pool.NewSlice(p.Space(), ds.Pool), ev, core.PWU{Alpha: 0.1},
 		core.Params{NInit: 10, NBatch: 10, NMax: 120, Forest: forest.Config{NumTrees: 32}}, r.Split(), nil)
 	if err != nil {

@@ -164,7 +164,13 @@ func Evaluator(p Problem, r *rng.RNG) *NoisyEvaluator {
 }
 
 // TrueEvaluator returns a noise-free evaluator for p (used by ablations
-// and the tuning ground truth).
+// and the tuning ground truth). A done ctx returns ctx.Err() without
+// measuring.
 func TrueEvaluator(p Problem) core.Evaluator {
-	return core.AdaptEvaluator(core.LegacyEvaluatorFunc(p.TrueTime))
+	return core.EvaluatorFunc(func(ctx context.Context, c space.Config) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		return p.TrueTime(c), nil
+	})
 }

@@ -74,31 +74,6 @@ func (f EvaluatorFunc) Evaluate(ctx context.Context, c space.Config) (float64, e
 	return f(ctx, c)
 }
 
-// LegacyEvaluator is the original context-free labeling contract, kept
-// so infallible evaluators (closed-form models, lookup tables) stay
-// trivial to write. Lift one into the engine with AdaptEvaluator.
-type LegacyEvaluator interface {
-	Evaluate(c space.Config) float64
-}
-
-// LegacyEvaluatorFunc adapts a function to LegacyEvaluator.
-type LegacyEvaluatorFunc func(c space.Config) float64
-
-// Evaluate calls f(c).
-func (f LegacyEvaluatorFunc) Evaluate(c space.Config) float64 { return f(c) }
-
-// AdaptEvaluator lifts a LegacyEvaluator into the context-aware
-// contract: the measurement itself cannot fail, and cancellation is
-// honored between measurements.
-func AdaptEvaluator(ev LegacyEvaluator) Evaluator {
-	return EvaluatorFunc(func(ctx context.Context, c space.Config) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return ev.Evaluate(c), nil
-	})
-}
-
 // StatefulEvaluator is an optional Evaluator capability: evaluators
 // whose measurements consume internal randomness (the benchmark noise
 // protocol) export and restore that generator state, so snapshots

@@ -25,11 +25,14 @@ func quadSpace(t testing.TB) (*space.Space, Evaluator) {
 		space.NumRange("a", 0, 9, 1),
 		space.NumRange("b", 0, 9, 1),
 	)
-	ev := AdaptEvaluator(LegacyEvaluatorFunc(func(c space.Config) float64 {
+	ev := EvaluatorFunc(func(ctx context.Context, c space.Config) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		a := sp.ValueByName(c, "a")
 		b := sp.ValueByName(c, "b")
-		return (a-5)*(a-5) + (b-3)*(b-3) + 1
-	}))
+		return (a-5)*(a-5) + (b-3)*(b-3) + 1, nil
+	})
 	return sp, ev
 }
 

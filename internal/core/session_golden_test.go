@@ -47,12 +47,15 @@ func goldenSpace() *space.Space {
 // resume needs no evaluator-state restore).
 func goldenEvaluator(sp *space.Space) Evaluator {
 	effect := []float64{0.0, 1.5, -0.5}
-	return AdaptEvaluator(LegacyEvaluatorFunc(func(c space.Config) float64 {
+	return EvaluatorFunc(func(ctx context.Context, c space.Config) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		a := sp.ValueByName(c, "a")
 		b := sp.ValueByName(c, "b")
 		k := sp.LevelByName(c, "c")
-		return (a-5)*(a-5) + (b-3)*(b-3) + 0.1*a*b + effect[k] + 1
-	}))
+		return (a-5)*(a-5) + (b-3)*(b-3) + 0.1*a*b + effect[k] + 1, nil
+	})
 }
 
 func goldenParams(checkpoint func(*Snapshot) error) Params {

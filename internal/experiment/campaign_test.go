@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -42,6 +43,41 @@ func assertCurvesEqual(t *testing.T, got, want *CurveSet) {
 	}
 }
 
+// runAllSequential is the campaign engine's test oracle, the
+// pre-campaign drain: strategies run one after another through
+// RunStrategy, each parallel only across its own repetitions, each
+// repetition building its own dataset.
+func runAllSequential(ctx context.Context, p bench.Problem, names []string, sc Scale, seed uint64) ([]*CurveSet, error) {
+	out := make([]*CurveSet, 0, len(names))
+	for _, name := range names {
+		cs, err := RunStrategy(ctx, p, name, sc, seed)
+		if cs != nil {
+			out = append(out, cs)
+		}
+		if err != nil {
+			return out, fmt.Errorf("experiment: %s/%s: %w", p.Name(), name, err)
+		}
+	}
+	return out, nil
+}
+
+// BenchmarkCampaignFig2Sequential drains the default grid of the root
+// package's BenchmarkCampaignFig2 (the first four kernels, every
+// strategy, Smoke scale with two repetitions) through runAllSequential:
+// the baseline the campaign engine's speedup is measured against.
+func BenchmarkCampaignFig2Sequential(b *testing.B) {
+	sc := Smoke()
+	sc.Reps = 2
+	problems := bench.Kernels()[:4]
+	for i := 0; i < b.N; i++ {
+		for _, p := range problems {
+			if _, err := runAllSequential(context.Background(), p, core.StrategyNames(), sc, 42); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestCampaignMatchesSequential is the equivalence gate: for every
 // strategy, the campaign engine (shared datasets, work-stealing pool)
 // must reproduce the sequential per-strategy path bit for bit.
@@ -52,7 +88,7 @@ func TestCampaignMatchesSequential(t *testing.T) {
 	}
 	sc := Smoke()
 	names := core.StrategyNames()
-	seq, err := RunAllSequential(context.Background(), p, names, sc, 99)
+	seq, err := runAllSequential(context.Background(), p, names, sc, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +174,7 @@ func TestCampaignWarmUpdate(t *testing.T) {
 	sc := Smoke()
 	sc.WarmUpdate = true
 	names := []string{"PWU", "Random"}
-	seq, err := RunAllSequential(context.Background(), p, names, sc, 11)
+	seq, err := runAllSequential(context.Background(), p, names, sc, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -486,7 +486,8 @@ func checkpointSizes(sc Scale) []int {
 // pool, with each repetition's dataset built once and shared by every
 // strategy. Each strategy sees the same experiment seed, so repetition r
 // of every strategy works on the same dataset draw; the curves are
-// bit-identical to RunAllSequential's for any worker count.
+// bit-identical to running each strategy alone through RunStrategy, for
+// any worker count (TestCampaignMatchesSequential).
 //
 // On cancellation it returns the curve sets that reached any checkpoint
 // (partial sets, see RunStrategy) together with the first error.
@@ -507,24 +508,6 @@ func RunAll(ctx context.Context, p bench.Problem, names []string, sc Scale, seed
 		}
 	}
 	return out, err
-}
-
-// RunAllSequential is the pre-campaign drain: strategies run one after
-// another, each parallel only across its own repetitions, each
-// repetition building its own dataset. Retained as the baseline the
-// campaign engine's equivalence gate and benchmarks compare against.
-func RunAllSequential(ctx context.Context, p bench.Problem, names []string, sc Scale, seed uint64) ([]*CurveSet, error) {
-	out := make([]*CurveSet, 0, len(names))
-	for _, name := range names {
-		cs, err := RunStrategy(ctx, p, name, sc, seed)
-		if cs != nil {
-			out = append(out, cs)
-		}
-		if err != nil {
-			return out, fmt.Errorf("experiment: %s/%s: %w", p.Name(), name, err)
-		}
-	}
-	return out, nil
 }
 
 func mean(xs []float64) float64 {

@@ -5,8 +5,9 @@ package experiment
 // submits a grid to a fleet coordinator instead of the in-process
 // scheduler. Both sides preserve the campaign determinism contract —
 // cell seeds derive from (campaign seed, rep), never from scheduling —
-// so a fleet campaign is bit-identical to RunAllSequential however the
-// leases bounce.
+// so a fleet campaign is bit-identical to the local drain (and to the
+// sequential per-strategy oracle of the tests) however the leases
+// bounce.
 
 import (
 	"context"
@@ -151,7 +152,7 @@ func cellKey(problem, strategy string, rep int) string {
 // its seed and grid coordinates. A submitter that restarts re-derives
 // the same ID from the same campaign and reattaches to the job its
 // previous incarnation left running in a journaled coordinator —
-// SubmitOrAttach's spec fingerprint check holds because the specs are
+// SubmitTasks' spec fingerprint check holds because the specs are
 // re-derived bit-identically too.
 func CampaignJobID(c Campaign) string {
 	h := fnv.New64a()

@@ -100,7 +100,7 @@ func runFleetCampaign(t *testing.T, rig *fleetRig, p bench.Problem, names []stri
 
 // TestFleetCampaignMatchesLocal is the fleet-equivalence gate: for
 // every strategy, a campaign drained through a coordinator and N remote
-// workers must reproduce RunAllSequential bit for bit, for N ∈ {1, 2, 4}
+// workers must reproduce runAllSequential bit for bit, for N ∈ {1, 2, 4}
 // — the distributed analogue of TestCampaignWorkerInvariance.
 func TestFleetCampaignMatchesLocal(t *testing.T) {
 	p, err := bench.ByName("atax")
@@ -109,7 +109,7 @@ func TestFleetCampaignMatchesLocal(t *testing.T) {
 	}
 	sc := Smoke()
 	names := core.StrategyNames()
-	seq, err := RunAllSequential(context.Background(), p, names, sc, 99)
+	seq, err := runAllSequential(context.Background(), p, names, sc, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFleetChaosEquivalence(t *testing.T) {
 	}
 	sc := Smoke()
 	names := []string{"Random", "PWU", "BRS"}
-	seq, err := RunAllSequential(context.Background(), p, names, sc, 7)
+	seq, err := runAllSequential(context.Background(), p, names, sc, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestFleetKilledMidLeaseEquivalence(t *testing.T) {
 	}
 	sc := Smoke()
 	names := []string{"PWU", "Random"}
-	seq, err := RunAllSequential(context.Background(), p, names, sc, 21)
+	seq, err := runAllSequential(context.Background(), p, names, sc, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestFleetSoakMixedFaults(t *testing.T) {
 	}
 	sc := Smoke()
 	names := []string{"Random", "PWU", "MaxU", "BRS"}
-	seq, err := RunAllSequential(context.Background(), p, names, sc, 33)
+	seq, err := runAllSequential(context.Background(), p, names, sc, 33)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -499,12 +499,6 @@ func (c *Coordinator) Deregister(id string) error {
 	return nil
 }
 
-// Lease hands the worker the oldest queued task, or nil when the queue
-// is empty, without waiting. It is LeaseWait with no hold.
-func (c *Coordinator) Lease(workerID string) (*TaskSpec, error) {
-	return c.LeaseWait(context.Background(), workerID, 0)
-}
-
 // LeaseWait hands the worker the oldest queued task. On an empty queue
 // it holds the request for up to wait — capped at the heartbeat
 // interval, so a parked worker's registration cannot lapse — and
@@ -803,56 +797,27 @@ func (j *Job) wasInterrupted() bool {
 	return j.interrupted
 }
 
-// Submit enqueues specs as one auto-named job, FIFO behind whatever is
-// already queued. Keys must be unique among the coordinator's live
-// tasks; a job's keys are released when its Wait returns, so
-// re-submitting the same coordinates later (a re-run campaign) is
-// fine.
-func (c *Coordinator) Submit(specs []TaskSpec) (*Job, error) {
+// SubmitTasks enqueues specs as one job, FIFO behind whatever is
+// already queued; it implements Submitter on the in-process
+// coordinator. An empty id names the job job-N, and with no specs
+// returns a job that is already done. A non-empty id is the durable
+// handle a submitter reattaches by after its own restart, so the call
+// is submit-or-attach: when a live job already holds id (typically this
+// submitter's previous incarnation submitted it before dying), the
+// specs fingerprint is verified and that job returned with
+// attached=true. A restarted submitter re-derives its specs
+// deterministically and calls SubmitTasks with the same id.
+//
+// Keys must be unique among the coordinator's live tasks; a job's keys
+// are released when its Wait returns, so re-submitting the same
+// coordinates later (a re-run campaign) is fine.
+func (c *Coordinator) SubmitTasks(id string, specs []TaskSpec) (Handle, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(specs) == 0 {
+	if id == "" && len(specs) == 0 {
 		j := &Job{c: c, done: make(chan struct{}), intr: make(chan struct{})}
 		close(j.done)
-		return j, nil
-	}
-	if c.closed {
-		return nil, ErrClosed
-	}
-	c.jobSeq++
-	return c.submitLocked(fmt.Sprintf("job-%d", c.jobSeq), specs)
-}
-
-// SubmitJob enqueues specs under a caller-chosen job ID — the durable
-// handle a submitter uses to reattach after its own restart. The ID
-// must not collide with a live job.
-func (c *Coordinator) SubmitJob(id string, specs []TaskSpec) (*Job, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if id == "" {
-		return nil, errors.New("fleet: empty job id")
-	}
-	if _, dup := c.jobs[id]; dup {
-		return nil, fmt.Errorf("fleet: job %q already exists", id)
-	}
-	return c.submitLocked(id, specs)
-}
-
-// SubmitOrAttach submits specs under id, or — when the job already
-// exists, typically because this submitter's previous incarnation
-// submitted it before dying — attaches to it after verifying the
-// specs fingerprint matches (attached reports which happened). This is
-// the idempotent resume primitive: a restarted submitter re-derives
-// its specs deterministically and calls SubmitOrAttach with the same
-// ID.
-func (c *Coordinator) SubmitOrAttach(id string, specs []TaskSpec) (j *Job, attached bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id == "" {
-		return nil, false, errors.New("fleet: empty job id")
+		return j, false, nil
 	}
 	if j := c.jobs[id]; j != nil {
 		if j.fp != specsFingerprint(specs) {
@@ -863,8 +828,15 @@ func (c *Coordinator) SubmitOrAttach(id string, specs []TaskSpec) (j *Job, attac
 	if c.closed {
 		return nil, false, ErrClosed
 	}
-	j, err = c.submitLocked(id, specs)
-	return j, false, err
+	if id == "" {
+		c.jobSeq++
+		id = fmt.Sprintf("job-%d", c.jobSeq)
+	}
+	j, err := c.submitLocked(id, specs)
+	if err != nil {
+		return nil, false, err
+	}
+	return j, false, nil
 }
 
 // Attach returns the live job with the given ID, or ErrUnknownJob —
@@ -922,7 +894,7 @@ func (c *Coordinator) submitLocked(id string, specs []TaskSpec) (*Job, error) {
 // down under the job instead returns ErrCoordinatorClosed with the
 // results finished so far and does NOT release the keys: on a
 // journaled coordinator the job survives the restart, and the
-// submitter resumes it with Attach or SubmitOrAttach.
+// submitter resumes it with Attach or SubmitTasks.
 func (j *Job) Wait(ctx context.Context) ([]TaskResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -998,19 +970,4 @@ func (j *Job) collect(release bool) []TaskResult {
 		}
 	}
 	return out
-}
-
-// LiveKeys lists the unfinished task keys, oldest submission first —
-// a diagnostic view for the stats endpoint.
-func (c *Coordinator) LiveKeys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var keys []string
-	for key, t := range c.tasks {
-		if t.state != taskFinished {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }

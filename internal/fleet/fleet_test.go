@@ -31,11 +31,11 @@ func cellSpec(key string, rep int) TaskSpec {
 	return TaskSpec{Key: key, Cell: &CellTask{Problem: "p", Strategy: "s", Rep: rep, Seed: 42}}
 }
 
-func mustSubmit(t *testing.T, c *Coordinator, specs []TaskSpec) *Job {
+func mustSubmit(t *testing.T, c *Coordinator, specs []TaskSpec) Handle {
 	t.Helper()
-	job, err := c.Submit(specs)
+	job, _, err := c.SubmitTasks("", specs)
 	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		t.Fatalf("SubmitTasks: %v", err)
 	}
 	return job
 }
@@ -54,7 +54,7 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	}
 
 	for i := 0; i < 2; i++ {
-		spec, err := c.Lease(id)
+		spec, err := c.LeaseWait(context.Background(), id, 0)
 		if err != nil || spec == nil {
 			t.Fatalf("Lease %d: spec=%v err=%v", i, spec, err)
 		}
@@ -65,7 +65,7 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 		}
 	}
 	// Queue drained.
-	if spec, err := c.Lease(id); err != nil || spec != nil {
+	if spec, err := c.LeaseWait(context.Background(), id, 0); err != nil || spec != nil {
 		t.Fatalf("Lease on empty queue: spec=%v err=%v", spec, err)
 	}
 
@@ -88,7 +88,7 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 
 	// Keys released: the same coordinates can be resubmitted.
 	job2 := mustSubmit(t, c, []TaskSpec{cellSpec("a", 0)})
-	spec, _ := c.Lease(id)
+	spec, _ := c.LeaseWait(context.Background(), id, 0)
 	if spec == nil || spec.Key != "a" {
 		t.Fatalf("resubmitted key not leasable: %v", spec)
 	}
@@ -104,7 +104,7 @@ func TestCoordinatorIdempotentCompletion(t *testing.T) {
 	defer c.Close()
 	mustSubmit(t, c, []TaskSpec{cellSpec("a", 0)})
 	id, _, _ := c.Register("w")
-	spec, _ := c.Lease(id)
+	spec, _ := c.LeaseWait(context.Background(), id, 0)
 	payload := []byte(`{"rmse":[1,2]}`)
 	if status, _ := c.Complete(id, spec.Key, payload, Checksum(payload), 0); status != StatusAccepted {
 		t.Fatalf("first completion: %s", status)
@@ -123,14 +123,14 @@ func TestCoordinatorCorruptPayloadRequeues(t *testing.T) {
 	defer c.Close()
 	mustSubmit(t, c, []TaskSpec{cellSpec("a", 0)})
 	id, _, _ := c.Register("w")
-	spec, _ := c.Lease(id)
+	spec, _ := c.LeaseWait(context.Background(), id, 0)
 	payload := []byte(`{"rmse":[1]}`)
 	if status, _ := c.Complete(id, spec.Key, payload, Checksum(payload)+1, 0); status != StatusCorrupt {
 		t.Fatalf("corrupt completion accepted")
 	}
 	// The lease bounced; the task is leasable again and a clean payload
 	// finishes it on attempt two.
-	spec2, _ := c.Lease(id)
+	spec2, _ := c.LeaseWait(context.Background(), id, 0)
 	if spec2 == nil || spec2.Key != "a" {
 		t.Fatalf("task not requeued after corrupt payload: %v", spec2)
 	}
@@ -148,7 +148,7 @@ func TestCoordinatorLeaseExpiry(t *testing.T) {
 	defer c.Close()
 	mustSubmit(t, c, []TaskSpec{cellSpec("a", 0)})
 	id1, _, _ := c.Register("silent")
-	spec, _ := c.Lease(id1)
+	spec, _ := c.LeaseWait(context.Background(), id1, 0)
 	if spec == nil {
 		t.Fatal("no lease")
 	}
@@ -161,7 +161,7 @@ func TestCoordinatorLeaseExpiry(t *testing.T) {
 		if _, err := c.Heartbeat(id2, nil); err != nil {
 			t.Fatalf("heartbeat: %v", err)
 		}
-		spec2, _ = c.Lease(id2)
+		spec2, _ = c.LeaseWait(context.Background(), id2, 0)
 		if spec2 != nil {
 			break
 		}
@@ -199,7 +199,7 @@ func TestCoordinatorMaxAttemptsExhausted(t *testing.T) {
 	job := mustSubmit(t, c, []TaskSpec{cellSpec("a", 0)})
 	id, _, _ := c.Register("w")
 	for i := 0; i < 2; i++ {
-		spec, _ := c.Lease(id)
+		spec, _ := c.LeaseWait(context.Background(), id, 0)
 		if spec == nil {
 			t.Fatalf("attempt %d: no lease", i)
 		}
@@ -220,19 +220,19 @@ func TestCoordinatorMaxAttemptsExhausted(t *testing.T) {
 func TestCoordinatorSubmitValidation(t *testing.T) {
 	c := New(testConfig())
 	defer c.Close()
-	if _, err := c.Submit([]TaskSpec{{Key: ""}}); err == nil {
+	if _, _, err := c.SubmitTasks("", []TaskSpec{{Key: ""}}); err == nil {
 		t.Error("empty key accepted")
 	}
-	if _, err := c.Submit([]TaskSpec{{Key: "x"}}); err == nil {
+	if _, _, err := c.SubmitTasks("", []TaskSpec{{Key: "x"}}); err == nil {
 		t.Error("bodyless task accepted")
 	}
-	if _, err := c.Submit([]TaskSpec{
+	if _, _, err := c.SubmitTasks("", []TaskSpec{
 		{Key: "x", Cell: &CellTask{}, Eval: &EvalTask{}},
 	}); err == nil {
 		t.Error("two-body task accepted")
 	}
 	mustSubmit(t, c, []TaskSpec{cellSpec("live", 0)})
-	if _, err := c.Submit([]TaskSpec{cellSpec("live", 0)}); err == nil {
+	if _, _, err := c.SubmitTasks("", []TaskSpec{cellSpec("live", 0)}); err == nil {
 		t.Error("duplicate live key accepted")
 	}
 }
@@ -310,7 +310,7 @@ func TestJobWaitShutdownVsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := c3.Lease(id)
+	spec, err := c3.LeaseWait(context.Background(), id, 0)
 	if err != nil || spec == nil {
 		t.Fatalf("Lease: %v %v", spec, err)
 	}
@@ -506,6 +506,11 @@ func TestWorkerKilledMidLeaseRecovers(t *testing.T) {
 	waitWorker(t, healthyCh, nil)
 }
 
+// TestWorkerCorruptChaosRecovers pins checksum rejection and recovery
+// on a fixed schedule: the always-corrupting worker starts draining the
+// moment it is granted its first lease, so it delivers exactly one
+// corrupt payload and exits before the honest worker starts. It can
+// never win every attempt of a task, whatever the goroutine schedule.
 func TestWorkerCorruptChaosRecovers(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxAttempts = 10
@@ -514,22 +519,32 @@ func TestWorkerCorruptChaosRecovers(t *testing.T) {
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	// Corrupting worker: every payload has a byte flipped, so the
 	// coordinator must reject each one by checksum.
+	badCtx, badCancel := context.WithCancel(context.Background())
+	defer badCancel()
 	bad := &Worker{Coordinator: srv.URL, Name: "bad", Runner: echoRunner{},
-		Chaos: WorkerChaos{Seed: 1, CorruptRate: 1}, Logf: t.Logf}
-	good := &Worker{Coordinator: srv.URL, Name: "good", Runner: echoRunner{}, Logf: t.Logf}
-	badCh := runWorker(t, bad, ctx)
-	goodCh := runWorker(t, good, ctx)
-
+		Chaos: WorkerChaos{Seed: 1, CorruptRate: 1}, Logf: t.Logf,
+		OnLease: func(string) { badCancel() }}
+	badCh := runWorker(t, bad, badCtx)
 	job := mustSubmit(t, c, []TaskSpec{cellSpec("cell/p/s/0", 0), cellSpec("cell/p/s/1", 1)})
+	waitWorker(t, badCh, nil)
+	if st := c.Stats(); st.Corrupt != 1 {
+		t.Fatalf("after the chaos worker's one lease: %d corrupt payloads rejected, want 1", st.Corrupt)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	good := &Worker{Coordinator: srv.URL, Name: "good", Runner: echoRunner{}, Logf: t.Logf}
+	goodCh := runWorker(t, good, ctx)
 	wctx, wcancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer wcancel()
 	results, err := job.Wait(wctx)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("%d results, want 2", len(results))
 	}
 	for i, r := range results {
 		if r.Failed != "" {
@@ -543,8 +558,10 @@ func TestWorkerCorruptChaosRecovers(t *testing.T) {
 			t.Errorf("task %s: rmse = %v", r.Key, res.RMSE)
 		}
 	}
+	if st := c.Stats(); st.Corrupt < 1 {
+		t.Errorf("no corrupt payload rejected: %+v", st)
+	}
 	cancel()
-	waitWorker(t, badCh, nil)
 	waitWorker(t, goodCh, nil)
 }
 

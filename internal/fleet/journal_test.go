@@ -43,7 +43,7 @@ func copyDir(t *testing.T, src, dst string) {
 
 func leaseKey(t *testing.T, c *Coordinator, worker string) string {
 	t.Helper()
-	spec, err := c.Lease(worker)
+	spec, err := c.LeaseWait(context.Background(), worker, 0)
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []TaskSpec{cellSpec("a", 0), cellSpec("b", 1), cellSpec("c", 2), cellSpec("d", 3)}
-	if _, err := c.SubmitJob("job-x", specs); err != nil {
+	if _, _, err := c.SubmitTasks("job-x", specs); err != nil {
 		t.Fatal(err)
 	}
 	w, _, err := c.Register("w1")
@@ -114,12 +114,12 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}
 
 	// The reattach protocol: same ID, same specs → the surviving job.
-	job, attached, err := c2.SubmitOrAttach("job-x", specs)
+	job, attached, err := c2.SubmitTasks("job-x", specs)
 	if err != nil || !attached {
-		t.Fatalf("SubmitOrAttach: attached=%v err=%v", attached, err)
+		t.Fatalf("SubmitTasks: attached=%v err=%v", attached, err)
 	}
-	if _, _, err := c2.SubmitOrAttach("job-x", specs[:2]); err == nil {
-		t.Error("SubmitOrAttach with different specs attached")
+	if _, _, err := c2.SubmitTasks("job-x", specs[:2]); err == nil {
+		t.Error("SubmitTasks with different specs attached")
 	}
 
 	// Drain the survivors; the completed key must never be re-leased.
@@ -160,7 +160,7 @@ func TestJournalTornTailRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SubmitJob("job-t", []TaskSpec{cellSpec("a", 0), cellSpec("b", 1)}); err != nil {
+	if _, _, err := c.SubmitTasks("job-t", []TaskSpec{cellSpec("a", 0), cellSpec("b", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	w, _, err := c.Register("w1")
@@ -229,7 +229,7 @@ func TestJournalTruncateEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SubmitJob("job-e", []TaskSpec{cellSpec("a", 0), cellSpec("b", 1)}); err != nil {
+	if _, _, err := c.SubmitTasks("job-e", []TaskSpec{cellSpec("a", 0), cellSpec("b", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	w, _, err := c.Register("w1")
@@ -306,7 +306,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	defer c.Close()
 	specs := []TaskSpec{cellSpec("a", 0), cellSpec("b", 1)}
-	job, err := c.SubmitJob("job-c", specs)
+	job, _, err := c.SubmitTasks("job-c", specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestJournalCompaction(t *testing.T) {
 	if len(rec.tasks) != 0 || len(rec.jobs) != 0 {
 		t.Fatalf("compacted journal replays state: %d tasks, %d jobs", len(rec.tasks), len(rec.jobs))
 	}
-	if _, err := c.SubmitJob("job-c2", specs); err != nil {
+	if _, _, err := c.SubmitTasks("job-c2", specs); err != nil {
 		t.Fatalf("re-submitting released keys: %v", err)
 	}
 }
@@ -351,7 +351,7 @@ func TestJournalHaltPreservesJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.SubmitJob("job-h", []TaskSpec{cellSpec("a", 0)})
+	job, _, err := c.SubmitTasks("job-h", []TaskSpec{cellSpec("a", 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

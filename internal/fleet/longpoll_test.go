@@ -227,8 +227,8 @@ func TestLeaseHoldManyWaiters(t *testing.T) {
 		submits.Add(1)
 		go func() {
 			defer submits.Done()
-			if _, err := c.Submit([]TaskSpec{cellSpec(fmt.Sprintf("k%d", i), i)}); err != nil {
-				t.Errorf("Submit: %v", err)
+			if _, _, err := c.SubmitTasks("", []TaskSpec{cellSpec(fmt.Sprintf("k%d", i), i)}); err != nil {
+				t.Errorf("SubmitTasks: %v", err)
 			}
 		}()
 	}

@@ -31,21 +31,5 @@ type Submitter interface {
 	SubmitterStats() (Stats, error)
 }
 
-// SubmitTasks implements Submitter on the in-process coordinator.
-func (c *Coordinator) SubmitTasks(id string, specs []TaskSpec) (Handle, bool, error) {
-	if id == "" {
-		j, err := c.Submit(specs)
-		if err != nil {
-			return nil, false, err
-		}
-		return j, false, nil
-	}
-	j, attached, err := c.SubmitOrAttach(id, specs)
-	if err != nil {
-		return nil, false, err
-	}
-	return j, attached, nil
-}
-
 // SubmitterStats implements Submitter on the in-process coordinator.
 func (c *Coordinator) SubmitterStats() (Stats, error) { return c.Stats(), nil }

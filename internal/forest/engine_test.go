@@ -58,7 +58,7 @@ func TestPredictBatchMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		mu, sigma := f.PredictBatch(pool)
-		rmu, rsigma := f.PredictBatchReference(pool)
+		rmu, rsigma := f.predictBatchReference(pool)
 		for i := range pool {
 			if mu[i] != rmu[i] || sigma[i] != rsigma[i] {
 				t.Fatalf("estimator %v row %d: flat (%v,%v) reference (%v,%v)",

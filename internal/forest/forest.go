@@ -281,21 +281,6 @@ func (f *Forest) PredictWithUncertainty(x []float64) (mu, sigma float64) {
 	return f.finishMoments(mean, m2, leafVar)
 }
 
-// predictReference is PredictWithUncertainty on the pointer-walking
-// trees; the Welford accumulation is kept operation-for-operation
-// identical so the two engines return bit-identical results.
-func (f *Forest) predictReference(x []float64) (mu, sigma float64) {
-	var mean, m2, leafVar float64
-	for t, tr := range f.trees {
-		m, v, _ := tr.PredictWithStats(x)
-		d := m - mean
-		mean += d / float64(t+1)
-		m2 += d * (m - mean)
-		leafVar += v
-	}
-	return f.finishMoments(mean, m2, leafVar)
-}
-
 // finishMoments converts Welford accumulator state into (μ, σ) per the
 // configured uncertainty estimator. Welford's m2 is non-negative by
 // construction; the clamp only guards hypothetical rounding residue.
@@ -325,26 +310,6 @@ func (f *Forest) PredictBatch(X [][]float64) (mu, sigma []float64) {
 	sigma = make([]float64, n)
 	f.parallelRows(n, func(lo, hi int) {
 		f.ScoreBatch(X[lo:hi], mu[lo:hi], sigma[lo:hi])
-	})
-	return mu, sigma
-}
-
-// PredictBatchReference predicts all rows of X through the original
-// pointer-walking tree nodes instead of the compiled flat arrays. It is
-// retained as the equivalence baseline for the flat engine: tests assert
-// bit-identical output, and benchmarks measure the speedup against it.
-func (f *Forest) PredictBatchReference(X [][]float64) (mu, sigma []float64) {
-	return f.batch(X, f.predictReference)
-}
-
-func (f *Forest) batch(X [][]float64, predict func([]float64) (float64, float64)) (mu, sigma []float64) {
-	n := len(X)
-	mu = make([]float64, n)
-	sigma = make([]float64, n)
-	f.parallelRows(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mu[i], sigma[i] = predict(X[i])
-		}
 	})
 	return mu, sigma
 }

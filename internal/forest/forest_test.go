@@ -478,6 +478,6 @@ func BenchmarkPredictBatch7000Reference(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictBatchReference(pool)
+		f.predictBatchReference(pool)
 	}
 }

@@ -97,27 +97,12 @@ func RankColumns(X [][]float64, features []space.Feature) (*Ranks, error) {
 	return rk, nil
 }
 
-// FitWorkspace builds a regression tree on (X, y) with the presorted-
-// column engine, reusing ws across calls; ws may be nil, in which case a
-// throwaway workspace is allocated. See Fit for the argument contract.
-func FitWorkspace(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG, ws *Workspace) (*Regressor, error) {
-	rk, err := RankColumns(X, features)
-	if err != nil {
-		return nil, err
-	}
-	picks := make([]int32, len(X))
-	for i := range picks {
-		picks[i] = int32(i)
-	}
-	return FitRanked(rk, y, picks, cfg, r, ws)
-}
-
 // FitRanked builds a regression tree on the row sample picks of a ranked
 // training set: sample k is the row (X[picks[k]], y[picks[k]]) of the
 // matrix X that rk ranked, so a bootstrap resample passes its draws and
-// the full set passes 0..n-1. The tree is bit-identical to FitWorkspace
-// on the materialised sample and consumes r identically. ws may be nil,
-// as for FitWorkspace.
+// the full set passes 0..n-1. The tree is bit-identical to Fit on the
+// materialised sample and consumes r identically. ws is reused across
+// calls; nil allocates a throwaway workspace.
 func FitRanked(rk *Ranks, y []float64, picks []int32, cfg Config, r *rng.RNG, ws *Workspace) (*Regressor, error) {
 	if len(rk.x) != len(y) {
 		return nil, fmt.Errorf("tree: len(X)=%d but len(y)=%d", len(rk.x), len(y))

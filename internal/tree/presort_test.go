@@ -84,6 +84,20 @@ func mixedSpace(r *rng.RNG, n, d int) (X [][]float64, y []float64, fs []space.Fe
 	return X, y, fs
 }
 
+// fitWhole fits the whole set (X, y) on the presorted engine through ws,
+// the workspace-reusing form of Fit.
+func fitWhole(X [][]float64, y []float64, fs []space.Feature, cfg Config, r *rng.RNG, ws *Workspace) (*Regressor, error) {
+	rk, err := RankColumns(X, fs)
+	if err != nil {
+		return nil, err
+	}
+	picks := make([]int32, len(X))
+	for i := range picks {
+		picks[i] = int32(i)
+	}
+	return FitRanked(rk, y, picks, cfg, r, ws)
+}
+
 // fitBoth runs the presorted and reference builders on identical inputs
 // with identically seeded generators and checks bit-identical trees plus
 // identical RNG stream consumption (the two generators must produce the
@@ -94,7 +108,7 @@ func fitBoth(t *testing.T, X [][]float64, y []float64, fs []space.Feature, cfg C
 	if seed != 0 {
 		r1, r2 = rng.New(seed), rng.New(seed)
 	}
-	got, err1 := FitWorkspace(X, y, fs, cfg, r1, ws)
+	got, err1 := fitWhole(X, y, fs, cfg, r1, ws)
 	want, err2 := FitReference(X, y, fs, cfg, r2)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("error mismatch: presorted=%v reference=%v", err1, err2)
@@ -242,11 +256,11 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	for _, sh := range shapes {
 		X, y, fs := mixedSpace(r, sh.n, sh.d)
 		cfg := Config{MinSamplesLeaf: 2, KeepTargets: sh.d%2 == 0}
-		reused, err := FitWorkspace(X, y, fs, cfg, nil, ws)
+		reused, err := fitWhole(X, y, fs, cfg, nil, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := FitWorkspace(X, y, fs, cfg, nil, nil)
+		fresh, err := fitWhole(X, y, fs, cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

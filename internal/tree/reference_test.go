@@ -1,16 +1,18 @@
 package tree
 
 import (
+	"fmt"
 	"sort"
+	"testing"
 
 	"repro/internal/rng"
 	"repro/internal/space"
 )
 
 // This file retains the per-node-sorting CART builder that predates the
-// presorted-column engine (presort.go). It is the equivalence baseline:
-// presort_test.go asserts that both builders produce bit-identical trees
-// while consuming identical RNG streams, and bench_test.go measures the
+// presorted-column engine (presort.go) as the test oracle: presort_test.go
+// asserts that both builders produce bit-identical trees while consuming
+// identical RNG streams, and BenchmarkFitReference500x20 measures the
 // presorted engine's speedup against it.
 //
 // Two semantic anchors are shared with the presorted engine so that
@@ -22,10 +24,9 @@ import (
 //   - Categories are ordered by (mean target, category index), again a
 //     unique total order.
 
-// FitReference builds a regression tree with the retained reference
-// builder: every numeric candidate feature is re-sorted at every node.
-// It accepts exactly the inputs of Fit and produces a bit-identical
-// tree; it exists for equivalence tests and as the benchmark baseline.
+// FitReference builds a regression tree with the reference builder:
+// every numeric candidate feature is re-sorted at every node. It accepts
+// exactly the inputs of Fit and produces a bit-identical tree.
 func FitReference(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (*Regressor, error) {
 	mtry, err := validateFit(X, y, features, cfg, r)
 	if err != nil {
@@ -38,6 +39,18 @@ func FitReference(X [][]float64, y []float64, features []space.Feature, cfg Conf
 	}
 	root := b.build(idx, 0)
 	return &Regressor{features: features, root: root, cfg: cfg}, nil
+}
+
+// validateFit checks the (X, y, features, cfg, r) combination Fit
+// accepts and resolves the effective mtry.
+func validateFit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (mtry int, err error) {
+	if err := validateMatrix(X, features); err != nil {
+		return 0, err
+	}
+	if len(X) != len(y) {
+		return 0, fmt.Errorf("tree: len(X)=%d but len(y)=%d", len(X), len(y))
+	}
+	return resolveMtry(len(features), cfg, r)
 }
 
 // refBuilder carries the shared state of one reference induction run.
@@ -305,4 +318,18 @@ func (b *refBuilder) goesLeft(x []float64, f int, threshold float64, catLeft []b
 		return c >= 0 && c < len(catLeft) && catLeft[c]
 	}
 	return x[f] <= threshold
+}
+
+// BenchmarkFitReference500x20 is BenchmarkFit500x20 on the reference
+// builder; the trees are bit-identical, so the ratio of the two is pure
+// engine speedup.
+func BenchmarkFitReference500x20(b *testing.B) {
+	X, y := fitBenchData()
+	fs := numFeatures(len(X[0]))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitReference(X, y, fs, Config{MaxFeatures: 7}, rng.New(uint64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -12,15 +12,15 @@
 // of their training targets so that the forest can compute the
 // law-of-total-variance uncertainty of Hutter et al. 2014.
 //
-// Two builders produce these trees. Fit, FitWorkspace and FitRanked run
-// the presorted-column engine of presort.go: each numeric column of the
-// training set is ranked once (RankColumns), every tree derives its
-// column orders from the ranks with a counting sort of its sample, and
-// the orders are stably partitioned down the recursion, so split search
-// is a single allocation-free linear scan per node. FitReference runs
-// the retained per-node-sorting builder of reference.go. The two are
-// bit-identical — same splits, thresholds, leaf statistics and RNG
-// stream consumption — which presort_test.go pins with property tests.
+// Fit and FitRanked build these trees with the presorted-column engine
+// of presort.go: each numeric column of the training set is ranked once
+// (RankColumns), every tree derives its column orders from the ranks
+// with a counting sort of its sample, and the orders are stably
+// partitioned down the recursion, so split search is a single
+// allocation-free linear scan per node. The per-node-sorting builder of
+// reference_test.go is the test oracle; presort_test.go pins the engine
+// to it bit for bit — same splits, thresholds, leaf statistics and RNG
+// stream consumption — with property tests.
 package tree
 
 import (
@@ -105,18 +105,6 @@ type Regressor struct {
 	cfg      Config
 }
 
-// validateFit checks the (X, y, features, cfg, r) combination shared by
-// every builder entry point and resolves the effective mtry.
-func validateFit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (mtry int, err error) {
-	if err := validateMatrix(X, features); err != nil {
-		return 0, err
-	}
-	if len(X) != len(y) {
-		return 0, fmt.Errorf("tree: len(X)=%d but len(y)=%d", len(X), len(y))
-	}
-	return resolveMtry(len(features), cfg, r)
-}
-
 // validateMatrix checks that X is a non-empty matrix with one column per
 // feature and only finite values. Finiteness is what makes every column
 // totally ordered by <, the premise of ranking (RankColumns) and of the
@@ -160,12 +148,20 @@ func resolveMtry(d int, cfg Config, r *rng.RNG) (int, error) {
 // drives the random-subspace feature sampling and may be nil when
 // cfg.MaxFeatures selects all features.
 //
-// Fit runs the presorted-column engine with a throwaway workspace; call
-// FitWorkspace with a reused Workspace when fitting many trees, or
-// RankColumns once and FitRanked per tree when the trees are fitted to
-// row samples of one training set (the random forest does).
+// Fit runs the presorted-column engine on the whole set with a
+// throwaway workspace; call RankColumns once and FitRanked per tree with
+// a reused Workspace when fitting many trees to row samples of one
+// training set (the random forest does).
 func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (*Regressor, error) {
-	return FitWorkspace(X, y, features, cfg, r, nil)
+	rk, err := RankColumns(X, features)
+	if err != nil {
+		return nil, err
+	}
+	picks := make([]int32, len(X))
+	for i := range picks {
+		picks[i] = int32(i)
+	}
+	return FitRanked(rk, y, picks, cfg, r, nil)
 }
 
 // split describes the best split found at a node.

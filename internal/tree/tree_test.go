@@ -414,11 +414,13 @@ func TestDuplicateXDifferentY(t *testing.T) {
 	}
 }
 
-func BenchmarkFit500x20(b *testing.B) {
+// fitBenchData is the 500×20 numeric training set of the fit and
+// predict benchmarks.
+func fitBenchData() (X [][]float64, y []float64) {
 	r := rng.New(1)
 	n, d := 500, 20
-	X := make([][]float64, n)
-	y := make([]float64, n)
+	X = make([][]float64, n)
+	y = make([]float64, n)
 	for i := range X {
 		row := make([]float64, d)
 		for j := range row {
@@ -427,7 +429,12 @@ func BenchmarkFit500x20(b *testing.B) {
 		X[i] = row
 		y[i] = row[0] + row[1]*row[2]
 	}
-	fs := numFeatures(d)
+	return X, y
+}
+
+func BenchmarkFit500x20(b *testing.B) {
+	X, y := fitBenchData()
+	fs := numFeatures(len(X[0]))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Fit(X, y, fs, Config{MaxFeatures: 7}, rng.New(uint64(i))); err != nil {
@@ -437,19 +444,8 @@ func BenchmarkFit500x20(b *testing.B) {
 }
 
 func BenchmarkPredict(b *testing.B) {
-	r := rng.New(1)
-	n, d := 500, 20
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		row := make([]float64, d)
-		for j := range row {
-			row[j] = r.Float64()
-		}
-		X[i] = row
-		y[i] = row[0] + row[1]*row[2]
-	}
-	tr, err := Fit(X, y, numFeatures(d), Config{}, nil)
+	X, y := fitBenchData()
+	tr, err := Fit(X, y, numFeatures(len(X[0])), Config{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

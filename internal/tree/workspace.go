@@ -3,7 +3,7 @@ package tree
 import "repro/internal/space"
 
 // Workspace holds the reusable buffers of the presorted-column training
-// engine. One workspace serves any number of consecutive FitWorkspace
+// engine. One workspace serves any number of consecutive FitRanked
 // calls — the buffers are re-sliced to each fit's dimensions and fully
 // overwritten before use — so a forest worker that fits trees in a loop
 // pays the allocation cost once instead of per tree (and, inside a tree,

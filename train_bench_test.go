@@ -1,9 +1,10 @@
 // bench-train: cost of one surrogate refit on the training engine
 // (DESIGN.md §8), recorded as the BENCH_train.json trajectory.
 //
-// BenchmarkTreeFit and BenchmarkTreeFitReference time one tree induction
-// at paper scale on the presorted engine and on the retained reference
-// builder; BenchmarkForestFit times a full 64-tree refit at paper scale
+// BenchmarkTreeFit times one tree induction at paper scale on the
+// presorted engine (the reference builder it is pinned to is a test
+// oracle in internal/tree, timed there by BenchmarkFitReference500x20);
+// BenchmarkForestFit times a full 64-tree refit at paper scale
 // and BenchmarkForestFitTune the refit autotune.Tune runs at Default()
 // sizes (gemver's encoded space, 200 labels, 64 trees). Each records one
 // entry per run.
@@ -169,19 +170,15 @@ func BenchmarkTreeFit(b *testing.B) {
 	X, y, fs := trainingSetup(3000)
 	ws := tree.NewWorkspace()
 	trainBenchLoop(b, "TreeFit", len(X), len(fs), 1, 1, func(int) error {
-		_, err := tree.FitWorkspace(X, y, fs, tree.Config{}, nil, ws)
-		return err
-	})
-}
-
-// BenchmarkTreeFitReference is the pre-presort baseline: the retained
-// per-node-sorting builder on the same data. The two builders produce
-// bit-identical trees (see internal/tree's equivalence property test),
-// so the ratio of these two benchmarks is pure engine speedup.
-func BenchmarkTreeFitReference(b *testing.B) {
-	X, y, fs := trainingSetup(3000)
-	trainBenchLoop(b, "TreeFitReference", len(X), len(fs), 1, 1, func(int) error {
-		_, err := tree.FitReference(X, y, fs, tree.Config{}, nil)
+		rk, err := tree.RankColumns(X, fs)
+		if err != nil {
+			return err
+		}
+		picks := make([]int32, len(X))
+		for i := range picks {
+			picks[i] = int32(i)
+		}
+		_, err = tree.FitRanked(rk, y, picks, tree.Config{}, nil, ws)
 		return err
 	})
 }
