@@ -135,10 +135,11 @@ soak-server:
 # worker woken by a submit or a re-queue, released by shutdown and by a
 # cancelled request without losing an attempt, one request per Poll
 # against a coordinator that ignores wait_ms) and the remote
-# evaluator's noise-stream round trip are gated alongside.
+# evaluator's noise-stream round trip are gated alongside, as is the
+# worker fault grammar (chaos.ParseWorker).
 fleet-equivalence:
 	go test -race -run 'TestFleetCampaignMatchesLocal|TestFleetChaosEquivalence|TestFleetKilledMidLeaseEquivalence|TestFleetSchedulerStats|TestFleetRejectsCustomFitter|TestTuneRemoteMatchesLocal' ./internal/experiment ./internal/autotune
-	go test -race -run 'TestCoordinator|TestWorker|TestLeaseHold|TestRemoteEvaluatorMatchesLocal|TestChaos|TestChecksum|TestParseWorkerChaos' ./internal/fleet
+	go test -race -run 'TestCoordinator|TestWorker|TestLeaseHold|TestRemoteEvaluatorMatchesLocal|TestChaos|TestChecksum|TestParseWorkerChaos' ./internal/fleet ./internal/chaos
 
 # fleet-soak drains a campaign through a fleet of workers with mixed
 # process-level faults — crashes (killed and supervised back up),
@@ -150,8 +151,8 @@ fleet-soak:
 
 # fleet-failover gates the durable coordinator: the journal layer
 # (crash-image recovery, torn-tail truncation at every offset,
-# compaction, halt/reattach, typed shutdown errors, held leases released
-# by Close and Halt), the HTTP submitter client riding out coordinator
+# compaction, close/reattach, typed shutdown errors that keep pending
+# task state, held leases released by Close), the HTTP submitter client riding out coordinator
 # restarts and long-polling job status, and the fleetd drills — the
 # coordinator SIGKILLed mid-campaign and restarted on the same address,
 # the submitter abandoned and reattached by its deterministic job ID —
@@ -163,7 +164,7 @@ fleet-soak:
 # counterpart.
 fleet-failover:
 	go test -race -run 'TestAppendLog' ./internal/runstate
-	go test -race -run 'TestJournal|TestClient|TestLeaseHoldReleasedByShutdown|TestRegisterBackoff|TestJobWaitShutdownVsContext|TestCoordinatorCloseFailsPending' ./internal/fleet
+	go test -race -run 'TestJournal|TestClient|TestLeaseHoldReleasedByShutdown|TestRegisterBackoff|TestJobWaitShutdownVsContext|TestCoordinatorCloseKeepsPending' ./internal/fleet
 	go test -race -run 'TestFleetd' ./cmd/fleetd
 	go test -race -run 'TestServerChaosClientFaults' ./internal/server
 

@@ -1,8 +1,8 @@
 // Command evald is the fleet evaluator worker: it registers with a
-// coordinator (a figures/tune run serving -remote, or any process
-// embedding fleet.Coordinator), leases campaign cells and batched
-// evaluation tasks, executes them with the standard experiment runner,
-// and reports checksummed results back.
+// coordinator (a resident fleetd, a figures/tune run with -fleet
+// serve=HOST:PORT, or any process embedding fleet.Coordinator), leases
+// campaign cells and batched evaluation tasks, executes them with the
+// standard experiment runner, and reports checksummed results back.
 //
 // Usage:
 //
@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cli"
 	"repro/internal/experiment"
 	"repro/internal/fleet"
@@ -42,7 +43,7 @@ func main() {
 	name := flag.String("name", "", "worker name in coordinator logs (default: hostname)")
 	slots := flag.Int("slots", 1, "concurrent leases")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight leases")
-	chaosSpec := flag.String("chaos", "", "fault injection spec: "+fleet.WorkerChaosGrammar)
+	chaosSpec := flag.String("chaos", "", "fault injection spec: "+chaos.WorkerGrammar)
 	flag.Parse()
 
 	base, err := cli.RemoteURL("-coordinator", *coordinator)
@@ -55,7 +56,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
-	wc, err := fleet.ParseWorkerChaos(*chaosSpec)
+	wc, err := chaos.ParseWorker(*chaosSpec)
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}

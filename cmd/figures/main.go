@@ -19,18 +19,14 @@
 // prediction cache (a different — faster — variant of Algorithm 1, not
 // the paper's cold refit).
 //
-// -remote host:port serves an embedded fleet coordinator on that
-// address and drains the campaigns through remote evald workers
-// instead of the in-process pool — the curves are bit-identical either
-// way (see the fleet-equivalence gate). Start workers with:
-//
-//	evald -coordinator host:port
-//
-// -coordinator URL drains the campaigns through a resident fleetd
-// coordinator instead: fleetd journals every completed cell, so a
-// coordinator or figures restart mid-grid resumes the surviving job
-// (same seed → same deterministic job ID) without re-evaluating
-// finished cells.
+// -fleet drains the campaigns through evald workers instead of the
+// in-process pool — the curves are bit-identical either way (see the
+// fleet-equivalence gate). -fleet serve=host:port serves an in-process
+// coordinator on that address (start workers with `evald -coordinator
+// host:port`); -fleet URL or host:port uses a resident fleetd instead:
+// fleetd journals every completed cell, so a coordinator or figures
+// restart mid-grid resumes the surviving job (same seed → same
+// deterministic job ID) without re-evaluating finished cells.
 package main
 
 import (
@@ -38,14 +34,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cli"
@@ -64,20 +57,11 @@ func main() {
 	seed := flag.Uint64("seed", 42, "root seed")
 	workers := flag.Int("workers", 0, "campaign worker pool size; 0 = GOMAXPROCS")
 	warm := flag.Bool("warm", false, "refit the surrogate incrementally and cache checkpoint evaluations")
-	remote := flag.String("remote", "", "serve a fleet coordinator on this host:port and drain campaigns through remote evald workers")
-	coordinator := flag.String("coordinator", "", "drain campaigns through a resident fleetd coordinator at this URL or host:port")
+	fleetTarget := flag.String("fleet", "", "drain campaigns through evald workers: serve=HOST:PORT serves a coordinator,\na URL or host:port uses a resident fleetd")
 	flag.Parse()
 
 	if err := cli.NonNegativeInt("-workers", *workers); err != nil {
 		cli.Fatalf("%v", err)
-	}
-	if *remote != "" {
-		if err := cli.ListenAddr("-remote", *remote); err != nil {
-			cli.Fatalf("%v", err)
-		}
-	}
-	if *remote != "" && *coordinator != "" {
-		cli.Fatalf("-remote and -coordinator are mutually exclusive: serve an embedded coordinator or use a resident one")
 	}
 
 	var sc experiment.Scale
@@ -124,33 +108,13 @@ func main() {
 		Workers:  *workers,
 	}
 
-	if *remote != "" {
-		coord := fleet.New(fleet.Config{Logf: log.New(os.Stderr, "fleet: ", log.LstdFlags).Printf})
-		defer coord.Close()
-		ln, err := net.Listen("tcp", *remote)
-		if err != nil {
-			fatal(fmt.Errorf("fleet listener: %w", err))
-		}
-		srv := &http.Server{Handler: coord.Handler()}
-		go func() { _ = srv.Serve(ln) }()
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sctx)
-		}()
-		fmt.Printf("fleet coordinator on %s; start workers with: evald -coordinator %s\n",
-			ln.Addr(), ln.Addr())
-		gen.Fleet = coord
-	}
-	if *coordinator != "" {
-		base, err := cli.RemoteURL("-coordinator", *coordinator)
+	if *fleetTarget != "" {
+		sub, closeFleet, err := fleet.Dial(*fleetTarget, log.New(os.Stderr, "figures: ", log.LstdFlags).Printf)
 		if err != nil {
 			cli.Fatalf("%v", err)
 		}
-		client := fleet.NewClient(base)
-		client.Logf = log.New(os.Stderr, "fleet: ", log.LstdFlags).Printf
-		fmt.Printf("draining campaigns through resident coordinator %s\n", base)
-		gen.Fleet = client
+		defer closeFleet()
+		gen.Fleet = sub
 	}
 
 	artifacts := []struct {

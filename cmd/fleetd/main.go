@@ -96,9 +96,8 @@ func run(addr, journal string, lease, drainTimeout time.Duration, logger *log.Lo
 	case <-ctx.Done():
 	}
 
-	// Graceful drain: finish in-flight requests, then halt rather than
-	// close — pending work stays journaled so the next boot resumes it
-	// instead of failing it back to submitters.
+	// Graceful drain: finish in-flight requests, then close — pending
+	// work stays journaled so the next boot resumes it.
 	logger.Printf("signal received, draining (budget %s)", drainTimeout)
 	stop()
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
@@ -116,7 +115,7 @@ func run(addr, journal string, lease, drainTimeout time.Duration, logger *log.Lo
 	}()
 
 	shutdownErr := srv.Shutdown(dctx)
-	coord.Halt()
+	coord.Close()
 	if shutdownErr != nil || dctx.Err() != nil {
 		return context.Canceled // 130: the drain was cut short
 	}

@@ -24,17 +24,14 @@
 // deterministic faults into the model phase (see -h for the grammar),
 // for drilling the failure policy.
 //
-// -remote host:port serves an embedded fleet coordinator on that
-// address and offloads every real measurement (model, verify, and
-// baseline phases) to remote evald workers; the tuning trajectory is
-// bit-identical to a local run. Start workers with:
-//
-//	evald -coordinator host:port
-//
-// -coordinator URL submits those measurements to a resident fleetd
-// coordinator instead of serving an embedded one — the durable
-// variant: fleetd journals every evaluation, so neither its restarts
-// nor this process's lose paid-for measurements.
+// -fleet offloads every real measurement (model, verify, and baseline
+// phases) to evald workers; the tuning trajectory and stdout are
+// bit-identical to a local run. -fleet serve=host:port serves an
+// in-process coordinator on that address (start workers with
+// `evald -coordinator host:port`); -fleet URL or host:port submits to a
+// resident fleetd instead — the durable variant: fleetd journals every
+// evaluation, so neither its restarts nor this process's lose
+// paid-for measurements.
 package main
 
 import (
@@ -42,8 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -76,8 +71,7 @@ func main() {
 	shard := flag.Int("shard", 0, "candidates per scoring shard (0 = default 1024)")
 	timeout := flag.Duration("timeout", 0, "per-measurement deadline; a hung run is cut off and retried (0 = none)")
 	chaosSpec := flag.String("chaos", "", "fault-injection scenario for the model phase;\n"+chaos.Grammar)
-	remote := flag.String("remote", "", "serve a fleet coordinator on this host:port and offload measurements to remote evald workers")
-	coordinator := flag.String("coordinator", "", "submit measurements to a resident fleetd coordinator at this URL or host:port")
+	fleetTarget := flag.String("fleet", "", "offload measurements to evald workers: serve=HOST:PORT serves a coordinator,\na URL or host:port submits to a resident fleetd")
 	flag.Parse()
 
 	if err := cli.FirstError(
@@ -91,14 +85,6 @@ func main() {
 		cli.NonNegativeDuration("-timeout", *timeout),
 	); err != nil {
 		cli.Fatalf("%v", err)
-	}
-	if *remote != "" {
-		if err := cli.ListenAddr("-remote", *remote); err != nil {
-			cli.Fatalf("%v", err)
-		}
-	}
-	if *remote != "" && *coordinator != "" {
-		cli.Fatalf("-remote and -coordinator are mutually exclusive: serve an embedded coordinator or use a resident one")
 	}
 
 	p, err := bench.ByName(*benchName)
@@ -128,33 +114,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tune: "+format+"\n", args...)
 	}
 
-	if *remote != "" {
-		coord := fleet.New(fleet.Config{Logf: log.New(os.Stderr, "fleet: ", log.LstdFlags).Printf})
-		defer coord.Close()
-		ln, err := net.Listen("tcp", *remote)
-		if err != nil {
-			fatal(fmt.Errorf("fleet listener: %w", err))
-		}
-		srv := &http.Server{Handler: coord.Handler()}
-		go func() { _ = srv.Serve(ln) }()
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sctx)
-		}()
-		fmt.Printf("fleet coordinator on %s; start workers with: evald -coordinator %s\n",
-			ln.Addr(), ln.Addr())
-		cfg.Remote = coord
-	}
-	if *coordinator != "" {
-		base, err := cli.RemoteURL("-coordinator", *coordinator)
+	if *fleetTarget != "" {
+		sub, closeFleet, err := fleet.Dial(*fleetTarget, log.New(os.Stderr, "tune: ", log.LstdFlags).Printf)
 		if err != nil {
 			cli.Fatalf("%v", err)
 		}
-		client := fleet.NewClient(base)
-		client.Logf = log.New(os.Stderr, "fleet: ", log.LstdFlags).Printf
-		fmt.Printf("submitting measurements to resident coordinator %s\n", base)
-		cfg.Remote = client
+		defer closeFleet()
+		cfg.Remote = sub
 	}
 
 	fmt.Printf("tuning %s (%s)\n", p.Name(), p.Description())

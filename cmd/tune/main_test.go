@@ -53,6 +53,11 @@ func TestExitCodes(t *testing.T) {
 		t.Fatalf("bad -chaos exited %d, want 1", code)
 	}
 
+	// Malformed fleet target: plain failure before any measurement.
+	if code := exitCode(t, exec.Command(bin, "-fleet", "serve=nonsense").Run()); code != 1 {
+		t.Fatalf("bad -fleet exited %d, want 1", code)
+	}
+
 	// A transient-error scenario fully covered by retries completes.
 	cmd := exec.Command(bin, "-bench", "atax", "-budget", "30", "-search", "500",
 		"-verify", "2", "-chaos", "err=0.2,seed=3", "-retries", "15")

@@ -102,8 +102,9 @@ type Config struct {
 
 	// Remote, when set, offloads every real measurement — model-phase
 	// labels, verification runs, the baseline — to fleet workers
-	// through this submitter: the embedded coordinator of -remote, or
-	// a fleet.Client against a resident fleetd. The local evaluator
+	// through this submitter, typically from fleet.Dial (tune -fleet):
+	// an in-process coordinator, or a fleet.Client against a resident
+	// fleetd. The local evaluator
 	// stays as the noise-stream mirror (see fleet.RemoteEvaluator), so
 	// the outcome is bit-identical to a local run; model-phase ask
 	// batches travel as one task each. Chaos composes: the injector

@@ -11,6 +11,9 @@
 // transient-only scenario, once fully retried, yields curves
 // byte-identical to the fault-free run.
 //
+// Worker is the same idea one layer up: process-level faults for a
+// fleet worker, injected by internal/fleet.
+//
 // An Injector is not safe for concurrent use, matching the evaluator
 // contract of core.Run (one evaluator per run); give each campaign cell
 // its own Injector.
@@ -77,6 +80,48 @@ type Scenario struct {
 func (s Scenario) Active() bool {
 	return s.ErrRate > 0 || s.HangRate > 0 || s.PanicRate > 0 ||
 		s.CorruptRate > 0 || (s.LatencyRate > 0 && s.Latency > 0)
+}
+
+// Worker prescribes process-level faults for a fleet worker, one layer
+// up from Scenario: where a Scenario misbehaves inside one evaluation,
+// a Worker misbehaves as a machine — crashing and abandoning its
+// leases, freezing (heartbeats included), panicking mid-task, or
+// corrupting result payloads on the wire. Every fault is recoverable
+// at the fleet coordinator through lease expiry, re-queueing and
+// checksum rejection. fleet.Worker owns the injector; rates are drawn
+// once per lease, each kind from its own stream seeded from Seed.
+type Worker struct {
+	// Seed seeds the per-fault streams.
+	Seed uint64
+
+	// CrashRate is the probability a lease makes the worker die on the
+	// spot: no completion, no deregistration, leases abandoned.
+	CrashRate float64
+
+	// HangRate is the probability the worker freezes — execution and
+	// heartbeats both — for HangFor before resuming. A freeze longer
+	// than the lease TTL expires the lease; the late completion then
+	// exercises duplicate-drop ingestion.
+	HangRate float64
+
+	// HangFor is the freeze duration; <= 0 defaults to 3x the
+	// coordinator's advertised lease TTL, long enough to guarantee the
+	// lease bounces.
+	HangFor time.Duration
+
+	// PanicRate is the probability the task execution panics before
+	// running; the worker recovers it and reports the lease failed.
+	PanicRate float64
+
+	// CorruptRate is the probability the completion payload has one
+	// byte flipped after checksumming — a corrupted result the
+	// coordinator must reject.
+	CorruptRate float64
+}
+
+// Active reports whether any fault can fire.
+func (w Worker) Active() bool {
+	return w.CrashRate > 0 || w.HangRate > 0 || w.PanicRate > 0 || w.CorruptRate > 0
 }
 
 // Stats counts the faults an Injector has fired.

@@ -205,3 +205,33 @@ func TestParseRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func TestParseWorkerChaos(t *testing.T) {
+	cases := []struct {
+		spec string
+		want Worker
+		ok   bool
+	}{
+		{"", Worker{}, true},
+		{"crash=0.01", Worker{CrashRate: 0.01}, true},
+		{"hang=0.05:2s,panic=0.02,corrupt=0.1,seed=7",
+			Worker{Seed: 7, HangRate: 0.05, HangFor: 2 * time.Second, PanicRate: 0.02, CorruptRate: 0.1}, true},
+		{"hang=0.5", Worker{HangRate: 0.5}, true},
+		{"crash=1.5", Worker{}, false},
+		{"crash=-0.1", Worker{}, false},
+		{"hang=0.1:xx", Worker{}, false},
+		{"nonsense", Worker{}, false},
+		{"bogus=0.1", Worker{}, false},
+		{"seed=abc", Worker{}, false},
+	}
+	for _, tc := range cases {
+		got, err := ParseWorker(tc.spec)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseWorker(%q): err = %v, want ok=%v", tc.spec, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("ParseWorker(%q) = %+v, want %+v", tc.spec, got, tc.want)
+		}
+	}
+}

@@ -17,24 +17,18 @@ const Grammar = `comma-separated key=value fields (or "none"):
   seed=N             fault-stream seed (default 0)
 e.g. "err=0.1,hang=0.01,corrupt=0.05x10,lat=0.2:20ms,seed=7"`
 
+// WorkerGrammar is the Worker specification accepted by ParseWorker,
+// e.g. "hang=0.05:2s,panic=0.02,corrupt=0.1,seed=7".
+const WorkerGrammar = "crash=RATE,hang=RATE[:DUR],panic=RATE,corrupt=RATE,seed=N"
+
 // Parse builds a Scenario from its textual form (see Grammar). The empty
 // string and "none" parse to the inactive zero scenario.
 func Parse(spec string) (Scenario, error) {
 	var sc Scenario
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "none" {
+	if strings.TrimSpace(spec) == "none" {
 		return sc, nil
 	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return sc, fmt.Errorf("chaos: field %q is not key=value", field)
-		}
-		var err error
+	err := fields(spec, func(key, val string) (err error) {
 		switch key {
 		case "err":
 			sc.ErrRate, err = parseRate(val)
@@ -53,7 +47,7 @@ func Parse(spec string) (Scenario, error) {
 		case "lat":
 			rate, dur, cut := strings.Cut(val, ":")
 			if !cut {
-				return sc, fmt.Errorf("chaos: lat needs RATE:DUR, got %q", val)
+				return fmt.Errorf("lat needs RATE:DUR, got %q", val)
 			}
 			if sc.LatencyRate, err = parseRate(rate); err == nil {
 				sc.Latency, err = time.ParseDuration(dur)
@@ -61,13 +55,57 @@ func Parse(spec string) (Scenario, error) {
 		case "seed":
 			sc.Seed, err = strconv.ParseUint(val, 10, 64)
 		default:
-			return sc, fmt.Errorf("chaos: unknown field %q (want err, hang, panic, corrupt, lat or seed)", key)
+			return fmt.Errorf("unknown field %q (want err, hang, panic, corrupt, lat or seed)", key)
 		}
-		if err != nil {
-			return sc, fmt.Errorf("chaos: field %q: %v", field, err)
+		return err
+	})
+	return sc, err
+}
+
+// ParseWorker builds a Worker scenario from its textual form (see
+// WorkerGrammar). The empty string parses to the inactive zero value.
+func ParseWorker(spec string) (Worker, error) {
+	var w Worker
+	err := fields(spec, func(key, val string) (err error) {
+		switch key {
+		case "crash":
+			w.CrashRate, err = parseRate(val)
+		case "hang":
+			rate, dur, cut := strings.Cut(val, ":")
+			if w.HangRate, err = parseRate(rate); err == nil && cut {
+				w.HangFor, err = time.ParseDuration(dur)
+			}
+		case "panic":
+			w.PanicRate, err = parseRate(val)
+		case "corrupt":
+			w.CorruptRate, err = parseRate(val)
+		case "seed":
+			w.Seed, err = strconv.ParseUint(val, 10, 64)
+		default:
+			return fmt.Errorf("unknown field %q (grammar: %s)", key, WorkerGrammar)
+		}
+		return err
+	})
+	return w, err
+}
+
+// fields calls set on each key=value field of a comma-separated spec,
+// skipping empty fields.
+func fields(spec string, set func(key, val string) error) error {
+	for _, field := range strings.Split(strings.TrimSpace(spec), ",") {
+		field = strings.TrimSpace(field)
+		if field == "" {
+			continue
+		}
+		key, val, ok := strings.Cut(field, "=")
+		if !ok {
+			return fmt.Errorf("chaos: field %q is not key=value", field)
+		}
+		if err := set(key, val); err != nil {
+			return fmt.Errorf("chaos: field %q: %v", field, err)
 		}
 	}
-	return sc, nil
+	return nil
 }
 
 // parseRate parses a probability in [0, 1].

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/rng"
@@ -38,7 +39,7 @@ type fleetRig struct {
 	ws     []*fleet.Worker
 }
 
-func startFleet(t *testing.T, cfg fleet.Config, n int, chaosFor func(i int) fleet.WorkerChaos) *fleetRig {
+func startFleet(t *testing.T, cfg fleet.Config, n int, chaosFor func(i int) chaos.Worker) *fleetRig {
 	t.Helper()
 	coord := fleet.New(cfg)
 	srv := httptest.NewServer(coord.Handler())
@@ -143,14 +144,14 @@ func TestFleetChaosEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := startFleet(t, fleetTestConfig(), 3, func(i int) fleet.WorkerChaos {
+	rig := startFleet(t, fleetTestConfig(), 3, func(i int) chaos.Worker {
 		switch i {
 		case 0:
-			return fleet.WorkerChaos{Seed: 11, HangRate: 0.15, HangFor: 600 * time.Millisecond, PanicRate: 0.15}
+			return chaos.Worker{Seed: 11, HangRate: 0.15, HangFor: 600 * time.Millisecond, PanicRate: 0.15}
 		case 1:
-			return fleet.WorkerChaos{Seed: 12, CorruptRate: 0.3, PanicRate: 0.1}
+			return chaos.Worker{Seed: 12, CorruptRate: 0.3, PanicRate: 0.1}
 		default:
-			return fleet.WorkerChaos{} // the clean one
+			return chaos.Worker{} // the clean one
 		}
 	})
 	got := runFleetCampaign(t, rig, p, names, sc, 7)
@@ -298,7 +299,7 @@ func TestFleetSoakMixedFaults(t *testing.T) {
 					Logf:        t.Logf,
 				}
 				if slot != 2 {
-					w.Chaos = fleet.WorkerChaos{
+					w.Chaos = chaos.Worker{
 						Seed:        seed,
 						CrashRate:   0.05,
 						HangRate:    0.05,

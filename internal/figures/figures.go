@@ -50,8 +50,9 @@ type Generator struct {
 
 	// Fleet, when non-nil, drains campaigns through this submitter's
 	// registered remote workers (experiment.RunCampaignFleet) instead
-	// of the in-process scheduler — the embedded coordinator of
-	// -remote, or a fleet.Client against a resident fleetd. Curves are
+	// of the in-process scheduler — typically from fleet.Dial (figures
+	// -fleet): an in-process coordinator, or a fleet.Client against a
+	// resident fleetd. Curves are
 	// bit-identical either way; only the telemetry changes meaning
 	// (steals become lease re-queues, the dataset cache lives per
 	// worker).

@@ -1,148 +1,30 @@
 package fleet
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/rng"
 )
-
-// WorkerChaos injects process-level faults into a Worker, mirroring
-// internal/chaos's evaluator-level scenario one layer up: where the
-// chaos injector misbehaves inside one evaluation, WorkerChaos
-// misbehaves as a machine — freezing (heartbeats included), panicking
-// mid-task, corrupting result payloads on the wire, or crashing and
-// abandoning its leases. Every fault is recoverable at the coordinator
-// through lease expiry, re-queueing and checksum rejection, which is
-// exactly what the fleet equivalence gates exercise.
-//
-// Fault draws derive from per-kind generator streams seeded from Seed,
-// one draw per kind per lease in fixed order, so a fleet drill replays
-// identically.
-type WorkerChaos struct {
-	// Seed seeds the per-fault streams.
-	Seed uint64
-
-	// CrashRate is the probability a lease makes the worker die on the
-	// spot: no completion, no deregistration, leases abandoned.
-	CrashRate float64
-
-	// HangRate is the probability the worker freezes — execution and
-	// heartbeats both — for HangFor before resuming. A freeze longer
-	// than the lease TTL expires the lease; the late completion then
-	// exercises duplicate-drop ingestion.
-	HangRate float64
-
-	// HangFor is the freeze duration; <= 0 defaults to 3x the
-	// coordinator's advertised lease TTL, long enough to guarantee the
-	// lease bounces.
-	HangFor time.Duration
-
-	// PanicRate is the probability the task execution panics before
-	// running; the worker recovers it and reports the lease failed.
-	PanicRate float64
-
-	// CorruptRate is the probability the completion payload has one
-	// byte flipped after checksumming — a corrupted result the
-	// coordinator must reject.
-	CorruptRate float64
-}
-
-// Active reports whether any fault can fire.
-func (c WorkerChaos) Active() bool {
-	return c.CrashRate > 0 || c.HangRate > 0 || c.PanicRate > 0 || c.CorruptRate > 0
-}
-
-// WorkerChaosGrammar documents the ParseWorkerChaos spec format.
-const WorkerChaosGrammar = "crash=RATE,hang=RATE[:DUR],panic=RATE,corrupt=RATE,seed=N"
-
-// ParseWorkerChaos parses a compact comma-separated fault spec, e.g.
-// "hang=0.05:2s,panic=0.02,corrupt=0.1,seed=7". An empty spec is the
-// inactive zero scenario.
-func ParseWorkerChaos(spec string) (WorkerChaos, error) {
-	var c WorkerChaos
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return c, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return c, fmt.Errorf("fleet: chaos field %q is not key=value (grammar: %s)", field, WorkerChaosGrammar)
-		}
-		switch k {
-		case "seed":
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return c, fmt.Errorf("fleet: chaos seed %q: %v", v, err)
-			}
-			c.Seed = n
-		case "hang":
-			rate, dur, hasDur := strings.Cut(v, ":")
-			r, err := parseRate(k, rate)
-			if err != nil {
-				return c, err
-			}
-			c.HangRate = r
-			if hasDur {
-				d, err := time.ParseDuration(dur)
-				if err != nil {
-					return c, fmt.Errorf("fleet: chaos hang duration %q: %v", dur, err)
-				}
-				c.HangFor = d
-			}
-		case "crash", "panic", "corrupt":
-			r, err := parseRate(k, v)
-			if err != nil {
-				return c, err
-			}
-			switch k {
-			case "crash":
-				c.CrashRate = r
-			case "panic":
-				c.PanicRate = r
-			case "corrupt":
-				c.CorruptRate = r
-			}
-		default:
-			return c, fmt.Errorf("fleet: unknown chaos field %q (grammar: %s)", k, WorkerChaosGrammar)
-		}
-	}
-	return c, nil
-}
-
-func parseRate(key, v string) (float64, error) {
-	r, err := strconv.ParseFloat(v, 64)
-	if err != nil || r < 0 || r > 1 {
-		return 0, fmt.Errorf("fleet: chaos %s rate %q must be a probability in [0, 1]", key, v)
-	}
-	return r, nil
-}
 
 // chaosDraw is one lease's fault decisions.
 type chaosDraw struct {
 	crash, hang, panic_, corrupt bool
 }
 
-// chaosInjector holds the per-kind streams. Each kind draws from its
-// own generator every lease whether or not it fires, in fixed order,
-// so one fault kind's rate never shifts another's sequence — the same
-// stream-independence discipline as internal/chaos.
+// chaosInjector holds the per-kind streams of a chaos.Worker scenario.
+// Each kind draws from its own generator every lease whether or not it
+// fires, in fixed order, so one fault kind's rate never shifts
+// another's sequence and a fleet drill replays identically — the same
+// stream-independence discipline as chaos.Injector.
 type chaosInjector struct {
-	cfg WorkerChaos
+	cfg chaos.Worker
 
 	mu                           sync.Mutex
 	crash, hang, panic_, corrupt *rng.RNG
 }
 
-func newChaosInjector(cfg WorkerChaos) *chaosInjector {
+func newChaosInjector(cfg chaos.Worker) *chaosInjector {
 	return &chaosInjector{
 		cfg:     cfg,
 		crash:   rng.New(rng.Mix(cfg.Seed, 0x9b1a4ef382cd03d1)),

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 )
@@ -60,24 +61,24 @@ func (cl *Client) retryFor() time.Duration {
 	return cl.RetryFor
 }
 
-func (cl *Client) http() *http.Client {
-	if cl.HTTP != nil {
-		return cl.HTTP
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
-
 func (cl *Client) logf(format string, args ...interface{}) {
 	if cl.Logf != nil {
 		cl.Logf(format, args...)
 	}
 }
 
-// do sends one JSON request and decodes the response into out (when
-// non-nil and the status is a 2xx). Error-status bodies are decoded
-// into a readable error. ctx cuts a held request short.
-func (cl *Client) do(ctx context.Context, method, path string, body, out interface{}) (int, error) {
-	base := strings.TrimRight(cl.Base, "/")
+// defaultHTTP serves workers and clients that set no HTTP client of
+// their own.
+var defaultHTTP = &http.Client{Timeout: 10 * time.Second}
+
+// call sends one request to the coordinator at base — the one HTTP
+// path of workers and clients. A non-nil body travels as JSON; out,
+// when non-nil, receives a 2xx response's JSON body. It returns the
+// HTTP status, 0 when no answer arrived, and an error for a transport
+// failure or a status >= 300 (with the coordinator's error message
+// when its body carries one). ctx cuts a held request short; a nil hc
+// uses a 10s-timeout client.
+func call(ctx context.Context, hc *http.Client, base, method, path string, body, out interface{}) (int, error) {
 	var rd io.Reader
 	if body != nil {
 		var buf bytes.Buffer
@@ -86,14 +87,17 @@ func (cl *Client) do(ctx context.Context, method, path string, body, out interfa
 		}
 		rd = &buf
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(base, "/")+path, rd)
 	if err != nil {
 		return 0, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := cl.http().Do(req)
+	if hc == nil {
+		hc = defaultHTTP
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -130,7 +134,7 @@ func (cl *Client) SubmitTasks(id string, specs []TaskSpec) (Handle, bool, error)
 	warned := false
 	for {
 		var resp SubmitJobResponse
-		status, err := cl.do(context.Background(), http.MethodPost, "/fleet/jobs", SubmitJobRequest{ID: id, Specs: specs}, &resp)
+		status, err := call(context.Background(), cl.HTTP, cl.Base, http.MethodPost, "/fleet/jobs", SubmitJobRequest{ID: id, Specs: specs}, &resp)
 		if err == nil {
 			return &remoteJob{cl: cl, id: resp.Job}, resp.Attached, nil
 		}
@@ -151,7 +155,7 @@ func (cl *Client) SubmitterStats() (Stats, error) {
 	deadline := time.Now().Add(cl.retryFor())
 	for {
 		var st Stats
-		status, err := cl.do(context.Background(), http.MethodGet, "/fleet/stats", nil, &st)
+		status, err := call(context.Background(), cl.HTTP, cl.Base, http.MethodGet, "/fleet/stats", nil, &st)
 		if err == nil {
 			return st, nil
 		}
@@ -167,7 +171,7 @@ func (cl *Client) SubmitterStats() (Stats, error) {
 // were carried over, not re-run.
 func (cl *Client) Recovered() (completed, requeued []string, err error) {
 	var resp RecoveredResponse
-	if _, err := cl.do(context.Background(), http.MethodGet, "/fleet/recovered", nil, &resp); err != nil {
+	if _, err := call(context.Background(), cl.HTTP, cl.Base, http.MethodGet, "/fleet/recovered", nil, &resp); err != nil {
 		return nil, nil, err
 	}
 	return resp.Completed, resp.Requeued, nil
@@ -197,12 +201,12 @@ func (r *remoteJob) Wait(ctx context.Context) ([]TaskResult, error) {
 		ctx = context.Background()
 	}
 	poll := r.cl.poll()
-	path := fmt.Sprintf("/fleet/jobs/%s?wait_ms=%d", r.id, poll.Milliseconds())
+	path := fmt.Sprintf("/fleet/jobs/%s?wait_ms=%d", url.PathEscape(r.id), poll.Milliseconds())
 	warned := false
 	for {
 		start := time.Now()
 		var resp JobStatusResponse
-		status, err := r.cl.do(ctx, http.MethodGet, path, nil, &resp)
+		status, err := call(ctx, r.cl.HTTP, r.cl.Base, http.MethodGet, path, nil, &resp)
 		switch {
 		case err == nil && resp.Done:
 			r.release()
@@ -236,7 +240,7 @@ func (r *remoteJob) Wait(ctx context.Context) ([]TaskResult, error) {
 // is next compacted, never loses data.
 func (r *remoteJob) release() {
 	for attempt := 0; attempt < 3; attempt++ {
-		if _, err := r.cl.do(context.Background(), http.MethodDelete, "/fleet/jobs/"+r.id, nil, nil); err == nil {
+		if _, err := call(context.Background(), r.cl.HTTP, r.cl.Base, http.MethodDelete, "/fleet/jobs/"+url.PathEscape(r.id), nil, nil); err == nil {
 			return
 		}
 		time.Sleep(r.cl.poll())

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -80,6 +82,123 @@ func TestClientSubmitWaitRelease(t *testing.T) {
 	}
 }
 
+// TestClientJobsMatchCoordinator submits the same jobs through the
+// in-process coordinator and through a Client against it — named and
+// auto-named, empty and with one task, with IDs that must be escaped
+// in a URL — and both submitters must deliver every job's results.
+func TestClientJobsMatchCoordinator(t *testing.T) {
+	c := New(testConfig())
+	defer c.Close()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := runWorker(t, &Worker{Coordinator: srv.URL, Name: "w", Runner: echoRunner{}, Logf: t.Logf}, ctx)
+	defer func() {
+		cancel()
+		waitWorker(t, errCh, nil)
+	}()
+
+	subs := []struct {
+		name string
+		sub  Submitter
+	}{{"coordinator", c}, {"client", testClient(srv.URL)}}
+	ids := []string{"", "named", "a?b", "a#b", "a%2Fb", "50%", "campaign/0123456789abcdef", "x/../y"}
+	for _, s := range subs {
+		for i, id := range ids {
+			for _, n := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%s/id%d/tasks%d", s.name, i, n), func(t *testing.T) {
+					var specs []TaskSpec
+					if n == 1 {
+						specs = append(specs, cellSpec(fmt.Sprintf("%s/%d", s.name, i), i))
+					}
+					h, attached, err := s.sub.SubmitTasks(id, specs)
+					if err != nil || attached {
+						t.Fatalf("SubmitTasks(%q): attached=%v err=%v", id, attached, err)
+					}
+					if id != "" && h.ID() != id {
+						t.Errorf("job ID %q, want %q", h.ID(), id)
+					}
+					wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+					defer wcancel()
+					results, err := h.Wait(wctx)
+					if err != nil || len(results) != n {
+						t.Fatalf("Wait(%q): %d results, err=%v; want %d", id, len(results), err, n)
+					}
+					for _, r := range results {
+						if r.Failed != "" {
+							t.Errorf("task %s failed: %s", r.Key, r.Failed)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDial drives a one-task job through each kind of -fleet target —
+// a served in-process coordinator and a resident one's URL — and
+// rejects malformed targets.
+func TestDial(t *testing.T) {
+	runOne := func(t *testing.T, sub Submitter, base string) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		errCh := runWorker(t, &Worker{Coordinator: base, Name: "w", Runner: echoRunner{}, Logf: t.Logf}, ctx)
+		defer func() {
+			cancel()
+			waitWorker(t, errCh, nil)
+		}()
+		h, _, err := sub.SubmitTasks("", []TaskSpec{cellSpec("dial", 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer wcancel()
+		if results, err := h.Wait(wctx); err != nil || len(results) != 1 || results[0].Failed != "" {
+			t.Fatalf("Wait: results=%+v err=%v", results, err)
+		}
+	}
+
+	t.Run("serve", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		sub, closeFleet, err := Dial("serve="+addr, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeFleet()
+		if _, ok := sub.(*Coordinator); !ok {
+			t.Fatalf("serve= returned %T, want *Coordinator", sub)
+		}
+		runOne(t, sub, "http://"+addr)
+	})
+
+	t.Run("url", func(t *testing.T) {
+		c := New(testConfig())
+		defer c.Close()
+		srv := httptest.NewServer(c.Handler())
+		defer srv.Close()
+		sub, closeFleet, err := Dial(srv.URL, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeFleet()
+		if _, ok := sub.(*Client); !ok {
+			t.Fatalf("URL returned %T, want *Client", sub)
+		}
+		runOne(t, sub, srv.URL)
+	})
+
+	for _, bad := range []string{"serve=nonsense", "ftp://x:1"} {
+		if _, _, err := Dial(bad, nil); err == nil {
+			t.Errorf("Dial(%q) accepted", bad)
+		}
+	}
+}
+
 // TestClientWaitCtxAbandonsNotCancels: a submitter's context expiry
 // abandons the poll but leaves the job running server-side — the
 // precondition for its restarted incarnation to reattach.
@@ -147,7 +266,7 @@ func TestClientRidesOutCoordinatorRestart(t *testing.T) {
 
 	// Down for a restart...
 	sw.swap(nil, true)
-	c1.Halt()
+	c1.Close()
 	time.Sleep(30 * time.Millisecond) // let the Wait poll hit the outage
 	// ...and back, recovered from the journal.
 	c2, err := Open(journalConfig(dir))

@@ -186,9 +186,9 @@ type workerState struct {
 }
 
 // Coordinator owns the task queue and the lease table. It is a plain
-// library — embed it in any process (cmd/figures and cmd/tune serve it
-// next to their own work; tests drive it in-process), run it resident
-// via cmd/fleetd, and expose Handler() to the fleet.
+// library — embed it in any process (Dial's serve= mode runs one inside
+// tune and figures; tests drive it in-process), run it resident via
+// cmd/fleetd, and expose Handler() to the fleet.
 type Coordinator struct {
 	cfg Config
 
@@ -262,7 +262,7 @@ func (c *Coordinator) adoptRecovery(r *recovery) {
 	c.tasks = r.tasks
 	c.jobSeq = r.autoSeq
 	for id, ts := range r.jobs {
-		j := &Job{c: c, id: id, fp: r.jobFPs[id], done: make(chan struct{}), intr: make(chan struct{})}
+		j := newJob(c, id, r.jobFPs[id])
 		for _, t := range ts {
 			t.job = j
 			j.keys = append(j.keys, t.spec.Key)
@@ -294,12 +294,13 @@ func (c *Coordinator) adoptRecovery(r *recovery) {
 	}
 }
 
-// Close shuts the coordinator down hard: pending tasks fail, waiting
-// jobs unblock with ErrCoordinatorClosed, the sweeper exits. This is
-// the embedded-coordinator exit — the failures are NOT journaled, so a
-// journaled coordinator closed mid-job would resurrect the tasks on
-// the next Open; a resident coordinator draining for a restart should
-// use Halt instead. Safe to call once.
+// Close drains the coordinator: it stops granting leases and accepting
+// work, answers held lease requests with ErrClosed, unblocks submitters
+// waiting on unfinished jobs with ErrCoordinatorClosed, seals the
+// journal segment and stops the sweeper. Task state stays exactly as
+// it stands — nothing pending is failed — so a journaled coordinator
+// reopened on the same directory resumes every job, and a submitter
+// reattaches by ID. Safe to call more than once.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -307,38 +308,12 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
-	for _, t := range c.tasks {
-		if t.state != taskFinished {
-			t.job.interrupt()
-			c.finishLocked(t, TaskResult{Failed: "coordinator closed"})
-		}
-	}
-	c.wakeLocked()
-	if c.jnl != nil {
-		c.jnl.close()
-		c.jnl = nil
-	}
-	c.mu.Unlock()
-	close(c.stop)
-	<-c.done
-}
-
-// Halt drains the coordinator for a restart: it stops granting leases
-// and accepting work, unblocks waiting submitters with
-// ErrCoordinatorClosed (their jobs' keys stay held, so a reattach
-// after the restart resumes them), closes the journal segment and
-// stops the sweeper — leaving the journaled task state exactly as it
-// stands for the next Open. Safe to call once; Close after Halt is a
-// no-op.
-func (c *Coordinator) Halt() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
 	for _, j := range c.jobs {
-		j.interruptIfPending()
+		j.mu.Lock()
+		if j.remaining > 0 {
+			close(j.intr)
+		}
+		j.mu.Unlock()
 	}
 	c.wakeLocked()
 	if c.jnl != nil {
@@ -611,8 +586,8 @@ func (c *Coordinator) Heartbeat(workerID string, keys []string) ([]string, error
 // A valid payload is accepted even from a stale lessee: tasks are
 // deterministic, so the bytes are the ones any attempt would produce.
 // The accepted payload is journaled (write-ahead) before the task
-// finishes; a journal write failure is returned to the worker, which
-// reposts — durability is never silently dropped.
+// finishes; a journal write failure is returned to the worker and the
+// payload is not accepted — durability is never silently dropped.
 func (c *Coordinator) Complete(workerID, key string, payload json.RawMessage, sum uint64, elapsed time.Duration) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -719,16 +694,19 @@ func (c *Coordinator) Recovered() (completed, requeued []string) {
 // its results are collected by a successful Wait; until then any
 // process that knows the ID can Attach and Wait on it.
 type Job struct {
-	c           *Coordinator
-	id          string
-	fp          uint64 // fingerprint of the submitted specs, for attach checks
-	keys        []string
-	remaining   int
-	mu          sync.Mutex
-	done        chan struct{}
-	intr        chan struct{}
-	interrupted bool
-	released    bool
+	c         *Coordinator
+	id        string
+	fp        uint64 // fingerprint of the submitted specs, for attach checks
+	keys      []string
+	remaining int
+	mu        sync.Mutex
+	done      chan struct{} // closed when the last task finishes
+	intr      chan struct{} // closed when the coordinator shuts down under the job
+	released  bool
+}
+
+func newJob(c *Coordinator, id string, fp uint64) *Job {
+	return &Job{c: c, id: id, fp: fp, done: make(chan struct{}), intr: make(chan struct{})}
 }
 
 // ID returns the job's identifier, usable with Attach after a
@@ -741,28 +719,6 @@ func (j *Job) taskDone() {
 	j.remaining--
 	if j.remaining == 0 {
 		close(j.done)
-	}
-}
-
-// interrupt flags the job as shut down under its waiter.
-func (j *Job) interrupt() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.interrupted {
-		j.interrupted = true
-		close(j.intr)
-	}
-}
-
-// interruptIfPending interrupts only jobs with unfinished tasks — a
-// job that completed before the shutdown delivers its results with a
-// nil error.
-func (j *Job) interruptIfPending() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.remaining > 0 && !j.interrupted {
-		j.interrupted = true
-		close(j.intr)
 	}
 }
 
@@ -791,21 +747,14 @@ func (j *Job) progress() (total, remaining int) {
 	return len(j.keys), j.remaining
 }
 
-func (j *Job) wasInterrupted() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.interrupted
-}
-
 // SubmitTasks enqueues specs as one job, FIFO behind whatever is
 // already queued; it implements Submitter on the in-process
-// coordinator. An empty id names the job job-N, and with no specs
-// returns a job that is already done. A non-empty id is the durable
-// handle a submitter reattaches by after its own restart, so the call
-// is submit-or-attach: when a live job already holds id (typically this
-// submitter's previous incarnation submitted it before dying), the
-// specs fingerprint is verified and that job returned with
-// attached=true. A restarted submitter re-derives its specs
+// coordinator. An empty id names the job job-N; a job with no specs is
+// done at once. A non-empty id is the durable handle a submitter
+// reattaches by after its own restart, so the call is submit-or-attach:
+// when a live job already holds id (typically this submitter's previous
+// incarnation submitted it before dying), the specs fingerprint is
+// verified and that job returned with attached=true. A restarted submitter re-derives its specs
 // deterministically and calls SubmitTasks with the same id.
 //
 // Keys must be unique among the coordinator's live tasks; a job's keys
@@ -814,11 +763,6 @@ func (j *Job) wasInterrupted() bool {
 func (c *Coordinator) SubmitTasks(id string, specs []TaskSpec) (Handle, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id == "" && len(specs) == 0 {
-		j := &Job{c: c, done: make(chan struct{}), intr: make(chan struct{})}
-		close(j.done)
-		return j, false, nil
-	}
 	if j := c.jobs[id]; j != nil {
 		if j.fp != specsFingerprint(specs) {
 			return nil, false, fmt.Errorf("fleet: job %q exists with different specs", id)
@@ -866,11 +810,10 @@ func (c *Coordinator) submitLocked(id string, specs []TaskSpec) (*Job, error) {
 			return nil, err
 		}
 	}
-	j := &Job{
-		c: c, id: id, fp: specsFingerprint(specs),
-		remaining: len(specs),
-		done:      make(chan struct{}),
-		intr:      make(chan struct{}),
+	j := newJob(c, id, specsFingerprint(specs))
+	j.remaining = len(specs)
+	if j.remaining == 0 {
+		close(j.done)
 	}
 	for i := range specs {
 		t := &task{spec: specs[i], job: j, state: taskQueued}
@@ -902,9 +845,11 @@ func (j *Job) Wait(ctx context.Context) ([]TaskResult, error) {
 	var werr error
 	select {
 	case <-j.done:
-		if j.wasInterrupted() {
-			// Close failed the pending tasks under us.
+		select {
+		case <-j.intr:
+			// Finished only after the coordinator shut down under it.
 			werr = ErrCoordinatorClosed
+		default:
 		}
 	case <-j.intr:
 		werr = ErrCoordinatorClosed
@@ -928,7 +873,7 @@ func (j *Job) cancel() {
 			canceled = true
 		}
 	}
-	if canceled && c.jnl != nil && j.id != "" {
+	if canceled && c.jnl != nil {
 		if err := c.jnl.append(journalRecord{Op: opCancel, Job: j.id}); err != nil {
 			c.logf("fleet: journaling cancel of %s: %v", j.id, err)
 		}
@@ -948,7 +893,7 @@ func (j *Job) collect(release bool) []TaskResult {
 	for _, key := range j.keys {
 		t := c.tasks[key]
 		if t == nil || t.state != taskFinished {
-			continue // released by an earlier Wait, or still pending (Halt)
+			continue // released by an earlier Wait, or still pending (Close)
 		}
 		out = append(out, t.res)
 		if release && !j.released {
@@ -957,7 +902,7 @@ func (j *Job) collect(release bool) []TaskResult {
 	}
 	if release && !j.released {
 		j.released = true
-		if j.id != "" && c.jobs[j.id] == j {
+		if c.jobs[j.id] == j {
 			delete(c.jobs, j.id)
 			if c.jnl != nil {
 				if err := c.jnl.append(journalRecord{Op: opRelease, Job: j.id}); err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/space"
@@ -254,9 +255,15 @@ func TestJobWaitCancel(t *testing.T) {
 	}
 }
 
-func TestCoordinatorCloseFailsPending(t *testing.T) {
+// TestCoordinatorCloseKeepsPending: Close leaves pending task state as
+// it stands — no result is fabricated for the unfinished task, and the
+// job stays attachable — while the waiter sees ErrCoordinatorClosed.
+func TestCoordinatorCloseKeepsPending(t *testing.T) {
 	c := New(testConfig())
-	job := mustSubmit(t, c, []TaskSpec{cellSpec("a", 0)})
+	job, _, err := c.SubmitTasks("kept", []TaskSpec{cellSpec("a", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Close()
 	results, err := job.Wait(context.Background())
 	if !errors.Is(err, ErrCoordinatorClosed) {
@@ -265,8 +272,11 @@ func TestCoordinatorCloseFailsPending(t *testing.T) {
 	if !errors.Is(err, ErrClosed) {
 		t.Errorf("ErrCoordinatorClosed does not wrap ErrClosed: %v", err)
 	}
-	if results[0].Failed == "" {
-		t.Errorf("pending task survived Close: %+v", results[0])
+	if len(results) != 0 {
+		t.Errorf("Close fabricated results for the pending task: %+v", results)
+	}
+	if _, err := c.Attach("kept"); err != nil {
+		t.Errorf("job not attachable after Close: %v", err)
 	}
 	if _, _, err := c.Register("late"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Register after Close: %v", err)
@@ -318,45 +328,15 @@ func TestJobWaitShutdownVsContext(t *testing.T) {
 	if _, err := c3.Complete(id, spec.Key, payload, Checksum(payload), 0); err != nil {
 		t.Fatal(err)
 	}
-	c3.Halt()
+	c3.Close()
 	results, err := job3.Wait(context.Background())
 	if err != nil || len(results) != 1 || results[0].Failed != "" {
-		t.Fatalf("finished job across Halt: results=%+v err=%v", results, err)
-	}
-}
-
-func TestParseWorkerChaos(t *testing.T) {
-	cases := []struct {
-		spec string
-		want WorkerChaos
-		ok   bool
-	}{
-		{"", WorkerChaos{}, true},
-		{"crash=0.01", WorkerChaos{CrashRate: 0.01}, true},
-		{"hang=0.05:2s,panic=0.02,corrupt=0.1,seed=7",
-			WorkerChaos{Seed: 7, HangRate: 0.05, HangFor: 2 * time.Second, PanicRate: 0.02, CorruptRate: 0.1}, true},
-		{"hang=0.5", WorkerChaos{HangRate: 0.5}, true},
-		{"crash=1.5", WorkerChaos{}, false},
-		{"crash=-0.1", WorkerChaos{}, false},
-		{"hang=0.1:xx", WorkerChaos{}, false},
-		{"nonsense", WorkerChaos{}, false},
-		{"bogus=0.1", WorkerChaos{}, false},
-		{"seed=abc", WorkerChaos{}, false},
-	}
-	for _, tc := range cases {
-		got, err := ParseWorkerChaos(tc.spec)
-		if (err == nil) != tc.ok {
-			t.Errorf("ParseWorkerChaos(%q): err = %v, want ok=%v", tc.spec, err, tc.ok)
-			continue
-		}
-		if tc.ok && got != tc.want {
-			t.Errorf("ParseWorkerChaos(%q) = %+v, want %+v", tc.spec, got, tc.want)
-		}
+		t.Fatalf("finished job across Close: results=%+v err=%v", results, err)
 	}
 }
 
 func TestChaosInjectorDeterminism(t *testing.T) {
-	cfg := WorkerChaos{Seed: 3, CrashRate: 0.2, HangRate: 0.3, PanicRate: 0.1, CorruptRate: 0.4}
+	cfg := chaos.Worker{Seed: 3, CrashRate: 0.2, HangRate: 0.3, PanicRate: 0.1, CorruptRate: 0.4}
 	a, b := newChaosInjector(cfg), newChaosInjector(cfg)
 	fired := false
 	for i := 0; i < 200; i++ {
@@ -524,7 +504,7 @@ func TestWorkerCorruptChaosRecovers(t *testing.T) {
 	badCtx, badCancel := context.WithCancel(context.Background())
 	defer badCancel()
 	bad := &Worker{Coordinator: srv.URL, Name: "bad", Runner: echoRunner{},
-		Chaos: WorkerChaos{Seed: 1, CorruptRate: 1}, Logf: t.Logf,
+		Chaos: chaos.Worker{Seed: 1, CorruptRate: 1}, Logf: t.Logf,
 		OnLease: func(string) { badCancel() }}
 	badCh := runWorker(t, bad, badCtx)
 	job := mustSubmit(t, c, []TaskSpec{cellSpec("cell/p/s/0", 0), cellSpec("cell/p/s/1", 1)})
@@ -576,7 +556,7 @@ func TestWorkerPanicChaosReported(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &Worker{Coordinator: srv.URL, Name: "panicky", Runner: echoRunner{},
-		Chaos: WorkerChaos{Seed: 1, PanicRate: 1}, Logf: t.Logf}
+		Chaos: chaos.Worker{Seed: 1, PanicRate: 1}, Logf: t.Logf}
 	errCh := runWorker(t, w, ctx)
 
 	job := mustSubmit(t, c, []TaskSpec{cellSpec("cell/p/s/0", 0)})

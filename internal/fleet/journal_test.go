@@ -170,7 +170,7 @@ func TestJournalTornTailRecovered(t *testing.T) {
 	key := leaseKey(t, c, w)
 	payload, _ := json.Marshal(map[string]int{"v": 1})
 	completeKey(t, c, w, key, payload) // the record the tear will eat
-	c.Halt()
+	c.Close()
 
 	seg := filepath.Join(dir, segName(1))
 	data, err := os.ReadFile(seg)
@@ -239,7 +239,7 @@ func TestJournalTruncateEveryOffset(t *testing.T) {
 	key := leaseKey(t, c, w)
 	payload, _ := json.Marshal(map[string]int{"v": 7})
 	completeKey(t, c, w, key, payload)
-	c.Halt()
+	c.Close()
 
 	data, err := os.ReadFile(filepath.Join(master, segName(1)))
 	if err != nil {
@@ -342,7 +342,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
-// TestJournalHaltPreservesJobs: Halt (the drain path) interrupts
+// TestJournalHaltPreservesJobs: Close (the drain path) interrupts
 // waiters with ErrCoordinatorClosed, keeps the job attachable across a
 // reopen, and the reattached Wait delivers the full results.
 func TestJournalHaltPreservesJobs(t *testing.T) {
@@ -361,9 +361,9 @@ func TestJournalHaltPreservesJobs(t *testing.T) {
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
-	c.Halt()
+	c.Close()
 	if err := <-errc; !errors.Is(err, ErrCoordinatorClosed) {
-		t.Fatalf("Wait across Halt: %v", err)
+		t.Fatalf("Wait across Close: %v", err)
 	}
 
 	c2, err := Open(journalConfig(dir))

@@ -250,48 +250,42 @@ func TestLeaseHoldManyWaiters(t *testing.T) {
 	}
 }
 
-// TestLeaseHoldReleasedByShutdown: Close and Halt answer every held
-// lease request with ErrClosed within 100 ms, and the HTTP layer maps
-// that to 503.
+// TestLeaseHoldReleasedByShutdown: Close answers every held lease
+// request with ErrClosed within 100 ms, and the HTTP layer maps that to
+// 503.
 func TestLeaseHoldReleasedByShutdown(t *testing.T) {
 	checkNoLeak(t)
-	for _, how := range []string{"close", "halt"} {
-		t.Run(how, func(t *testing.T) {
-			c := New(longPollConfig())
-			id, _, _ := c.Register("w")
-			srv := httptest.NewServer(c.Handler())
-			defer srv.Close()
-			w := &Worker{Coordinator: srv.URL}
-			w.init()
+	t.Run("close", func(t *testing.T) {
+		c := New(longPollConfig())
+		id, _, _ := c.Register("w")
+		srv := httptest.NewServer(c.Handler())
+		defer srv.Close()
+		w := &Worker{Coordinator: srv.URL}
+		w.init()
 
-			direct := make(chan error, 1)
-			go func() {
-				_, err := c.LeaseWait(context.Background(), id, 5*time.Second)
-				direct <- err
-			}()
-			viaHTTP := make(chan int, 1)
-			go func() {
-				_, status, _ := w.lease(context.Background(), id, 5*time.Second)
-				viaHTTP <- status
-			}()
-			time.Sleep(50 * time.Millisecond)
-			start := time.Now()
-			if how == "close" {
-				c.Close()
-			} else {
-				c.Halt()
-			}
-			if err := <-direct; !errors.Is(err, ErrClosed) {
-				t.Errorf("held lease after %s: %v, want ErrClosed", how, err)
-			}
-			if status := <-viaHTTP; status != http.StatusServiceUnavailable {
-				t.Errorf("held HTTP lease after %s: status %d, want 503", how, status)
-			}
-			if d := time.Since(start); d >= 100*time.Millisecond {
-				t.Errorf("%s released held leases after %v, want < 100ms", how, d)
-			}
-		})
-	}
+		direct := make(chan error, 1)
+		go func() {
+			_, err := c.LeaseWait(context.Background(), id, 5*time.Second)
+			direct <- err
+		}()
+		viaHTTP := make(chan int, 1)
+		go func() {
+			_, status, _ := w.lease(context.Background(), id, 5*time.Second)
+			viaHTTP <- status
+		}()
+		time.Sleep(50 * time.Millisecond)
+		start := time.Now()
+		c.Close()
+		if err := <-direct; !errors.Is(err, ErrClosed) {
+			t.Errorf("held lease after Close: %v, want ErrClosed", err)
+		}
+		if status := <-viaHTTP; status != http.StatusServiceUnavailable {
+			t.Errorf("held HTTP lease after Close: status %d, want 503", status)
+		}
+		if d := time.Since(start); d >= 100*time.Millisecond {
+			t.Errorf("Close released held leases after %v, want < 100ms", d)
+		}
+	})
 }
 
 // TestLeaseHoldCanceledKeepsTaskQueued: a held request whose context
@@ -477,9 +471,9 @@ func TestClientLongPollRidesOutRestart(t *testing.T) {
 
 	sw.swap(nil, true)
 	start := time.Now()
-	c1.Halt() // releases the parked status request
+	c1.Close() // releases the parked status request
 	if d := time.Since(start); d >= 100*time.Millisecond {
-		t.Errorf("Halt with a parked status request took %v", d)
+		t.Errorf("Close with a parked status request took %v", d)
 	}
 	c2, err := Open(cfg)
 	if err != nil {

@@ -1,19 +1,17 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/rng"
 )
 
@@ -57,7 +55,7 @@ type Worker struct {
 
 	// Chaos injects process-level faults for fleet drills and the
 	// equivalence gates. Zero value injects nothing.
-	Chaos WorkerChaos
+	Chaos chaos.Worker
 
 	// Slots is the number of concurrent leases; <= 0 means 1.
 	Slots int
@@ -121,13 +119,6 @@ func (w *Worker) drainTimeout() time.Duration {
 		return 30 * time.Second
 	}
 	return w.DrainTimeout
-}
-
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return &http.Client{Timeout: 10 * time.Second}
 }
 
 // Kill makes the worker die on the spot: heartbeats stop, in-flight
@@ -295,8 +286,8 @@ func (w *Worker) register(ctx context.Context) (string, Config, error) {
 			return "", Config{}, err
 		}
 		var resp RegisterResponse
-		status, err := w.post("/fleet/workers", RegisterRequest{Name: w.name()}, &resp)
-		if err == nil && status == http.StatusCreated {
+		status, err := call(ctx, w.Client, w.Coordinator, http.MethodPost, "/fleet/workers", RegisterRequest{Name: w.name()}, &resp)
+		if err == nil {
 			w.logf("fleet: registered as %s (ttl %dms, heartbeat %dms)",
 				resp.Worker, resp.LeaseTTLMS, resp.HeartbeatMS)
 			return resp.Worker, Config{
@@ -356,7 +347,7 @@ func (w *Worker) serve(ctx context.Context, hardCtx context.Context, id string, 
 		return true
 	}
 	if !w.killed() {
-		_, _ = w.post(fmt.Sprintf("/fleet/workers/%s", id), nil, nil)
+		_, _ = call(context.Background(), w.Client, w.Coordinator, http.MethodDelete, "/fleet/workers/"+id, nil, nil)
 	}
 	return false
 }
@@ -387,20 +378,16 @@ func (w *Worker) slotLoop(sctx, hardCtx context.Context, id string, params Confi
 		spec, status, err := w.lease(sctx, id, wait)
 		asked := wait
 		wait = params.Poll
-		if err != nil {
-			w.sleep(sctx, params.Poll)
-			continue
-		}
 		if status == http.StatusNotFound {
 			trigger()
 			return
 		}
+		if err != nil {
+			// Unreachable, or shutting down (503): poll until it is back.
+			w.sleep(sctx, params.Poll)
+			continue
+		}
 		if spec == nil {
-			if status == http.StatusServiceUnavailable {
-				// Coordinator shutting down; poll until it vanishes.
-				w.sleep(sctx, params.Poll)
-				continue
-			}
 			w.sleep(sctx, asked-time.Since(start))
 			continue
 		}
@@ -448,7 +435,7 @@ func (w *Worker) execute(hardCtx context.Context, id string, spec *TaskSpec, par
 		}
 		w.logf("fleet: chaos hang for %v on lease %s", dur, spec.Key)
 		w.freeze(dur)
-		if !w.sleepHard(tctx, dur) {
+		if !w.sleep(tctx, dur) {
 			return
 		}
 	}
@@ -458,7 +445,7 @@ func (w *Worker) execute(hardCtx context.Context, id string, spec *TaskSpec, par
 		return
 	}
 	if err != nil {
-		w.postFail(id, spec.Key, err.Error())
+		w.report("/fleet/fail", FailRequest{Worker: id, Key: spec.Key, Error: err.Error()}, nil)
 		return
 	}
 	sum := Checksum(payload)
@@ -467,7 +454,18 @@ func (w *Worker) execute(hardCtx context.Context, id string, spec *TaskSpec, par
 		payload = append([]byte(nil), payload...)
 		payload[len(payload)/2] ^= 0x20
 	}
-	w.postComplete(id, spec.Key, payload, sum, time.Since(start))
+	var resp CompleteResponse
+	switch w.report("/fleet/complete", CompleteRequest{Worker: id, Key: spec.Key, Payload: payload, Sum: sum,
+		ElapsedMS: time.Since(start).Milliseconds()}, &resp) {
+	case 0:
+		w.logf("fleet: could not deliver result for %s; leaving it to lease expiry", spec.Key)
+	case http.StatusUnprocessableEntity:
+		w.logf("fleet: coordinator rejected payload for %s as corrupt", spec.Key)
+	default:
+		if resp.Status == StatusDuplicate {
+			w.logf("fleet: completion for %s was a duplicate", spec.Key)
+		}
+	}
 }
 
 // runTask executes the task body, recovering panics — injected ones
@@ -508,13 +506,14 @@ func (w *Worker) heartbeatLoop(id string, params Config, stop, done chan struct{
 				continue
 			}
 			var resp HeartbeatResponse
-			status, err := w.post("/fleet/heartbeat", HeartbeatRequest{Worker: id, Keys: w.leaseKeys()}, &resp)
-			if err != nil {
-				continue
-			}
+			status, err := call(context.Background(), w.Client, w.Coordinator, http.MethodPost, "/fleet/heartbeat",
+				HeartbeatRequest{Worker: id, Keys: w.leaseKeys()}, &resp)
 			if status == http.StatusNotFound {
 				trigger()
 				return
+			}
+			if err != nil {
+				continue
 			}
 			for _, key := range resp.Drop {
 				w.cancelLease(key)
@@ -531,131 +530,34 @@ func (w *Worker) lease(ctx context.Context, id string, wait time.Duration) (*Tas
 		path += "?wait_ms=" + strconv.FormatInt(wait.Milliseconds(), 10)
 	}
 	var resp LeaseResponse
-	status, err := w.postCtx(ctx, path, LeaseRequest{Worker: id}, &resp)
-	if err != nil {
-		return nil, status, err
-	}
-	if status == http.StatusOK {
-		return resp.Task, status, nil
-	}
-	return nil, status, nil
+	status, err := call(ctx, w.Client, w.Coordinator, http.MethodPost, path, LeaseRequest{Worker: id}, &resp)
+	return resp.Task, status, err
 }
 
-// postComplete delivers a result, retrying transport errors a few
-// times; if delivery keeps failing the lease simply expires and the
-// task re-runs elsewhere.
-func (w *Worker) postComplete(id, key string, payload []byte, sum uint64, elapsed time.Duration) {
-	req := CompleteRequest{Worker: id, Key: key, Payload: payload, Sum: sum, ElapsedMS: elapsed.Milliseconds()}
+// report posts a failure or a completion, reposting only while no HTTP
+// answer arrives; it returns the answer's status, or 0 when delivery
+// kept failing and the lease is left to expire so the task re-runs
+// elsewhere.
+func (w *Worker) report(path string, req, out interface{}) int {
 	for attempt := 0; attempt < 3; attempt++ {
-		var resp CompleteResponse
-		status, err := w.post("/fleet/complete", req, &resp)
-		if err == nil {
-			switch resp.Status {
-			case StatusCorrupt:
-				w.logf("fleet: coordinator rejected payload for %s as corrupt", key)
-			case StatusDuplicate:
-				w.logf("fleet: completion for %s was a duplicate", key)
-			}
-			_ = status
-			return
+		if status, _ := call(context.Background(), w.Client, w.Coordinator, http.MethodPost, path, req, out); status != 0 {
+			return status
 		}
-		if !w.sleepHardPlain(100 * time.Millisecond) {
-			return
+		if !w.sleep(context.Background(), 100*time.Millisecond) {
+			break
 		}
 	}
-	w.logf("fleet: could not deliver result for %s; leaving it to lease expiry", key)
+	return 0
 }
 
-func (w *Worker) postFail(id, key, msg string) {
-	for attempt := 0; attempt < 3; attempt++ {
-		var resp FailResponse
-		if _, err := w.post("/fleet/fail", FailRequest{Worker: id, Key: key, Error: msg}, &resp); err == nil {
-			return
-		}
-		if !w.sleepHardPlain(100 * time.Millisecond) {
-			return
-		}
-	}
-}
-
-// post sends one JSON request. A nil body sends a DELETE (the only
-// bodyless call in the protocol); out may be nil to discard the
-// response.
-func (w *Worker) post(path string, body, out interface{}) (int, error) {
-	return w.postCtx(context.Background(), path, body, out)
-}
-
-// postCtx is post with a request context.
-func (w *Worker) postCtx(ctx context.Context, path string, body, out interface{}) (int, error) {
-	base := strings.TrimRight(w.Coordinator, "/")
-	var (
-		req *http.Request
-		err error
-	)
-	if body == nil {
-		req, err = http.NewRequestWithContext(ctx, http.MethodDelete, base+path, nil)
-	} else {
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			return 0, err
-		}
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost, base+path, &buf)
-		if req != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-	}
-	if err != nil {
-		return 0, err
-	}
-	resp, err := w.client().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if out != nil && resp.StatusCode < 300 && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
-		}
-	}
-	return resp.StatusCode, nil
-}
-
-// sleep waits d or until ctx/kill; returns false when interrupted.
+// sleep waits d or until ctx ends or the worker is killed; it returns
+// false when cut short.
 func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
 		return false
-	case <-w.killCh:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// sleepHard waits d or until the task context/kill cuts it short.
-func (w *Worker) sleepHard(tctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-tctx.Done():
-		return false
-	case <-w.killCh:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// sleepHardPlain waits d or until kill.
-func (w *Worker) sleepHardPlain(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
 	case <-w.killCh:
 		return false
 	case <-t.C:
