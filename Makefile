@@ -37,9 +37,14 @@ train-equivalence:
 # generated source, the snapshot JSON round trip, and the pipeline-level
 # Tune resume), and checkpoints written by the retired materialized-pool
 # engine must still resume onto the session goldens — or be rejected
-# when their pool or membership list does not fit.
+# when their pool or membership list does not fit. The checkpoint wire
+# path rides along: every checkpoint file (all bench problems, cold and
+# warm refits, leaf targets, a categorical space, a service manifest, a
+# non-forest model) and every tree and forest encoding must be
+# byte-identical to encoding/json's, and the forest loader must survive
+# its fuzz seed corpus (hostile splits included) without a panic.
 resume-equivalence:
-	go test -race -run 'TestResumeEquivalence|TestResumeStreamEquivalence|TestLegacyCheckpoint|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint' ./internal/core ./internal/autotune ./internal/runstate
+	go test -race -run 'TestResumeEquivalence|TestResumeStreamEquivalence|TestLegacyCheckpoint|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint|TestSnapshotBytesMatchEncodingJSON|TestAppendJSONMatchesEncodingJSON|FuzzForestLoad' ./internal/core ./internal/autotune ./internal/runstate ./internal/forest ./internal/tree
 
 # campaign-equivalence gates the campaign engine: the work-stealing
 # drain must reproduce the sequential per-strategy test oracle
@@ -151,8 +156,10 @@ fleet-soak:
 
 # fleet-failover gates the durable coordinator: the journal layer
 # (crash-image recovery, torn-tail truncation at every offset,
-# compaction, close/reattach, typed shutdown errors that keep pending
-# task state, held leases released by Close), the HTTP submitter client riding out coordinator
+# compaction, close/reattach, a completion whose journal append fails
+# expiring and re-queueing instead of stranding its task, typed
+# shutdown errors that keep pending task state, held leases released
+# by Close), the HTTP submitter client riding out coordinator
 # restarts and long-polling job status, and the fleetd drills — the
 # coordinator SIGKILLed mid-campaign and restarted on the same address,
 # the submitter abandoned and reattached by its deterministic job ID —

@@ -208,6 +208,10 @@ type Session struct {
 	iter     int
 	labelSum float64 // running sum of TrainY
 
+	// modelBytes is the size of the last snapshot's forest encoding,
+	// which presizes the next one (see marshalModel).
+	modelBytes int
+
 	phase     sessionPhase
 	queue     []pendingItem
 	batchIdx  []int // global indices claimed by the current batch

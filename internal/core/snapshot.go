@@ -103,7 +103,9 @@ type Snapshot struct {
 	Evaluator *rng.State `json:"evaluator,omitempty"`
 
 	// Model is the fitted surrogate, serialized by its own marshaler
-	// (the forest/tree JSON format by default).
+	// (the forest/tree JSON format by default) and compacted, as
+	// encoding/json writes it. runstate.Save copies these bytes into
+	// the checkpoint verbatim.
 	Model json.RawMessage `json:"model"`
 
 	// Stats, Selections, FailedCost and GuardCost restore the Result
@@ -226,7 +228,7 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 // snapshot captures the session's boundary state. Slices are copied so
 // the snapshot stays valid while the session keeps running.
 func (s *Session) snapshot() (*Snapshot, error) {
-	model, err := json.Marshal(s.model)
+	model, err := s.marshalModel()
 	if err != nil {
 		return nil, fmt.Errorf("serializing model: %w", err)
 	}
@@ -255,6 +257,25 @@ func (s *Session) snapshot() (*Snapshot, error) {
 		snap.Evaluator = &st
 	}
 	return snap, nil
+}
+
+// marshalModel encodes the surrogate for a snapshot. The default forest
+// writes itself through its direct appender into a buffer presized from
+// the previous snapshot's model (the forest only grows between
+// boundaries); any other Model goes through encoding/json, which
+// compacts whatever its MarshalJSON returns. The buffer is fresh each
+// time because the snapshot outlives the call.
+func (s *Session) marshalModel() ([]byte, error) {
+	f, ok := s.model.(*forest.Forest)
+	if !ok {
+		return json.Marshal(s.model)
+	}
+	model, err := f.AppendJSON(make([]byte, 0, s.modelBytes+s.modelBytes/8))
+	if err != nil {
+		return nil, err
+	}
+	s.modelBytes = len(model)
+	return model, nil
 }
 
 // defaultModelLoader is the Resume model fallback, matching

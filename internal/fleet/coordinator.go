@@ -591,19 +591,30 @@ func (c *Coordinator) Heartbeat(workerID string, keys []string) ([]string, error
 func (c *Coordinator) Complete(workerID, key string, payload json.RawMessage, sum uint64, elapsed time.Duration) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w := c.workers[workerID]; w != nil {
+	w := c.workers[workerID]
+	if w != nil {
 		w.deadline = time.Now().Add(c.cfg.leaseTTL())
-		delete(w.leases, key)
+	}
+	// release drops the caller's lease on every outcome except a failed
+	// journal append: that task is still leased and unfinished, and only
+	// the lease lets the sweeper expire and re-queue it.
+	release := func() {
+		if w != nil {
+			delete(w.leases, key)
+		}
 	}
 	t := c.tasks[key]
 	if t == nil {
+		release()
 		return StatusUnknown, nil
 	}
 	if t.state == taskFinished {
+		release()
 		c.st.Duplicates++
 		return StatusDuplicate, nil
 	}
 	if Checksum(payload) != sum {
+		release()
 		c.st.Corrupt++
 		c.logf("fleet: task %s: corrupt payload from worker %s rejected", key, workerID)
 		if t.state == taskLeased && t.worker == workerID {
@@ -620,13 +631,10 @@ func (c *Coordinator) Complete(workerID, key string, payload json.RawMessage, su
 			return "", err
 		}
 	}
-	if t.state == taskLeased && t.worker != workerID {
-		// Stale lessee finished first; the current one will learn via
-		// its heartbeat drop list or land here as a duplicate.
-		if w := c.workers[t.worker]; w != nil {
-			delete(w.leases, key)
-		}
-	}
+	release()
+	// finishLocked also drops the current lessee's lease when a stale
+	// lessee finished first; the current one learns via its heartbeat
+	// drop list or lands here as a duplicate.
 	c.finishLocked(t, TaskResult{Payload: payload, Worker: workerID, Elapsed: elapsed})
 	return StatusAccepted, nil
 }

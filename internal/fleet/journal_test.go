@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/runstate"
 )
 
 func journalConfig(dir string) Config {
@@ -388,5 +390,72 @@ func TestJournalHaltPreservesJobs(t *testing.T) {
 	}
 	if _, err := c2.Attach("job-h"); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("Attach after release: %v, want ErrUnknownJob", err)
+	}
+}
+
+// TestJournalFailedCompleteExpiresLease: a completion whose journal
+// append fails is not accepted, and the task must not be stranded —
+// its lease stays with the worker, so the sweeper expires it, the task
+// re-queues, and the job completes once a later attempt journals.
+func TestJournalFailedCompleteExpiresLease(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(journalConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	job, _, err := c.SubmitTasks("job-f", []TaskSpec{cellSpec("a", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, _, err := c.Register("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := leaseKey(t, c, w1)
+	payload := []byte(`{"rmse":[1]}`)
+
+	// Break the journal for exactly one append: close the live segment,
+	// attempt the completion, then reopen the segment.
+	c.mu.Lock()
+	segment := c.jnl.log.Path()
+	_ = c.jnl.log.Close()
+	c.mu.Unlock()
+	if status, err := c.Complete(w1, key, payload, Checksum(payload), time.Millisecond); err == nil {
+		t.Fatalf("Complete with a failing journal: status %s, want an error", status)
+	}
+	log, err := runstate.OpenAppendLog(segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.jnl.log = log
+	c.mu.Unlock()
+
+	// w1 stays registered (it heartbeats) but no longer renews the lease
+	// it failed to complete: the lease itself must expire and re-queue.
+	deadline := time.Now().Add(3 * time.Second)
+	var spec *TaskSpec
+	for spec == nil && time.Now().Before(deadline) {
+		if _, err := c.Heartbeat(w1, nil); err != nil {
+			t.Fatalf("heartbeat: %v", err)
+		}
+		if spec, err = c.LeaseWait(context.Background(), w1, 0); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if spec == nil || spec.Key != key {
+		t.Fatalf("task stranded after a failed completion: re-leased %v", spec)
+	}
+	if st := c.Stats(); st.Expired == 0 || st.Requeues == 0 {
+		t.Errorf("stats after the lease expired: %+v", st)
+	}
+	completeKey(t, c, w1, key, payload)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	results, err := job.Wait(ctx)
+	if err != nil || len(results) != 1 || string(results[0].Payload) != string(payload) {
+		t.Fatalf("job after recovery: results %+v, err %v", results, err)
 	}
 }

@@ -86,7 +86,9 @@ type Forest struct {
 	oob      float64 // out-of-bag RMSE; NaN if unavailable
 
 	// nextRefresh is the ensemble rotation position of partial updates
-	// (see Update); it ensures successive updates cycle all trees.
+	// (see Update); it ensures successive updates cycle all trees. It
+	// stays in [0, len(trees)), so a live forest and its reload encode
+	// the same cursor.
 	nextRefresh int
 
 	// treeGen counts how many times each ensemble slot has been

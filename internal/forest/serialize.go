@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
+	"repro/internal/jsonw"
 	"repro/internal/space"
 	"repro/internal/tree"
 )
 
-// forestDump is the wire form of a fitted Forest. Trees are stored as
-// raw JSON messages so the tree package owns its own format.
+// forestDump is the decoded wire form of a Forest. Trees stay raw JSON
+// messages so the tree package owns its own format. Encoding is the
+// direct appender (AppendJSON), which writes the same bytes
+// encoding/json would write for this struct.
 type forestDump struct {
 	Config   Config            `json:"config"`
 	Features []space.Feature   `json:"features"`
@@ -29,19 +33,64 @@ type forestDump struct {
 // predict on another machine, the "model portability" the paper's
 // conclusion points at.
 func (f *Forest) MarshalJSON() ([]byte, error) {
-	d := forestDump{Config: f.cfg, Features: f.features, NextRefresh: f.nextRefresh}
-	if !math.IsNaN(f.oob) {
-		v := f.oob
-		d.OOB = &v
+	return f.AppendJSON(nil)
+}
+
+// AppendJSON appends the forest's wire form to b in one pass: the
+// config, feature schema, OOB error (omitted when NaN), every tree (see
+// tree.Regressor.AppendJSON) and the rotation cursor (omitted when 0).
+// The bytes are exactly what encoding/json writes for forestDump, with
+// no reflection and no per-tree intermediate buffers; checkpointing
+// calls it on every labelled batch.
+func (f *Forest) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"config":{"NumTrees":`...)
+	b = strconv.AppendInt(b, int64(f.cfg.NumTrees), 10)
+	b = append(b, `,"Tree":`...)
+	b, err := f.cfg.Tree.AppendJSON(b)
+	if err != nil {
+		return nil, err
 	}
-	for _, t := range f.trees {
-		raw, err := json.Marshal(t)
-		if err != nil {
+	b = append(b, `,"Uncertainty":`...)
+	b = strconv.AppendInt(b, int64(f.cfg.Uncertainty), 10)
+	b = append(b, `,"Workers":`...)
+	b = strconv.AppendInt(b, int64(f.cfg.Workers), 10)
+	b = append(b, `,"DisableBagging":`...)
+	b = strconv.AppendBool(b, f.cfg.DisableBagging)
+	b = append(b, `},"features":[`...)
+	for i, ft := range f.features {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"Name":`...)
+		b = jsonw.String(b, ft.Name)
+		b = append(b, `,"Kind":`...)
+		b = strconv.AppendInt(b, int64(ft.Kind), 10)
+		b = append(b, `,"NumCategories":`...)
+		b = strconv.AppendInt(b, int64(ft.NumCategories), 10)
+		b = append(b, '}')
+	}
+	b = append(b, ']')
+	if !math.IsNaN(f.oob) {
+		b = append(b, `,"oob":`...)
+		if b, err = jsonw.Float(b, f.oob); err != nil {
 			return nil, err
 		}
-		d.Trees = append(d.Trees, raw)
 	}
-	return json.Marshal(d)
+	b = append(b, `,"trees":[`...)
+	for i, t := range f.trees {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = t.AppendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	b = append(b, ']')
+	if f.nextRefresh != 0 {
+		b = append(b, `,"next_refresh":`...)
+		b = strconv.AppendInt(b, int64(f.nextRefresh), 10)
+	}
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON decodes a forest serialized by MarshalJSON.
@@ -82,7 +131,7 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 
 // Save writes the forest as JSON to w.
 func (f *Forest) Save(w io.Writer) error {
-	data, err := json.Marshal(f)
+	data, err := f.AppendJSON(nil)
 	if err != nil {
 		return err
 	}

@@ -42,8 +42,8 @@ func (f *Forest) Update(X [][]float64, y []float64, r *rng.RNG) error {
 	picks := make([]int32, len(X))
 	ws := tree.NewWorkspace()
 	for i := 0; i < k; i++ {
-		slot := f.nextRefresh % len(f.trees)
-		f.nextRefresh++
+		slot := f.nextRefresh
+		f.nextRefresh = (slot + 1) % len(f.trees)
 		tr := r.Child(uint64(slot))
 		drawBootstrap(picks, nil, tr)
 		nt, err := tree.FitRanked(ranks, y, picks, treeCfg, tr, ws)

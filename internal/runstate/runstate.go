@@ -12,6 +12,7 @@
 package runstate
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,9 +42,11 @@ func FileSink(path string) func(*core.Snapshot) error {
 
 // Save writes the snapshot atomically to path: temp file in the same
 // directory, fsync, rename over path, then fsync the directory so the
-// rename itself survives a power loss.
+// rename itself survives a power loss. A snapshot that does not encode
+// (a Model that is not valid JSON included) fails before the temp file
+// exists, leaving the previous checkpoint untouched.
 func Save(path string, snap *core.Snapshot) error {
-	data, err := json.Marshal(snap)
+	data, err := encode(snap)
 	if err != nil {
 		return fmt.Errorf("runstate: encoding snapshot: %w", err)
 	}
@@ -74,6 +77,41 @@ func Save(path string, snap *core.Snapshot) error {
 		return fmt.Errorf("runstate: publishing snapshot: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// modelField is where encoding/json writes a snapshot's nil Model. Every
+// field ahead of it is numeric, so its first occurrence is the field
+// itself and never the inside of a string.
+const modelField = `"model":null`
+
+// encode writes the snapshot as encoding/json does, except that the
+// model — the bulk of the file, already encoded by its own marshaler
+// (compact, as Session snapshots are) — is spliced in verbatim instead
+// of being re-scanned and re-compacted. One json.Valid pass keeps a
+// malformed model out of the file.
+func encode(snap *core.Snapshot) ([]byte, error) {
+	model := snap.Model
+	if model == nil {
+		model = json.RawMessage("null")
+	}
+	if !json.Valid(model) {
+		return nil, errors.New("model is not valid JSON")
+	}
+	rest := *snap
+	rest.Model = nil
+	head, err := json.Marshal(&rest)
+	if err != nil {
+		return nil, err
+	}
+	i := bytes.Index(head, []byte(modelField))
+	if i < 0 {
+		return nil, errors.New("model field missing from the encoded snapshot")
+	}
+	i += len(modelField) - len("null")
+	data := make([]byte, 0, len(head)-len("null")+len(model))
+	data = append(data, head[:i]...)
+	data = append(data, model...)
+	return append(data, head[i+len("null"):]...), nil
 }
 
 // syncDir makes a just-published rename durable. Platforms whose

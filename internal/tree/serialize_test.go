@@ -2,6 +2,7 @@ package tree
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -137,5 +138,149 @@ func TestLeafTargetsRouting(t *testing.T) {
 	}
 	if len(right) != 2 || right[0] != 100 {
 		t.Fatalf("right leaf targets %v", right)
+	}
+}
+
+// dumpNode and referenceJSON are the reflective encoder AppendJSON
+// replaced, kept as its oracle: encoding/json over the nodeDump form.
+func dumpNode(n *node) *nodeDump {
+	d := &nodeDump{Mean: n.mean, Variance: n.variance, Count: n.count}
+	if n.isLeaf() {
+		d.Targets = n.targets
+		return d
+	}
+	d.Feature = n.feature
+	d.Threshold = n.threshold
+	if n.catLeft != nil {
+		d.NumCats = len(n.catLeft)
+		for c, in := range n.catLeft {
+			if in {
+				d.CatLeft = append(d.CatLeft, c)
+			}
+		}
+		if d.CatLeft == nil {
+			d.CatLeft = []int{} // distinguish "categorical, empty" from numeric
+		}
+	}
+	d.Left = dumpNode(n.left)
+	d.Right = dumpNode(n.right)
+	return d
+}
+
+func referenceJSON(t *Regressor) ([]byte, error) {
+	return json.Marshal(treeDump{Config: t.cfg, Root: dumpNode(t.root)})
+}
+
+func checkMatchesReference(t *testing.T, name string, tr *Regressor) {
+	t.Helper()
+	want, err := referenceJSON(tr)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	got, err := tr.AppendJSON([]byte("prefix"))
+	if err != nil {
+		t.Fatalf("%s: AppendJSON: %v", name, err)
+	}
+	if string(got[:6]) != "prefix" || string(got[6:]) != string(want) {
+		t.Fatalf("%s: AppendJSON differs from encoding/json\n got %s\nwant %s", name, got[6:], want)
+	}
+	if m, err := tr.MarshalJSON(); err != nil || string(m) != string(want) {
+		t.Fatalf("%s: MarshalJSON differs from encoding/json (err %v)", name, err)
+	}
+}
+
+// TestAppendJSONMatchesEncodingJSON pins the direct appender to the
+// reflective encoder byte for byte: fitted numeric, categorical and
+// quantile trees, and hand-built nodes at every float-format boundary
+// and omitempty edge (zero feature and threshold, empty category list,
+// empty target list).
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	r := rng.New(11)
+	mixed := []space.Feature{
+		{Name: "x", Kind: space.FeatNumeric},
+		{Name: "c", Kind: space.FeatCategorical, NumCategories: 7},
+		{Name: "y", Kind: space.FeatNumeric},
+	}
+	for rep := 0; rep < 20; rep++ {
+		n := 20 + r.Intn(200)
+		X := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range X {
+			X[i] = []float64{r.Float64()*1e-5 - 5e-6, float64(r.Intn(7)), r.Norm() * 1e22}
+			y[i] = r.Norm() * math.Pow(10, float64(r.Intn(40)-20))
+		}
+		cfg := Config{MinSamplesLeaf: 1 + r.Intn(4), KeepTargets: rep%2 == 0, MinImpurityDecrease: float64(rep) * 1e-9}
+		tr, err := Fit(X, y, mixed, cfg, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMatchesReference(t, "fitted", tr)
+	}
+
+	leaf := func(m, v float64, n int, ts ...float64) *node {
+		return &node{mean: m, variance: v, count: n, targets: ts}
+	}
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 9.99999e-7, 1e-7, -1e-7, 1.5e-300,
+		5e-324, 1e20, 1e21, -1e21, 123456789e13, math.MaxFloat64, math.SmallestNonzeroFloat64, 1.0 / 3}
+	for i, v := range floats {
+		hand := &Regressor{
+			cfg: Config{MaxDepth: i, MinImpurityDecrease: v},
+			root: &node{
+				feature: i % 2, threshold: v, mean: v, variance: v, count: i,
+				left: leaf(v, 0, 0),
+				right: &node{
+					feature: 1, catLeft: []bool{false, i%3 == 0, false}, mean: -v,
+					left:  leaf(1, v, 2, v, -v, 0),
+					right: leaf(v, v, 3, []float64{}...),
+				},
+			},
+		}
+		checkMatchesReference(t, "hand-built", hand)
+	}
+}
+
+func TestAppendJSONRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tr := &Regressor{root: &node{mean: bad}}
+		if _, err := tr.AppendJSON(nil); err == nil {
+			t.Fatalf("leaf mean %v encoded", bad)
+		}
+		if _, err := referenceJSON(tr); err == nil {
+			t.Fatalf("oracle encoded leaf mean %v", bad)
+		}
+		tr = &Regressor{cfg: Config{MinImpurityDecrease: bad}, root: &node{}}
+		if _, err := tr.AppendJSON(nil); err == nil {
+			t.Fatalf("config %v encoded", bad)
+		}
+	}
+}
+
+// TestUnmarshalValidatesAgainstSchema: a dump whose splits do not fit
+// the feature schema would index past the feature vector (or misroute
+// categories) at prediction time, so it is rejected at load.
+func TestUnmarshalValidatesAgainstSchema(t *testing.T) {
+	fs := []space.Feature{
+		{Name: "x", Kind: space.FeatNumeric},
+		{Name: "c", Kind: space.FeatCategorical, NumCategories: 3},
+	}
+	const kids = `"l":{"m":1,"v":0,"n":1},"r":{"m":2,"v":0,"n":1},"m":1,"v":0,"n":2`
+	cases := map[string]string{
+		"feature past schema":       `{"config":{},"root":{"f":7,"t":0.5,` + kids + `}}`,
+		"negative feature":          `{"config":{},"root":{"f":-1,"t":0.5,` + kids + `}}`,
+		"categorical on numeric":    `{"config":{},"root":{"f":0,"cl":[1],"nc":3,` + kids + `}}`,
+		"bitmap width mismatch":     `{"config":{},"root":{"f":1,"cl":[1],"nc":4,` + kids + `}}`,
+		"numeric on categorical":    `{"config":{},"root":{"f":1,"t":0.5,` + kids + `}}`,
+		"negative leaf count":       `{"config":{},"root":{"m":1,"v":0,"n":-1}}`,
+		"negative internal count":   `{"config":{},"root":{"f":0,"t":0.5,"l":{"m":1,"v":0,"n":1},"r":{"m":2,"v":0,"n":1},"m":1,"v":0,"n":-2}}`,
+		"negative count deep below": `{"config":{},"root":{"f":0,"t":0.5,"l":{"m":1,"v":0,"n":1},"r":{"m":2,"v":0,"n":-1},"m":1,"v":0,"n":2}}`,
+	}
+	for name, s := range cases {
+		if _, err := UnmarshalJSONWithFeatures([]byte(s), fs); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	ok := `{"config":{},"root":{"f":1,"cl":[0,2],"nc":3,` + kids + `}}`
+	if _, err := UnmarshalJSONWithFeatures([]byte(ok), fs); err != nil {
+		t.Fatalf("well-formed categorical split rejected: %v", err)
 	}
 }
