@@ -113,10 +113,15 @@ pool-equivalence:
 # to the pre-refactor goldens pinned in testdata/session_golden.json. The
 # daemon half kills a tuned process mid-batch over HTTP, restarts it,
 # and requires the recovered session's curve to equal an undisturbed
-# daemon's, plus the snapshot version-tolerance contract.
+# daemon's, plus the snapshot version-tolerance contract. The Fig. 8
+# tuner rides on the same engine (core.Run with BestPerf and a batch of
+# one): its best-so-far trace must equal the hand-written greedy loop
+# kept as the test oracle in internal/figures, bit for bit, over six
+# problems, two seeds and both the true and the surrogate annotator.
 session-equivalence:
 	go test -race -run 'TestSessionEquivalenceGolden|TestSessionResumeEveryPrefix|TestLegacyCheckpoint|TestSnapshotVersionTolerance|TestSession' ./internal/core
 	go test -race -run 'TestDaemonKillRecoverEquivalence' ./cmd/tuned
+	go test -race -run 'TestFig8MatchesGreedyOracle' ./internal/figures
 
 # soak-server floods one tuned session manager with >1000 concurrent
 # ask-tell sessions under the race detector — mixed run-to-completion,

@@ -39,7 +39,6 @@ import (
 	"repro/internal/search"
 	"repro/internal/space"
 	"repro/internal/transfer"
-	"repro/internal/tuning"
 )
 
 // ---- Parameter spaces (internal/space) ----
@@ -347,30 +346,6 @@ func RunStrategy(ctx context.Context, p Problem, strategyName string, sc Scale, 
 // RunAllStrategies runs several strategies on one problem.
 func RunAllStrategies(ctx context.Context, p Problem, names []string, sc Scale, seed uint64) ([]*CurveSet, error) {
 	return experiment.RunAll(ctx, p, names, sc, seed)
-}
-
-// ---- Tuning (internal/tuning) ----
-
-// Annotator labels configurations during model-based tuning.
-type Annotator = tuning.Annotator
-
-// TuningParams configures a tuning run.
-type TuningParams = tuning.Params
-
-// TuningTrace is a best-so-far tuning curve.
-type TuningTrace = tuning.Trace
-
-// NewTrueAnnotator labels by measuring the benchmark.
-func NewTrueAnnotator(p Problem, r *RNG) Annotator { return tuning.NewTrueAnnotator(p, r) }
-
-// NewSurrogateAnnotator labels with a fitted surrogate's predictions.
-func NewSurrogateAnnotator(sp *Space, model Model) Annotator {
-	return tuning.NewSurrogateAnnotator(sp, model)
-}
-
-// Tune runs model-based tuning over a candidate set.
-func Tune(p Problem, candidates []Config, ann Annotator, params TuningParams, r *RNG) (*TuningTrace, error) {
-	return tuning.Run(p, candidates, ann, params, r)
 }
 
 // ---- Auto-tuning pipeline (internal/autotune, internal/search) ----

@@ -115,20 +115,6 @@ func TestQuickExperimentThroughFacade(t *testing.T) {
 	}
 }
 
-func TestTuningThroughFacade(t *testing.T) {
-	p, _ := altune.Benchmark("mvt")
-	cands := p.Space().SampleConfigs(altune.NewRNG(4), 100)
-	tr, err := altune.Tune(p, cands, altune.NewTrueAnnotator(p, altune.NewRNG(5)),
-		altune.TuningParams{NInit: 5, Iterations: 10, Forest: altune.ForestConfig{NumTrees: 8}},
-		altune.NewRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Annotator != "ground truth" || len(tr.BestTrue) != 11 {
-		t.Fatalf("trace = %+v", tr.Annotator)
-	}
-}
-
 func TestGPThroughFacade(t *testing.T) {
 	sp := altune.MustNewSpace(altune.NumRange("x", 0, 30, 1))
 	var X [][]float64

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"repro/altune"
 )
@@ -46,33 +47,60 @@ func main() {
 		len(res.TrainY), buildCost)
 
 	// Phase 2: tune over a fresh candidate set with both annotators.
-	cands := p.Space().SampleConfigs(altune.NewRNG(3), 800)
-	params := altune.TuningParams{NInit: 10, Iterations: 120,
+	// Tuning is Algorithm 1 with the greedy BestPerf strategy and one
+	// label per iteration; only the annotator differs. The surrogate
+	// annotator labels with the model's prediction instead of running
+	// the kernel.
+	sp := p.Space()
+	cands := sp.SampleConfigs(altune.NewRNG(3), 800)
+	const nInit, iterations = 10, 120
+	params := altune.Params{NInit: nInit, NBatch: 1, NMax: nInit + iterations,
 		Forest: altune.ForestConfig{NumTrees: 32}}
+	surrogateAnnotator := altune.EvaluatorFunc(func(_ context.Context, c altune.Config) (float64, error) {
+		return res.Model.Predict(sp.Encode(c)), nil
+	})
 
-	direct, err := altune.Tune(p, cands,
-		altune.NewTrueAnnotator(p, altune.NewRNG(4)), params, altune.NewRNG(5))
+	directRun, err := altune.Run(ctx, sp, cands, altune.BenchmarkEvaluator(p, altune.NewRNG(4)),
+		altune.BestPerf{}, params, altune.NewRNG(5), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	surrogate, err := altune.Tune(p, cands,
-		altune.NewSurrogateAnnotator(p.Space(), res.Model), params, altune.NewRNG(5))
+	surrogateRun, err := altune.Run(ctx, sp, cands, surrogateAnnotator,
+		altune.BestPerf{}, params, altune.NewRNG(5), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	direct, _ := bestSoFar(p, directRun, nInit)
+	surrogate, surrogateBest := bestSoFar(p, surrogateRun, nInit)
 
 	fmt.Printf("%-18s %16s %16s\n", "iteration", "direct best (s)", "surrogate best (s)")
 	for _, it := range []int{0, 10, 20, 40, 80, 120} {
-		if it >= len(direct.BestTrue) {
-			break
-		}
-		fmt.Printf("%-18d %16.4f %16.4f\n", it, direct.BestTrue[it], surrogate.BestTrue[it])
+		fmt.Printf("%-18d %16.4f %16.4f\n", it, direct[it], surrogate[it])
 	}
 
-	dBest := direct.BestTrue[len(direct.BestTrue)-1]
-	sBest := surrogate.BestTrue[len(surrogate.BestTrue)-1]
+	dBest := direct[len(direct)-1]
+	sBest := surrogate[len(surrogate)-1]
 	fmt.Printf("\nfinal best: direct %.4f s, surrogate %.4f s (ratio %.2f)\n", dBest, sBest, sBest/dBest)
 	fmt.Printf("direct tuning executed the kernel %d times; surrogate tuning executed it 0 times\n",
-		len(direct.BestTrue)-1+10)
-	fmt.Printf("\nbest configuration found via surrogate:\n  %s\n", p.Space().String(surrogate.BestCfg))
+		len(directRun.TrainY))
+	fmt.Printf("\nbest configuration found via surrogate:\n  %s\n", sp.String(surrogateBest))
+}
+
+// bestSoFar reads a tuning run's curve: the true time of the best
+// configuration labeled so far after the cold start (point 0) and after
+// each tuning iteration, plus that best configuration. The true time is
+// used whatever the annotator labeled with.
+func bestSoFar(p altune.Problem, res *altune.Result, nInit int) ([]float64, altune.Config) {
+	var curve []float64
+	var bestCfg altune.Config
+	best := math.Inf(1)
+	for i, c := range res.TrainConfigs {
+		if t := p.TrueTime(c); t < best {
+			best, bestCfg = t, c
+		}
+		if i >= nInit-1 {
+			curve = append(curve, best)
+		}
+	}
+	return curve, bestCfg
 }

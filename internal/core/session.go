@@ -261,12 +261,12 @@ func newSession(cfg SessionConfig, r *rng.RNG) (*Session, error) {
 		return nil, fmt.Errorf("core: NInit %d exceeds NMax %d", p.NInit, p.NMax)
 	}
 
-	s.taken = make([]int, 0, p.NMax)
+	// taken and trainX grow with the labels actually taken: presizing
+	// them by NMax would let a client-chosen bound allocate up front.
 	if p.WarmUpdate && p.StreamCacheMB >= 0 {
 		s.cache = pool.NewScanCache(int64(p.StreamCacheMB) << 20)
 	}
 	s.features = s.sp.Features()
-	s.trainX = make([][]float64, 0, p.NMax)
 	s.fitter = p.Fitter
 	if s.fitter == nil {
 		fc := p.Forest

@@ -17,13 +17,13 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/fleet"
 	"repro/internal/machine"
 	"repro/internal/rng"
 	"repro/internal/spapt"
 	"repro/internal/textplot"
-	"repro/internal/tuning"
 )
 
 // Generator renders the paper's artifacts.
@@ -470,7 +470,9 @@ func speedupOf(pwu, pbus *experiment.CurveSet) (speedup, target float64, ok bool
 }
 
 // Fig8 renders the atax tuning comparison: ground-truth vs surrogate
-// annotator.
+// annotator. Both tune the same candidates from the same generator; the
+// surrogate annotator labels with the PWU-built model's prediction
+// instead of a measurement.
 func (g *Generator) Fig8() error {
 	p, err := bench.ByName("atax")
 	if err != nil {
@@ -483,25 +485,27 @@ func (g *Generator) Fig8() error {
 	if err != nil {
 		return err
 	}
-	cands := p.Space().SampleConfigs(r.Split(), g.Scale.TestSize)
-	params := tuning.Params{NInit: 10, Iterations: 80, Forest: g.Scale.Forest}
-
-	direct, err := tuning.Run(p, cands, tuning.NewTrueAnnotator(p, r.Split()), params, rng.New(rng.Mix(g.Seed, 1)))
-	if err != nil {
-		return err
+	sp := p.Space()
+	cands := sp.SampleConfigs(r.Split(), g.Scale.TestSize)
+	annotators := []struct {
+		name string
+		ev   core.Evaluator
+	}{
+		{"ground truth", bench.Evaluator(p, r.Split())},
+		{"surrogate model", surrogateEvaluator(sp, sur)},
 	}
-	surTrace, err := tuning.Run(p, cands, tuning.NewSurrogateAnnotator(p.Space(), sur), params, rng.New(rng.Mix(g.Seed, 1)))
-	if err != nil {
-		return err
-	}
-	mk := func(tr *tuning.Trace) textplot.Series {
-		xs := make([]float64, len(tr.BestTrue))
+	var series []textplot.Series
+	for _, a := range annotators {
+		best, err := tuneTrace(g.ctx(), p, cands, a.ev, 10, 80, g.Scale.Forest, rng.New(rng.Mix(g.Seed, 1)))
+		if err != nil {
+			return err
+		}
+		xs := make([]float64, len(best))
 		for i := range xs {
 			xs[i] = float64(i)
 		}
-		return textplot.Series{Name: tr.Annotator, X: xs, Y: tr.BestTrue}
+		series = append(series, textplot.Series{Name: a.name, X: xs, Y: best})
 	}
-	series := []textplot.Series{mk(direct), mk(surTrace)}
 	plot := textplot.LinePlot("Fig 8 (atax): best true time found vs tuning iteration", series, 72, 18, false)
 	fmt.Fprint(g.Stdout, plot)
 	if err := g.writeFile("fig8_tuning.txt", plot); err != nil {

@@ -158,8 +158,11 @@ func errStatus(err error) int {
 	}
 }
 
+// maxBodyBytes bounds every request body.
+const maxBodyBytes = 1 << 20
+
 func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: decoding request: %w", err)

@@ -225,6 +225,9 @@ func (m *Manager) manifestFromRequest(id string, req *CreateRequest) (*Manifest,
 // from a manifest — shared by Create and Recover so a recovered session
 // is indistinguishable from one that never died.
 func (m *Manager) sessionConfig(man *Manifest) (core.SessionConfig, error) {
+	if man.Trees > maxTrees {
+		return core.SessionConfig{}, fmt.Errorf("%w: trees %d exceeds %d", errInvalid, man.Trees, maxTrees)
+	}
 	sp, err := BuildSpace(man.Space)
 	if err != nil {
 		return core.SessionConfig{}, err
@@ -288,7 +291,14 @@ func (m *Manager) Create(req *CreateRequest) (*managed, error) {
 	m.tenants[tenant]++
 	m.mu.Unlock()
 
-	release := func() {
+	// Release the slot on every path that does not admit the session,
+	// a panic included: a leaked slot would count against the caps
+	// forever.
+	admitted := false
+	defer func() {
+		if admitted {
+			return
+		}
 		m.mu.Lock()
 		delete(m.sessions, id)
 		m.tenants[tenant]--
@@ -296,24 +306,22 @@ func (m *Manager) Create(req *CreateRequest) (*managed, error) {
 			delete(m.tenants, tenant)
 		}
 		m.mu.Unlock()
-	}
+	}()
 
 	man, err := m.manifestFromRequest(id, req)
 	if err != nil {
-		release()
 		return nil, err
 	}
 	cfg, err := m.sessionConfig(man)
 	if err != nil {
-		release()
 		return nil, err
 	}
 	cfg.RNG = rng.New(man.Seed)
 	sess, err := core.NewSession(cfg)
 	if err != nil {
-		release()
 		return nil, err
 	}
+	admitted = true
 	placeholder.mu.Lock()
 	placeholder.man, placeholder.sess = man, sess
 	placeholder.mu.Unlock()
@@ -707,6 +715,9 @@ func isConflict(err error) (*conflictError, bool) {
 func isClientError(err error) bool {
 	if err == nil {
 		return false
+	}
+	if errors.Is(err, errInvalid) {
+		return true
 	}
 	msg := err.Error()
 	return strings.Contains(msg, "non-finite y") ||

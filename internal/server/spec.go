@@ -9,6 +9,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 
@@ -28,6 +29,22 @@ type ParamSpec struct {
 	Values []float64 `json:"values,omitempty"`
 	Bool   bool      `json:"bool,omitempty"`
 }
+
+// errInvalid marks request errors the client caused (HTTP 400).
+var errInvalid = errors.New("server: invalid request")
+
+// maxRangeLevels caps the levels one [min,max] range may expand to: no
+// more than a request body of maxBodyBytes could list explicitly as
+// values, at two bytes ("0,") or more per level. A range is a compact
+// spelling of a level list, not a way past the body limit.
+const maxRangeLevels = maxBodyBytes / 2
+
+// maxTrees caps a session's surrogate forest size. The tuned default is
+// 32 and the tests and perfbench use at most 64, so 16x that leaves
+// ample room. Every refit and every pool scan costs time linear in the
+// forest size, and a client-chosen size in the billions cannot even be
+// allocated: the first refit would panic and wedge the session.
+const maxTrees = 1024
 
 // BuildSpace assembles a space.Space from wire parameter specs.
 func BuildSpace(specs []ParamSpec) (*space.Space, error) {
@@ -49,7 +66,12 @@ func BuildSpace(specs []ParamSpec) (*space.Space, error) {
 				step = 1
 			}
 			if ps.Max < ps.Min {
-				return nil, fmt.Errorf("server: parameter %q range [%d,%d] is empty", ps.Name, ps.Min, ps.Max)
+				return nil, fmt.Errorf("%w: parameter %q range [%d,%d] is empty", errInvalid, ps.Name, ps.Min, ps.Max)
+			}
+			// Count the levels before expanding them; the unsigned
+			// difference cannot overflow for Max >= Min.
+			if (uint64(ps.Max)-uint64(ps.Min))/uint64(step) >= maxRangeLevels {
+				return nil, fmt.Errorf("%w: parameter %q range [%d,%d] step %d has more than %d levels", errInvalid, ps.Name, ps.Min, ps.Max, step, maxRangeLevels)
 			}
 			params[i] = space.NumRange(ps.Name, ps.Min, ps.Max, step)
 		}

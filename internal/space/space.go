@@ -94,11 +94,18 @@ func Num(name string, levels ...float64) Parameter {
 }
 
 // NumRange constructs a Numeric parameter with integer levels
-// lo, lo+step, ..., up to and including hi when reachable.
+// lo, lo+step, ..., up to and including hi when reachable. step must be
+// positive.
 func NumRange(name string, lo, hi, step int) Parameter {
 	var levels []float64
 	for v := lo; v <= hi; v += step {
 		levels = append(levels, float64(v))
+		// Stop before v += step passes hi: near math.MaxInt it would
+		// wrap negative and the loop would never end. The unsigned
+		// difference is exact for any v <= hi.
+		if uint64(hi)-uint64(v) < uint64(step) {
+			break
+		}
 	}
 	return Num(name, levels...)
 }

@@ -329,3 +329,29 @@ func TestEncodeDecodePropertyValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNumRangeStopsBeforeWrap: stepping past math.MaxInt would wrap the
+// loop variable negative; NumRange stops at the last reachable level.
+func TestNumRangeStopsBeforeWrap(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi, step int
+		want         []float64
+	}{
+		{1, 10, 3, []float64{1, 4, 7, 10}},
+		{1, 9, 3, []float64{1, 4, 7}},
+		{5, 4, 1, nil},
+		{math.MaxInt - 10, math.MaxInt, 1 << 40, []float64{float64(math.MaxInt - 10)}},
+		{math.MaxInt - 2<<20 - 5, math.MaxInt, 1 << 20, []float64{
+			float64(math.MaxInt - 2<<20 - 5), float64(math.MaxInt - 1<<20 - 5), float64(math.MaxInt - 5)}},
+	} {
+		got := NumRange("x", c.lo, c.hi, c.step).Levels
+		if len(got) != len(c.want) {
+			t.Fatalf("NumRange(%d, %d, %d) = %v, want %v", c.lo, c.hi, c.step, got, c.want)
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Fatalf("NumRange(%d, %d, %d) = %v, want %v", c.lo, c.hi, c.step, got, c.want)
+			}
+		}
+	}
+}
