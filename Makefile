@@ -20,7 +20,10 @@ check: fmt-check vet race train-equivalence resume-equivalence campaign-equivale
 # train-equivalence gates the presorted-column training engine: the
 # builder-equivalence property tests (tree.Fit must emit trees
 # bit-identical to the per-node-sorting test oracle FitReference in
-# internal/tree/reference_test.go), the shared-rank path (column
+# internal/tree/reference_test.go, a column mixing -0 and +0 and levels
+# one ulp apart included), the branch-free stable partitions against
+# the branchy oracles kept beside FitReference (random, all-left and
+# all-right masks, awkward lengths), the shared-rank path (column
 # ranking, FitRanked on bootstraps equal to the oracle on the
 # materialised sample, and every tree forest.Fit and forest.Update build
 # from shared ranks equal to tree.Fit on its materialised bootstrap,
@@ -29,7 +32,7 @@ check: fmt-check vet race train-equivalence resume-equivalence campaign-equivale
 # the race detector so the per-worker workspace reuse and the shared
 # read-only ranks are exercised concurrently.
 train-equivalence:
-	go test -race -run 'TestBuilderEquivalence|TestWorkspaceReuse|TestRank|TestFitRejectsNonFinite|TestForestFitBaggingModes|TestOOBParallel' ./internal/tree ./internal/forest
+	go test -race -run 'TestBuilderEquivalence|TestStablePartitionMatchesOracle|TestWorkspaceReuse|TestRank|TestFitRejectsNonFinite|TestForestFitBaggingModes|TestOOBParallel' ./internal/tree ./internal/forest
 
 # resume-equivalence gates the checkpoint/resume subsystem: an
 # interrupted run continued from its snapshot must be bit-identical to
@@ -202,7 +205,8 @@ bench:
 # builder is a test oracle, timed unrecorded by
 # `go test -bench FitReference ./internal/tree`). Each run appends one
 # entry per benchmark to BENCH_train.json (schema: train_bench_test.go),
-# the recorded trajectory that bench-train-smoke guards against.
+# the recorded trajectory that bench-train-smoke guards against and
+# `go run ./cmd/report -bench-train BENCH_train.json` renders.
 bench-train:
 	BENCH_TRAIN_JSON=BENCH_train.json go test -bench 'TreeFit|ForestFit' -benchmem -run xxx .
 

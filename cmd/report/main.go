@@ -4,7 +4,10 @@
 // benchmark entries (BENCH_pool.json, written by `make bench-pool`);
 // with -bench-campaign, the campaign-drain trajectory
 // (BENCH_campaign.json, written by `make bench-campaign`) with the
-// fleet transport's overhead over the local drain.
+// fleet transport's overhead over the local drain; with -bench-train,
+// the latest training-engine entries (BENCH_train.json, written by
+// `make bench-train`) with each benchmark's speedup over the previous
+// commit.
 // With -service it renders a tuned daemon's /stats dump as a Service
 // section (`curl host:8080/stats > stats.json; report -service stats.json`).
 //
@@ -13,6 +16,7 @@
 //	report [-dir out] [-o results.md]
 //	report -bench-pool BENCH_pool.json
 //	report -bench-campaign BENCH_campaign.json
+//	report -bench-train BENCH_train.json
 //	report -service stats.json
 package main
 
@@ -37,6 +41,7 @@ func main() {
 	out := flag.String("o", "", "write to file instead of stdout")
 	benchPool := flag.String("bench-pool", "", "render the latest entries of a bench-pool JSON trajectory instead")
 	benchCampaign := flag.String("bench-campaign", "", "render a bench-campaign JSON trajectory instead")
+	benchTrain := flag.String("bench-train", "", "render the latest entries of a bench-train JSON trajectory instead")
 	service := flag.String("service", "", "render a tuned daemon /stats dump instead")
 	flag.Parse()
 
@@ -57,6 +62,12 @@ func main() {
 	}
 	if *benchCampaign != "" {
 		if err := report.BenchCampaign(*benchCampaign, w); err != nil {
+			fatal(err)
+		}
+		return
+	}
+	if *benchTrain != "" {
+		if err := report.BenchTrain(*benchTrain, w); err != nil {
 			fatal(err)
 		}
 		return

@@ -1,10 +1,8 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // BenchCampaignEntry mirrors the schema of BENCH_campaign.json, the
@@ -29,16 +27,9 @@ type BenchCampaignEntry struct {
 // both modes have entries — the fleet transport's per-core overhead
 // over the local work-stealing drain, from the newest entry of each.
 func BenchCampaign(path string, w io.Writer) error {
-	data, err := os.ReadFile(path)
+	entries, err := readEntries[BenchCampaignEntry](path)
 	if err != nil {
 		return err
-	}
-	var entries []BenchCampaignEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("%s: no recorded entries", path)
 	}
 
 	fmt.Fprintf(w, "## Campaign drain (`make bench-campaign`)\n\n")

@@ -1,10 +1,8 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // BenchPoolEntry mirrors the schema of BENCH_pool.json, the
@@ -28,16 +26,9 @@ type BenchPoolEntry struct {
 // kernels no longer benchmarked (the removed quantized kernel) still
 // render as history, with the commit that recorded them.
 func BenchPool(path string, w io.Writer) error {
-	data, err := os.ReadFile(path)
+	entries, err := readEntries[BenchPoolEntry](path)
 	if err != nil {
 		return err
-	}
-	var entries []BenchPoolEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("%s: no recorded entries", path)
 	}
 	latest := map[string]BenchPoolEntry{}
 	var order []string

@@ -85,6 +85,24 @@ func TestServerHugeTreesRejected(t *testing.T) {
 	}
 }
 
+// TestServerHugePoolSizeRejected: a pool no ask could scan while it
+// holds the session lock is refused at create time with 400, before any
+// ask runs, and the refusal does not leak the one admission slot: a
+// create at the largest admitted pool size succeeds afterwards.
+func TestServerHugePoolSizeRejected(t *testing.T) {
+	m := NewManager(Config{MaxSessions: 1})
+	a := newAPI(t, m)
+	hostile := json.RawMessage(`{"space":[{"name":"x","min":0,"max":7}],"pool_size":1125899906842624,"n_max":20}`)
+	if code := a.do("POST", "/sessions", hostile, nil); code != http.StatusBadRequest {
+		t.Fatalf("create with pool_size=2^50: status %d, want 400", code)
+	}
+	req := testCreate("acme")
+	req.PoolSize = maxPoolSize
+	if code := a.do("POST", "/sessions", req, nil); code != http.StatusCreated {
+		t.Fatalf("create with pool_size=%d after the hostile one: status %d, want 201", maxPoolSize, code)
+	}
+}
+
 // TestBuildSpaceRangeBounds: a [min,max] range is expanded only when its
 // level count fits what the request body could have listed explicitly.
 // Oversized ranges fail fast without allocating their levels, and a

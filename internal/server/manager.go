@@ -228,6 +228,9 @@ func (m *Manager) sessionConfig(man *Manifest) (core.SessionConfig, error) {
 	if man.Trees > maxTrees {
 		return core.SessionConfig{}, fmt.Errorf("%w: trees %d exceeds %d", errInvalid, man.Trees, maxTrees)
 	}
+	if man.PoolSize > maxPoolSize {
+		return core.SessionConfig{}, fmt.Errorf("%w: pool_size %d exceeds %d", errInvalid, man.PoolSize, maxPoolSize)
+	}
 	sp, err := BuildSpace(man.Space)
 	if err != nil {
 		return core.SessionConfig{}, err

@@ -46,6 +46,14 @@ const maxRangeLevels = maxBodyBytes / 2
 // allocated: the first refit would panic and wedge the session.
 const maxTrees = 1024
 
+// maxPoolSize caps a session's candidate pool. The largest pool the
+// repository documents is the 10^7-candidate pool-bench demonstration,
+// the tuned default is 4096 and perfbench serves 10^5, so 2^24 (~1.7e7)
+// admits all of them. An ask scans every candidate while it holds the
+// session lock, so a client-chosen size in the quadrillions would wedge
+// the session on its first ask.
+const maxPoolSize = 1 << 24
+
 // BuildSpace assembles a space.Space from wire parameter specs.
 func BuildSpace(specs []ParamSpec) (*space.Space, error) {
 	if len(specs) == 0 {

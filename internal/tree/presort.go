@@ -3,6 +3,7 @@ package tree
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // This file implements the presorted-column training engine. The
-// reference builder (reference.go) re-sorts every numeric candidate
+// reference builder (reference_test.go) re-sorts every numeric candidate
 // column at every node — O(m log m) comparisons and a fresh index slice
 // per feature per node. Here each numeric column of the training set is
 // ranked ONCE (RankColumns: one sort, dense ranks), however many trees
@@ -23,6 +24,22 @@ import (
 // already-sorted segments and split search degenerates to a single
 // allocation-free linear scan.
 //
+// The inner loops are shaped for the CPU rather than for the reader:
+//
+//   - A column order is one packed uint64 per sample, rank<<32 |
+//     position, so the split scan and the partition stream a single
+//     8-byte array per column. Sorting entries as integers is sorting by
+//     (rank, position).
+//   - The stable partitions are branch-free: every element is written to
+//     both the left run and the scratch run, and both counters advance by
+//     the 0/1 mask value. The left/right direction is close to a coin
+//     flip per element, so a branch on it mispredicts about half the time.
+//   - The numeric split scan is one pass. It keeps the running Σy and Σy²
+//     and writes (left count, Σy, Σy²) at every position into a buffer
+//     that advances only at a boundary between distinct ranks; gains are
+//     then evaluated over those boundaries only, and the threshold is
+//     computed once per node, for the winning split.
+//
 // Bit-identity with the reference builder is a hard invariant, pinned by
 // presort_test.go. It holds because:
 //
@@ -32,6 +49,9 @@ import (
 //     sample positions 0..n-1 keyed by the rank of the row each position
 //     was drawn from is stable in position, so it yields exactly the
 //     (value, position) order the reference's comparator sort defines.
+//     Two neighbours of that order hold equal values exactly when they
+//     hold equal ranks, so "same rank" is the reference's "same value"
+//     test, ±0 included.
 //   - A node's sample list (idx) is always in ascending sample order in
 //     both builders (the root is 0..n-1 and stable partitioning
 //     preserves relative order), so leaf statistics and categorical
@@ -39,7 +59,15 @@ import (
 //   - A stably partitioned segment of a (value, position)-sorted order
 //     is exactly the (value, position)-sort of the child's samples, so
 //     numeric prefix sums visit targets in the same sequence as the
-//     reference's per-node sort.
+//     reference's per-node sort. Writing every element to both runs
+//     changes which slots hold stale copies, never the order of the runs.
+//   - The one-pass scan's totals are its final prefix sums, which add
+//     the same targets in the same order as the reference's separate
+//     totals loop, and each recorded boundary carries exactly the prefix
+//     the reference holds at that position. The gains are the same
+//     expressions over the same operands, visited in the same order with
+//     the same strict >, so the same boundary wins, and its threshold is
+//     the same (X[a][f] + X[b][f]) / 2 over the same two samples.
 //   - The per-node feature visitation order performs the same Intn draws
 //     as rng.Perm (a full backward Fisher–Yates, merely allocation-free),
 //     so both builders consume identical RNG streams. A draw-on-demand
@@ -110,6 +138,9 @@ func FitRanked(rk *Ranks, y []float64, picks []int32, cfg Config, r *rng.RNG, ws
 	if len(picks) == 0 {
 		return nil, fmt.Errorf("tree: empty training set")
 	}
+	if len(y) > math.MaxInt32 || len(picks) > math.MaxInt32 {
+		return nil, fmt.Errorf("tree: %d rows, %d samples: column entries hold 32-bit ranks and positions", len(y), len(picks))
+	}
 	for k, p := range picks {
 		if p < 0 || int(p) >= len(y) {
 			return nil, fmt.Errorf("tree: sample %d picks row %d of %d", k, p, len(y))
@@ -129,7 +160,7 @@ func FitRanked(rk *Ranks, y []float64, picks []int32, cfg Config, r *rng.RNG, ws
 		X: ws.rows[:n], y: ws.ys[:n], features: rk.features, cfg: cfg, mtry: mtry, r: r, ws: ws,
 		minLeaf: cfg.minLeaf(), minSplit: cfg.minSplit(),
 		idx: ws.idx[:n], mask: ws.mask[:n],
-		scratchIdx: ws.scratchIdx[:n], scratchVals: ws.scratchVals[:n],
+		scratchIdx: ws.scratchIdx[:n], scratchCol: ws.scratchCol[:n],
 	}
 	for k, p := range picks {
 		b.X[k], b.y[k] = rk.x[p], y[p]
@@ -154,10 +185,10 @@ type psBuilder struct {
 	r        *rng.RNG
 	ws       *Workspace
 
-	idx         []int32
-	mask        []bool
-	scratchIdx  []int32
-	scratchVals []float64
+	idx        []int32
+	mask       []uint8
+	scratchIdx []int32
+	scratchCol []uint64
 
 	// present/bestCats alias workspace scratch; present holds the last
 	// categorical candidate's category stats (sorted by mean), bestCats
@@ -167,24 +198,24 @@ type psBuilder struct {
 }
 
 // psSplit is the presorted engine's split candidate. Unlike the
-// reference's split it carries no materialised category bitmap: the
-// winning categorical split is reconstructed from bestCats exactly once
-// per node, instead of allocating a bitmap per candidate.
+// reference's split it carries neither a threshold nor a materialised
+// category bitmap: the winning split's threshold or bitmap is
+// reconstructed exactly once per node, from the boundary position or
+// from bestCats, instead of on every improvement.
 type psSplit struct {
-	feature   int
-	threshold float64
-	gain      float64
-	valid     bool
-	isCat     bool
+	feature int
+	left    int // numeric: the segment's first left column entries go left
+	gain    float64
+	valid   bool
+	isCat   bool
 }
 
-// presort fills each numeric column's order with the sample positions
-// 0..n-1 sorted by (value, position), by a stable counting sort keyed on
-// the rank of the row each position was drawn from, and caches the
-// sorted values alongside. The tree performs no comparison sort at all.
+// presort fills each numeric column with the entries rank<<32 | position
+// of the sample positions 0..n-1 sorted by (value, position), by a
+// stable counting sort keyed on the rank of the row each position was
+// drawn from. The tree performs no comparison sort at all.
 func (b *psBuilder) presort(rk *Ranks, picks []int32) {
 	n := len(picks)
-	X := b.X
 	for f, rank := range rk.rank {
 		if rank == nil {
 			continue
@@ -199,15 +230,11 @@ func (b *psBuilder) presort(rk *Ranks, picks []int32) {
 		for l := 1; l < len(start); l++ {
 			start[l] += start[l-1]
 		}
-		ord := b.ws.ords[f][:n]
+		col := b.ws.cols[f][:n]
 		for k, p := range picks {
 			l := rank[p]
-			ord[start[l]] = int32(k)
+			col[start[l]] = entry(l, k)
 			start[l]++
-		}
-		vals := b.ws.vals[f][:n]
-		for k, i := range ord {
-			vals[k] = X[i][f]
 		}
 	}
 }
@@ -262,9 +289,10 @@ func (b *psBuilder) build(lo, hi, depth int) *node {
 	}
 
 	// Materialise the winning split's category bitmap (if categorical)
-	// and flag every sample's direction once; the same mask then drives
-	// the stable partition of idx and of every numeric column order.
+	// and flag every sample's direction once (1 = left); the same mask
+	// then drives the stable partition of idx and of every numeric column.
 	var catLeft []bool
+	var threshold float64
 	X, mask := b.X, b.mask
 	if best.isCat {
 		catLeft = make([]bool, b.features[best.feature].NumCategories)
@@ -273,12 +301,16 @@ func (b *psBuilder) build(lo, hi, depth int) *node {
 		}
 		for _, i := range idxSeg {
 			c := int(X[i][best.feature])
-			mask[i] = c >= 0 && c < len(catLeft) && catLeft[c]
+			mask[i] = bit(c >= 0 && c < len(catLeft) && catLeft[c])
 		}
 	} else {
-		f, th := best.feature, best.threshold
+		// The reference's threshold: the midpoint of the values either
+		// side of the winning boundary, the same two samples.
+		f := best.feature
+		col := b.ws.cols[f][lo:hi]
+		threshold = (X[uint32(col[best.left-1])][f] + X[uint32(col[best.left])][f]) / 2
 		for _, i := range idxSeg {
-			mask[i] = X[i][f] <= th
+			mask[i] = bit(X[i][f] <= threshold)
 		}
 	}
 
@@ -294,12 +326,12 @@ func (b *psBuilder) build(lo, hi, depth int) *node {
 		if ft.Kind == space.FeatCategorical {
 			continue
 		}
-		stablePartitionCol(b.ws.ords[f][lo:hi], b.ws.vals[f][lo:hi], mask, b.scratchIdx, b.scratchVals)
+		stablePartitionCol(b.ws.cols[f][lo:hi], mask, b.scratchCol)
 	}
 
 	nd := b.ws.newNode()
 	*nd = node{
-		feature: best.feature, threshold: best.threshold, catLeft: catLeft,
+		feature: best.feature, threshold: threshold, catLeft: catLeft,
 		mean: mean, variance: variance, count: count,
 	}
 	nd.left = b.build(lo, lo+nl, depth+1)
@@ -361,46 +393,52 @@ func (b *psBuilder) featureOrder(d int) []int {
 }
 
 // bestNumericSplit finds the best threshold split of feature f over the
-// segment [lo, hi) by scanning the presorted column — no sort, no
-// allocation. constant reports a single-valued feature.
+// segment [lo, hi) in one pass over the presorted column — no sort, no
+// allocation. The pass writes the prefix sums at every position into the
+// workspace's cut buffer but advances past them only at a boundary
+// between distinct ranks, so it has no data-dependent branch; its final
+// sums are the totals. The gains are then evaluated over the recorded boundaries only.
+// The winner is returned as a column position, not a threshold: build
+// computes the threshold once, for the node's winning split. constant
+// reports a single-valued feature.
 func (b *psBuilder) bestNumericSplit(lo, hi, f int) (psSplit, bool) {
-	ord := b.ws.ords[f][lo:hi]
-	vals := b.ws.vals[f][lo:hi]
-	n := len(ord)
-	if vals[0] == vals[n-1] {
+	col := b.ws.cols[f][lo:hi]
+	n := len(col)
+	if col[0]>>32 == col[n-1]>>32 {
 		return psSplit{}, true
 	}
 
 	y := b.y
-	minLeaf := b.minLeaf
-	var totalSum, totalSq float64
-	for _, i := range ord {
-		totalSum += y[i]
-		totalSq += y[i] * y[i]
+	cuts := b.ws.cuts[:n]
+	nc := 0
+	var sum, sq float64
+	rank := col[0] >> 32
+	for k, e := range col {
+		// A boundary before position k: samples 0..k-1 go left.
+		cuts[nc] = cut{left: k, sum: sum, sq: sq}
+		nc += int(bit(e>>32 != rank))
+		rank = e >> 32
+		yi := y[uint32(e)]
+		sum += yi
+		sq += yi * yi
 	}
-	parentSSE := totalSq - totalSum*totalSum/float64(n)
+	parentSSE := sq - sum*sum/float64(n)
 
 	best := psSplit{feature: f}
-	var leftSum, leftSq float64
-	for k := 0; k < n-1; k++ {
-		yi := y[ord[k]]
-		leftSum += yi
-		leftSq += yi * yi
-		if vals[k] == vals[k+1] {
-			continue // can only split between distinct values
-		}
-		nl, nr := k+1, n-k-1
+	minLeaf := b.minLeaf
+	for _, c := range cuts[:nc] {
+		nl, nr := c.left, n-c.left
 		if nl < minLeaf || nr < minLeaf {
 			continue
 		}
-		rightSum := totalSum - leftSum
-		rightSq := totalSq - leftSq
-		sse := (leftSq - leftSum*leftSum/float64(nl)) + (rightSq - rightSum*rightSum/float64(nr))
+		rightSum := sum - c.sum
+		rightSq := sq - c.sq
+		sse := (c.sq - c.sum*c.sum/float64(nl)) + (rightSq - rightSum*rightSum/float64(nr))
 		gain := parentSSE - sse
 		if !best.valid || gain > best.gain {
 			best.valid = true
 			best.gain = gain
-			best.threshold = (vals[k] + vals[k+1]) / 2
+			best.left = nl
 		}
 	}
 	return best, false
@@ -509,43 +547,51 @@ func sortCatsByMean(cs []catStat) {
 	}
 }
 
-// stablePartitionIdx stably partitions seg by mask (true first) using
+// entry packs a column entry: the dense rank of the sample's value in
+// the high 32 bits, the sample position in the low 32. Comparing entries
+// as integers compares (rank, position).
+func entry(rank int32, pos int) uint64 { return uint64(uint32(rank))<<32 | uint64(uint32(pos)) }
+
+// bit is 1 for true and 0 for false; the compiler lowers it to a flag
+// move, not a branch.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// stablePartitionIdx stably partitions seg by mask (1 first) using
 // scratch for the right-going run, returning the left count. Relative
 // order is preserved on both sides, which keeps idx segments in
 // ascending sample order — the invariant the bit-identity argument
-// rests on.
-func stablePartitionIdx(seg []int32, mask []bool, scratch []int32) int {
+// rests on. It is branch-free: each element is written to both runs and
+// both counters advance by the mask value; the left write never passes
+// the read position, so no unread element is overwritten.
+func stablePartitionIdx(seg []int32, mask []uint8, scratch []int32) int {
 	nl, nr := 0, 0
 	for _, i := range seg {
-		if mask[i] {
-			seg[nl] = i
-			nl++
-		} else {
-			scratch[nr] = i
-			nr++
-		}
+		m := int(mask[i])
+		seg[nl] = i
+		scratch[nr] = i
+		nl += m
+		nr += 1 - m
 	}
 	copy(seg[nl:], scratch[:nr])
 	return nl
 }
 
-// stablePartitionCol stably partitions a column order and its aligned
-// value cache together, preserving the (value, position) sort within
-// each side.
-func stablePartitionCol(ord []int32, vals []float64, mask []bool, sIdx []int32, sVals []float64) {
+// stablePartitionCol stably partitions a column's entries by the mask of
+// their sample positions, preserving the (rank, position) order within
+// each side, branch-free as stablePartitionIdx.
+func stablePartitionCol(col []uint64, mask []uint8, scratch []uint64) {
 	nl, nr := 0, 0
-	for k, i := range ord {
-		v := vals[k]
-		if mask[i] {
-			ord[nl] = i
-			vals[nl] = v
-			nl++
-		} else {
-			sIdx[nr] = i
-			sVals[nr] = v
-			nr++
-		}
+	for _, e := range col {
+		m := int(mask[uint32(e)])
+		col[nl] = e
+		scratch[nr] = e
+		nl += m
+		nr += 1 - m
 	}
-	copy(ord[nl:], sIdx[:nr])
-	copy(vals[nl:], sVals[:nr])
+	copy(col[nl:], scratch[:nr])
 }

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -243,6 +244,80 @@ func TestBuilderEquivalenceMinLeafBoundary(t *testing.T) {
 	}
 	for _, minSplit := range []int{2, n - 1, n, n + 1} {
 		fitBoth(t, X, y, fs, Config{MinSamplesSplit: minSplit}, 0, nil)
+	}
+}
+
+// TestBuilderEquivalenceSignedZeroAndUlp pins the two places where
+// "same rank" must mean exactly the reference's "same value". One column
+// mixes -0 and +0, equal by == but distinct in bits: the -0 rows come
+// first in sample order and carry a much larger target, so an engine that
+// split between the two zeros would find its best gain there. The other
+// column's levels are one ulp apart, where the midpoint threshold can
+// round onto a level and leave a degenerate partition.
+func TestBuilderEquivalenceSignedZeroAndUlp(t *testing.T) {
+	r := rng.New(41)
+	ulps := []float64{1}
+	for len(ulps) < 5 {
+		ulps = append(ulps, math.Nextafter(ulps[len(ulps)-1], 2))
+	}
+	fs := numFeatures(2)
+	n := 150
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		z := []float64{0, 0, -0.5, 0.5}[r.Intn(4)]
+		if z == 0 && i < n/2 {
+			z = math.Copysign(0, -1)
+		}
+		u := r.Intn(len(ulps))
+		X[i] = []float64{z, ulps[u]}
+		y[i] = 3*float64(u) + 0.1*r.Norm()
+		if math.Signbit(z) {
+			y[i] += 50
+		}
+	}
+	fitBoth(t, X, y, fs, Config{}, 0, nil)
+	fitBoth(t, X, y, fs, Config{KeepTargets: true, MinSamplesLeaf: 2}, 0, nil)
+	fitBoth(t, X, y, fs, Config{MaxFeatures: 1}, 43, nil)
+}
+
+// TestStablePartitionMatchesOracle pins the branch-free partitions to
+// the branchy oracles of reference_test.go: the same runs, the same left
+// count, on random, all-left and all-right masks over segments of every
+// awkward length, with shuffled positions so stability is visible.
+func TestStablePartitionMatchesOracle(t *testing.T) {
+	r := rng.New(47)
+	for _, n := range []int{0, 1, 2, 7, 64, 513} {
+		for _, kind := range []string{"random", "all-left", "all-right"} {
+			mask := make([]uint8, n)
+			for i := range mask {
+				switch kind {
+				case "random":
+					mask[i] = uint8(r.Intn(2))
+				case "all-left":
+					mask[i] = 1
+				}
+			}
+			perm := r.Perm(n)
+			seg := make([]int32, n)
+			col := make([]uint64, n)
+			for k, p := range perm {
+				seg[k] = int32(p)
+				col[k] = entry(int32(r.Intn(5)), p)
+			}
+			wantSeg, wantCol := slices.Clone(seg), slices.Clone(col)
+			wantNL := refPartitionIdx(wantSeg, mask, make([]int32, n))
+			refPartitionCol(wantCol, mask, make([]uint64, n))
+
+			nl := stablePartitionIdx(seg, mask, make([]int32, n))
+			stablePartitionCol(col, mask, make([]uint64, n))
+			if nl != wantNL || !slices.Equal(seg, wantSeg) {
+				t.Fatalf("n=%d %s: idx partition %v (left %d), oracle %v (left %d)", n, kind, seg, nl, wantSeg, wantNL)
+			}
+			if !slices.Equal(col, wantCol) {
+				t.Fatalf("n=%d %s: column partition %v, oracle %v", n, kind, col, wantCol)
+			}
+		}
 	}
 }
 

@@ -333,3 +333,37 @@ func BenchmarkFitReference500x20(b *testing.B) {
 		}
 	}
 }
+
+// refPartitionIdx and refPartitionCol are the branchy stable partitions
+// the presorted engine used before its branch-free ones, kept as the
+// oracles of TestStablePartitionMatchesOracle: each element goes to the
+// left run (mask 1) or the scratch run (mask 0), and the scratch run is
+// copied back behind the left one.
+func refPartitionIdx(seg []int32, mask []uint8, scratch []int32) int {
+	nl, nr := 0, 0
+	for _, i := range seg {
+		if mask[i] == 1 {
+			seg[nl] = i
+			nl++
+		} else {
+			scratch[nr] = i
+			nr++
+		}
+	}
+	copy(seg[nl:], scratch[:nr])
+	return nl
+}
+
+func refPartitionCol(col []uint64, mask []uint8, scratch []uint64) {
+	nl, nr := 0, 0
+	for _, e := range col {
+		if mask[uint32(e)] == 1 {
+			col[nl] = e
+			nl++
+		} else {
+			scratch[nr] = e
+			nr++
+		}
+	}
+	copy(col[nl:], scratch[:nr])
+}

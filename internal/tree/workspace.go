@@ -28,22 +28,24 @@ type Workspace struct {
 	// the recursion; idx segments are always in ascending sample order.
 	idx []int32
 
-	// ords[f] holds, for numeric feature f, the sample positions sorted
-	// by (value, position); vals[f][k] caches X[ords[f][k]][f] so the
-	// split scan streams contiguous memory. Both are partitioned together
-	// at every split. Entries of categorical features are unused.
-	ords [][]int32
-	vals [][]float64
+	// cols[f] holds, for numeric feature f, one entry rank<<32 | position
+	// per sample (see entry), sorted by (value, position); the split scan
+	// streams it and every split partitions it. Entries of categorical
+	// features are unused.
+	cols [][]uint64
 
-	// mask flags, per sample position, whether the sample goes left under
-	// the node's chosen split; it is fully rewritten for each node's
-	// segment before the partition reads it.
-	mask []bool
+	// mask holds, per sample position, 1 if the sample goes left under
+	// the node's chosen split and 0 if it goes right; it is fully
+	// rewritten for each node's segment before the partition reads it.
+	mask []uint8
 
-	// scratchIdx/scratchVals buffer the right-going run of a stable
+	// scratchIdx/scratchCol buffer the right-going run of a stable
 	// partition before it is copied back behind the left-going run.
-	scratchIdx  []int32
-	scratchVals []float64
+	scratchIdx []int32
+	scratchCol []uint64
+
+	// cuts records the rank boundaries of one numeric split scan.
+	cuts []cut
 
 	// featOrder is the per-node feature visitation order (identity, or an
 	// in-place Fisher–Yates shuffle draw-compatible with rng.Perm).
@@ -73,18 +75,16 @@ func (w *Workspace) ensure(n int, rk *Ranks) {
 		w.ys = make([]float64, n)
 		w.idx = make([]int32, n)
 		w.scratchIdx = make([]int32, n)
-		w.scratchVals = make([]float64, n)
-		w.mask = make([]bool, n)
+		w.scratchCol = make([]uint64, n)
+		w.mask = make([]uint8, n)
+		w.cuts = make([]cut, n)
 	}
 	features := rk.features
 	d := len(features)
-	if len(w.ords) < d {
-		ords := make([][]int32, d)
-		copy(ords, w.ords)
-		w.ords = ords
-		vals := make([][]float64, d)
-		copy(vals, w.vals)
-		w.vals = vals
+	if len(w.cols) < d {
+		cols := make([][]uint64, d)
+		copy(cols, w.cols)
+		w.cols = cols
 	}
 	if cap(w.featOrder) < d {
 		w.featOrder = make([]int, d)
@@ -97,9 +97,8 @@ func (w *Workspace) ensure(n int, rk *Ranks) {
 			}
 			continue
 		}
-		if cap(w.ords[f]) < n {
-			w.ords[f] = make([]int32, n)
-			w.vals[f] = make([]float64, n)
+		if cap(w.cols[f]) < n {
+			w.cols[f] = make([]uint64, n)
 		}
 		if cap(w.count) < rk.levels[f]+1 {
 			w.count = make([]int32, rk.levels[f]+1)
@@ -110,6 +109,13 @@ func (w *Workspace) ensure(n int, rk *Ranks) {
 		w.present = make([]catStat, 0, maxCat)
 		w.bestCats = make([]int32, 0, maxCat)
 	}
+}
+
+// cut is a candidate numeric split boundary: left samples go left, and
+// sum/sq are their Σy and Σy² in column order.
+type cut struct {
+	left    int
+	sum, sq float64
 }
 
 // arenaChunk is the node allocation granularity: one make per 512 nodes
