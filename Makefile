@@ -47,7 +47,7 @@ train-equivalence:
 # byte-identical to encoding/json's, and the forest loader must survive
 # its fuzz seed corpus (hostile splits included) without a panic.
 resume-equivalence:
-	go test -race -run 'TestResumeEquivalence|TestResumeStreamEquivalence|TestLegacyCheckpoint|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint|TestSnapshotBytesMatchEncodingJSON|TestAppendJSONMatchesEncodingJSON|FuzzForestLoad' ./internal/core ./internal/autotune ./internal/runstate ./internal/forest ./internal/tree
+	go test -race -run 'TestResumeEquivalence|TestResumeStreamEquivalence|TestLegacyCheckpoint|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint|TestSnapshotBytesMatchEncodingJSON|TestSaveValidatesUnappendedModels|TestAppendJSONMatchesEncodingJSON|FuzzForestLoad' ./internal/core ./internal/autotune ./internal/runstate ./internal/forest ./internal/tree
 
 # campaign-equivalence gates the campaign engine: the work-stealing
 # drain must reproduce the sequential per-strategy test oracle
@@ -104,9 +104,21 @@ chaos-soak:
 # partial updates, a warm-update run must be bit-identical with the
 # cache on, starved or off, and on the forest's scorer or a plain
 # PredictBatch model, and warm Tune must land where the warm
-# materialized model phase does.
+# materialized model phase does. The level-keyed scan (rows and keys
+# built from level indices through per-parameter tables) must deliver
+# the (ord, x, mu, sigma) of the float-row ScoreBatch path for every
+# candidate — numeric levels negative, zero, tiny and huge, booleans,
+# categoricals, single-level parameters — with the cache on, starved
+# or off. Random access is gated too: Uniform.At must equal the stream
+# at every index (before any scan, past the last checkpoint, after a
+# Reset, any read size), the batch draw IntnEach must equal Intn
+# rejections included, and the regeneration fetch for sources without
+# At stays covered. A cancelled context stops a scan at a shard
+# boundary without committing its cache, and an Ask cancelled mid-scan
+# leaves its session at the boundary, so the next Ask returns the
+# uncancelled batch.
 pool-equivalence:
-	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanConcurrentScans|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder|TestExactSlotsAggregateBitIdentical|TestPredictBatchRaggedChunks|TestPredictPool|TestUpdateRotationKeepsCacheConsistent|TestPoolPredictorPathBitIdentical|TestStreamCacheEquivalence' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree
+	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanConcurrentScans|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder|TestExactSlotsAggregateBitIdentical|TestPredictBatchRaggedChunks|TestPredictPool|TestUpdateRotationKeepsCacheConsistent|TestPoolPredictorPathBitIdentical|TestStreamCacheEquivalence|TestLevelKeyedScanBitIdentical|TestUniformAtMatchesStream|TestRandomAccessMatchesSequence|TestFetchConfigsSequentialSource|TestIntnEachMatchesIntn|TestScanStopsOnCancel|TestAskCancelledMidScan' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree ./internal/rng
 
 # session-equivalence gates the ask-tell session refactor: the drivers
 # (Run/Resume) are thin loops over core.Session, and every strategy's
@@ -225,8 +237,12 @@ bench-train-smoke:
 # campaign_bench_test.go), the recorded trajectory that
 # bench-campaign-smoke guards against and
 # `go run ./cmd/report -bench-campaign BENCH_campaign.json` renders.
+# The recording runs a fixed four drains per mode (-benchtime 4x): the
+# harness's one-drain probe run goes first and warms the process, and
+# the recorded entry is the mean of the four that follow, not one ~1 s
+# run whose first drain reads high.
 bench-campaign:
-	BENCH_CAMPAIGN_JSON=BENCH_campaign.json go test -bench 'BenchmarkCampaignFig2' -benchmem -run xxx .
+	BENCH_CAMPAIGN_JSON=BENCH_campaign.json go test -bench 'BenchmarkCampaignFig2' -benchmem -benchtime 4x -run xxx .
 	go test -bench 'BenchmarkCampaignFig2Sequential' -benchmem -run xxx ./internal/experiment
 	go test -bench 'WriteCSV' -benchmem -run xxx ./internal/dataset
 

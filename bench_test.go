@@ -715,7 +715,7 @@ func BenchmarkScanCache7000(b *testing.B) {
 	f, sp, X, y, cfgs := inferenceFixture(b)
 	src := pool.NewSlice(sp, cfgs)
 	scan := func(cache *pool.ScanCache) {
-		if err := pool.Scan(src, f, pool.ScanConfig{Cache: cache}, func(int, []float64, float64, float64) {}); err != nil {
+		if err := pool.Scan(context.Background(), src, f, pool.ScanConfig{Cache: cache}, func(int, []float64, float64, float64) {}); err != nil {
 			b.Fatal(err)
 		}
 	}

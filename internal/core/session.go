@@ -334,9 +334,10 @@ func (s *Session) pendingConfigs() []space.Config {
 // are outstanding it is idempotent and re-returns the pending batch; at
 // a boundary it advances the machine — the cold-start sample first,
 // then one strategy-selected batch per call. A cancelled ctx at a loop
-// boundary drains a final checkpoint and returns the interruption
-// without consuming any randomness, so a later Ask with a live context
-// continues exactly where the session stopped.
+// boundary — or one that ends while the pool is being scanned — drains a
+// final checkpoint and returns the interruption without consuming any
+// randomness or advancing the iteration, so a later Ask with a live
+// context returns exactly the batch this one would have.
 func (s *Session) Ask(ctx context.Context) ([]space.Config, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -375,16 +376,13 @@ func (s *Session) askCold() ([]space.Config, error) {
 // strategy selection, and upfront validation of the selected batch.
 func (s *Session) askLoop(ctx context.Context) ([]space.Config, error) {
 	if err := ctx.Err(); err != nil {
-		// Drain: this is an iteration boundary, so the state is
-		// snapshot-clean; persist it for resume before bailing out.
-		s.drainCheckpoint()
-		return nil, fmt.Errorf("core: interrupted after %d iterations (%d labels): %w",
-			s.iter, len(s.res.TrainY), err)
+		return nil, s.interrupted(err)
 	}
 	remaining := s.src.Len() - len(s.taken)
 	if remaining == 0 {
 		return nil, ErrPoolExhausted
 	}
+	prevCur, prevRNG := s.cur, *s.r
 	s.iter++
 	s.res.Iterations = s.iter
 	s.cur = IterStats{Iteration: s.iter}
@@ -392,7 +390,30 @@ func (s *Session) askLoop(ctx context.Context) ([]space.Config, error) {
 	if rem := s.p.NMax - len(s.res.TrainY); batch > rem {
 		batch = rem
 	}
-	return s.selectBatch(batch, remaining)
+	cfgs, err := s.selectBatch(ctx, batch, remaining)
+	if errors.Is(err, errScanInterrupted) {
+		// The scan stopped part way: undo the iteration's start (the
+		// strategy drew nothing it keeps) so the session is back at the
+		// boundary it left.
+		s.iter--
+		s.res.Iterations = s.iter
+		s.cur, *s.r = prevCur, prevRNG
+		return nil, s.interrupted(ctx.Err())
+	}
+	return cfgs, err
+}
+
+// errScanInterrupted marks a selection whose pool scan stopped because
+// the Ask's context ended.
+var errScanInterrupted = errors.New("core: pool scan interrupted")
+
+// interrupted handles a cancellation at an iteration boundary: the state
+// is snapshot-clean, so it is persisted for resume before the
+// interruption is returned.
+func (s *Session) interrupted(err error) error {
+	s.drainCheckpoint()
+	return fmt.Errorf("core: interrupted after %d iterations (%d labels): %w",
+		s.iter, len(s.res.TrainY), err)
 }
 
 // bestY is the best (smallest) label so far; only valid after the cold
@@ -409,10 +430,13 @@ func (s *Session) bestY() float64 {
 
 // selectBatch runs the selection of one iteration — a sharded scan
 // reduced by the strategy — and stages the chosen batch.
-func (s *Session) selectBatch(batch, remaining int) ([]space.Config, error) {
+func (s *Session) selectBatch(ctx context.Context, batch, remaining int) ([]space.Config, error) {
 	selStart := time.Now()
-	sel, err := s.strat.SelectStream(&poolStream{s: s, bestY: s.bestY()}, batch)
+	sel, err := s.strat.SelectStream(&poolStream{ctx: ctx, s: s, bestY: s.bestY()}, batch)
 	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			return nil, errScanInterrupted
+		}
 		return nil, s.fail(fmt.Errorf("core: selection at iteration %d: %w", s.iter, err))
 	}
 	s.cur.SelectTime = time.Since(selStart)

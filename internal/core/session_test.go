@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/pool"
 	"repro/internal/rng"
+	"repro/internal/space"
 )
 
 // sessionFixture builds a streamed session over the golden space with a
@@ -232,5 +233,108 @@ func TestSessionHostileLabelSanitization(t *testing.T) {
 	tel := s.Result().Telemetry()
 	if tel.EvalRetries != 0 || tel.EvalTimeouts != 0 || tel.FailedCost != 0 {
 		t.Fatalf("hostile label fields leaked into telemetry: %+v", tel)
+	}
+}
+
+// cancelAfterShards is a source that, once armed, calls cancel as it
+// hands out its k-th shard — a deterministic stand-in for an Ask whose
+// context ends while the pool is being scanned.
+type cancelAfterShards struct {
+	pool.Source
+	k, calls int
+	cancel   context.CancelFunc
+}
+
+func (c *cancelAfterShards) Next(dst []space.Config) int {
+	n := c.Source.Next(dst)
+	if c.cancel != nil {
+		if c.calls++; c.calls == c.k {
+			c.cancel()
+			c.cancel = nil
+		}
+	}
+	return n
+}
+
+// TestAskCancelledMidScan: an Ask whose context ends part way through
+// the pool scan returns the interruption and leaves the session at the
+// boundary it was at — same phase, iteration count, generator state and
+// checkpoint — and the next Ask with a live context returns exactly the
+// batch an uncancelled Ask returns. Every later step of the session
+// matches the uncancelled one too, with and without the cross-scan
+// cache (a warm-update session keeps one, and a cancelled scan must not
+// commit it).
+func TestAskCancelledMidScan(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		for _, k := range []int{1, 2, 5} {
+			p := sessionParams()
+			p.NMax = 13
+			p.WarmUpdate = warm
+			p.StreamShard = 16
+			p.StreamWorkers = 2
+			var ckpts int
+			p.Checkpoint = func(*Snapshot) error { ckpts++; return nil }
+			p.CheckpointEvery = 1
+			sp := goldenSpace()
+			newSess := func(src pool.Source) *Session {
+				s, err := NewSession(SessionConfig{Source: src, Strategy: PWU{Alpha: 0.1}, Params: p, RNG: rng.New(991)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			ref := newSess(pool.NewUniform(sp, goldenPoolSeed, goldenPoolSize))
+			csrc := &cancelAfterShards{Source: pool.NewUniform(sp, goldenPoolSeed, goldenPoolSize), k: k}
+			sub := newSess(csrc)
+			label := func(c []int) Label {
+				a, b := sp.ValueByName(c, "a"), sp.ValueByName(c, "b")
+				return Label{Y: (a-4)*(a-4) + (b-2)*(b-2) + 1}
+			}
+			step := 0
+			for !ref.Done() {
+				want, err := ref.Ask(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if step > 0 {
+					// Cancel every loop-phase Ask once, k shards in.
+					ctx, cancel := context.WithCancel(context.Background())
+					csrc.calls, csrc.cancel = 0, cancel
+					iter, st, phase, before := sub.Iteration(), sub.Result().RNGState, sub.Phase(), ckpts
+					_, err := sub.Ask(ctx)
+					cancel()
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("warm %v k %d step %d: cancelled Ask returned %v", warm, k, step, err)
+					}
+					if sub.Iteration() != iter || sub.Result().RNGState != st || sub.Phase() != phase || sub.Expecting() != 0 {
+						t.Fatalf("warm %v k %d step %d: cancelled Ask moved the session", warm, k, step)
+					}
+					if ckpts != before+1 {
+						t.Fatalf("warm %v k %d step %d: %d checkpoints drained, want 1", warm, k, step, ckpts-before)
+					}
+				}
+				got, err := sub.Ask(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("warm %v k %d step %d: batch of %d, want %d", warm, k, step, len(got), len(want))
+				}
+				labels := make([]Label, len(want))
+				for i := range want {
+					if got[i].Key() != want[i].Key() {
+						t.Fatalf("warm %v k %d step %d: batch[%d] = %v, uncancelled %v", warm, k, step, i, got[i], want[i])
+					}
+					labels[i] = label(want[i])
+				}
+				for _, s := range []*Session{ref, sub} {
+					if _, err := s.Tell(context.Background(), labels); err != nil {
+						t.Fatal(err)
+					}
+				}
+				step++
+			}
+			assertSameResult(t, "cancelled-scan session", sub.Result(), ref.Result())
+		}
 	}
 }

@@ -122,6 +122,21 @@ type Snapshot struct {
 	// bumps the wire version to snapshotVersionService; plain runs omit
 	// it and keep writing the version-1 format byte for byte.
 	Service json.RawMessage `json:"service,omitempty"`
+
+	// appended is the model as the forest's direct appender wrote it
+	// (see ModelAppended); nil for any other model.
+	appended json.RawMessage
+}
+
+// ModelAppended reports whether Model still holds exactly the bytes the
+// forest's direct appender wrote for this snapshot. Those are valid JSON
+// by construction — the checkpoint wire tests check them against
+// encoding/json and FuzzForestLoad decodes them — so a sink may skip
+// validating them again. A snapshot built by hand or decoded from disk,
+// one whose model went through json.Marshal, and one whose Model was
+// replaced since all report false.
+func (s *Snapshot) ModelAppended() bool {
+	return len(s.appended) > 0 && len(s.Model) == len(s.appended) && &s.Model[0] == &s.appended[0]
 }
 
 // poolHash is the legacy materialized-pool fingerprint: FNV-1a over the
@@ -228,7 +243,7 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 // snapshot captures the session's boundary state. Slices are copied so
 // the snapshot stays valid while the session keeps running.
 func (s *Session) snapshot() (*Snapshot, error) {
-	model, err := s.marshalModel()
+	model, appended, err := s.marshalModel()
 	if err != nil {
 		return nil, fmt.Errorf("serializing model: %w", err)
 	}
@@ -243,6 +258,9 @@ func (s *Session) snapshot() (*Snapshot, error) {
 		Selections:   append([]Selection(nil), s.res.Selections...),
 		FailedCost:   s.res.FailedCost,
 		GuardCost:    s.res.GuardCost,
+	}
+	if appended {
+		snap.appended = model
 	}
 	if s.service != nil {
 		snap.Version = snapshotVersionService
@@ -264,18 +282,20 @@ func (s *Session) snapshot() (*Snapshot, error) {
 // the previous snapshot's model (the forest only grows between
 // boundaries); any other Model goes through encoding/json, which
 // compacts whatever its MarshalJSON returns. The buffer is fresh each
-// time because the snapshot outlives the call.
-func (s *Session) marshalModel() ([]byte, error) {
+// time because the snapshot outlives the call. appended reports whether
+// the bytes came from the forest's appender.
+func (s *Session) marshalModel() (model []byte, appended bool, err error) {
 	f, ok := s.model.(*forest.Forest)
 	if !ok {
-		return json.Marshal(s.model)
+		model, err = json.Marshal(s.model)
+		return model, false, err
 	}
-	model, err := f.AppendJSON(make([]byte, 0, s.modelBytes+s.modelBytes/8))
+	model, err = f.AppendJSON(make([]byte, 0, s.modelBytes+s.modelBytes/8))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	s.modelBytes = len(model)
-	return model, nil
+	return model, true, nil
 }
 
 // defaultModelLoader is the Resume model fallback, matching

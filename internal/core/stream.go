@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -37,8 +38,10 @@ func (s *Session) batchScorer() pool.BatchScorer {
 }
 
 // poolStream is the session's PoolStream view: the source minus the
-// taken set, scored by the current model.
+// taken set, scored by the current model. ctx is the Ask's context; a
+// scan stops at the next shard boundary once it is done.
 type poolStream struct {
+	ctx   context.Context
 	s     *Session
 	bestY float64
 }
@@ -65,7 +68,7 @@ func (ps *poolStream) Scan(consume func(ord int, x []float64, mu, sigma float64)
 	if _, ok := sc.(pool.SlotScorer); ok {
 		cfg.Cache = ps.s.cache
 	}
-	return pool.Scan(ps.s.src, sc, cfg, consume)
+	return pool.Scan(ps.ctx, ps.s.src, sc, cfg, consume)
 }
 
 // markTaken inserts global index g into the sorted taken set.

@@ -223,14 +223,18 @@ func TestRunStreamValidation(t *testing.T) {
 	}
 }
 
+// sequentialOnly hides a source's random access, so the session fetches
+// from it by regenerating the stream.
+type sequentialOnly struct{ pool.Source }
+
 // TestFetchConfigsSequentialSource: the generation-only fetch path (no
 // random access) must return the right configs for repeated and
 // out-of-order global indices.
 func TestFetchConfigsSequentialSource(t *testing.T) {
 	sp, _ := quadSpace(t)
-	src := pool.NewUniform(sp, 8, 60) // Uniform has no At — exercises the scan path
+	src := sequentialOnly{pool.NewUniform(sp, 8, 60)}
 	if _, ok := pool.Source(src).(pool.RandomAccess); ok {
-		t.Fatal("test premise broken: Uniform gained random access")
+		t.Fatal("test premise broken: the wrapper exposes random access")
 	}
 	all := make([]space.Config, 0, 60)
 	buf := []space.Config{make(space.Config, sp.NumParams())}

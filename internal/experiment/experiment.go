@@ -370,7 +370,7 @@ func testPredict(m core.Model, testX [][]float64, test pool.Source, cache *pool.
 		return mu, nil
 	}
 	mu := make([]float64, test.Len())
-	err := pool.Scan(test, ss, pool.ScanConfig{Cache: cache}, func(ord int, _ []float64, mean, _ float64) {
+	err := pool.Scan(context.Background(), test, ss, pool.ScanConfig{Cache: cache}, func(ord int, _ []float64, mean, _ float64) {
 		mu[ord] = mean
 	})
 	return mu, err

@@ -161,8 +161,8 @@ func TestExactKernelsBitIdentical(t *testing.T) {
 			for i := range mean {
 				mean[i], lvar[i] = make([]float64, b), make([]float64, b)
 			}
-			f.ScoreSlots(X, slots[:b/2], mean, lvar)
-			f.ScoreSlots(X, slots[b/2:], mean, lvar)
+			scoreSlotsRows(f, X, slots[:b/2], mean, lvar)
+			scoreSlotsRows(f, X, slots[b/2:], mean, lvar)
 			f.AggregateSlots(mean, lvar, mu, sigma)
 			check("ScoreSlots+AggregateSlots", n, mu, sigma)
 

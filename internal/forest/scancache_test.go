@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/pool"
@@ -77,7 +78,7 @@ func assertCachedScanMatchesBatch(t *testing.T, f *Forest, src *pool.Slice, cach
 	mu := make([]float64, len(kept))
 	sigma := make([]float64, len(kept))
 	seen := 0
-	err := pool.Scan(src, f, pool.ScanConfig{Shard: 64, Workers: 3, Skip: skip, Cache: cache},
+	err := pool.Scan(context.Background(), src, f, pool.ScanConfig{Shard: 64, Workers: 3, Skip: skip, Cache: cache},
 		func(ord int, _ []float64, m, s float64) {
 			mu[ord], sigma[ord] = m, s
 			seen++

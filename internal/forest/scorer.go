@@ -6,9 +6,9 @@ import (
 	"repro/internal/tree"
 )
 
-// Blocked scoring kernel. ScoreBatch keys every row once per batch into
-// transposed 8-row groups, walks the rows eight at a time through each
-// tree, and runs a (tree-block × row-tile) loop nest:
+// Blocked scoring kernel. ScoreKeyed takes rows keyed once per batch
+// into transposed 8-row groups, walks the rows eight at a time through
+// each tree, and runs a (tree-block × row-tile) loop nest:
 //
 //	for each tree block (node arrays totalling <= treeBlockBytes, ~L2)
 //	    for each row tile (rowTile rows: keyed rows + accumulator panel, ~L1)
@@ -23,9 +23,11 @@ import (
 // partition the ensemble in order, and every row visits the blocks in
 // order), so the kernel stays bit-identical to PredictWithUncertainty
 // no matter how the blocking divides the work. Every batch entry —
-// ScoreBatch (behind PredictBatch and the streaming scan), ScoreSlots
-// (the cross-scan cache's partial rescore) and the out-of-bag pass —
-// runs this one keyed walk; the scalar Compiled.PredictStats serves
+// ScoreKeyed (the streaming scan, whose rows arrive keyed from their
+// level indices, and ScoreBatch behind PredictBatch), ScoreSlots (the
+// cross-scan cache's partial rescore) and the out-of-bag pass — runs
+// this one keyed walk; only PredictBatch and the out-of-bag pass key
+// float rows (keyRows), and the scalar Compiled.PredictStats serves
 // single rows only.
 
 // rowTile is the blocking tile: enough rows to amortize a tree's node
@@ -151,18 +153,32 @@ func tiles(n int, buf *tileLeaves, fn func(lo, hi int, leaves []int32)) {
 // scorer contract (internal/pool.BatchScorer): safe for concurrent calls
 // (it only reads the fitted ensemble and uses pooled scratch) and
 // bit-identical per row to PredictBatch and PredictWithUncertainty:
-// each row is keyed once per batch, every tree walks eight rows at a
-// time through tree.Compiled.Leaf8T — whose routing equals the scalar
-// walk's — and each row's Welford accumulation runs serially in
-// ascending tree order no matter how the rows are batched, sharded or
-// blocked.
+// each row is keyed once per batch and scored by ScoreKeyed.
 func (f *Forest) ScoreBatch(X [][]float64, mu, sigma []float64) {
-	n := len(X)
+	if len(X) == 0 {
+		return
+	}
+	ksp, xk := keyRows(X, len(f.features))
+	f.ScoreKeyed(xk, mu, sigma)
+	keyPool.Put(ksp)
+}
+
+// ScoreKeyed scores n = len(mu) rows handed over already keyed, in the
+// 8-row feature-major groups keyRows builds (internal/pool.KeyedScorer:
+// the pool scan keys candidates straight from their level indices). It
+// is the one batch scoring entry behind ScoreBatch and the scan: every
+// tree walks eight rows at a time through tree.Compiled.Leaf8T — whose
+// routing equals the scalar walk's — and each row's Welford
+// accumulation runs serially in ascending tree order no matter how the
+// rows are batched, sharded or blocked. The pad lanes of a ragged final
+// group are overwritten with copies of the last row.
+func (f *Forest) ScoreKeyed(xk []uint64, mu, sigma []float64) {
+	n := len(mu)
 	if n == 0 {
 		return
 	}
 	d := len(f.features)
-	ksp, xk := keyRows(X, d)
+	padRaggedGroup(xk, n, d)
 	asp, mean, m2, leafVar := accPanels(n)
 	blocks := treeBlocks(f.compiled)
 	var buf tileLeaves
@@ -191,7 +207,6 @@ func (f *Forest) ScoreBatch(X [][]float64, mu, sigma []float64) {
 		mu[j], sigma[j] = f.finishMoments(mean[j], m2[j], leafVar[j])
 	}
 	scoreScratch.Put(asp)
-	keyPool.Put(ksp)
 }
 
 // NumSlots returns the ensemble size; part of the slot-scorer contract
@@ -206,18 +221,19 @@ func (f *Forest) SlotGens() []uint64 {
 }
 
 // ScoreSlots writes the per-tree leaf mean and within-leaf variance of
-// every row into the given panel rows (mean[i][t], lvar[i][t]) for only
-// the requested ensemble slots, leaving other slots' columns untouched.
-// It is the cross-scan cache's partial-rescore entry: after a warm
-// Update refreshed k of b trees, only those k slots are re-walked. Safe
-// for concurrent calls on disjoint panel rows.
-func (f *Forest) ScoreSlots(X [][]float64, slots []int, mean, lvar [][]float64) {
-	n := len(X)
+// n = len(mean) keyed rows (laid out as ScoreKeyed takes them) into the
+// given panel rows (mean[i][t], lvar[i][t]) for only the requested
+// ensemble slots, leaving other slots' columns untouched. It is the
+// cross-scan cache's partial-rescore entry: after a warm Update
+// refreshed k of b trees, only those k slots are re-walked. Safe for
+// concurrent calls on disjoint panel rows and key groups.
+func (f *Forest) ScoreSlots(xk []uint64, slots []int, mean, lvar [][]float64) {
+	n := len(mean)
 	if n == 0 || len(slots) == 0 {
 		return
 	}
 	d := len(f.features)
-	ksp, xk := keyRows(X, d)
+	padRaggedGroup(xk, n, d)
 	var buf tileLeaves
 	tiles(n, &buf, func(lo, hi int, leaves []int32) {
 		for _, t := range slots {
@@ -230,7 +246,6 @@ func (f *Forest) ScoreSlots(X [][]float64, slots []int, mean, lvar [][]float64) 
 			}
 		}
 	})
-	keyPool.Put(ksp)
 }
 
 // AggregateSlots folds full per-tree panels into (μ, σ) per row, with

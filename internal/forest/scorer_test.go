@@ -105,8 +105,8 @@ func checkSlotsMatchBatch(t *testing.T, f *Forest, X [][]float64) {
 	for t := range slots {
 		slots[t] = t
 	}
-	f.ScoreSlots(X, slots[:b/2], mean, lvar)
-	f.ScoreSlots(X, slots[b/2:], mean, lvar)
+	scoreSlotsRows(f, X, slots[:b/2], mean, lvar)
+	scoreSlotsRows(f, X, slots[b/2:], mean, lvar)
 	mu := make([]float64, n)
 	sigma := make([]float64, n)
 	f.AggregateSlots(mean, lvar, mu, sigma)
@@ -136,4 +136,12 @@ func TestPredictBatchRaggedChunks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scoreSlotsRows runs ScoreSlots on float rows, keyed as ScoreBatch keys
+// them.
+func scoreSlotsRows(f *Forest, X [][]float64, slots []int, mean, lvar [][]float64) {
+	ksp, xk := keyRows(X, len(f.features))
+	f.ScoreSlots(xk, slots, mean, lvar)
+	keyPool.Put(ksp)
 }

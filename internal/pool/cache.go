@@ -12,7 +12,7 @@ import "sync"
 // cached panels — bit-identically, because the SlotScorer contract makes
 // AggregateSlots over full panels reproduce ScoreBatch exactly.
 
-// SlotScorer is a BatchScorer whose score decomposes over generation-
+// SlotScorer is a KeyedScorer whose score decomposes over generation-
 // counted slots (ensemble members) — the contract the cross-scan cache
 // needs to reuse per-slot work. *forest.Forest implements it.
 //
@@ -20,7 +20,8 @@ import "sync"
 //
 //   - SlotGens()[t] changes exactly when slot t's predictions may have
 //     changed.
-//   - ScoreSlots fills panel columns for the requested slots only, and
+//   - ScoreSlots fills panel columns for the requested slots only, for
+//     n = len(mean) rows keyed as KeyedScorer.ScoreKeyed takes them, and
 //     is safe for concurrent calls on disjoint panel rows.
 //   - AggregateSlots over panels filled for *all* slots is bit-identical
 //     to ScoreBatch on the same rows.
@@ -30,10 +31,10 @@ import "sync"
 //     freshly fitted model — whose generation counters restart — is a
 //     new one, forcing a cold start.
 type SlotScorer interface {
-	BatchScorer
+	KeyedScorer
 	NumSlots() int
 	SlotGens() []uint64
-	ScoreSlots(X [][]float64, slots []int, mean, lvar [][]float64)
+	ScoreSlots(xk []uint64, slots []int, mean, lvar [][]float64)
 	AggregateSlots(mean, lvar [][]float64, mu, sigma []float64)
 }
 

@@ -1,39 +1,60 @@
 package pool
 
 import (
+	"context"
+	"math"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/tree"
 )
 
 // fakeSlotScorer is a SlotScorer whose per-slot values depend on the
 // slot's generation counter — any cache bug that serves a stale panel or
 // skips a due rescore changes the output, and walks counts the per-slot
-// per-row work so tests can prove reuse actually happened.
+// per-row work so tests can prove reuse actually happened. Its keyed
+// entries decode the keys back to feature values, so a key written to
+// the wrong lane or group changes the output too (see floatOnly).
 type fakeSlotScorer struct {
+	d     int
 	gens  []uint64
 	walks atomic.Int64
 }
 
-func newFakeSlotScorer(slots int) *fakeSlotScorer {
-	return &fakeSlotScorer{gens: make([]uint64, slots)}
+func newFakeSlotScorer(slots, d int) *fakeSlotScorer {
+	return &fakeSlotScorer{d: d, gens: make([]uint64, slots)}
 }
 
 func (f *fakeSlotScorer) NumSlots() int      { return len(f.gens) }
 func (f *fakeSlotScorer) SlotGens() []uint64 { return append([]uint64(nil), f.gens...) }
 
+// keyValue inverts tree.Key (for the non-NaN keys a scan writes).
+func keyValue(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// keyedRow decodes row j of 8-row keyed groups xk.
+func (f *fakeSlotScorer) keyedRow(xk []uint64, j int) []float64 {
+	x := make([]float64, f.d)
+	for c := range x {
+		x[c] = keyValue(xk[j/8*8*f.d+c*8+j%8])
+	}
+	return x
+}
+
 func (f *fakeSlotScorer) slotVal(t int, x []float64) (m, v float64) {
 	s := 0.0
-	for _, xv := range x {
-		s += xv
+	for c, xv := range x {
+		s += float64(c+1) * xv
 	}
 	g := float64(f.gens[t])
 	return float64(t+1)*s + g, s + 2*g
 }
 
-func (f *fakeSlotScorer) ScoreSlots(X [][]float64, slots []int, mean, lvar [][]float64) {
+func (f *fakeSlotScorer) ScoreSlots(xk []uint64, slots []int, mean, lvar [][]float64) {
 	for _, t := range slots {
-		for i, x := range X {
-			mean[i][t], lvar[i][t] = f.slotVal(t, x)
+		for i := range mean {
+			mean[i][t], lvar[i][t] = f.slotVal(t, f.keyedRow(xk, i))
 			f.walks.Add(1)
 		}
 	}
@@ -51,11 +72,11 @@ func (f *fakeSlotScorer) AggregateSlots(mean, lvar [][]float64, mu, sigma []floa
 	}
 }
 
-func (f *fakeSlotScorer) ScoreBatch(X [][]float64, mu, sigma []float64) {
+func (f *fakeSlotScorer) ScoreKeyed(xk []uint64, mu, sigma []float64) {
 	b := len(f.gens)
-	mean := make([][]float64, len(X))
-	lvar := make([][]float64, len(X))
-	for i := range X {
+	mean := make([][]float64, len(mu))
+	lvar := make([][]float64, len(mu))
+	for i := range mean {
 		mean[i] = make([]float64, b)
 		lvar[i] = make([]float64, b)
 	}
@@ -63,15 +84,30 @@ func (f *fakeSlotScorer) ScoreBatch(X [][]float64, mu, sigma []float64) {
 	for t := range slots {
 		slots[t] = t
 	}
-	f.ScoreSlots(X, slots, mean, lvar)
+	f.ScoreSlots(xk, slots, mean, lvar)
 	f.AggregateSlots(mean, lvar, mu, sigma)
 }
+
+func (f *fakeSlotScorer) ScoreBatch(X [][]float64, mu, sigma []float64) {
+	xk := make([]uint64, (len(X)+7)/8*8*f.d)
+	for j, x := range X {
+		for c, v := range x {
+			xk[j/8*8*f.d+c*8+j%8] = tree.Key(v)
+		}
+	}
+	f.ScoreKeyed(xk, mu, sigma)
+}
+
+// floatOnly hides every capability but ScoreBatch, so a scan encodes
+// float rows and scores them through it: the reference a level-keyed
+// scan must reproduce.
+type floatOnly struct{ BatchScorer }
 
 // collectWith runs a Scan with the given scorer and returns rows by ordinal.
 func collectWith(t *testing.T, src Source, sc BatchScorer, cfg ScanConfig) map[int]row {
 	t.Helper()
 	got := map[int]row{}
-	err := Scan(src, sc, cfg, func(ord int, x []float64, mu, sigma float64) {
+	err := Scan(context.Background(), src, sc, cfg, func(ord int, x []float64, mu, sigma float64) {
 		got[ord] = row{x: append([]float64(nil), x...), mu: mu, sigma: sigma}
 	})
 	if err != nil {
@@ -105,12 +141,13 @@ func TestScanCacheBitIdentical(t *testing.T) {
 	src := scanTestSource(t, n)
 	// Cover roughly half the pool: rows*slots*16 bytes.
 	cache := NewScanCache(int64(n/2) * slots * 16)
-	sc := newFakeSlotScorer(slots)
+	sc := newFakeSlotScorer(slots, 3)
 	cfg := ScanConfig{Shard: 64, Workers: 3}
 	ccfg := cfg
 	ccfg.Cache = cache
 
-	want := collectWith(t, src, sc, cfg)
+	want := collectWith(t, src, floatOnly{sc}, cfg)
+	sameRows(t, "keyed scan", collectWith(t, src, sc, cfg), want)
 	got := collectWith(t, src, sc, ccfg)
 	sameRows(t, "cold scan", got, want)
 	st := cache.Stats()
@@ -124,7 +161,7 @@ func TestScanCacheBitIdentical(t *testing.T) {
 	// Partial update: two slots change generation.
 	sc.gens[1]++
 	sc.gens[3]++
-	want = collectWith(t, src, sc, cfg)
+	want = collectWith(t, src, floatOnly{sc}, cfg)
 	sc.walks.Store(0)
 	got = collectWith(t, src, sc, ccfg)
 	sameRows(t, "warm scan", got, want)
@@ -154,19 +191,19 @@ func TestScanCacheSkipAndIdentity(t *testing.T) {
 	const n, slots = 300, 4
 	src := scanTestSource(t, n)
 	cache := NewScanCache(0) // default budget covers everything here
-	sc := newFakeSlotScorer(slots)
+	sc := newFakeSlotScorer(slots, 3)
 	skip := []int{0, 17, 42, 118, 299}
 	cfg := ScanConfig{Shard: 32, Skip: skip}
 	ccfg := cfg
 	ccfg.Cache = cache
 
-	want := collectWith(t, src, sc, cfg)
+	want := collectWith(t, src, floatOnly{sc}, cfg)
 	sameRows(t, "skip scan", collectWith(t, src, sc, ccfg), want)
 	sameRows(t, "skip rescan", collectWith(t, src, sc, ccfg), want)
 
 	// Fresh scorer, same shape, generations back at zero: identical gens
 	// must NOT be mistaken for "nothing changed".
-	sc2 := newFakeSlotScorer(slots)
+	sc2 := newFakeSlotScorer(slots, 3)
 	sc2.gens[2] = 0 // same gens as a fresh sc — only identity distinguishes them
 	want2 := collectWith(t, src, sc2, cfg)
 	sameRows(t, "fresh scorer", collectWith(t, src, sc2, ccfg), want2)
@@ -179,7 +216,7 @@ func TestScanCacheSkipAndIdentity(t *testing.T) {
 // configuration error, not a silent fallback.
 func TestScanCacheRequiresSlotScorer(t *testing.T) {
 	src := scanTestSource(t, 50)
-	err := Scan(src, &sumScorer{}, ScanConfig{Cache: NewScanCache(0)}, func(int, []float64, float64, float64) {})
+	err := Scan(context.Background(), src, &sumScorer{}, ScanConfig{Cache: NewScanCache(0)}, func(int, []float64, float64, float64) {})
 	if err == nil {
 		t.Fatal("expected an error for Cache without a SlotScorer")
 	}
@@ -198,12 +235,12 @@ func TestScanCacheAbortedScanNotCommitted(t *testing.T) {
 	const n, slots = 200, 4
 	src := scanTestSource(t, n)
 	cache := NewScanCache(0)
-	sc := newFakeSlotScorer(slots)
+	sc := newFakeSlotScorer(slots, 3)
 	ccfg := ScanConfig{Shard: 32, Cache: cache}
 
 	collectWith(t, src, sc, ccfg)
 	sc.gens[0]++
-	if err := Scan(lyingLen{src}, sc, ccfg, func(int, []float64, float64, float64) {}); err == nil {
+	if err := Scan(context.Background(), lyingLen{src}, sc, ccfg, func(int, []float64, float64, float64) {}); err == nil {
 		t.Fatal("expected the lying source to fail the scan")
 	}
 	if st := cache.Stats(); st.Scans != 1 {

@@ -1,12 +1,14 @@
 package pool
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/space"
+	"repro/internal/tree"
 )
 
 // BatchScorer scores a batch of encoded feature rows into the provided
@@ -18,6 +20,67 @@ import (
 // accumulation runs in ascending tree order regardless of batching).
 type BatchScorer interface {
 	ScoreBatch(X [][]float64, mu, sigma []float64)
+}
+
+// KeyedScorer is a BatchScorer that also takes rows already keyed:
+// tree.Key values in 8-row feature-major groups, the key of feature f of
+// row j at xk[(j/8)*8*d + f*8 + j%8] — the layout the forest's 8-lane
+// walk reads. Scan keys every candidate straight from its level indices
+// through per-parameter tables and hands the groups to ScoreKeyed,
+// instead of encoding float rows that ScoreBatch would key again.
+// *forest.Forest implements it.
+type KeyedScorer interface {
+	BatchScorer
+
+	// ScoreKeyed scores n = len(mu) keyed rows exactly as ScoreBatch
+	// scores the float rows the keys encode. xk holds ceil(n/8) groups;
+	// the lanes past n in the last group are scratch the scorer may
+	// overwrite.
+	ScoreKeyed(xk []uint64, mu, sigma []float64)
+}
+
+// level is one parameter level's model feature value and walk key.
+type level struct {
+	val float64
+	key uint64
+}
+
+// levelTables maps every parameter's level indices to their feature
+// value (space.Value) and its tree.Key. Both depend only on the
+// parameter and the level, so a candidate is encoded and keyed by
+// table lookups alone.
+func levelTables(sp *space.Space) [][]level {
+	tabs := make([][]level, sp.NumParams())
+	c := make(space.Config, sp.NumParams())
+	for f := range tabs {
+		tabs[f] = make([]level, sp.Param(f).NumLevels())
+		for l := range tabs[f] {
+			c[f] = l
+			v := sp.Value(c, f)
+			tabs[f][l] = level{val: v, key: tree.Key(v)}
+		}
+	}
+	return tabs
+}
+
+// encodeRow writes candidate c's feature row and, when kx is non-nil,
+// its keys at stride 8 (kx[f*8], one lane of a keyed group). A level
+// outside its table — only a hand-built Slice can hold one — takes
+// space.Value's own path, so it encodes (or panics) exactly as before.
+func encodeRow(sp *space.Space, tabs [][]level, c space.Config, row []float64, kx []uint64) {
+	for f, lvl := range c {
+		var e level
+		if t := tabs[f]; uint(lvl) < uint(len(t)) {
+			e = t[lvl]
+		} else {
+			v := sp.Value(c, f)
+			e = level{val: v, key: tree.Key(v)}
+		}
+		row[f] = e.val
+		if kx != nil {
+			kx[f*8] = e.key
+		}
+	}
 }
 
 // ScanConfig tunes a Scan. The zero value is valid: 1024-candidate shards
@@ -65,6 +128,7 @@ type shardBuf struct {
 type workerBuf struct {
 	flat          []float64 // backing store of rows
 	rows          [][]float64
+	keys          []uint64 // keyed 8-row groups (keyed scorers only)
 	ords, globals []int
 	mus, sigmas   []float64
 	mrows, vrows  [][]float64 // cached-panel rows (cache plans only)
@@ -99,12 +163,17 @@ func getShardBuf(shard, d int) *shardBuf {
 }
 
 // getWorkerBuf checks out a worker scratch for shard rows of d features.
-func getWorkerBuf(shard, d int, cached bool) *workerBuf {
+// Keyed scratch holds two extra groups: a shard's cache-covered rows and
+// the rest are keyed as two runs that each start on a group boundary.
+func getWorkerBuf(shard, d int, keyed, cached bool) *workerBuf {
 	w := workerBufs.Get().(*workerBuf)
 	w.flat = grow(w.flat, shard*d)
 	w.rows = grow(w.rows, shard)
 	for i := range w.rows {
 		w.rows[i] = w.flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	if keyed {
+		w.keys = grow(w.keys, (shard/8+2)*8*d)
 	}
 	w.ords, w.globals = grow(w.ords, shard), grow(w.globals, shard)
 	w.mus, w.sigmas = grow(w.mus, shard), grow(w.sigmas, shard)
@@ -118,21 +187,28 @@ func getWorkerBuf(shard, d int, cached bool) *workerBuf {
 // non-skipped candidate to consume exactly once.
 //
 // The driver goroutine reads shards from the source (sources are
-// sequential); workers encode each shard into a reusable matrix, score it,
-// and deliver (ordinal, features, mu, sigma) under an internal lock.
-// Delivery order across shards is unspecified — consumers must be
-// order-independent, which the TopK reducers are by construction — but
-// ordinals, features and scores are deterministic, so any such consumer's
-// result is invariant across shard sizes and worker counts.
+// sequential); workers encode each shard through per-parameter level
+// tables into a reusable matrix — and, for a KeyedScorer, straight into
+// keyed row groups — score it, and deliver (ordinal, features, mu,
+// sigma) under an internal lock. Delivery order across shards is
+// unspecified — consumers must be order-independent, which the TopK
+// reducers are by construction — but ordinals, features and scores are
+// deterministic, so any such consumer's result is invariant across shard
+// sizes and worker counts.
 //
 // The x slice handed to consume is only valid during the call.
+//
+// ctx is checked before each shard is read: once it is done, Scan stops
+// feeding shards, waits for the shards in flight and returns an error
+// wrapping ctx.Err(). A cancelled scan may already have delivered some
+// candidates, and it never commits the cache plan.
 //
 // Peak memory is O(Workers × Shard × NumParams): workers+1 config shards
 // plus one encode/score scratch per worker. The pool itself is never
 // materialized.
-func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []float64, mu, sigma float64)) error {
-	if src == nil || sc == nil || consume == nil {
-		return fmt.Errorf("pool: Scan needs a source, a scorer and a consumer")
+func Scan(ctx context.Context, src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []float64, mu, sigma float64)) error {
+	if ctx == nil || src == nil || sc == nil || consume == nil {
+		return fmt.Errorf("pool: Scan needs a context, a source, a scorer and a consumer")
 	}
 	sp := src.Space()
 	d := sp.NumParams()
@@ -167,6 +243,8 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 		}
 		plan = cfg.Cache.begin(ss, src.Len())
 	}
+	ks, _ := sc.(KeyedScorer)
+	tabs := levelTables(sp)
 
 	free := make(chan *shardBuf, workers+1)
 	for i := 0; i < workers+1; i++ {
@@ -180,7 +258,7 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wb := getWorkerBuf(shard, d, plan != nil)
+			wb := getWorkerBuf(shard, d, ks != nil, plan != nil)
 			defer func() {
 				// Drop references into the cache's panels before pooling.
 				clear(wb.mrows)
@@ -189,24 +267,44 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 			}()
 			rows, ords, globals, mus, sigmas := wb.rows, wb.ords, wb.globals, wb.mus, wb.sigmas
 			for buf := range tasks {
+				// Candidates below split are covered by the cache plan.
+				// Their keys fill groups from row 0; the uncovered rest
+				// start at row ukey, the next group boundary, so each
+				// run is whole groups from lane 0.
+				split := 0
+				if plan != nil {
+					split = min(max(plan.rows-buf.base, 0), buf.n)
+				}
+				ukey := (split + 7) / 8 * 8
 				// si indexes the first skip entry not yet passed; for a
 				// kept global g, si equals the count of skipped globals
 				// below g, so g-si is its rank among kept candidates.
 				si := sort.SearchInts(skip, buf.base)
-				kept := 0
+				kept, ck := 0, 0
 				for i := 0; i < buf.n; i++ {
 					g := buf.base + i
 					if si < len(skip) && skip[si] == g {
 						si++
 						continue
 					}
-					sp.EncodeInto(buf.configs[i], rows[kept])
+					var kx []uint64
+					if ks != nil {
+						p := kept
+						if i >= split {
+							p = ukey + kept - ck
+						}
+						kx = wb.keys[p/8*8*d+p%8:]
+					}
+					encodeRow(sp, tabs, buf.configs[i], rows[kept], kx)
+					if i < split {
+						ck++
+					}
 					ords[kept] = g - si
 					globals[kept] = g
 					kept++
 				}
 				if kept > 0 {
-					scoreShard(sc, plan, globals[:kept], rows[:kept], mus[:kept], sigmas[:kept], wb.mrows, wb.vrows)
+					scoreShard(sc, ks, plan, ck, globals[:kept], rows[:kept], wb.keys, ukey*d, mus[:kept], sigmas[:kept], wb.mrows, wb.vrows)
 					mu.Lock()
 					for j := 0; j < kept; j++ {
 						consume(ords[j], rows[j], mus[j], sigmas[j])
@@ -220,7 +318,11 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 
 	src.Reset()
 	global := 0
+	var cancelled error
 	for {
+		if cancelled = ctx.Err(); cancelled != nil {
+			break
+		}
 		buf := <-free
 		n := src.Next(buf.configs)
 		if n == 0 {
@@ -236,6 +338,9 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 	for i := 0; i < workers+1; i++ {
 		shardBufs.Put(<-free)
 	}
+	if cancelled != nil {
+		return fmt.Errorf("pool: scan stopped after %d of %d candidates: %w", global, src.Len(), cancelled)
+	}
 	if global != src.Len() {
 		return fmt.Errorf("pool: source produced %d candidates, Len() promised %d", global, src.Len())
 	}
@@ -245,30 +350,30 @@ func Scan(src Source, sc BatchScorer, cfg ScanConfig, consume func(ord int, x []
 	return nil
 }
 
-// scoreShard scores one shard's kept rows into mus/sigmas, routing rows
-// inside the cache plan's covered prefix through the panel path:
-// re-walk only the stale slots, re-aggregate the rest from the cached
-// panels. Globals ascend within a shard, so the covered rows form a
-// prefix of the kept rows; each global row belongs to exactly one shard,
-// so concurrent workers write disjoint panel rows.
-func scoreShard(sc BatchScorer, plan *scanPlan, globals []int, rows [][]float64, mus, sigmas []float64, mrows, vrows [][]float64) {
-	ck := 0
-	if plan != nil {
-		for ck < len(globals) && globals[ck] < plan.rows {
-			ck++
-		}
-	}
+// scoreShard scores one shard's kept rows into mus/sigmas. The first ck
+// rows are inside the cache plan's covered prefix (globals ascend within
+// a shard, so covered rows come first) and take the panel path: re-walk
+// only the stale slots, re-aggregate the rest from the cached panels.
+// Each global row belongs to exactly one shard, so concurrent workers
+// write disjoint panel rows. A keyed scorer reads the covered rows' keys
+// from keys[0:] and the rest from keys[ukey:]; any other scorer scores
+// the float rows.
+func scoreShard(sc BatchScorer, ks KeyedScorer, plan *scanPlan, ck int, globals []int, rows [][]float64, keys []uint64, ukey int, mus, sigmas []float64, mrows, vrows [][]float64) {
 	if ck > 0 {
 		for j := 0; j < ck; j++ {
 			mrows[j] = plan.cache.mean[globals[j]]
 			vrows[j] = plan.cache.lvar[globals[j]]
 		}
 		if len(plan.stale) > 0 {
-			plan.sc.ScoreSlots(rows[:ck], plan.stale, mrows[:ck], vrows[:ck])
+			plan.sc.ScoreSlots(keys, plan.stale, mrows[:ck], vrows[:ck])
 		}
 		plan.sc.AggregateSlots(mrows[:ck], vrows[:ck], mus[:ck], sigmas[:ck])
 	}
 	if len(rows) > ck {
-		sc.ScoreBatch(rows[ck:], mus[ck:], sigmas[ck:])
+		if ks != nil {
+			ks.ScoreKeyed(keys[ukey:], mus[ck:], sigmas[ck:])
+		} else {
+			sc.ScoreBatch(rows[ck:], mus[ck:], sigmas[ck:])
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package pool
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -39,7 +41,7 @@ type row struct {
 func collect(t *testing.T, src Source, cfg ScanConfig) map[int]row {
 	t.Helper()
 	got := map[int]row{}
-	err := Scan(src, &sumScorer{}, cfg, func(ord int, x []float64, mu, sigma float64) {
+	err := Scan(context.Background(), src, &sumScorer{}, cfg, func(ord int, x []float64, mu, sigma float64) {
 		if _, dup := got[ord]; dup {
 			t.Fatalf("ordinal %d delivered twice", ord)
 		}
@@ -95,7 +97,7 @@ func TestScanShardWorkerInvariance(t *testing.T) {
 		src := scanTestSource(t, n)
 		reduce := func(cfg ScanConfig) []int {
 			tk := NewTopKDistinct(7)
-			if err := Scan(src, &sumScorer{}, cfg, func(ord int, x []float64, mu, sigma float64) {
+			if err := Scan(context.Background(), src, &sumScorer{}, cfg, func(ord int, x []float64, mu, sigma float64) {
 				tk.Push(ord, sigma/math.Max(mu, 1e-9), x)
 			}); err != nil {
 				t.Fatal(err)
@@ -139,7 +141,7 @@ func TestScanConcurrentScans(t *testing.T) {
 	scan := func(src Source, cfg ScanConfig) ([]float64, error) {
 		mus := make([]float64, src.Len())
 		var bad error
-		err := Scan(src, &sumScorer{}, cfg, func(ord int, x []float64, mu, _ float64) {
+		err := Scan(context.Background(), src, &sumScorer{}, cfg, func(ord int, x []float64, mu, _ float64) {
 			var sum float64
 			for _, v := range x {
 				sum += v
@@ -214,23 +216,72 @@ func TestScanValidation(t *testing.T) {
 	src := scanTestSource(t, 10)
 	sc := &sumScorer{}
 	noop := func(int, []float64, float64, float64) {}
-	if err := Scan(nil, sc, ScanConfig{}, noop); err == nil {
+	if err := Scan(context.Background(), nil, sc, ScanConfig{}, noop); err == nil {
 		t.Fatal("nil source accepted")
 	}
-	if err := Scan(src, nil, ScanConfig{}, noop); err == nil {
+	if err := Scan(context.Background(), src, nil, ScanConfig{}, noop); err == nil {
 		t.Fatal("nil scorer accepted")
 	}
-	if err := Scan(src, sc, ScanConfig{}, nil); err == nil {
+	if err := Scan(context.Background(), src, sc, ScanConfig{}, nil); err == nil {
 		t.Fatal("nil consumer accepted")
 	}
-	if err := Scan(src, sc, ScanConfig{Skip: []int{3, 3}}, noop); err == nil {
+	if err := Scan(context.Background(), src, sc, ScanConfig{Skip: []int{3, 3}}, noop); err == nil {
 		t.Fatal("duplicate skip entries accepted")
 	}
-	if err := Scan(src, sc, ScanConfig{Skip: []int{5, 2}}, noop); err == nil {
+	if err := Scan(context.Background(), src, sc, ScanConfig{Skip: []int{5, 2}}, noop); err == nil {
 		t.Fatal("unsorted skip accepted")
 	}
-	if err := Scan(src, sc, ScanConfig{Skip: []int{10}}, noop); err == nil {
+	if err := Scan(context.Background(), src, sc, ScanConfig{Skip: []int{10}}, noop); err == nil {
 		t.Fatal("out-of-range skip accepted")
+	}
+	if err := Scan(nil, src, sc, ScanConfig{}, noop); err == nil {
+		t.Fatal("nil context accepted")
+	}
+}
+
+// cancelOnShard cancels its context as it hands out the k-th shard.
+type cancelOnShard struct {
+	Source
+	k, calls int
+	cancel   context.CancelFunc
+}
+
+func (c *cancelOnShard) Next(dst []space.Config) int {
+	if c.calls++; c.calls == c.k {
+		c.cancel()
+	}
+	return c.Source.Next(dst)
+}
+
+// TestScanStopsOnCancel: a context that ends mid-pool stops the scan at
+// the next shard boundary — no shard past it is read or delivered — and
+// the scan returns the context's error without committing its cache
+// plan; a context done before the scan delivers nothing.
+func TestScanStopsOnCancel(t *testing.T) {
+	const n, shard = 300, 16
+	for _, k := range []int{1, 3, 7} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancelOnShard{Source: scanTestSource(t, n), k: k, cancel: cancel}
+		sc := newFakeSlotScorer(4, 3)
+		cache := NewScanCache(0)
+		delivered := 0
+		err := Scan(ctx, src, sc, ScanConfig{Shard: shard, Workers: 2, Cache: cache}, func(int, []float64, float64, float64) { delivered++ })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("k %d: scan returned %v, want context.Canceled", k, err)
+		}
+		if src.calls != k || delivered != k*shard {
+			t.Fatalf("k %d: %d shards read, %d candidates delivered; want %d and %d", k, src.calls, delivered, k, k*shard)
+		}
+		if st := cache.Stats(); st.Scans != 0 {
+			t.Fatalf("k %d: cancelled scan committed the cache: %+v", k, st)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	delivered := 0
+	err := Scan(ctx, scanTestSource(t, n), &sumScorer{}, ScanConfig{}, func(int, []float64, float64, float64) { delivered++ })
+	if !errors.Is(err, context.Canceled) || delivered != 0 {
+		t.Fatalf("done context: err %v, %d delivered", err, delivered)
 	}
 }
 
@@ -251,7 +302,7 @@ func TestScanMemoryBound(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := Scan(src, sc, ScanConfig{Shard: shard, Workers: workers}, consume); err != nil {
+	if err := Scan(context.Background(), src, sc, ScanConfig{Shard: shard, Workers: workers}, consume); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -60,8 +60,8 @@ type Source interface {
 
 // RandomAccess is an optional Source capability: decode the i-th candidate
 // directly. Sources whose stream position is a pure function of the index
-// (enumeration, precomputed LHS columns, materialized slices) support it;
-// sequentially-drawn samplers do not.
+// (enumeration, precomputed LHS columns, materialized slices) support it,
+// and so does Uniform, by replay from recorded generator checkpoints.
 type RandomAccess interface {
 	Source
 
@@ -149,19 +149,40 @@ func (e *Enumeration) Fingerprint() uint64 {
 // Uniform streams n configurations sampled uniformly with replacement —
 // bit-identical to space.SampleConfigs(rng.New(seed), n), the paper's
 // "sample 10,000 configurations" pool protocol, without materializing
-// them. Draws are sequential, so the source offers no random access; the
-// engine fetches selected configs with one cheap generation-only pass.
+// them.
+//
+// Draws are sequential, but the source still offers random access: it
+// records the generator state at every ckptEvery-th candidate as the
+// stream passes it (checkpoint 0 is the seed state), and At replays
+// from the nearest checkpoint at or below the index. The checkpoint
+// count is capped at maxCheckpoints whatever the pool size, so the
+// source's state stays a few KB for a 10^5 or a 10^9 pool while a
+// fetch replays at most ckptEvery-1 candidates.
 type Uniform struct {
 	sp   *space.Space
 	seed uint64
 	n    int
 	pos  int
-	r    *rng.RNG
+	r    rng.RNG
 
 	// levels caches each parameter's level count, so a draw does not
 	// copy the Parameter struct out of the space per Intn.
 	levels []int
+
+	// ckpts[m] is the generator state before candidate m*ckptEvery;
+	// they are recorded in order, without gaps, by Next and At.
+	ckptEvery int
+	ckpts     []rng.RNG
+
+	// at and scratch are At's replay generator and discard buffer, so
+	// a fetch does not disturb the stream position.
+	at      rng.RNG
+	scratch space.Config
 }
+
+// maxCheckpoints caps the number of generator states a Uniform records,
+// independently of its length.
+const maxCheckpoints = 256
 
 // NewUniform builds a uniform sampling source of n candidates.
 func NewUniform(sp *space.Space, seed uint64, n int) *Uniform {
@@ -169,8 +190,11 @@ func NewUniform(sp *space.Space, seed uint64, n int) *Uniform {
 	for j := range levels {
 		levels[j] = sp.Param(j).NumLevels()
 	}
-	u := &Uniform{sp: sp, seed: seed, n: n, levels: levels}
+	every := max((n+maxCheckpoints-1)/maxCheckpoints, 1)
+	u := &Uniform{sp: sp, seed: seed, n: n, levels: levels, ckptEvery: every,
+		scratch: make(space.Config, len(levels))}
 	u.Reset()
+	u.ckpts = append(make([]rng.RNG, 0, max((n+every-1)/every, 1)), u.r)
 	return u
 }
 
@@ -183,26 +207,52 @@ func (u *Uniform) Len() int { return u.n }
 // Reset implements Source. The generator restarts from the seed, so the
 // replayed draw sequence is exactly the original one.
 func (u *Uniform) Reset() {
-	u.r = rng.New(u.seed)
+	u.r = *rng.New(u.seed)
 	u.pos = 0
 }
 
 // Next implements Source. Each candidate consumes one Intn per parameter
 // in parameter order — the same stream consumption as SampleConfig —
-// regardless of how many candidates this call produces.
+// regardless of how many candidates this call produces. The first pass
+// over a checkpoint position records the generator state there.
 func (u *Uniform) Next(dst []space.Config) int {
 	k := len(dst)
 	if rem := u.n - u.pos; k > rem {
 		k = rem
 	}
+	next := len(u.ckpts) * u.ckptEvery // the first unrecorded checkpoint
 	for i := 0; i < k; i++ {
-		c := dst[i]
-		for j, nl := range u.levels {
-			c[j] = u.r.Intn(nl)
+		if u.pos+i == next {
+			u.ckpts = append(u.ckpts, u.r)
+			next += u.ckptEvery
 		}
+		u.r.IntnEach(dst[i], u.levels)
 	}
 	u.pos += k
 	return k
+}
+
+// At implements RandomAccess: candidate i is replayed from the last
+// checkpoint at or below it on a private generator, so the stream
+// position is untouched. An index past the recorded checkpoints first
+// streams forward from the last one, recording those it passes.
+func (u *Uniform) At(i int, dst space.Config) {
+	if i < 0 || i >= u.n {
+		panic(fmt.Sprintf("pool: Uniform.At(%d) outside [0, %d)", i, u.n))
+	}
+	m := i / u.ckptEvery
+	for len(u.ckpts) <= m {
+		u.at = u.ckpts[len(u.ckpts)-1]
+		for k := 0; k < u.ckptEvery; k++ {
+			u.at.IntnEach(u.scratch, u.levels)
+		}
+		u.ckpts = append(u.ckpts, u.at)
+	}
+	u.at = u.ckpts[m]
+	for k := m * u.ckptEvery; k < i; k++ {
+		u.at.IntnEach(u.scratch, u.levels)
+	}
+	u.at.IntnEach(dst, u.levels)
 }
 
 // Fingerprint implements Source.

@@ -121,6 +121,73 @@ func TestRandomAccessMatchesSequence(t *testing.T) {
 	}
 }
 
+// TestUniformAtMatchesStream: Uniform's checkpoint replay returns the
+// streamed candidate at every index — before any scan (every checkpoint
+// recorded by At itself), past the last checkpoint a partial read
+// recorded, and after a Reset — for reads in shards of 1, 7 and 1024,
+// and At never disturbs the stream position. Pool sizes cover one
+// checkpoint per candidate (n <= maxCheckpoints), a ragged last
+// interval and a length that is a multiple of the interval.
+func TestUniformAtMatchesStream(t *testing.T) {
+	sp := testSpace(t)
+	const seed = 4242
+	got := make(space.Config, sp.NumParams())
+	checkAt := func(label string, u *Uniform, want []space.Config) {
+		t.Helper()
+		// Descending first, so the top index is fetched with only the
+		// checkpoints recorded so far.
+		for i := len(want) - 1; i >= 0; i-- {
+			u.At(i, got)
+			if got.Key() != want[i].Key() {
+				t.Fatalf("%s: At(%d) = %v, stream has %v", label, i, got, want[i])
+			}
+		}
+		for i := range want {
+			u.At(i, got)
+			if got.Key() != want[i].Key() {
+				t.Fatalf("%s: second pass At(%d) = %v, stream has %v", label, i, got, want[i])
+			}
+		}
+	}
+	for _, n := range []int{1, 200, 3001, 3072} {
+		want := sp.SampleConfigs(rng.New(seed), n)
+		for _, shard := range []int{1, 7, 1024} {
+			u := NewUniform(sp, seed, n)
+			checkAt("before any scan", u, want)
+			assertSameConfigs(t, "stream after At", drain(t, u, shard), want)
+
+			// Past the last checkpoint: stream a third of the pool, fetch
+			// everything, then finish the stream where it stopped.
+			u = NewUniform(sp, seed, n)
+			buf := make([]space.Config, shard)
+			for i := range buf {
+				buf[i] = make(space.Config, sp.NumParams())
+			}
+			var streamed []space.Config
+			for len(streamed) < n/3 {
+				k := u.Next(buf)
+				for _, c := range buf[:k] {
+					streamed = append(streamed, c.Clone())
+				}
+			}
+			checkAt("past the last checkpoint", u, want)
+			for k := u.Next(buf); k > 0; k = u.Next(buf) {
+				for _, c := range buf[:k] {
+					streamed = append(streamed, c.Clone())
+				}
+			}
+			assertSameConfigs(t, "stream interleaved with At", streamed, want)
+
+			u.Reset()
+			checkAt("after Reset", u, want)
+			assertSameConfigs(t, "stream after Reset", drain(t, u, shard), want)
+			if len(u.ckpts) > maxCheckpoints {
+				t.Fatalf("n %d: %d checkpoints, cap %d", n, len(u.ckpts), maxCheckpoints)
+			}
+		}
+	}
+}
+
 func TestFingerprintsDistinguishSources(t *testing.T) {
 	sp := testSpace(t)
 	enum, _ := NewEnumeration(sp)

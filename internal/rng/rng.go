@@ -109,16 +109,57 @@ func (r *RNG) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded generation.
 	bound := uint64(n)
-	x := r.Uint64()
-	hi, lo := bits.Mul64(x, bound)
+	hi, lo := bits.Mul64(r.Uint64(), bound)
 	if lo < bound {
-		threshold := (-bound) % bound
-		for lo < threshold {
-			x = r.Uint64()
-			hi, lo = bits.Mul64(x, bound)
-		}
+		hi = r.reject(hi, lo, bound)
 	}
 	return int(hi)
+}
+
+// reject finishes Lemire's bounded draw whose first product (hi, lo)
+// fell below the bound: it redraws while lo is under the rejection
+// threshold. It is reached with probability < bound/2^64.
+func (r *RNG) reject(hi, lo, bound uint64) uint64 {
+	threshold := (-bound) % bound
+	for lo < threshold {
+		hi, lo = bits.Mul64(r.Uint64(), bound)
+	}
+	return hi
+}
+
+// IntnEach sets dst[j] = r.Intn(bounds[j]) for every j in order: the
+// same values and the same stream consumption as the per-element
+// calls. The xoshiro state stays in registers across the loop and
+// Lemire's fast path runs inline, which is what a lazy pool source
+// drawing one level per parameter per candidate spends its time on.
+// It panics if a bound is non-positive (after storing the draws made so
+// far, exactly like the per-element calls would).
+func (r *RNG) IntnEach(dst, bounds []int) {
+	dst = dst[:len(bounds)]
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for j, n := range bounds {
+		if n <= 0 {
+			r.s = [4]uint64{s0, s1, s2, s3}
+			panic("rng: Intn with non-positive n")
+		}
+		bound := uint64(n)
+		x := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		hi, lo := bits.Mul64(x, bound)
+		if lo < bound {
+			r.s = [4]uint64{s0, s1, s2, s3}
+			hi = r.reject(hi, lo, bound)
+			s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
+		}
+		dst[j] = int(hi)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.

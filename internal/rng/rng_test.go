@@ -125,6 +125,32 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
+// TestIntnEachMatchesIntn: the register-resident batch draw returns the
+// per-element Intn values and leaves the generator where they would,
+// rejection path included (bounds near 2^63 reject often).
+func TestIntnEachMatchesIntn(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 10, 1000, 1 << 40, 3 << 61, math.MaxInt64}
+	a, b := New(5), New(5)
+	got := make([]int, len(bounds))
+	for round := 0; round < 2000; round++ {
+		a.IntnEach(got, bounds)
+		for j, n := range bounds {
+			if want := b.Intn(n); got[j] != want {
+				t.Fatalf("round %d bound %d: IntnEach %d, Intn %d", round, n, got[j], want)
+			}
+		}
+	}
+	if a.State() != b.State() {
+		t.Fatal("IntnEach left the generator elsewhere than Intn")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("IntnEach with a zero bound did not panic")
+		}
+	}()
+	a.IntnEach(got[:2], []int{4, 0})
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -319,3 +319,81 @@ func BenchmarkSave(b *testing.B) {
 		}
 	}
 }
+
+// TestSaveValidatesUnappendedModels: Save skips json.Valid only for the
+// model bytes the forest's appender wrote for the snapshot. A session
+// snapshot whose model went through json.Marshal (a non-forest
+// surrogate) and a forest snapshot whose Model was replaced are both
+// validated, so an invalid model is still rejected before the temp
+// file exists and the previous checkpoint stays as it was.
+func TestSaveValidatesUnappendedModels(t *testing.T) {
+	sp := space.MustNew(space.NumRange("tile", 1, 64, 1), space.Bool("unroll"))
+	ev := core.EvaluatorFunc(func(_ context.Context, c space.Config) (float64, error) {
+		return float64(c[1]) + sp.ValueByName(c, "tile")/7, nil
+	})
+	fit := func(_ [][]float64, y []float64, _ []space.Feature, _ *rng.RNG) (core.Model, error) {
+		return prettyModel{mean: y[0]}, nil
+	}
+	// take runs the cold start and returns the boundary snapshot.
+	take := func(p core.Params) *core.Snapshot {
+		t.Helper()
+		s, err := core.NewSession(core.SessionConfig{
+			Source: pool.NewUniform(sp, 3, 50), Strategy: core.PWU{Alpha: 0.1}, Params: p, RNG: rng.New(4),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		batch, err := s.Ask(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := make([]core.Label, len(batch))
+		for i, c := range batch {
+			labels[i].Y, _ = ev.Evaluate(ctx, c)
+		}
+		if _, err := s.Tell(ctx, labels); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	forestSnap := take(core.Params{NInit: 4, NBatch: 2, NMax: 10, Forest: forest.Config{NumTrees: 4}})
+	marshaled := take(core.Params{NInit: 4, NBatch: 2, NMax: 10, Fitter: fit})
+	if !forestSnap.ModelAppended() || marshaled.ModelAppended() {
+		t.Fatalf("ModelAppended: forest %v, json.Marshal model %v; want true, false",
+			forestSnap.ModelAppended(), marshaled.ModelAppended())
+	}
+
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := Save(path, forestSnap); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, snap := range map[string]*core.Snapshot{"non-forest": marshaled, "replaced forest": forestSnap} {
+		for _, model := range []string{`{"trees":`, `{} {}`, `nul`, `{"mean":1}x`} {
+			bad := *snap
+			bad.Model = json.RawMessage(model)
+			if bad.ModelAppended() {
+				t.Fatalf("%s: a replaced model still reads as appended", name)
+			}
+			if err := Save(path, &bad); err == nil {
+				t.Fatalf("%s: model %q saved", name, model)
+			}
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("previous checkpoint changed by a rejected save (err %v)", err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("rejected saves left files behind: %v (err %v)", entries, err)
+	}
+}

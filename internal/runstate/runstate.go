@@ -88,13 +88,15 @@ const modelField = `"model":null`
 // model — the bulk of the file, already encoded by its own marshaler
 // (compact, as Session snapshots are) — is spliced in verbatim instead
 // of being re-scanned and re-compacted. One json.Valid pass keeps a
-// malformed model out of the file.
+// malformed model out of the file; it is skipped only for a model the
+// forest's appender wrote (Snapshot.ModelAppended), which is valid by
+// construction.
 func encode(snap *core.Snapshot) ([]byte, error) {
 	model := snap.Model
 	if model == nil {
 		model = json.RawMessage("null")
 	}
-	if !json.Valid(model) {
+	if !snap.ModelAppended() && !json.Valid(model) {
 		return nil, errors.New("model is not valid JSON")
 	}
 	rest := *snap

@@ -78,11 +78,3 @@ func (s *Space) ConfigAt(idx int64, dst Config) {
 		panic("space: ConfigAt index out of range")
 	}
 }
-
-// EncodeInto encodes c into the provided feature buffer (length NumParams)
-// without allocating; the streaming scorer reuses one buffer per worker.
-func (s *Space) EncodeInto(c Config, x []float64) {
-	for i := range s.params {
-		x[i] = s.Value(c, i)
-	}
-}

@@ -111,22 +111,6 @@ func TestConfigAtOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestEncodeIntoMatchesEncode(t *testing.T) {
-	sp := iterTestSpace(t)
-	r := rng.New(7)
-	buf := make([]float64, sp.NumParams())
-	for i := 0; i < 50; i++ {
-		c := sp.SampleConfig(r)
-		sp.EncodeInto(c, buf)
-		want := sp.Encode(c)
-		for j := range want {
-			if buf[j] != want[j] {
-				t.Fatalf("EncodeInto(%v)[%d] = %v, want %v", c, j, buf[j], want[j])
-			}
-		}
-	}
-}
-
 // TestSampleLHSColumnsReconstruction is the LHS half of the
 // shard-size-invariance contract: the precomputed columns consume the
 // generator identically to SampleLHS, so reading them in any chunking
