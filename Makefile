@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check fmt-check vet test race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-train-smoke bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
+.PHONY: all build check fmt-check vet test race fuzz-smoke train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-train-smoke bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
 
 all: build check
 
@@ -13,9 +13,9 @@ build:
 # campaign engine, streaming pool, ask-tell sessions, fleet drain), the
 # chaos gates (fault-injection equivalence
 # and the mixed-fault race soaks, in-process and fleet), the server
-# soak, and smoke-sized runs of the training, streaming-pool and
+# soak, a few seconds of fuzzing per fuzz target, and smoke-sized runs of the training, streaming-pool and
 # campaign benchmarks.
-check: fmt-check vet race train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-train-smoke bench-pool-smoke bench-campaign-smoke
+check: fmt-check vet race fuzz-smoke train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-train-smoke bench-pool-smoke bench-campaign-smoke
 
 # train-equivalence gates the presorted-column training engine: the
 # builder-equivalence property tests (tree.Fit must emit trees
@@ -116,9 +116,19 @@ chaos-soak:
 # At stays covered. A cancelled context stops a scan at a shard
 # boundary without committing its cache, and an Ask cancelled mid-scan
 # leaves its session at the boundary, so the next Ask returns the
-# uncancelled batch.
+# uncancelled batch. Both σ estimators must equal a tree-order oracle
+# over full leaf statistics on every scoring entry (a BetweenTrees
+# forest never loads a leaf variance; TotalVariance keeps its exact
+# sum). PWU's floor-pruned selection must equal the unpruned top-k on
+# hostile pools (ties at the floor at smaller and larger ordinals,
+# duplicates, NaN and infinite inputs, σ = 0, μ at, below and far from
+# the clamp, α from 0.01 to 1, every delivery order), take the exact
+# path where pruning is unsound (a floor at or below 0 or infinite, α
+# outside (0, 1]), and never reject a candidate whose exact score
+# reaches the floor (FuzzPWUFloor's committed seed corpus); the top-k
+# floor it reads is gated on its own.
 pool-equivalence:
-	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanConcurrentScans|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder|TestExactSlotsAggregateBitIdentical|TestPredictBatchRaggedChunks|TestPredictPool|TestUpdateRotationKeepsCacheConsistent|TestPoolPredictorPathBitIdentical|TestStreamCacheEquivalence|TestLevelKeyedScanBitIdentical|TestUniformAtMatchesStream|TestRandomAccessMatchesSequence|TestFetchConfigsSequentialSource|TestIntnEachMatchesIntn|TestScanStopsOnCancel|TestAskCancelledMidScan' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree ./internal/rng
+	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanConcurrentScans|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder|TestExactSlotsAggregateBitIdentical|TestPredictBatchRaggedChunks|TestPredictPool|TestUpdateRotationKeepsCacheConsistent|TestPoolPredictorPathBitIdentical|TestStreamCacheEquivalence|TestLevelKeyedScanBitIdentical|TestUniformAtMatchesStream|TestRandomAccessMatchesSequence|TestFetchConfigsSequentialSource|TestIntnEachMatchesIntn|TestScanStopsOnCancel|TestAskCancelledMidScan|TestMomentsMatchTreeOrderOracle|TestTopKFloor|TestPWUFloorMatchesExact|TestPWUFloorExactPaths|FuzzPWUFloor' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree ./internal/rng
 
 # session-equivalence gates the ask-tell session refactor: the drivers
 # (Run/Resume) are thin loops over core.Session, and every strategy's
@@ -195,6 +205,18 @@ fleet-failover:
 	go test -race -run 'TestFleetd' ./cmd/fleetd
 	go test -race -run 'TestServerChaosClientFaults' ./internal/server
 
+# fuzz-smoke runs each fuzz target for a few seconds beyond its committed
+# seed corpus (which every plain `go test` already replays): the top-k
+# reducers against the sort-based specification, the float-to-key order
+# map, the forest loader on hostile model JSON, and PWU's floor bound.
+# A failing input is written under the package's testdata/fuzz, ready to
+# commit as a seed.
+fuzz-smoke:
+	go test -run xxx -fuzz '^FuzzTopK$$' -fuzztime 2s ./internal/pool
+	go test -run xxx -fuzz '^FuzzKeyOrder$$' -fuzztime 2s ./internal/tree
+	go test -run xxx -fuzz '^FuzzForestLoad$$' -fuzztime 2s ./internal/forest
+	go test -run xxx -fuzz '^FuzzPWUFloor$$' -fuzztime 2s ./internal/core
+
 # fmt-check fails when any Go file is not gofmt-clean.
 fmt-check:
 	test -z "$$(gofmt -l .)"
@@ -263,9 +285,13 @@ bench-campaign-smoke:
 # O(workers x shard), not O(pool)). Each run appends machine-readable
 # entries to BENCH_pool.json (schema: pool_bench_test.go), the recorded
 # benchmark trajectory that bench-pool-smoke guards against and
-# `go run ./cmd/report -bench-pool BENCH_pool.json` renders.
+# `go run ./cmd/report -bench-pool BENCH_pool.json` renders. The
+# recording runs a fixed ten scans (-benchtime 10x): the harness's
+# one-scan probe goes first and warms the process, and the recorded
+# entry is the mean of the ten that follow, not the two or three scans
+# the default 1 s benchtime fits at 200k candidates.
 bench-pool:
-	BENCH_POOL_JSON=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -cpu 1 -run xxx .
+	BENCH_POOL_JSON=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -benchtime 10x -cpu 1 -run xxx .
 
 # Smoke-sized bench-pool for the check gate and CI: a 20k pool, one
 # iteration at -cpu 1 — proves the pipeline end to end in about a

@@ -16,13 +16,14 @@ import (
 // equivalence, soak and failover gates.
 var gateFiles = []string{"Makefile", ".github/workflows/ci.yml"}
 
-// runFlag captures a quoted -run pattern.
-var runFlag = regexp.MustCompile(`-run[ =](?:'([^']*)'|"([^"]*)")`)
+// runFlag captures a quoted -run or -fuzz pattern.
+var runFlag = regexp.MustCompile(`-(?:run|fuzz)[ =](?:'([^']*)'|"([^"]*)")`)
 
-// TestGateRunPatternsMatchTests fails when a gate's -run alternative
-// matches no Test, Fuzz or Benchmark function in the packages named on
-// its line, so a renamed or moved test cannot silently drop out of a
-// gate.
+// TestGateRunPatternsMatchTests fails when a gate's -run (or -fuzz)
+// alternative matches no Test, Fuzz or Benchmark function in the
+// packages named on its line, so a renamed or moved test cannot
+// silently drop out of a gate — go test -fuzz with no matching target
+// only warns.
 func TestGateRunPatternsMatchTests(t *testing.T) {
 	names := map[string][]string{} // package dir → top-level test function names
 	for _, file := range gateFiles {
@@ -33,11 +34,10 @@ func TestGateRunPatternsMatchTests(t *testing.T) {
 		sc := bufio.NewScanner(f)
 		for lineNo := 1; sc.Scan(); lineNo++ {
 			line := sc.Text()
-			m := runFlag.FindStringSubmatch(line)
-			if m == nil {
+			flags := runFlag.FindAllStringSubmatch(line, -1)
+			if flags == nil {
 				continue
 			}
-			pattern := strings.ReplaceAll(m[1]+m[2], "$$", "$")
 			pkgs := linePackages(line)
 			if len(pkgs) == 0 {
 				t.Errorf("%s:%d: -run line names no package", file, lineNo)
@@ -50,17 +50,20 @@ func TestGateRunPatternsMatchTests(t *testing.T) {
 				}
 				funcs = append(funcs, names[dir]...)
 			}
-			// go test matches the part before the first '/' against
-			// top-level test names.
-			top, _, _ := strings.Cut(pattern, "/")
-			for _, alt := range strings.Split(top, "|") {
-				re, err := regexp.Compile(alt)
-				if err != nil {
-					t.Errorf("%s:%d: alternative %q: %v", file, lineNo, alt, err)
-					continue
-				}
-				if !matchesAny(re, funcs) {
-					t.Errorf("%s:%d: -run alternative %q matches no Test/Fuzz/Benchmark function in %v", file, lineNo, alt, pkgs)
+			for _, m := range flags {
+				pattern := strings.ReplaceAll(m[1]+m[2], "$$", "$")
+				// go test matches the part before the first '/' against
+				// top-level test names.
+				top, _, _ := strings.Cut(pattern, "/")
+				for _, alt := range strings.Split(top, "|") {
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						t.Errorf("%s:%d: alternative %q: %v", file, lineNo, alt, err)
+						continue
+					}
+					if !matchesAny(re, funcs) {
+						t.Errorf("%s:%d: alternative %q matches no Test/Fuzz/Benchmark function in %v", file, lineNo, alt, pkgs)
+					}
 				}
 			}
 		}

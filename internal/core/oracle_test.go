@@ -31,17 +31,23 @@ type Candidates struct {
 func (c *Candidates) Len() int { return len(c.Mu) }
 
 // memStream adapts a Candidates view to the PoolStream interface,
-// delivering candidates in ordinal order.
+// delivering candidates in ordinal order, or in the permutation order
+// when it is set.
 type memStream struct {
-	c *Candidates
-	r *rng.RNG
+	c     *Candidates
+	r     *rng.RNG
+	order []int
 }
 
 func (m *memStream) Len() int       { return m.c.Len() }
 func (m *memStream) BestY() float64 { return m.c.BestY }
 func (m *memStream) Rand() *rng.RNG { return m.r }
 func (m *memStream) Scan(consume func(ord int, x []float64, mu, sigma float64)) error {
-	for i := 0; i < m.c.Len(); i++ {
+	for k := 0; k < m.c.Len(); k++ {
+		i := k
+		if m.order != nil {
+			i = m.order[k]
+		}
 		consume(i, m.c.X[i], m.c.Mu[i], m.c.Sigma[i])
 	}
 	return nil

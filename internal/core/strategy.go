@@ -131,9 +131,19 @@ func (p PWU) Score(mu, sigma float64) float64 {
 }
 
 // SelectStream implements Strategy: the nBatch candidates with the
-// highest PWU score.
+// highest PWU score — selectTopK's selection, bit for bit, with the
+// candidates a full selection provably rejects left unscored
+// (pwu_floor.go).
 func (p PWU) SelectStream(ps PoolStream, nBatch int) ([]int, error) {
-	return selectTopK(ps, nBatch, p.Score)
+	nBatch = clampBatch(ps, nBatch)
+	if nBatch == 0 {
+		return nil, nil
+	}
+	r := newPWUReducer(p, nBatch)
+	if err := ps.Scan(r.push); err != nil {
+		return nil, err
+	}
+	return r.tk.Result(), nil
 }
 
 // PBUS is the Performance Biased Uncertainty Sampling baseline of

@@ -407,6 +407,9 @@ func runOnce(ctx context.Context, p bench.Problem, strategyName string, sc Scale
 		testSrc = pool.NewSlice(p.Space(), ds.Test)
 		testCache = pool.NewScanCache(0)
 	}
+	// The test labels are fixed for the repetition, so their top-α set is
+	// ranked once, not at every checkpoint.
+	topIdx := metrics.TopAlphaIndices(ds.TestY, sc.Alpha)
 	lastRecorded := -1
 	obs := func(st *core.State) error {
 		n := len(st.TrainY)
@@ -420,7 +423,7 @@ func runOnce(ctx context.Context, p bench.Problem, strategyName string, sc Scale
 		if err != nil {
 			return err
 		}
-		rr.rmse = append(rr.rmse, metrics.RMSEAtAlpha(ds.TestY, pred, sc.Alpha))
+		rr.rmse = append(rr.rmse, metrics.RMSEAt(ds.TestY, pred, topIdx))
 		rr.cc = append(rr.cc, metrics.CumulativeCost(st.TrainY))
 		return nil
 	}

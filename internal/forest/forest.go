@@ -48,7 +48,7 @@ type Config struct {
 	NumTrees int
 
 	// Tree configures the individual CART learners. Tree.MaxFeatures <= 0
-	// is replaced by max(1, d/3).
+	// considers all d features at every split.
 	Tree tree.Config
 
 	// Uncertainty selects the σ estimator (default BetweenTrees).
@@ -270,15 +270,23 @@ func (f *Forest) Predict(x []float64) float64 {
 // Welford's algorithm: the naive sumSq/b − μ² form catastrophically
 // cancels when μ is large relative to σ (e.g. execution times near 1e8
 // with milli-scale spread), silently zeroing σ and degenerating the
-// uncertainty-driven strategies into pure exploitation.
+// uncertainty-driven strategies into pure exploitation. Only a
+// TotalVariance forest loads and sums the within-leaf variances.
 func (f *Forest) PredictWithUncertainty(x []float64) (mu, sigma float64) {
+	total := f.cfg.Uncertainty == TotalVariance
 	var mean, m2, leafVar float64
 	for t, c := range f.compiled {
-		m, v, _ := c.PredictStats(x)
+		var m float64
+		if total {
+			var v float64
+			m, v, _ = c.PredictStats(x)
+			leafVar += v
+		} else {
+			m = c.Predict(x)
+		}
 		d := m - mean
 		mean += d / float64(t+1)
 		m2 += d * (m - mean)
-		leafVar += v
 	}
 	return f.finishMoments(mean, m2, leafVar)
 }
@@ -286,6 +294,7 @@ func (f *Forest) PredictWithUncertainty(x []float64) (mu, sigma float64) {
 // finishMoments converts Welford accumulator state into (μ, σ) per the
 // configured uncertainty estimator. Welford's m2 is non-negative by
 // construction; the clamp only guards hypothetical rounding residue.
+// leafVar is read only by TotalVariance; BetweenTrees callers pass 0.
 func (f *Forest) finishMoments(mean, m2, leafVar float64) (mu, sigma float64) {
 	b := float64(len(f.trees))
 	variance := m2 / b

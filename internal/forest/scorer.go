@@ -43,22 +43,31 @@ const rowTile = 128
 // ensembles that genuinely overflow L2.
 const treeBlockBytes = 1 << 20
 
-// scoreScratch recycles the per-call accumulator block (three float64s
-// per row) across calls and goroutines, so a streaming scan's
+// scoreScratch recycles the per-call accumulator block (two or three
+// float64s per row) across calls and goroutines, so a streaming scan's
 // steady-state allocation is zero no matter how many shards it scores.
 var scoreScratch = sync.Pool{New: func() interface{} { s := []float64(nil); return &s }}
 
-// accPanels checks out a zeroed 3n-float64 accumulator block.
-func accPanels(n int) (sp *[]float64, mean, m2, leafVar []float64) {
-	sp = scoreScratch.Get().(*[]float64)
-	if cap(*sp) < 3*n {
-		*sp = make([]float64, 3*n)
+// accPanels checks out a zeroed accumulator block: the mean and m2
+// panels, plus the leaf-variance panel only when withVar is set (leafVar
+// is nil otherwise).
+func accPanels(n int, withVar bool) (sp *[]float64, mean, m2, leafVar []float64) {
+	panels := 2
+	if withVar {
+		panels = 3
 	}
-	s := (*sp)[:3*n]
+	sp = scoreScratch.Get().(*[]float64)
+	if cap(*sp) < panels*n {
+		*sp = make([]float64, panels*n)
+	}
+	s := (*sp)[:panels*n]
 	for i := range s {
 		s[i] = 0
 	}
-	return sp, s[:n], s[n : 2*n], s[2*n : 3*n]
+	if withVar {
+		leafVar = s[2*n:]
+	}
+	return sp, s[:n], s[n : 2*n], leafVar
 }
 
 // treeBlocks partitions the ensemble's slots into contiguous runs whose
@@ -179,7 +188,11 @@ func (f *Forest) ScoreKeyed(xk []uint64, mu, sigma []float64) {
 	}
 	d := len(f.features)
 	padRaggedGroup(xk, n, d)
-	asp, mean, m2, leafVar := accPanels(n)
+	// Only TotalVariance reads the within-leaf variance sum; a
+	// BetweenTrees forest never loads a leaf's variance and gets no
+	// panel for it (finishMoments ignores the sum).
+	total := f.cfg.Uncertainty == TotalVariance
+	asp, mean, m2, leafVar := accPanels(n, total)
 	blocks := treeBlocks(f.compiled)
 	var buf tileLeaves
 	// The row tile stays on even when the whole ensemble is one resident
@@ -193,18 +206,25 @@ func (f *Forest) ScoreKeyed(xk []uint64, mu, sigma []float64) {
 				walkLeaves(c, xk[lo*d:], d, leaves)
 				bt := float64(t + 1)
 				for j := lo; j < hi; j++ {
-					l := leaves[j-lo]
-					pm := c.LeafMean(l)
+					pm := c.LeafMean(leaves[j-lo])
 					dm := pm - mean[j]
 					mean[j] += dm / bt
 					m2[j] += dm * (pm - mean[j])
-					leafVar[j] += c.LeafVariance(l)
+				}
+				if total {
+					for j := lo; j < hi; j++ {
+						leafVar[j] += c.LeafVariance(leaves[j-lo])
+					}
 				}
 			}
 		})
 	}
 	for j := 0; j < n; j++ {
-		mu[j], sigma[j] = f.finishMoments(mean[j], m2[j], leafVar[j])
+		var lv float64
+		if total {
+			lv = leafVar[j]
+		}
+		mu[j], sigma[j] = f.finishMoments(mean[j], m2[j], lv)
 	}
 	scoreScratch.Put(asp)
 }
@@ -254,15 +274,20 @@ func (f *Forest) ScoreSlots(xk []uint64, slots []int, mean, lvar [][]float64) {
 // bit-identical to ScoreBatch on the same rows.
 func (f *Forest) AggregateSlots(mean, lvar [][]float64, mu, sigma []float64) {
 	b := len(f.compiled)
+	total := f.cfg.Uncertainty == TotalVariance
 	for i := range mean {
 		var m, m2, lv float64
-		mrow, vrow := mean[i], lvar[i]
+		mrow := mean[i]
 		for t := 0; t < b; t++ {
 			pm := mrow[t]
 			d := pm - m
 			m += d / float64(t+1)
 			m2 += d * (pm - m)
-			lv += vrow[t]
+		}
+		if total {
+			for _, v := range lvar[i][:b] {
+				lv += v
+			}
 		}
 		mu[i], sigma[i] = f.finishMoments(m, m2, lv)
 	}

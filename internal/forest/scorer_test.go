@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -144,4 +145,45 @@ func scoreSlotsRows(f *Forest, X [][]float64, slots []int, mean, lvar [][]float6
 	ksp, xk := keyRows(X, len(f.features))
 	f.ScoreSlots(xk, slots, mean, lvar)
 	keyPool.Put(ksp)
+}
+
+// TestMomentsMatchTreeOrderOracle: for both σ estimators, every scoring
+// entry (ScoreBatch, PredictWithUncertainty, the slot panels) equals an
+// oracle that reads each tree's full leaf statistics in ascending tree
+// order — so a BetweenTrees forest, which never loads a leaf variance,
+// loses nothing, and TotalVariance keeps its exact leaf-variance sum.
+func TestMomentsMatchTreeOrderOracle(t *testing.T) {
+	X, y := friedman(rng.New(91), 90)
+	for _, u := range []UncertaintyKind{BetweenTrees, TotalVariance} {
+		f, err := Fit(X, y, numFeatures(7), Config{NumTrees: 13, Uncertainty: u}, rng.New(92))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu := make([]float64, len(X))
+		sigma := make([]float64, len(X))
+		f.ScoreBatch(X, mu, sigma)
+		for i, x := range X {
+			var mean, m2, lv float64
+			for tr, c := range f.compiled {
+				m, v, _ := c.PredictStats(x)
+				d := m - mean
+				mean += d / float64(tr+1)
+				m2 += d * (m - mean)
+				lv += v
+			}
+			b := float64(len(f.compiled))
+			variance := m2 / b
+			if u == TotalVariance {
+				variance += lv / b
+			}
+			wantS := math.Sqrt(variance)
+			if mu[i] != mean || sigma[i] != wantS {
+				t.Fatalf("%v row %d: ScoreBatch (%v, %v), oracle (%v, %v)", u, i, mu[i], sigma[i], mean, wantS)
+			}
+			if pm, ps := f.PredictWithUncertainty(x); pm != mean || ps != wantS {
+				t.Fatalf("%v row %d: PredictWithUncertainty (%v, %v), oracle (%v, %v)", u, i, pm, ps, mean, wantS)
+			}
+		}
+		checkSlotsMatchBatch(t, f, X)
+	}
 }

@@ -122,7 +122,17 @@ func RMSEAtAlpha(y, yhat []float64, alpha float64) float64 {
 	if len(y) != len(yhat) {
 		panic("metrics: RMSEAtAlpha length mismatch")
 	}
-	idx := TopAlphaIndices(y, alpha)
+	return RMSEAt(y, yhat, TopAlphaIndices(y, alpha))
+}
+
+// RMSEAt is the RMSE over the samples idx, summed in idx order. With idx
+// = TopAlphaIndices(y, α) it equals RMSEAtAlpha(y, yhat, α) exactly; a
+// caller scoring many predictions against fixed labels computes the
+// index set once. Empty idx yields NaN.
+func RMSEAt(y, yhat []float64, idx []int) float64 {
+	if len(y) != len(yhat) {
+		panic("metrics: RMSEAt length mismatch")
+	}
 	if len(idx) == 0 {
 		return math.NaN()
 	}

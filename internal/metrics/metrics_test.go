@@ -251,3 +251,28 @@ func TestSpeedupZeroCostMethodOnly(t *testing.T) {
 		t.Fatalf("speedup = %v, want +Inf when only the method was free", sp)
 	}
 }
+
+// TestRMSEAtMatchesRMSEAtAlpha: the index set ranked once and reused
+// across predictions gives exactly RMSEAtAlpha, ties in y included.
+func TestRMSEAtMatchesRMSEAtAlpha(t *testing.T) {
+	r := rng.New(5)
+	y := make([]float64, 97)
+	for i := range y {
+		y[i] = float64(r.Intn(20)) // many ties
+	}
+	for _, alpha := range []float64{0.01, 0.05, 0.3, 1} {
+		idx := TopAlphaIndices(y, alpha)
+		for rep := 0; rep < 5; rep++ {
+			yhat := make([]float64, len(y))
+			for i := range yhat {
+				yhat[i] = y[i] + r.Norm()
+			}
+			if got, want := RMSEAt(y, yhat, idx), RMSEAtAlpha(y, yhat, alpha); got != want {
+				t.Fatalf("alpha %v: RMSEAt %v, RMSEAtAlpha %v", alpha, got, want)
+			}
+		}
+	}
+	if !math.IsNaN(RMSEAt(nil, nil, nil)) {
+		t.Fatal("empty index set should give NaN")
+	}
+}

@@ -286,6 +286,22 @@ func (t *TopK) Worst() (score float64, ord int, ok bool) {
 	return s, t.heap[0].ord, true
 }
 
+// Floor returns, once the selection is full, the score a candidate must
+// beat to enter it. For a top-k reducer, a candidate scoring strictly
+// below the floor (or NaN, or equal to it at a larger ordinal) is
+// rejected by Push without any effect — in distinct mode too, since a
+// full heap makes duplicate fill unreachable — so a caller may skip
+// scoring candidates it can prove fall strictly below the floor. (For a
+// bottom-k reducer the direction flips.) The floor is Worst's score; ok
+// is false while fewer than k candidates are retained, and for k = 0.
+func (t *TopK) Floor() (score float64, ok bool) {
+	if t.k == 0 || len(t.heap) < t.k {
+		return 0, false
+	}
+	s, _, _ := t.Worst()
+	return s, true
+}
+
 // Result returns the selected ordinals, best first — byte-identical to
 // what the sort-based reference returns for the same candidate set. It
 // does not consume the reducer.

@@ -268,3 +268,31 @@ func FuzzTopK(f *testing.F) {
 		checkAgainstOracles(t, scores, xs, k, order)
 	})
 }
+
+// TestTopKFloor: Floor reports nothing until the selection is full, then
+// the k-th best score; a candidate strictly below it leaves the result
+// unchanged, and one tying it at a smaller ordinal still enters.
+func TestTopKFloor(t *testing.T) {
+	if _, ok := NewTopKDistinct(0).Floor(); ok {
+		t.Fatal("k = 0 reported a floor")
+	}
+	tk := NewTopKDistinct(2)
+	tk.Push(5, 3, []float64{5})
+	if _, ok := tk.Floor(); ok {
+		t.Fatal("floor reported before the selection is full")
+	}
+	tk.Push(7, 1, []float64{7})
+	if f, ok := tk.Floor(); !ok || f != 1 {
+		t.Fatalf("Floor() = (%v, %v), want (1, true)", f, ok)
+	}
+	tk.Push(9, math.Nextafter(1, 0), []float64{9})
+	tk.Push(8, 1, []float64{8})
+	tk.Push(10, math.NaN(), []float64{10})
+	if got := tk.Result(); len(got) != 2 || got[0] != 5 || got[1] != 7 {
+		t.Fatalf("candidates at or below the floor changed the result: %v", got)
+	}
+	tk.Push(6, 1, []float64{6}) // ties the floor at a smaller ordinal
+	if got := tk.Result(); len(got) != 2 || got[0] != 5 || got[1] != 6 {
+		t.Fatalf("a floor tie at a smaller ordinal did not enter: %v", got)
+	}
+}

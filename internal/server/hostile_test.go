@@ -85,6 +85,60 @@ func TestServerHugeTreesRejected(t *testing.T) {
 	}
 }
 
+// TestServerAlphaOutOfRangeRejected: PWU's α outside (0, 1] — which
+// would rank candidates by σ·μ⁶ or by an overflowed power — is refused
+// at create time with 400 without leaking the admission slot, α = 1 is
+// admitted, and a checkpoint whose manifest carries a hostile α is
+// skipped at recovery.
+func TestServerAlphaOutOfRangeRejected(t *testing.T) {
+	dir := t.TempDir()
+	m := NewManager(Config{MaxSessions: 1, CheckpointDir: dir})
+	a := newAPI(t, m)
+	for _, alpha := range []float64{7, 1e300, 1 + 1e-15} {
+		req := testCreate("acme")
+		req.Alpha = alpha
+		if code := a.do("POST", "/sessions", req, nil); code != http.StatusBadRequest {
+			t.Fatalf("create with alpha=%v: status %d, want 400", alpha, code)
+		}
+	}
+	req := testCreate("acme")
+	req.Alpha = 1
+	var created CreateResponse
+	if code := a.do("POST", "/sessions", req, &created); code != http.StatusCreated {
+		t.Fatalf("create with alpha=1: status %d, want 201", code)
+	}
+
+	var ask AskResponse
+	a.do("POST", "/sessions/"+created.ID+"/ask", nil, &ask)
+	if code := a.do("POST", "/sessions/"+created.ID+"/tell",
+		&TellRequest{Batch: ask.Batch, Step: ask.Step, Labels: labelConfigs(ask.Configs)}, nil); code != http.StatusOK {
+		t.Fatalf("tell: status %d", code)
+	}
+	path := filepath.Join(dir, created.ID+".ckpt")
+	snap, err := runstate.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := decodeManifest(snap.Service)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Alpha = 7
+	if snap.Service, err = man.encode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := runstate.Save(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewManager(Config{CheckpointDir: dir})
+	if n, err := m2.Recover(); err != nil || n != 0 {
+		t.Fatalf("Recover = %d, %v; want the hostile checkpoint skipped", n, err)
+	}
+	if m2.Stats().RecoverySkips != 1 {
+		t.Fatalf("hostile checkpoint not counted as skipped: %+v", m2.Stats())
+	}
+}
+
 // TestServerHugePoolSizeRejected: a pool no ask could scan while it
 // holds the session lock is refused at create time with 400, before any
 // ask runs, and the refusal does not leak the one admission slot: a

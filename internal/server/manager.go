@@ -231,6 +231,11 @@ func (m *Manager) sessionConfig(man *Manifest) (core.SessionConfig, error) {
 	if man.PoolSize > maxPoolSize {
 		return core.SessionConfig{}, fmt.Errorf("%w: pool_size %d exceeds %d", errInvalid, man.PoolSize, maxPoolSize)
 	}
+	// PWU's α is the high-performance fraction of the space (Eq. 1): past
+	// 1 the score rewards slow candidates (σ·μ^(α−1)) or overflows.
+	if !(man.Alpha > 0 && man.Alpha <= 1) {
+		return core.SessionConfig{}, fmt.Errorf("%w: alpha %v outside (0, 1]", errInvalid, man.Alpha)
+	}
 	sp, err := BuildSpace(man.Space)
 	if err != nil {
 		return core.SessionConfig{}, err

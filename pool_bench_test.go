@@ -2,9 +2,10 @@
 //
 // BenchmarkPoolStreamPWU scores a pool of POOL_BENCH_N uniform candidates
 // (default 200k; set POOL_BENCH_N=10000000 for the 10^7-config
-// demonstration) with a paper-scale 64-tree forest and reduces the PWU
-// scores into a bounded top-k heap — the exact hot path of
-// core.Run's selection step, on the forest's batch kernel (a
+// demonstration) with a paper-scale 64-tree forest and selects the PWU
+// top-16 through core.PWU.SelectStream — the exact hot path of a
+// session's selection step (floor-pruned top-k), on the forest's batch
+// kernel (a
 // branchless 8-lane walk over order-preserving uint64 keys of the
 // float64 features, bit-identical to the scalar walk). Entries are
 // recorded under kernel "exact"; BENCH_pool.json's older entries of the
@@ -14,7 +15,8 @@
 // visible (B/op stays flat as the pool grows).
 //
 // The reported ns/candidate metric is the honest per-candidate cost of
-// generate + encode + 64-tree score + heap push on this machine; total
+// generate + encode + 64-tree score + floor test (and, for the few
+// candidates the floor cannot exclude, PWU score + heap push); total
 // pool scoring time is pool_size x ns/candidate. The Makefile runs it at
 // -cpu 1, so recorded entries are one-core costs: the scan is
 // embarrassingly parallel across shards, but how well it scales depends
@@ -182,6 +184,21 @@ func poolBenchForest(b *testing.B) (bench.Problem, *forest.Forest) {
 	return p, f
 }
 
+// benchStream presents one lazily generated, scored pool as the
+// core.PoolStream a session's strategy selects from, so the bench runs
+// PWU.SelectStream — the floor-pruned reducer sessions use.
+type benchStream struct {
+	src pool.Source
+	sc  pool.BatchScorer
+}
+
+func (s benchStream) Len() int       { return s.src.Len() }
+func (s benchStream) BestY() float64 { return 0 }
+func (s benchStream) Rand() *rng.RNG { return nil }
+func (s benchStream) Scan(consume func(ord int, x []float64, mu, sigma float64)) error {
+	return pool.Scan(context.Background(), s.src, s.sc, pool.ScanConfig{}, consume)
+}
+
 // poolBenchLoop drives the generate -> encode -> score -> top-k pipeline
 // with the given scorer and records the result.
 func poolBenchLoop(b *testing.B, p bench.Problem, sc pool.BatchScorer) {
@@ -193,15 +210,11 @@ func poolBenchLoop(b *testing.B, p bench.Problem, sc pool.BatchScorer) {
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := pool.NewUniform(sp, 7, n)
-		top := pool.NewTopKDistinct(16)
-		err := pool.Scan(context.Background(), src, sc, pool.ScanConfig{}, func(ord int, x []float64, mu, sigma float64) {
-			top.Push(ord, strat.Score(mu, sigma), x)
-		})
+		sel, err := strat.SelectStream(benchStream{src: pool.NewUniform(sp, 7, n), sc: sc}, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(top.Result()) == 0 {
+		if len(sel) == 0 {
 			b.Fatal("empty selection")
 		}
 	}
