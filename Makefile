@@ -18,21 +18,28 @@ build:
 check: fmt-check vet race fuzz-smoke train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench-train-smoke bench-pool-smoke bench-campaign-smoke
 
 # train-equivalence gates the presorted-column training engine: the
-# builder-equivalence property tests (tree.Fit must emit trees
-# bit-identical to the per-node-sorting test oracle FitReference in
-# internal/tree/reference_test.go, a column mixing -0 and +0 and levels
-# one ulp apart included), the branch-free stable partitions against
-# the branchy oracles kept beside FitReference (random, all-left and
-# all-right masks, awkward lengths), the shared-rank path (column
-# ranking, FitRanked on bootstraps equal to the oracle on the
-# materialised sample, and every tree forest.Fit and forest.Update build
-# from shared ranks equal to tree.Fit on its materialised bootstrap,
-# generator end state included), the non-finite feature rejection the
-# ranking relies on, and the forest fit path with DisableBagging on and off, all under
-# the race detector so the per-worker workspace reuse and the shared
-# read-only ranks are exercised concurrently.
+# builder-equivalence property tests (the flat preorder arrays the
+# engine emits must hold exactly the pointer tree of the per-node-sorting
+# test oracle FitReference in internal/tree/reference_test.go, a column
+# mixing -0 and +0 and levels one ulp apart included), the branch-free
+# stable partitions against the branchy oracles kept beside FitReference
+# (random, all-left and all-right masks, awkward lengths), the
+# shared-rank path (column ranking, FitRanked on bootstraps equal to the
+# oracle on the materialised sample, and every tree forest.Fit and
+# forest.Update build from shared ranks equal to a whole-set fit of its
+# materialised bootstrap, generator end state included), the non-finite
+# feature rejection the ranking relies on, and the forest fit path with
+# DisableBagging on and off, all under the race detector so the
+# per-worker workspace reuse and the shared read-only ranks are
+# exercised concurrently. The one fitted-tree form rides along: fitted,
+# lone-leaf and decoded flat trees must equal the oracle's pointer tree
+# and route every probe as its float compares and bool category lists
+# do (one ulp either side of every threshold, NaN, both zeros,
+# out-of-range categories), and the forest wire bytes of a leaf-target
+# categorical, a TotalVariance and a warm-updated forest must match
+# their sha256 goldens (TestForestWireGolden).
 train-equivalence:
-	go test -race -run 'TestBuilderEquivalence|TestStablePartitionMatchesOracle|TestWorkspaceReuse|TestRank|TestFitRejectsNonFinite|TestForestFitBaggingModes|TestOOBParallel' ./internal/tree ./internal/forest
+	go test -race -run 'TestBuilderEquivalence|TestStablePartitionMatchesOracle|TestWorkspaceReuse|TestRank|TestFitRejectsNonFinite|TestForestFitBaggingModes|TestOOBParallel|TestCompiledMatchesPointer|TestCompiledSingleLeaf|TestCompiledSerializeRoundTrip|TestForestWireGolden' ./internal/tree ./internal/forest
 
 # resume-equivalence gates the checkpoint/resume subsystem: an
 # interrupted run continued from its snapshot must be bit-identical to
@@ -95,10 +102,10 @@ chaos-soak:
 # signs, infinities, both zeros, one ulp either side of every split,
 # out-of-range category codes, every ragged group length): every batch
 # entry must equal PredictWithUncertainty bit for bit, the lane and
-# scalar walks must equal the pointer tree, and the float-to-key map
+# scalar walks must equal the pointer-tree oracle, and the float-to-key map
 # must preserve order (TestKeyOrder, plus FuzzKeyOrder's committed seed
-# corpus). The cross-scan score cache is gated too: per-slot panels
-# aggregated over every slot must equal ScoreBatch, PredictBatch must
+# corpus). The cross-scan score cache is gated too: per-slot leaf-id
+# panels aggregated over every slot must equal ScoreBatch, PredictBatch must
 # match per-row prediction on chunks straddling the row tile, cached
 # scans of a forest must equal PredictBatch after any sequence of
 # partial updates, a warm-update run must be bit-identical with the

@@ -693,7 +693,7 @@ func inferenceSetup(b *testing.B) (*forest.Forest, [][]float64) {
 }
 
 // BenchmarkPredictBatchFlat7000 measures one full pool-scoring pass on
-// the compiled flat-array engine — the per-iteration cost of Algorithm
+// the flat-array engine — the per-iteration cost of Algorithm
 // 1's step 3 at paper scale.
 func BenchmarkPredictBatchFlat7000(b *testing.B) {
 	f, pool := inferenceSetup(b)

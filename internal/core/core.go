@@ -282,9 +282,10 @@ type Params struct {
 	StreamWorkers int
 
 	// StreamCacheMB bounds the cross-scan score cache (pool.ScanCache)
-	// active during warm-update runs: per-candidate per-tree
-	// score panels are kept across iterations so each scan re-walks only
-	// the ensemble slots the preceding partial Update actually refreshed.
+	// active during warm-update runs: per-candidate per-tree leaf-id
+	// panels (4 bytes an entry) are kept across iterations so each scan
+	// re-walks only the ensemble slots the preceding partial Update
+	// actually refreshed.
 	// 0 means a 256 MiB default, < 0 disables the cache; candidates
 	// beyond the budgeted prefix are re-scored from scratch each scan.
 	// Results are bit-identical with the cache on, off, or at any

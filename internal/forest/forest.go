@@ -80,7 +80,6 @@ func (c Config) workers() int {
 // Forest is a fitted random-forest regressor.
 type Forest struct {
 	trees    []*tree.Regressor
-	compiled []*tree.Compiled // flat inference engines, aligned with trees
 	features []space.Feature
 	cfg      Config
 	oob      float64 // out-of-bag RMSE; NaN if unavailable
@@ -128,7 +127,6 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 	b := cfg.numTrees()
 	n := len(X)
 	trees := make([]*tree.Regressor, b)
-	compiled := make([]*tree.Compiled, b)
 	inBag := make([][]bool, b) // inBag[t][i]: sample i used by tree t
 	errs := make([]error, b)
 	var identity []int32 // the DisableBagging sample: every row once
@@ -167,9 +165,6 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 					inBag[t] = bag
 				}
 				trees[t], errs[t] = tree.FitRanked(ranks, y, picks, treeCfg, tr, ws)
-				if errs[t] == nil {
-					compiled[t] = trees[t].Compile()
-				}
 			}
 		}(w)
 	}
@@ -181,7 +176,7 @@ func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rn
 	}
 
 	f := &Forest{
-		trees: trees, compiled: compiled, features: features, cfg: cfg,
+		trees: trees, features: features, cfg: cfg,
 		oob: math.NaN(), treeGen: make([]uint64, b),
 	}
 	if !cfg.DisableBagging {
@@ -206,8 +201,8 @@ func drawBootstrap(picks []int32, bag []bool, tr *rng.RNG) {
 
 // oobRMSE computes the out-of-bag RMSE: each sample is predicted only by
 // the trees whose bootstrap excluded it. Rows are chunked across the
-// worker pool; each chunk is keyed once and walks the compiled trees
-// eight rows at a time (see ScoreBatch), tree loop outermost per tile.
+// worker pool; each chunk is keyed once and walks the trees eight rows
+// at a time (see ScoreBatch), tree loop outermost per tile.
 // Each row's vote sum still accumulates in ascending tree order and the
 // final reduction runs serially in row order, so the result is
 // bit-identical regardless of worker count.
@@ -220,7 +215,7 @@ func (f *Forest) oobRMSE(X [][]float64, y []float64, inBag [][]bool) float64 {
 		ksp, xk := keyRows(X[lo:hi], d)
 		var buf tileLeaves
 		tiles(hi-lo, &buf, func(tlo, thi int, leaves []int32) {
-			for t, tr := range f.compiled {
+			for t, tr := range f.trees {
 				walkLeaves(tr, xk[tlo*d:], d, leaves)
 				bag := inBag[t]
 				for j := tlo; j < thi; j++ {
@@ -266,7 +261,7 @@ func (f *Forest) Predict(x []float64) float64 {
 
 // PredictWithUncertainty returns the prediction mean μ and uncertainty σ
 // for x, with σ computed per the configured estimator. It walks the
-// compiled flat trees and accumulates the between-tree variance with
+// flat trees and accumulates the between-tree variance with
 // Welford's algorithm: the naive sumSq/b − μ² form catastrophically
 // cancels when μ is large relative to σ (e.g. execution times near 1e8
 // with milli-scale spread), silently zeroing σ and degenerating the
@@ -275,7 +270,7 @@ func (f *Forest) Predict(x []float64) float64 {
 func (f *Forest) PredictWithUncertainty(x []float64) (mu, sigma float64) {
 	total := f.cfg.Uncertainty == TotalVariance
 	var mean, m2, leafVar float64
-	for t, c := range f.compiled {
+	for t, c := range f.trees {
 		var m float64
 		if total {
 			var v float64
@@ -308,8 +303,7 @@ func (f *Forest) finishMoments(mean, m2, leafVar float64) (mu, sigma float64) {
 }
 
 // PredictBatch predicts all rows of X in parallel, returning μ and σ
-// vectors. It is the hot path of Algorithm 1's scoring step and runs on
-// the compiled flat engine.
+// vectors. It is the hot path of Algorithm 1's scoring step.
 //
 // Each worker's row chunk runs through the blocked ScoreBatch kernel
 // (tree-block × row-tile; see scorer.go). Each row's Welford accumulator

@@ -416,7 +416,7 @@ func TestOOBParallelMatchesSerial(t *testing.T) {
 		for i := range X {
 			var sum float64
 			votes := 0
-			for tr, c := range f.compiled {
+			for tr, c := range f.trees {
 				if inBag[tr][i] {
 					continue
 				}
@@ -467,8 +467,8 @@ func BenchmarkPredictBatch7000(b *testing.B) {
 
 // BenchmarkPredictBatch7000Reference is the pointer-walking baseline for
 // BenchmarkPredictBatch7000: same forest, same pool, same parallelism,
-// but traversing the heap-allocated node structs instead of the flat
-// arrays.
+// but traversing pointer trees decoded from the forest's JSON instead
+// of the flat arrays.
 func BenchmarkPredictBatch7000Reference(b *testing.B) {
 	X, y := friedman(rng.New(1), 500)
 	pool, _ := friedman(rng.New(2), 7000)
@@ -476,8 +476,9 @@ func BenchmarkPredictBatch7000Reference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ref := newReference(b, f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.predictBatchReference(pool)
+		ref.predictBatch(pool)
 	}
 }

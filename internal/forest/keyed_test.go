@@ -84,8 +84,8 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // TestExactKernelsBitIdentical is the keyed lane walk's bit-identity
 // gate on adversarial rows: ScoreBatch, ScoreSlots + AggregateSlots and
 // PredictBatch must each equal
-// PredictWithUncertainty bit for bit, which must equal the pointer-tree
-// reference — numeric-only and categorical forests, a forest of
+// PredictWithUncertainty bit for bit, which must equal the pointer trees
+// decoded from the forest's JSON — numeric-only and categorical forests, a forest of
 // single-leaf trees, both σ estimators, and every batch length
 // n mod 8 = 1..7.
 func TestExactKernelsBitIdentical(t *testing.T) {
@@ -124,11 +124,12 @@ func TestExactKernelsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		probes := adversarialProbes(t, f, tc.X[:30], rng.New(uint64(96+ci)))
+		ref := newReference(t, f)
 		wantMu := make([]float64, len(probes))
 		wantSigma := make([]float64, len(probes))
 		for i, x := range probes {
 			wantMu[i], wantSigma[i] = f.PredictWithUncertainty(x)
-			rm, rs := f.predictReference(x)
+			rm, rs := ref.predict(x)
 			if !sameBits(rm, wantMu[i]) || !sameBits(rs, wantSigma[i]) {
 				t.Fatalf("%s probe %d %v: flat (%v,%v) pointer (%v,%v)", tc.name, i, x, wantMu[i], wantSigma[i], rm, rs)
 			}
@@ -157,13 +158,13 @@ func TestExactKernelsBitIdentical(t *testing.T) {
 			f.ScoreBatch(X, mu, sigma)
 			check("ScoreBatch", n, mu, sigma)
 
-			mean, lvar := make([][]float64, n), make([][]float64, n)
-			for i := range mean {
-				mean[i], lvar[i] = make([]float64, b), make([]float64, b)
+			leaves := make([][]int32, n)
+			for i := range leaves {
+				leaves[i] = make([]int32, b)
 			}
-			scoreSlotsRows(f, X, slots[:b/2], mean, lvar)
-			scoreSlotsRows(f, X, slots[b/2:], mean, lvar)
-			f.AggregateSlots(mean, lvar, mu, sigma)
+			scoreSlotsRows(f, X, slots[:b/2], leaves)
+			scoreSlotsRows(f, X, slots[b/2:], leaves)
+			f.AggregateSlots(leaves, mu, sigma)
 			check("ScoreSlots+AggregateSlots", n, mu, sigma)
 
 			mu, sigma = f.PredictBatch(X)

@@ -53,10 +53,11 @@ func rankedSpace(r *rng.RNG, n, d int) (X [][]float64, y []float64, fs []space.F
 
 // referenceTree replays one ensemble slot outside the forest: it draws
 // the slot's bootstrap from the slot's child stream exactly as the
-// forest does, fits it with tree.Fit on the materialised sample, and
-// returns the tree plus the child stream's next value. tree.Fit is
-// pinned bit for bit to the reference builder by internal/tree's
-// TestBuilderEquivalence tests, so this contract reaches that oracle.
+// forest does, fits it on the materialised sample (tree.FitRanked on
+// that sample's own ranks, every row once), and returns the tree plus
+// the child stream's next value. That whole-set fit is pinned bit for
+// bit to the reference builder by internal/tree's TestBuilderEquivalence
+// tests, so this contract reaches that oracle.
 func referenceTree(t *testing.T, X [][]float64, y []float64, fs []space.Feature, cfg Config, parent *rng.RNG, slot int) (*tree.Regressor, uint64) {
 	t.Helper()
 	tr := parent.Child(uint64(slot))
@@ -69,7 +70,15 @@ func referenceTree(t *testing.T, X [][]float64, y []float64, fs []space.Feature,
 			bx[i], by[i] = X[j], y[j]
 		}
 	}
-	ref, err := tree.Fit(bx, by, fs, cfg.Tree, tr)
+	rk, err := tree.RankColumns(bx, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	picks := make([]int32, n)
+	for i := range picks {
+		picks[i] = int32(i)
+	}
+	ref, err := tree.FitRanked(rk, by, picks, cfg.Tree, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func sameTree(t *testing.T, got, want *tree.Regressor) bool {
 
 // TestRankedBaggedMatchesReference is the training engine's forest-level
 // contract: every tree that forest.Fit and forest.Update build from the
-// shared column ranks must equal tree.Fit on the materialised
+// shared column ranks must equal a whole-set fit of the materialised
 // bootstrap of its slot, and the ranked path must leave each slot's
 // generator in the reference's end state. Small sets give bootstraps
 // with heavy multiplicity; the spaces mix -0/+0, duplicate rows,
@@ -142,7 +151,7 @@ func TestRankedBaggedMatchesReference(t *testing.T) {
 			for _, slot := range slots {
 				ref, refNext := referenceTree(t, X, y, fs, cfg, parent, slot)
 				if !sameTree(t, f.trees[slot], ref) {
-					t.Fatalf("seed %d %s: slot %d differs from tree.Fit on its bootstrap", seed, stage, slot)
+					t.Fatalf("seed %d %s: slot %d differs from a whole-set fit of its bootstrap", seed, stage, slot)
 				}
 				if got := rankedTree(t, X, y, fs, cfg, parent, slot); got != refNext {
 					t.Fatalf("seed %d %s: slot %d generator end state differs from the reference", seed, stage, slot)

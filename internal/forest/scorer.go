@@ -27,8 +27,8 @@ import (
 // level indices, and ScoreBatch behind PredictBatch), ScoreSlots (the
 // cross-scan cache's partial rescore) and the out-of-bag pass — runs
 // this one keyed walk; only PredictBatch and the out-of-bag pass key
-// float rows (keyRows), and the scalar Compiled.PredictStats serves
-// single rows only.
+// float rows (keyRows), and the scalar tree.Regressor.PredictStats
+// serves single rows only.
 
 // rowTile is the blocking tile: enough rows to amortize a tree's node
 // array walking over a hot panel, small enough that the tile's keys
@@ -74,11 +74,11 @@ func accPanels(n int, withVar bool) (sp *[]float64, mean, m2, leafVar []float64)
 // summed node-array bytes stay within treeBlockBytes (every block holds
 // at least one tree). Only the node array counts: the walk touches
 // nothing else, and leaf statistics are read once per row at its end.
-func treeBlocks(compiled []*tree.Compiled) [][2]int {
+func treeBlocks(trees []*tree.Regressor) [][2]int {
 	var blocks [][2]int
-	b := len(compiled)
+	b := len(trees)
 	lo, sz := 0, 0
-	for t, c := range compiled {
+	for t, c := range trees {
 		n := c.NodeBytes()
 		if t > lo && sz+n > treeBlockBytes {
 			blocks = append(blocks, [2]int{lo, t})
@@ -97,7 +97,7 @@ var keyPool = sync.Pool{New: func() interface{} { s := []uint64(nil); return &s 
 
 // keyRows keys every row of X once into 8-row feature-major groups:
 // group g holds rows 8g..8g+7, with the key of feature f of lane k at
-// xk[g*8d + f*8 + k] — the layout tree.Compiled.Leaf8T walks. A ragged
+// xk[g*8d + f*8 + k] — the layout tree.Regressor.Leaf8T walks. A ragged
 // final group pads its empty lanes (padRaggedGroup). Return sp to
 // keyPool when done.
 func keyRows(X [][]float64, d int) (sp *[]uint64, xk []uint64) {
@@ -135,7 +135,7 @@ func padRaggedGroup(xk []uint64, n, d int) {
 // walkLeaves writes tree c's leaf node id for every keyed row group of
 // xk into leaves (len(leaves) = 8 × the number of groups, so pad lanes
 // land in the tail and are never read).
-func walkLeaves(c *tree.Compiled, xk []uint64, d int, leaves []int32) {
+func walkLeaves(c *tree.Regressor, xk []uint64, d int, leaves []int32) {
 	for j := 0; j < len(leaves); j += 8 {
 		leaves[j], leaves[j+1], leaves[j+2], leaves[j+3],
 			leaves[j+4], leaves[j+5], leaves[j+6], leaves[j+7] = c.Leaf8T(xk[j*d : (j+8)*d])
@@ -176,7 +176,7 @@ func (f *Forest) ScoreBatch(X [][]float64, mu, sigma []float64) {
 // 8-row feature-major groups keyRows builds (internal/pool.KeyedScorer:
 // the pool scan keys candidates straight from their level indices). It
 // is the one batch scoring entry behind ScoreBatch and the scan: every
-// tree walks eight rows at a time through tree.Compiled.Leaf8T — whose
+// tree walks eight rows at a time through tree.Regressor.Leaf8T — whose
 // routing equals the scalar walk's — and each row's Welford
 // accumulation runs serially in ascending tree order no matter how the
 // rows are batched, sharded or blocked. The pad lanes of a ragged final
@@ -193,7 +193,7 @@ func (f *Forest) ScoreKeyed(xk []uint64, mu, sigma []float64) {
 	// panel for it (finishMoments ignores the sum).
 	total := f.cfg.Uncertainty == TotalVariance
 	asp, mean, m2, leafVar := accPanels(n, total)
-	blocks := treeBlocks(f.compiled)
+	blocks := treeBlocks(f.trees)
 	var buf tileLeaves
 	// The row tile stays on even when the whole ensemble is one resident
 	// block: the eight concurrent walks consume keys fast enough that the
@@ -202,7 +202,7 @@ func (f *Forest) ScoreKeyed(xk []uint64, mu, sigma []float64) {
 	for _, blk := range blocks {
 		tiles(n, &buf, func(lo, hi int, leaves []int32) {
 			for t := blk[0]; t < blk[1]; t++ {
-				c := f.compiled[t]
+				c := f.trees[t]
 				walkLeaves(c, xk[lo*d:], d, leaves)
 				bt := float64(t + 1)
 				for j := lo; j < hi; j++ {
@@ -231,7 +231,7 @@ func (f *Forest) ScoreKeyed(xk []uint64, mu, sigma []float64) {
 
 // NumSlots returns the ensemble size; part of the slot-scorer contract
 // the cross-scan cache (internal/pool.ScanCache) keys its panels by.
-func (f *Forest) NumSlots() int { return len(f.compiled) }
+func (f *Forest) NumSlots() int { return len(f.trees) }
 
 // SlotGens returns a copy of the per-slot generation counters: a slot's
 // counter advances exactly when Update replaces its tree, so equality of
@@ -240,53 +240,50 @@ func (f *Forest) SlotGens() []uint64 {
 	return append([]uint64(nil), f.treeGen...)
 }
 
-// ScoreSlots writes the per-tree leaf mean and within-leaf variance of
-// n = len(mean) keyed rows (laid out as ScoreKeyed takes them) into the
-// given panel rows (mean[i][t], lvar[i][t]) for only the requested
-// ensemble slots, leaving other slots' columns untouched. It is the
-// cross-scan cache's partial-rescore entry: after a warm Update
-// refreshed k of b trees, only those k slots are re-walked. Safe for
-// concurrent calls on disjoint panel rows and key groups.
-func (f *Forest) ScoreSlots(xk []uint64, slots []int, mean, lvar [][]float64) {
-	n := len(mean)
+// ScoreSlots writes the leaf node id every requested ensemble slot's
+// tree routes each of n = len(leaves) keyed rows (laid out as ScoreKeyed
+// takes them) to into the panel rows (leaves[i][t]), leaving other
+// slots' columns untouched. It is the cross-scan cache's
+// partial-rescore entry: after a warm Update refreshed k of b trees,
+// only those k slots are re-walked. Safe for concurrent calls on
+// disjoint panel rows and key groups.
+func (f *Forest) ScoreSlots(xk []uint64, slots []int, leaves [][]int32) {
+	n := len(leaves)
 	if n == 0 || len(slots) == 0 {
 		return
 	}
 	d := len(f.features)
 	padRaggedGroup(xk, n, d)
 	var buf tileLeaves
-	tiles(n, &buf, func(lo, hi int, leaves []int32) {
+	tiles(n, &buf, func(lo, hi int, tl []int32) {
 		for _, t := range slots {
-			c := f.compiled[t]
-			walkLeaves(c, xk[lo*d:], d, leaves)
+			walkLeaves(f.trees[t], xk[lo*d:], d, tl)
 			for j := lo; j < hi; j++ {
-				l := leaves[j-lo]
-				mean[j][t] = c.LeafMean(l)
-				lvar[j][t] = c.LeafVariance(l)
+				leaves[j][t] = tl[j-lo]
 			}
 		}
 	})
 }
 
-// AggregateSlots folds full per-tree panels into (μ, σ) per row, with
-// the same ascending-slot Welford accumulation as ScoreBatch — given
-// panels produced by ScoreSlots over all slots, the results are
-// bit-identical to ScoreBatch on the same rows.
-func (f *Forest) AggregateSlots(mean, lvar [][]float64, mu, sigma []float64) {
-	b := len(f.compiled)
+// AggregateSlots folds full leaf-id panels into (μ, σ) per row, reading
+// each slot's leaf statistics from its tree with the same ascending-slot
+// Welford accumulation as ScoreBatch — given panels produced by
+// ScoreSlots over all slots, the results are bit-identical to ScoreBatch
+// on the same rows.
+func (f *Forest) AggregateSlots(leaves [][]int32, mu, sigma []float64) {
 	total := f.cfg.Uncertainty == TotalVariance
-	for i := range mean {
+	for i, row := range leaves {
+		row = row[:len(f.trees)]
 		var m, m2, lv float64
-		mrow := mean[i]
-		for t := 0; t < b; t++ {
-			pm := mrow[t]
+		for t, tr := range f.trees {
+			pm := tr.LeafMean(row[t])
 			d := pm - m
 			m += d / float64(t+1)
 			m2 += d * (pm - m)
 		}
 		if total {
-			for _, v := range lvar[i][:b] {
-				lv += v
+			for t, tr := range f.trees {
+				lv += tr.LeafVariance(row[t])
 			}
 		}
 		mu[i], sigma[i] = f.finishMoments(m, m2, lv)

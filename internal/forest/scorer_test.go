@@ -94,11 +94,9 @@ func checkSlotsMatchBatch(t *testing.T, f *Forest, X [][]float64) {
 	want := make([]float64, n)
 	wantS := make([]float64, n)
 	f.ScoreBatch(X, want, wantS)
-	mean := make([][]float64, n)
-	lvar := make([][]float64, n)
-	for i := range mean {
-		mean[i] = make([]float64, b)
-		lvar[i] = make([]float64, b)
+	leaves := make([][]int32, n)
+	for i := range leaves {
+		leaves[i] = make([]int32, b)
 	}
 	// Score the slots in two arbitrary chunks to prove partial rescoring
 	// composes.
@@ -106,11 +104,11 @@ func checkSlotsMatchBatch(t *testing.T, f *Forest, X [][]float64) {
 	for t := range slots {
 		slots[t] = t
 	}
-	scoreSlotsRows(f, X, slots[:b/2], mean, lvar)
-	scoreSlotsRows(f, X, slots[b/2:], mean, lvar)
+	scoreSlotsRows(f, X, slots[:b/2], leaves)
+	scoreSlotsRows(f, X, slots[b/2:], leaves)
 	mu := make([]float64, n)
 	sigma := make([]float64, n)
-	f.AggregateSlots(mean, lvar, mu, sigma)
+	f.AggregateSlots(leaves, mu, sigma)
 	for i := 0; i < n; i++ {
 		if mu[i] != want[i] || sigma[i] != wantS[i] {
 			t.Fatalf("row %d: slots+aggregate (%v, %v) vs batch (%v, %v)",
@@ -141,9 +139,9 @@ func TestPredictBatchRaggedChunks(t *testing.T) {
 
 // scoreSlotsRows runs ScoreSlots on float rows, keyed as ScoreBatch keys
 // them.
-func scoreSlotsRows(f *Forest, X [][]float64, slots []int, mean, lvar [][]float64) {
+func scoreSlotsRows(f *Forest, X [][]float64, slots []int, leaves [][]int32) {
 	ksp, xk := keyRows(X, len(f.features))
-	f.ScoreSlots(xk, slots, mean, lvar)
+	f.ScoreSlots(xk, slots, leaves)
 	keyPool.Put(ksp)
 }
 
@@ -164,14 +162,14 @@ func TestMomentsMatchTreeOrderOracle(t *testing.T) {
 		f.ScoreBatch(X, mu, sigma)
 		for i, x := range X {
 			var mean, m2, lv float64
-			for tr, c := range f.compiled {
+			for tr, c := range f.trees {
 				m, v, _ := c.PredictStats(x)
 				d := m - mean
 				mean += d / float64(tr+1)
 				m2 += d * (m - mean)
 				lv += v
 			}
-			b := float64(len(f.compiled))
+			b := float64(len(f.trees))
 			variance := m2 / b
 			if u == TotalVariance {
 				variance += lv / b

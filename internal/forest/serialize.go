@@ -114,10 +114,6 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 		trees[i] = t
 	}
 	f.trees = trees
-	f.compiled = make([]*tree.Compiled, len(trees))
-	for i, t := range trees {
-		f.compiled[i] = t.Compile()
-	}
 	f.features = d.Features
 	f.cfg = d.Config
 	f.oob = math.NaN()

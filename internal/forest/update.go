@@ -51,7 +51,6 @@ func (f *Forest) Update(X [][]float64, y []float64, r *rng.RNG) error {
 			return fmt.Errorf("forest: Update refit slot %d: %w", slot, err)
 		}
 		f.trees[slot] = nt
-		f.compiled[slot] = nt.Compile()
 		// Mark the slot for the cross-scan score cache: only refreshed
 		// slots get their cached rows recomputed on the next scan.
 		f.treeGen[slot]++

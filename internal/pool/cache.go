@@ -6,11 +6,12 @@ import "sync"
 // every iteration, but between warm-update iterations only a fraction of
 // the ensemble's trees change (forest.Update bumps the generation
 // counters of the slots it refreshes). ScanCache keeps per-candidate,
-// per-slot leaf-statistic panels alive across Scans, so a candidate
-// scored in a previous iteration re-walks only the trees that actually
-// changed; the untouched slots' contributions are re-aggregated from the
-// cached panels — bit-identically, because the SlotScorer contract makes
-// AggregateSlots over full panels reproduce ScoreBatch exactly.
+// per-slot leaf-id panels alive across Scans, so a candidate scored in
+// a previous iteration re-walks only the trees that actually changed;
+// the untouched slots' contributions are re-aggregated from the leaves
+// the cached ids name — bit-identically, because the SlotScorer
+// contract makes AggregateSlots over full panels reproduce ScoreBatch
+// exactly.
 
 // SlotScorer is a KeyedScorer whose score decomposes over generation-
 // counted slots (ensemble members) — the contract the cross-scan cache
@@ -20,9 +21,10 @@ import "sync"
 //
 //   - SlotGens()[t] changes exactly when slot t's predictions may have
 //     changed.
-//   - ScoreSlots fills panel columns for the requested slots only, for
-//     n = len(mean) rows keyed as KeyedScorer.ScoreKeyed takes them, and
-//     is safe for concurrent calls on disjoint panel rows.
+//   - ScoreSlots fills panel columns — the leaf id each requested slot
+//     routes a row to — for the requested slots only, for
+//     n = len(leaves) rows keyed as KeyedScorer.ScoreKeyed takes them,
+//     and is safe for concurrent calls on disjoint panel rows.
 //   - AggregateSlots over panels filled for *all* slots is bit-identical
 //     to ScoreBatch on the same rows.
 //   - Implementations are comparable pointers, and the cache keys its
@@ -34,8 +36,8 @@ type SlotScorer interface {
 	KeyedScorer
 	NumSlots() int
 	SlotGens() []uint64
-	ScoreSlots(xk []uint64, slots []int, mean, lvar [][]float64)
-	AggregateSlots(mean, lvar [][]float64, mu, sigma []float64)
+	ScoreSlots(xk []uint64, slots []int, leaves [][]int32)
+	AggregateSlots(leaves [][]int32, mu, sigma []float64)
 }
 
 // CacheStats counts what a ScanCache did, for tests and telemetry.
@@ -56,27 +58,26 @@ type CacheStats struct {
 	CachedRows int
 }
 
-// ScanCache holds score panels across Scans. One cache serves one
+// ScanCache holds leaf-id panels across Scans. One cache serves one
 // scorer at a time (a different SlotScorer resets it); pass
 // it to successive Scans through ScanConfig.Cache. Not safe for use by
 // concurrent Scans — the streaming engine runs one scan at a time.
 //
 // Memory is bounded by the byte budget: panels cover the prefix
 // [0, rows) of global candidate indices with rows chosen so that
-// rows × slots × 16 bytes stays within budget. Candidates beyond the
+// rows × slots × 4 bytes stays within budget. Candidates beyond the
 // prefix are scored from scratch every scan, so a small budget degrades
 // throughput, never correctness.
 type ScanCache struct {
 	budget int64
 
-	mu    sync.Mutex
-	sc    SlotScorer // scorer the panels belong to; nil until first scan
-	gens  []uint64   // committed generation snapshot; nil until first commit
-	rows  int
-	slots int
-	mean  [][]float64
-	lvar  [][]float64
-	stats CacheStats
+	mu     sync.Mutex
+	sc     SlotScorer // scorer the panels belong to; nil until first scan
+	gens   []uint64   // committed generation snapshot; nil until first commit
+	rows   int
+	slots  int
+	leaves [][]int32
+	stats  CacheStats
 }
 
 // NewScanCache returns a cache bounded by budgetBytes of panel storage
@@ -113,18 +114,16 @@ func (c *ScanCache) begin(sc SlotScorer, poolLen int) *scanPlan {
 	defer c.mu.Unlock()
 	slots := sc.NumSlots()
 	rows := poolLen
-	if perRow := int64(slots) * 16; perRow > 0 && int64(rows)*perRow > c.budget {
+	if perRow := int64(slots) * 4; perRow > 0 && int64(rows)*perRow > c.budget {
 		rows = int(c.budget / perRow)
 	}
 	if sc != c.sc || slots != c.slots || rows != c.rows {
 		c.sc, c.slots, c.rows = sc, slots, rows
 		c.gens = nil
-		flat := make([]float64, 2*rows*slots)
-		c.mean = make([][]float64, rows)
-		c.lvar = make([][]float64, rows)
-		for i := 0; i < rows; i++ {
-			c.mean[i] = flat[i*slots : (i+1)*slots]
-			c.lvar[i] = flat[(rows+i)*slots : (rows+i+1)*slots]
+		flat := make([]int32, rows*slots)
+		c.leaves = make([][]int32, rows)
+		for i := range c.leaves {
+			c.leaves[i] = flat[i*slots : (i+1)*slots]
 		}
 		c.stats.Resets++
 	}

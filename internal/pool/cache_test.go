@@ -42,31 +42,41 @@ func (f *fakeSlotScorer) keyedRow(xk []uint64, j int) []float64 {
 	return x
 }
 
-func (f *fakeSlotScorer) slotVal(t int, x []float64) (m, v float64) {
+// slotLeaf is slot t's leaf id for row x: a 20-bit hash of the row's
+// weighted sum, tagged with the slot's generation so that a stale id
+// served from the cache aggregates to a different score.
+func (f *fakeSlotScorer) slotLeaf(t int, x []float64) int32 {
 	s := 0.0
 	for c, xv := range x {
 		s += float64(c+1) * xv
 	}
-	g := float64(f.gens[t])
-	return float64(t+1)*s + g, s + 2*g
+	h := math.Float64bits(s) * 0x9E3779B97F4A7C15
+	return int32(f.gens[t]&0x3FF)<<20 | int32(h>>44)
 }
 
-func (f *fakeSlotScorer) ScoreSlots(xk []uint64, slots []int, mean, lvar [][]float64) {
+// leafVal is the (mean, variance) slot t's leaf l holds.
+func (f *fakeSlotScorer) leafVal(t int, l int32) (m, v float64) {
+	q, g := float64(l&0xFFFFF), float64(l>>20)
+	return float64(t+1)*q + g, q + 2*g
+}
+
+func (f *fakeSlotScorer) ScoreSlots(xk []uint64, slots []int, leaves [][]int32) {
 	for _, t := range slots {
-		for i := range mean {
-			mean[i][t], lvar[i][t] = f.slotVal(t, f.keyedRow(xk, i))
+		for i := range leaves {
+			leaves[i][t] = f.slotLeaf(t, f.keyedRow(xk, i))
 			f.walks.Add(1)
 		}
 	}
 }
 
-func (f *fakeSlotScorer) AggregateSlots(mean, lvar [][]float64, mu, sigma []float64) {
+func (f *fakeSlotScorer) AggregateSlots(leaves [][]int32, mu, sigma []float64) {
 	b := len(f.gens)
-	for i := range mean {
+	for i, row := range leaves {
 		var m, s float64
 		for t := 0; t < b; t++ {
-			m += mean[i][t]
-			s += lvar[i][t]
+			lm, lv := f.leafVal(t, row[t])
+			m += lm
+			s += lv
 		}
 		mu[i], sigma[i] = m/float64(b), s/float64(b)
 	}
@@ -74,18 +84,16 @@ func (f *fakeSlotScorer) AggregateSlots(mean, lvar [][]float64, mu, sigma []floa
 
 func (f *fakeSlotScorer) ScoreKeyed(xk []uint64, mu, sigma []float64) {
 	b := len(f.gens)
-	mean := make([][]float64, len(mu))
-	lvar := make([][]float64, len(mu))
-	for i := range mean {
-		mean[i] = make([]float64, b)
-		lvar[i] = make([]float64, b)
+	leaves := make([][]int32, len(mu))
+	for i := range leaves {
+		leaves[i] = make([]int32, b)
 	}
 	slots := make([]int, b)
 	for t := range slots {
 		slots[t] = t
 	}
-	f.ScoreSlots(xk, slots, mean, lvar)
-	f.AggregateSlots(mean, lvar, mu, sigma)
+	f.ScoreSlots(xk, slots, leaves)
+	f.AggregateSlots(leaves, mu, sigma)
 }
 
 func (f *fakeSlotScorer) ScoreBatch(X [][]float64, mu, sigma []float64) {
@@ -139,8 +147,9 @@ func sameRows(t *testing.T, label string, got, want map[int]row) {
 func TestScanCacheBitIdentical(t *testing.T) {
 	const n, slots = 600, 8
 	src := scanTestSource(t, n)
-	// Cover roughly half the pool: rows*slots*16 bytes.
-	cache := NewScanCache(int64(n/2) * slots * 16)
+	// Cover half the pool: a panel entry is one 4-byte leaf id, so the
+	// budget covers rows*slots*4 bytes.
+	cache := NewScanCache(int64(n/2) * slots * 4)
 	sc := newFakeSlotScorer(slots, 3)
 	cfg := ScanConfig{Shard: 64, Workers: 3}
 	ccfg := cfg
@@ -154,8 +163,8 @@ func TestScanCacheBitIdentical(t *testing.T) {
 	if st.Resets != 1 || st.Scans != 1 || st.StaleSlots != slots {
 		t.Fatalf("cold scan stats: %+v", st)
 	}
-	if st.CachedRows <= 0 || st.CachedRows >= n {
-		t.Fatalf("expected a partial covered prefix, got %d of %d", st.CachedRows, n)
+	if st.CachedRows != n/2 {
+		t.Fatalf("expected a covered prefix of %d rows, got %d of %d", n/2, st.CachedRows, n)
 	}
 
 	// Partial update: two slots change generation.

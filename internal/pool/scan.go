@@ -131,7 +131,7 @@ type workerBuf struct {
 	keys          []uint64 // keyed 8-row groups (keyed scorers only)
 	ords, globals []int
 	mus, sigmas   []float64
-	mrows, vrows  [][]float64 // cached-panel rows (cache plans only)
+	lrows         [][]int32 // cached leaf-id panel rows (cache plans only)
 }
 
 // shardBufs and workerBufs recycle scan buffers across Scans: the engine
@@ -178,7 +178,7 @@ func getWorkerBuf(shard, d int, keyed, cached bool) *workerBuf {
 	w.ords, w.globals = grow(w.ords, shard), grow(w.globals, shard)
 	w.mus, w.sigmas = grow(w.mus, shard), grow(w.sigmas, shard)
 	if cached {
-		w.mrows, w.vrows = grow(w.mrows, shard), grow(w.vrows, shard)
+		w.lrows = grow(w.lrows, shard)
 	}
 	return w
 }
@@ -261,8 +261,7 @@ func Scan(ctx context.Context, src Source, sc BatchScorer, cfg ScanConfig, consu
 			wb := getWorkerBuf(shard, d, ks != nil, plan != nil)
 			defer func() {
 				// Drop references into the cache's panels before pooling.
-				clear(wb.mrows)
-				clear(wb.vrows)
+				clear(wb.lrows)
 				workerBufs.Put(wb)
 			}()
 			rows, ords, globals, mus, sigmas := wb.rows, wb.ords, wb.globals, wb.mus, wb.sigmas
@@ -304,7 +303,7 @@ func Scan(ctx context.Context, src Source, sc BatchScorer, cfg ScanConfig, consu
 					kept++
 				}
 				if kept > 0 {
-					scoreShard(sc, ks, plan, ck, globals[:kept], rows[:kept], wb.keys, ukey*d, mus[:kept], sigmas[:kept], wb.mrows, wb.vrows)
+					scoreShard(sc, ks, plan, ck, globals[:kept], rows[:kept], wb.keys, ukey*d, mus[:kept], sigmas[:kept], wb.lrows)
 					mu.Lock()
 					for j := 0; j < kept; j++ {
 						consume(ords[j], rows[j], mus[j], sigmas[j])
@@ -358,16 +357,15 @@ func Scan(ctx context.Context, src Source, sc BatchScorer, cfg ScanConfig, consu
 // write disjoint panel rows. A keyed scorer reads the covered rows' keys
 // from keys[0:] and the rest from keys[ukey:]; any other scorer scores
 // the float rows.
-func scoreShard(sc BatchScorer, ks KeyedScorer, plan *scanPlan, ck int, globals []int, rows [][]float64, keys []uint64, ukey int, mus, sigmas []float64, mrows, vrows [][]float64) {
+func scoreShard(sc BatchScorer, ks KeyedScorer, plan *scanPlan, ck int, globals []int, rows [][]float64, keys []uint64, ukey int, mus, sigmas []float64, lrows [][]int32) {
 	if ck > 0 {
 		for j := 0; j < ck; j++ {
-			mrows[j] = plan.cache.mean[globals[j]]
-			vrows[j] = plan.cache.lvar[globals[j]]
+			lrows[j] = plan.cache.leaves[globals[j]]
 		}
 		if len(plan.stale) > 0 {
-			plan.sc.ScoreSlots(keys, plan.stale, mrows[:ck], vrows[:ck])
+			plan.sc.ScoreSlots(keys, plan.stale, lrows[:ck])
 		}
-		plan.sc.AggregateSlots(mrows[:ck], vrows[:ck], mus[:ck], sigmas[:ck])
+		plan.sc.AggregateSlots(lrows[:ck], mus[:ck], sigmas[:ck])
 	}
 	if len(rows) > ck {
 		if ks != nil {

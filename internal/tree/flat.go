@@ -5,12 +5,10 @@ import (
 	"math/bits"
 )
 
-// Compiled is the flat form of a fitted Regressor: node fields live in
-// contiguous arrays indexed by node id, and traversal is an iterative
-// index walk instead of pointer chasing through heap-scattered node
-// structs. Nodes are laid out in preorder, so a node's left child
-// immediately follows it (no left-child array is needed) and the hot
-// upper levels of the tree share cache lines.
+// The flat node layout and its walks. A fitted Regressor's nodes live
+// in preorder in one array of 16-byte flatNodes; traversal is an
+// iterative index walk instead of pointer chasing through
+// heap-scattered node structs.
 //
 // Numeric splits store their threshold as a *key*: Key maps every
 // float64 to a uint64 with the same ordering, so the split test x <= t
@@ -22,14 +20,11 @@ import (
 // with the float compare itself, decoding each visited threshold from
 // its key: for one row a branchy walk is faster, because speculation
 // runs ahead down the predicted path, while a branchless walk of one
-// row is a single serial dependency chain.
-//
-// Compile preserves prediction semantics exactly: for every input x,
-// Compiled.PredictStats and the Leaf8T walk return bit-identical
-// results to Regressor.PredictWithStats. The pointer-based Regressor
-// remains the structural source of truth (serialization, quantile
-// targets, depth and split-count queries); Compiled is the inference
-// engine the forest runs batch scoring on.
+// row is a single serial dependency chain. Keys order exactly like the
+// floats they encode, so both walks route every row identically, and
+// both route it as the split test x <= t of the pointer-tree oracle in
+// reference_test.go (a -0 threshold keys and decodes as +0, which
+// compares identically).
 
 // catFlag is set on flatNode.feat entries of categorical split nodes,
 // so the numeric hot path never touches the categorical bitmap.
@@ -50,7 +45,8 @@ const catFlag int32 = 1 << 30
 //   - leaf: key 0, feat 0, rdelta -1. Every value keys above 0, so the
 //     step always takes the "right" mask and i+1-1 loops on itself:
 //     the lane walk steps every lane unconditionally, with no per-lane
-//     "done" branch. Leaf statistics live in the side arrays.
+//     "done" branch. Node statistics live in the Regressor's side
+//     arrays.
 type flatNode struct {
 	key    uint64
 	feat   int32
@@ -61,31 +57,6 @@ func (n flatNode) isLeaf() bool { return n.rdelta < 0 }
 
 // feature returns the split's feature id (numeric or categorical).
 func (n flatNode) feature() int32 { return (n.feat &^ catFlag) >> 3 }
-
-type Compiled struct {
-	nodes []flatNode
-
-	// mean, variance and count hold the leaf statistics, indexed by node
-	// id (zero on internal nodes).
-	mean, variance []float64
-	count          []int32
-
-	// catBits holds the packed category-membership bitmaps of all
-	// categorical split nodes; each node's word offset and width live
-	// in its key.
-	catBits []uint64
-
-	// depth is the maximum root-to-leaf depth (a lone leaf is 0). Leaf8T
-	// walks exactly this many levels instead of testing per level
-	// whether every lane settled: overshooting a shallow lane costs only
-	// no-op self-loop steps, while the settled check costs a reduction
-	// across all lanes on every level.
-	depth int32
-
-	// hasCat records whether any node splits categorically; Leaf8T only
-	// takes the categorical-aware walk when needed.
-	hasCat bool
-}
 
 // Key maps a float64 to a uint64 sort key: for every float64 x and
 // every non-NaN t, x <= t exactly when Key(x) <= Key(t). Non-negative
@@ -122,96 +93,25 @@ func KeyRowStride(x []float64, dst []uint64, stride int) {
 	}
 }
 
-// Compile flattens the tree into its contiguous-array form.
-func (t *Regressor) Compile() *Compiled {
-	n := countNodes(t.root)
-	c := &Compiled{
-		nodes:    make([]flatNode, 0, n),
-		mean:     make([]float64, 0, n),
-		variance: make([]float64, 0, n),
-		count:    make([]int32, 0, n),
-	}
-	c.emit(t.root, 0)
-	return c
-}
-
-// emit appends nd (at depth d) and its subtree in preorder and returns
-// nd's node id.
-func (c *Compiled) emit(nd *node, d int32) int32 {
-	id := int32(len(c.nodes))
-	c.nodes = append(c.nodes, flatNode{rdelta: -1})
-	if nd.isLeaf() {
-		c.mean = append(c.mean, nd.mean)
-		c.variance = append(c.variance, nd.variance)
-		c.count = append(c.count, int32(nd.count))
-		if d > c.depth {
-			c.depth = d
-		}
-		return id
-	}
-	c.mean = append(c.mean, 0)
-	c.variance = append(c.variance, 0)
-	c.count = append(c.count, 0)
-	feat := int32(nd.feature) * 8
-	key := Key(nd.threshold)
-	if nd.catLeft != nil {
-		feat |= catFlag
-		c.hasCat = true
-		ncat := len(nd.catLeft)
-		off := len(c.catBits)
-		words := (ncat + 63) / 64
-		for w := 0; w < words; w++ {
-			c.catBits = append(c.catBits, 0)
-		}
-		for cat, in := range nd.catLeft {
-			if in {
-				c.catBits[off+cat>>6] |= 1 << (uint(cat) & 63)
-			}
-		}
-		key = uint64(off)<<32 | uint64(uint32(ncat))
-	}
-	c.emit(nd.left, d+1) // preorder invariant: the left child is id+1
-	right := c.emit(nd.right, d+1)
-	c.nodes[id] = flatNode{key: key, feat: feat, rdelta: right - id - 1}
-	return id
-}
-
-// NumNodes returns the total node count.
-func (c *Compiled) NumNodes() int { return len(c.nodes) }
-
-// NodeBytes returns the byte footprint of the traversal-hot node array —
-// what the forest's L2 tree-block budget is measured against.
-func (c *Compiled) NodeBytes() int { return 16 * len(c.nodes) }
-
-// Depth returns the maximum root-to-leaf depth — the level count Leaf8T
-// walks.
-func (c *Compiled) Depth() int { return int(c.depth) }
-
-// LeafMean returns the training mean of leaf node l.
-func (c *Compiled) LeafMean(l int32) float64 { return c.mean[l] }
-
-// LeafVariance returns the within-leaf variance of leaf node l.
-func (c *Compiled) LeafVariance(l int32) float64 { return c.variance[l] }
-
 // Predict returns the tree's point prediction for feature vector x.
-func (c *Compiled) Predict(x []float64) float64 {
-	return c.mean[c.leaf(x)]
+func (t *Regressor) Predict(x []float64) float64 {
+	return t.mean[t.leaf(x)]
 }
 
 // PredictStats returns the mean, within-leaf variance and sample count of
-// the leaf x falls into. It is the flat-engine equivalent of
-// Regressor.PredictWithStats and returns bit-identical values.
-func (c *Compiled) PredictStats(x []float64) (mean, variance float64, count int) {
-	l := c.leaf(x)
-	return c.mean[l], c.variance[l], int(c.count[l])
+// the leaf x falls into, as needed by the forest's law-of-total-variance
+// uncertainty.
+func (t *Regressor) PredictStats(x []float64) (mean, variance float64, count int) {
+	l := t.leaf(x)
+	return t.mean[l], t.variance[l], int(t.count[l])
 }
 
 // leaf walks one untransposed row to its leaf node id, comparing each
 // visited feature with the threshold its node's key decodes to — the
 // exact float64 threshold (a -0 threshold decodes as +0, which compares
-// identically), so the routing is the pointer tree's x <= t.
-func (c *Compiled) leaf(x []float64) int32 {
-	nodes := c.nodes
+// identically).
+func (t *Regressor) leaf(x []float64) int32 {
+	nodes := t.nodes
 	i := 0
 	for {
 		nd := &nodes[i]
@@ -219,7 +119,7 @@ func (c *Compiled) leaf(x []float64) int32 {
 		case nd.isLeaf():
 			return int32(i)
 		case nd.feat&catFlag != 0:
-			i = int(c.stepCat(*nd, x[nd.feature()], int32(i)))
+			i = int(t.stepCat(*nd, x[nd.feature()], int32(i)))
 		case x[nd.feat>>3] <= keyValue(nd.key):
 			i++
 		default:
@@ -228,13 +128,10 @@ func (c *Compiled) leaf(x []float64) int32 {
 	}
 }
 
-// stepCat resolves a categorical split for feature value v. The rule is
-// the pointer engine's: the category is int(v), and negative or
-// out-of-range codes go right.
-func (c *Compiled) stepCat(nd flatNode, v float64, i int32) int32 {
-	cat := int(v)
-	if cat >= 0 && cat < int(uint32(nd.key)) &&
-		c.catBits[int(nd.key>>32)+cat>>6]>>(uint(cat)&63)&1 != 0 {
+// stepCat resolves a categorical split for feature value v: the
+// category is int(v), and negative or out-of-range codes go right.
+func (t *Regressor) stepCat(nd flatNode, v float64, i int32) int32 {
+	if t.catLeft(nd.key, int(v)) {
 		return i + 1
 	}
 	return i + 1 + nd.rdelta
@@ -255,13 +152,13 @@ func (c *Compiled) stepCat(nd flatNode, v float64, i int32) int32 {
 //
 // The routing equals PredictStats for every row: keys order exactly
 // like the floats they encode, so each lane's path is the scalar path.
-func (c *Compiled) Leaf8T(x []uint64) (l0, l1, l2, l3, l4, l5, l6, l7 int32) {
-	if c.hasCat {
-		return c.leaf8CatT(x)
+func (t *Regressor) Leaf8T(x []uint64) (l0, l1, l2, l3, l4, l5, l6, l7 int32) {
+	if t.hasCat {
+		return t.leaf8CatT(x)
 	}
-	nodes := c.nodes
+	nodes := t.nodes
 	var i0, i1, i2, i3, i4, i5, i6, i7 int
-	for lvl := c.depth; lvl > 0; lvl-- {
+	for lvl := t.depth; lvl > 0; lvl-- {
 		nd := &nodes[i0]
 		_, r := bits.Sub64(nd.key, x[nd.feat], 0)
 		i0 += 1 + int(nd.rdelta)&-int(r)
@@ -295,57 +192,57 @@ func (c *Compiled) Leaf8T(x []uint64) (l0, l1, l2, l3, l4, l5, l6, l7 int32) {
 // tree at most, so the kind test predicts well) detour through the
 // out-of-line bitmap test. Like Leaf8T the walk runs for the tree's full
 // depth.
-func (c *Compiled) leaf8CatT(x []uint64) (l0, l1, l2, l3, l4, l5, l6, l7 int32) {
-	nodes := c.nodes
+func (t *Regressor) leaf8CatT(x []uint64) (l0, l1, l2, l3, l4, l5, l6, l7 int32) {
+	nodes := t.nodes
 	var i0, i1, i2, i3, i4, i5, i6, i7 int
-	for lvl := c.depth; lvl > 0; lvl-- {
+	for lvl := t.depth; lvl > 0; lvl-- {
 		if nd := &nodes[i0]; nd.feat&catFlag == 0 {
 			_, r := bits.Sub64(nd.key, x[nd.feat], 0)
 			i0 += 1 + int(nd.rdelta)&-int(r)
 		} else {
-			i0 = c.stepCatT(x, 0, i0)
+			i0 = t.stepCatT(x, 0, i0)
 		}
 		if nd := &nodes[i1]; nd.feat&catFlag == 0 {
 			_, r := bits.Sub64(nd.key, x[nd.feat+1], 0)
 			i1 += 1 + int(nd.rdelta)&-int(r)
 		} else {
-			i1 = c.stepCatT(x, 1, i1)
+			i1 = t.stepCatT(x, 1, i1)
 		}
 		if nd := &nodes[i2]; nd.feat&catFlag == 0 {
 			_, r := bits.Sub64(nd.key, x[nd.feat+2], 0)
 			i2 += 1 + int(nd.rdelta)&-int(r)
 		} else {
-			i2 = c.stepCatT(x, 2, i2)
+			i2 = t.stepCatT(x, 2, i2)
 		}
 		if nd := &nodes[i3]; nd.feat&catFlag == 0 {
 			_, r := bits.Sub64(nd.key, x[nd.feat+3], 0)
 			i3 += 1 + int(nd.rdelta)&-int(r)
 		} else {
-			i3 = c.stepCatT(x, 3, i3)
+			i3 = t.stepCatT(x, 3, i3)
 		}
 		if nd := &nodes[i4]; nd.feat&catFlag == 0 {
 			_, r := bits.Sub64(nd.key, x[nd.feat+4], 0)
 			i4 += 1 + int(nd.rdelta)&-int(r)
 		} else {
-			i4 = c.stepCatT(x, 4, i4)
+			i4 = t.stepCatT(x, 4, i4)
 		}
 		if nd := &nodes[i5]; nd.feat&catFlag == 0 {
 			_, r := bits.Sub64(nd.key, x[nd.feat+5], 0)
 			i5 += 1 + int(nd.rdelta)&-int(r)
 		} else {
-			i5 = c.stepCatT(x, 5, i5)
+			i5 = t.stepCatT(x, 5, i5)
 		}
 		if nd := &nodes[i6]; nd.feat&catFlag == 0 {
 			_, r := bits.Sub64(nd.key, x[nd.feat+6], 0)
 			i6 += 1 + int(nd.rdelta)&-int(r)
 		} else {
-			i6 = c.stepCatT(x, 6, i6)
+			i6 = t.stepCatT(x, 6, i6)
 		}
 		if nd := &nodes[i7]; nd.feat&catFlag == 0 {
 			_, r := bits.Sub64(nd.key, x[nd.feat+7], 0)
 			i7 += 1 + int(nd.rdelta)&-int(r)
 		} else {
-			i7 = c.stepCatT(x, 7, i7)
+			i7 = t.stepCatT(x, 7, i7)
 		}
 	}
 	return int32(i0), int32(i1), int32(i2), int32(i3), int32(i4), int32(i5), int32(i6), int32(i7)
@@ -353,7 +250,7 @@ func (c *Compiled) leaf8CatT(x []uint64) (l0, l1, l2, l3, l4, l5, l6, l7 int32) 
 
 // stepCatT resolves categorical node i for lane k of a transposed group,
 // on the value the lane's key encodes.
-func (c *Compiled) stepCatT(x []uint64, k int32, i int) int {
-	nd := c.nodes[i]
-	return int(c.stepCat(nd, keyValue(x[nd.feat&^catFlag+k]), int32(i)))
+func (t *Regressor) stepCatT(x []uint64, k int32, i int) int {
+	nd := t.nodes[i]
+	return int(t.stepCat(nd, keyValue(x[nd.feat&^catFlag+k]), int32(i)))
 }

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -98,7 +99,7 @@ func keyGroups(rows [][]float64, d int) []uint64 {
 }
 
 // thresholdsOf returns every numeric split's (feature, threshold).
-func thresholdsOf(c *Compiled) (fs []int32, ts []float64) {
+func thresholdsOf(c *Regressor) (fs []int32, ts []float64) {
 	for _, nd := range c.nodes {
 		if !nd.isLeaf() && nd.feat&catFlag == 0 {
 			fs = append(fs, nd.feature())
@@ -112,7 +113,7 @@ func thresholdsOf(c *Compiled) (fs []int32, ts []float64) {
 // and every out-of-range, negative or fractional category code in every
 // column, and every split threshold with its one-ulp neighbours in its
 // own column.
-func adversarialRows(c *Compiled, base [][]float64, r *rng.RNG) [][]float64 {
+func adversarialRows(c *Regressor, base [][]float64, r *rng.RNG) [][]float64 {
 	var out [][]float64
 	with := func(f int, v float64) {
 		row := append([]float64(nil), base[r.Intn(len(base))]...)
@@ -146,10 +147,10 @@ func adversarialRows(c *Compiled, base [][]float64, r *rng.RNG) [][]float64 {
 	return append(out, base...)
 }
 
-// TestLeaf8TBitIdentical: the scalar keyed walk (PredictStats) and the
-// eight-lane transposed walk (Leaf8T) must land every adversarial row in
-// the leaf the pointer tree does — numeric-only and categorical trees,
-// a lone-leaf tree, and every ragged group length n mod 8 = 1..7.
+// TestLeaf8TBitIdentical: the scalar walk (PredictStats) and the
+// eight-lane transposed keyed walk (Leaf8T) must land every adversarial
+// row in the leaf the pointer oracle does — numeric-only and categorical
+// trees, a lone-leaf tree, and every ragged group length n mod 8 = 1..7.
 func TestLeaf8TBitIdentical(t *testing.T) {
 	mixX, mixY, mixFs := mixedData(rng.New(41), 300)
 	numFs := mixFs[:2]
@@ -178,39 +179,23 @@ func TestLeaf8TBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := tr.Compile()
-		if tc.name == "single-leaf" && (c.NumNodes() != 1 || c.Depth() != 0) {
-			t.Fatalf("constant target compiled to %d nodes, depth %d", c.NumNodes(), c.Depth())
+		ref, err := FitReference(tc.X, tc.y, tc.fs, tc.cfg, rng.New(uint64(50+ci)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if tr.Depth() != c.Depth() {
-			t.Fatalf("%s: compiled depth %d, tree depth %d", tc.name, c.Depth(), tr.Depth())
+		if tc.name == "single-leaf" && (len(tr.nodes) != 1 || tr.Depth() != 0) {
+			t.Fatalf("constant target built %d nodes, depth %d", len(tr.nodes), tr.Depth())
 		}
-		rows := adversarialRows(c, tc.X[:40], rng.New(uint64(60+ci)))
-		d := len(tc.fs)
-		want := make([]int32, len(rows))
-		for i, x := range rows {
-			pm, pv, pn := tr.PredictWithStats(x)
-			cm, cv, cn := c.PredictStats(x)
-			if math.Float64bits(pm) != math.Float64bits(cm) || math.Float64bits(pv) != math.Float64bits(cv) || pn != cn {
-				t.Fatalf("%s row %d %v: pointer (%v,%v,%d) keyed scalar (%v,%v,%d)", tc.name, i, x, pm, pv, pn, cm, cv, cn)
-			}
-			want[i] = c.leaf(x)
+		if !nodesEqual(ref.root, tr) {
+			t.Fatalf("%s: flat tree differs from the oracle", tc.name)
 		}
+		rows := adversarialRows(tr, tc.X[:40], rng.New(uint64(60+ci)))
 		for tail := 0; tail < 8; tail++ {
 			sub := rows[:len(rows)/8*8-8+tail]
 			if tail == 0 {
 				sub = rows
 			}
-			xk := keyGroups(sub, d)
-			for j := 0; j < len(sub); j += 8 {
-				l0, l1, l2, l3, l4, l5, l6, l7 := c.Leaf8T(xk[j*d : (j+8)*d])
-				for k, l := range [8]int32{l0, l1, l2, l3, l4, l5, l6, l7} {
-					if j+k < len(sub) && l != want[j+k] {
-						t.Fatalf("%s n=%d row %d %v: Leaf8T leaf %d, scalar leaf %d",
-							tc.name, len(sub), j+k, sub[j+k], l, want[j+k])
-					}
-				}
-			}
+			checkAgainstOracle(t, fmt.Sprintf("%s n=%d", tc.name, len(sub)), tr, ref, sub)
 		}
 	}
 }

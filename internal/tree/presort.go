@@ -128,9 +128,11 @@ func RankColumns(X [][]float64, features []space.Feature) (*Ranks, error) {
 // FitRanked builds a regression tree on the row sample picks of a ranked
 // training set: sample k is the row (X[picks[k]], y[picks[k]]) of the
 // matrix X that rk ranked, so a bootstrap resample passes its draws and
-// the full set passes 0..n-1. The tree is bit-identical to Fit on the
-// materialised sample and consumes r identically. ws is reused across
-// calls; nil allocates a throwaway workspace.
+// the full set passes 0..n-1. The tree depends only on the materialised
+// sample — FitRanked on the full set of that sample builds the same tree
+// and consumes r identically. r drives the random-subspace feature
+// sampling and may be nil when cfg.MaxFeatures selects all features. ws
+// is reused across calls; nil allocates a throwaway workspace.
 func FitRanked(rk *Ranks, y []float64, picks []int32, cfg Config, r *rng.RNG, ws *Workspace) (*Regressor, error) {
 	if len(rk.x) != len(y) {
 		return nil, fmt.Errorf("tree: len(X)=%d but len(y)=%d", len(rk.x), len(y))
@@ -167,8 +169,10 @@ func FitRanked(rk *Ranks, y []float64, picks []int32, cfg Config, r *rng.RNG, ws
 		b.idx[k] = int32(k)
 	}
 	b.presort(rk, picks)
-	root := b.build(0, n, 0)
-	return &Regressor{features: rk.features, root: root, cfg: cfg}, nil
+	b.t = &ws.tree
+	b.t.reset()
+	b.build(0, n, 0)
+	return ws.detach(rk.features, cfg), nil
 }
 
 // psBuilder carries the state of one presorted induction run. The slice
@@ -184,6 +188,9 @@ type psBuilder struct {
 	minSplit int
 	r        *rng.RNG
 	ws       *Workspace
+
+	// t is the tree under construction, in the workspace's buffers.
+	t *Regressor
 
 	idx        []int32
 	mask       []uint8
@@ -258,55 +265,61 @@ func (b *psBuilder) leafStats(idx []int32) (mean, variance float64, count int) {
 	return mean, variance, len(idx)
 }
 
-func (b *psBuilder) makeLeaf(idx []int32, mean, variance float64, count int) *node {
-	nd := b.ws.newNode()
-	*nd = node{mean: mean, variance: variance, count: count}
+// makeLeaf leaves node id a leaf over the sample segment idx, attaching
+// the segment's sorted targets under Config.KeepTargets, and returns id.
+func (b *psBuilder) makeLeaf(id int32, idx []int32) int32 {
 	if b.cfg.KeepTargets {
 		ts := make([]float64, len(idx))
 		for k, i := range idx {
 			ts[k] = b.y[i]
 		}
 		sort.Float64s(ts)
-		nd.targets = ts
+		b.t.setTargets(id, ts)
 	}
-	return nd
+	return id
 }
 
-// build grows the subtree over the sample segment [lo, hi).
-func (b *psBuilder) build(lo, hi, depth int) *node {
+// build grows the subtree over the sample segment [lo, hi) straight
+// into the flat preorder arrays and returns its root's node id: the node
+// is appended first, its left subtree follows it, and once the right
+// subtree is in place the node is marked as a split pointing at it.
+func (b *psBuilder) build(lo, hi, depth int) int32 {
 	idxSeg := b.idx[lo:hi]
 	mean, variance, count := b.leafStats(idxSeg)
+	id := b.t.push(mean, variance, int32(count), int32(depth))
 	if count < b.minSplit || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
-		return b.makeLeaf(idxSeg, mean, variance, count)
+		return b.makeLeaf(id, idxSeg)
 	}
 	if variance <= 1e-300 { // pure node
-		return b.makeLeaf(idxSeg, mean, variance, count)
+		return b.makeLeaf(id, idxSeg)
 	}
 
 	best := b.findSplit(lo, hi)
 	if !best.valid || best.gain < b.cfg.MinImpurityDecrease {
-		return b.makeLeaf(idxSeg, mean, variance, count)
+		return b.makeLeaf(id, idxSeg)
 	}
 
-	// Materialise the winning split's category bitmap (if categorical)
-	// and flag every sample's direction once (1 = left); the same mask
-	// then drives the stable partition of idx and of every numeric column.
-	var catLeft []bool
+	// Flag every sample's direction once (1 = left); the same mask then
+	// drives the stable partition of idx and of every numeric column.
+	// A categorical split's membership is marked in the workspace's
+	// catIn scratch until the partition proves the split real.
 	var threshold float64
-	X, mask := b.X, b.mask
+	X, mask, f := b.X, b.mask, best.feature
 	if best.isCat {
-		catLeft = make([]bool, b.features[best.feature].NumCategories)
+		catIn := b.ws.catIn[:b.features[f].NumCategories]
 		for _, c := range b.bestCats {
-			catLeft[c] = true
+			catIn[c] = true
 		}
 		for _, i := range idxSeg {
-			c := int(X[i][best.feature])
-			mask[i] = bit(c >= 0 && c < len(catLeft) && catLeft[c])
+			c := int(X[i][f])
+			mask[i] = bit(c >= 0 && c < len(catIn) && catIn[c])
+		}
+		for _, c := range b.bestCats {
+			catIn[c] = false
 		}
 	} else {
 		// The reference's threshold: the midpoint of the values either
 		// side of the winning boundary, the same two samples.
-		f := best.feature
 		col := b.ws.cols[f][lo:hi]
 		threshold = (X[uint32(col[best.left-1])][f] + X[uint32(col[best.left])][f]) / 2
 		for _, i := range idxSeg {
@@ -320,23 +333,26 @@ func (b *psBuilder) build(lo, hi, depth int) *node {
 		// idxSeg was permuted in place, but it still holds the same
 		// samples and the leaf sorts its targets, so the leaf is
 		// unaffected.
-		return b.makeLeaf(idxSeg, mean, variance, count)
+		return b.makeLeaf(id, idxSeg)
 	}
-	for f, ft := range b.features {
+	for g, ft := range b.features {
 		if ft.Kind == space.FeatCategorical {
 			continue
 		}
-		stablePartitionCol(b.ws.cols[f][lo:hi], mask, b.scratchCol)
+		stablePartitionCol(b.ws.cols[g][lo:hi], mask, b.scratchCol)
 	}
 
-	nd := b.ws.newNode()
-	*nd = node{
-		feature: best.feature, threshold: threshold, catLeft: catLeft,
-		mean: mean, variance: variance, count: count,
+	key := Key(threshold)
+	if best.isCat {
+		key = b.t.newCatBitmap(b.features[f].NumCategories)
+		for _, c := range b.bestCats {
+			b.t.setCat(key, int(c))
+		}
 	}
-	nd.left = b.build(lo, lo+nl, depth+1)
-	nd.right = b.build(lo+nl, hi, depth+1)
-	return nd
+	b.build(lo, lo+nl, depth+1) // preorder: the left child is id+1
+	right := b.build(lo+nl, hi, depth+1)
+	b.t.setSplit(id, f, key, best.isCat, right)
+	return id
 }
 
 // findSplit mirrors the reference findSplit: scan a random-subspace

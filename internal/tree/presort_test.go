@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -9,49 +10,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/space"
 )
-
-// nodesEqual compares two trees bit-for-bit: structure, split fields,
-// and every leaf statistic (floats by exact bits, not tolerance).
-func nodesEqual(a, b *node) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if a.isLeaf() != b.isLeaf() {
-		return false
-	}
-	if math.Float64bits(a.mean) != math.Float64bits(b.mean) ||
-		math.Float64bits(a.variance) != math.Float64bits(b.variance) ||
-		a.count != b.count {
-		return false
-	}
-	if len(a.targets) != len(b.targets) {
-		return false
-	}
-	for i := range a.targets {
-		if math.Float64bits(a.targets[i]) != math.Float64bits(b.targets[i]) {
-			return false
-		}
-	}
-	if a.isLeaf() {
-		return true
-	}
-	if a.feature != b.feature ||
-		math.Float64bits(a.threshold) != math.Float64bits(b.threshold) {
-		return false
-	}
-	if len(a.catLeft) != len(b.catLeft) {
-		return false
-	}
-	for i := range a.catLeft {
-		if a.catLeft[i] != b.catLeft[i] {
-			return false
-		}
-	}
-	return nodesEqual(a.left, b.left) && nodesEqual(a.right, b.right)
-}
 
 // mixedSpace draws a random feature schema: numeric and categorical
 // columns in random positions, with numeric values quantised to a random
@@ -117,7 +75,7 @@ func fitBoth(t *testing.T, X [][]float64, y []float64, fs []space.Feature, cfg C
 	if err1 != nil {
 		return
 	}
-	if !nodesEqual(got.root, want.root) {
+	if !nodesEqual(want.root, got) {
 		t.Fatalf("trees differ (n=%d d=%d cfg=%+v seed=%d)", len(X), len(fs), cfg, seed)
 	}
 	if r1 != nil && r1.Uint64() != r2.Uint64() {
@@ -339,7 +297,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !nodesEqual(reused.root, fresh.root) {
+		if !reflect.DeepEqual(reused, fresh) {
 			t.Fatalf("workspace reuse changed the tree at shape %+v", sh)
 		}
 	}
@@ -356,8 +314,8 @@ func TestPresortedMatchesExistingBehaviors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumNodes() != 2*tr.NumLeaves()-1 {
-		t.Fatalf("nodes=%d leaves=%d not binary-consistent", tr.NumNodes(), tr.NumLeaves())
+	if len(tr.nodes) != 2*numLeaves(tr)-1 {
+		t.Fatalf("nodes=%d leaves=%d not binary-consistent", len(tr.nodes), numLeaves(tr))
 	}
 	ref, err := FitReference(X, y, fs, Config{MinSamplesLeaf: 2}, nil)
 	if err != nil {
@@ -365,8 +323,8 @@ func TestPresortedMatchesExistingBehaviors(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		probe := X[r.Intn(len(X))]
-		m1, v1, c1 := tr.PredictWithStats(probe)
-		m2, v2, c2 := ref.PredictWithStats(probe)
+		m1, v1, c1 := tr.PredictStats(probe)
+		m2, v2, c2 := ref.predict(probe)
 		if m1 != m2 || v1 != v2 || c1 != c2 {
 			t.Fatalf("prediction mismatch at probe %d", i)
 		}
@@ -446,7 +404,7 @@ func TestRankedSampleMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !nodesEqual(got.root, want.root) {
+		if !nodesEqual(want.root, got) {
 			t.Fatalf("seed %d: ranked tree differs from the reference (n=%d d=%d cfg=%+v)", seed, n, d, cfg)
 		}
 		if r1.Uint64() != r2.Uint64() {

@@ -2,6 +2,8 @@ package tree
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,10 +12,13 @@ import (
 )
 
 // This file retains the per-node-sorting CART builder that predates the
-// presorted-column engine (presort.go) as the test oracle: presort_test.go
-// asserts that both builders produce bit-identical trees while consuming
-// identical RNG streams, and BenchmarkFitReference500x20 measures the
-// presorted engine's speedup against it.
+// presorted-column engine (presort.go) as the test oracle, together with
+// the pointer-node tree it builds: presort_test.go asserts that the
+// engine's flat preorder arrays hold exactly the oracle's tree
+// (nodesEqual) while consuming identical RNG streams, the walk tests
+// route every probe through refNode.predict's float compares and bool
+// category lists, and BenchmarkFitReference500x20 measures the presorted
+// engine's speedup against it.
 //
 // Two semantic anchors are shared with the presorted engine so that
 // bit-identity is well defined:
@@ -24,10 +29,82 @@ import (
 //   - Categories are ordered by (mean target, category index), again a
 //     unique total order.
 
+// refNode is one node of the oracle's pointer tree; leaves have
+// left == nil.
+type refNode struct {
+	// Split fields (internal nodes).
+	feature   int
+	threshold float64 // numeric: x <= threshold goes left
+	catLeft   []bool  // categorical: category-membership of the left child
+	left      *refNode
+	right     *refNode
+
+	// Statistics of the node's training targets (every node).
+	mean     float64
+	variance float64
+	count    int
+
+	// targets holds a leaf's sorted training targets under
+	// Config.KeepTargets.
+	targets []float64
+}
+
+func (n *refNode) isLeaf() bool { return n.left == nil }
+
+// numLeaves counts the flat tree's leaves.
+func numLeaves(t *Regressor) int {
+	n := 0
+	for _, nd := range t.nodes {
+		if nd.isLeaf() {
+			n++
+		}
+	}
+	return n
+}
+
+// refTree is a tree fitted by FitReference.
+type refTree struct {
+	root *refNode
+	cfg  Config
+}
+
+// leafOf walks x to its leaf with the float compare x <= t and the bool
+// category list: negative and out-of-range category codes go right.
+func (t *refTree) leafOf(x []float64) *refNode {
+	n := t.root
+	for !n.isLeaf() {
+		goLeft := false
+		if n.catLeft != nil {
+			c := int(x[n.feature])
+			goLeft = c >= 0 && c < len(n.catLeft) && n.catLeft[c]
+		} else {
+			goLeft = x[n.feature] <= n.threshold
+		}
+		if goLeft {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n
+}
+
+// predict returns the statistics of the leaf x falls into.
+func (t *refTree) predict(x []float64) (mean, variance float64, count int) {
+	n := t.leafOf(x)
+	return n.mean, n.variance, n.count
+}
+
+// Fit builds a tree on the whole set (X, y) with the presorted engine
+// and a throwaway workspace — FitRanked on the identity sample.
+func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (*Regressor, error) {
+	return fitWhole(X, y, features, cfg, r, nil)
+}
+
 // FitReference builds a regression tree with the reference builder:
 // every numeric candidate feature is re-sorted at every node. It accepts
-// exactly the inputs of Fit and produces a bit-identical tree.
-func FitReference(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (*Regressor, error) {
+// exactly the inputs of Fit and produces the same tree in pointer form.
+func FitReference(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (*refTree, error) {
 	mtry, err := validateFit(X, y, features, cfg, r)
 	if err != nil {
 		return nil, err
@@ -37,8 +114,105 @@ func FitReference(X [][]float64, y []float64, features []space.Feature, cfg Conf
 	for i := range idx {
 		idx[i] = i
 	}
-	root := b.build(idx, 0)
-	return &Regressor{features: features, root: root, cfg: cfg}, nil
+	return &refTree{root: b.build(idx, 0), cfg: cfg}, nil
+}
+
+// flatten lays a pointer tree out in the flat preorder arrays through
+// the builder's own primitives — for hand-built trees that no fit or
+// decode produces.
+func flatten(rt *refTree, features []space.Feature) *Regressor {
+	t := &Regressor{features: features, cfg: rt.cfg}
+	var emit func(n *refNode, d int32) int32
+	emit = func(n *refNode, d int32) int32 {
+		id := t.push(n.mean, n.variance, int32(n.count), d)
+		if n.isLeaf() {
+			if n.targets != nil {
+				t.setTargets(id, n.targets)
+			}
+			return id
+		}
+		key := Key(n.threshold)
+		if n.catLeft != nil {
+			key = t.newCatBitmap(len(n.catLeft))
+			for c, in := range n.catLeft {
+				if in {
+					t.setCat(key, c)
+				}
+			}
+		}
+		emit(n.left, d+1)
+		right := emit(n.right, d+1)
+		t.setSplit(id, n.feature, key, n.catLeft != nil, right)
+		return id
+	}
+	emit(rt.root, 0)
+	return t
+}
+
+// nodesEqual reports whether the flat tree t holds exactly the pointer
+// tree rooted at n, compared in preorder: structure, depth, split
+// features, thresholds (by key, which identifies -0 with +0 — the one
+// distinction the flat form drops and the split test cannot see),
+// category sets, and every node's statistics and leaf targets by exact
+// bits.
+func nodesEqual(n *refNode, t *Regressor) bool {
+	next := int32(0)
+	maxDepth := int32(0)
+	sawCat := false
+	var walk func(n *refNode, d int32) bool
+	walk = func(n *refNode, d int32) bool {
+		id := next
+		next++
+		if int(id) >= len(t.nodes) {
+			return false
+		}
+		if d > maxDepth {
+			maxDepth = d
+		}
+		nd := t.nodes[id]
+		if nd.isLeaf() != n.isLeaf() ||
+			math.Float64bits(t.mean[id]) != math.Float64bits(n.mean) ||
+			math.Float64bits(t.variance[id]) != math.Float64bits(n.variance) ||
+			int(t.count[id]) != n.count {
+			return false
+		}
+		var ts []float64
+		if t.targets != nil {
+			ts = t.targets[id]
+		}
+		if (ts == nil) != (n.targets == nil) || !slices.EqualFunc(ts, n.targets, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			return false
+		}
+		if n.isLeaf() {
+			return true
+		}
+		if int(nd.feature()) != n.feature || (nd.feat&catFlag != 0) != (n.catLeft != nil) {
+			return false
+		}
+		if n.catLeft != nil {
+			sawCat = true
+			if int(uint32(nd.key)) != len(n.catLeft) {
+				return false
+			}
+			for c, in := range n.catLeft {
+				if t.catLeft(nd.key, c) != in {
+					return false
+				}
+			}
+		} else if nd.key != Key(n.threshold) {
+			return false
+		}
+		if !walk(n.left, d+1) {
+			return false
+		}
+		if next != id+1+nd.rdelta {
+			return false
+		}
+		return walk(n.right, d+1)
+	}
+	return walk(n, 0) && int(next) == len(t.nodes) && maxDepth == t.depth && sawCat == t.hasCat
 }
 
 // validateFit checks the (X, y, features, cfg, r) combination Fit
@@ -83,8 +257,8 @@ func (b *refBuilder) leafStats(idx []int) (mean, variance float64, count int) {
 	return mean, variance, len(idx)
 }
 
-func (b *refBuilder) makeLeaf(idx []int, mean, variance float64, count int) *node {
-	n := &node{mean: mean, variance: variance, count: count}
+func (b *refBuilder) makeLeaf(idx []int, mean, variance float64, count int) *refNode {
+	n := &refNode{mean: mean, variance: variance, count: count}
 	if b.cfg.KeepTargets {
 		n.targets = make([]float64, len(idx))
 		for i, j := range idx {
@@ -95,7 +269,7 @@ func (b *refBuilder) makeLeaf(idx []int, mean, variance float64, count int) *nod
 	return n
 }
 
-func (b *refBuilder) build(idx []int, depth int) *node {
+func (b *refBuilder) build(idx []int, depth int) *refNode {
 	// The node statistics double as the purity check and the leaf (or
 	// internal-node diagnostic) payload; compute them once.
 	mean, variance, count := b.leafStats(idx)
@@ -116,13 +290,22 @@ func (b *refBuilder) build(idx []int, depth int) *node {
 		// Defensive: a degenerate partition means the split was not real.
 		return b.makeLeaf(idx, mean, variance, count)
 	}
-	n := &node{
+	n := &refNode{
 		feature: best.feature, threshold: best.threshold, catLeft: best.catLeft,
 		mean: mean, variance: variance, count: count,
 	}
 	n.left = b.build(leftIdx, depth+1)
 	n.right = b.build(rightIdx, depth+1)
 	return n
+}
+
+// split describes the best split found at a node.
+type split struct {
+	feature   int
+	threshold float64
+	catLeft   []bool
+	gain      float64 // squared-error reduction
+	valid     bool
 }
 
 // findSplit scans a random-subspace sample of features and returns the

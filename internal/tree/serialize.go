@@ -3,6 +3,7 @@ package tree
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/jsonw"
@@ -43,58 +44,66 @@ type treeDump struct {
 // exhaust memory; real search spaces have a few dozen levels.
 const maxCategories = 1 << 16
 
-// loadNode rebuilds the subtree d describes, rejecting anything Fit
-// could not have produced over features that the prediction paths would
-// trip over: negative counts, split features outside the schema, and
-// categorical splits on numeric features or with a bitmap width other
-// than the feature's category count.
-func loadNode(d *nodeDump, features []space.Feature) (*node, error) {
-	if d.Count < 0 {
-		return nil, fmt.Errorf("tree: negative sample count %d", d.Count)
+// loadNode appends the subtree d describes to t's flat arrays in
+// preorder, rejecting anything FitRanked could not have produced over
+// features that the prediction paths would trip over: sample counts
+// outside int32, split features outside the schema, categorical splits
+// on numeric features, with a bitmap width other than the feature's
+// category count or carrying a threshold, and numeric splits on
+// categorical features.
+func (t *Regressor) loadNode(d *nodeDump, depth int32) error {
+	if d.Count < 0 || d.Count > math.MaxInt32 {
+		return fmt.Errorf("tree: sample count %d outside [0, %d]", d.Count, math.MaxInt32)
 	}
-	n := &node{mean: d.Mean, variance: d.Variance, count: d.Count}
+	id := t.push(d.Mean, d.Variance, int32(d.Count), depth)
 	if d.Left == nil && d.Right == nil {
-		n.targets = d.Targets
-		return n, nil
+		if d.Targets != nil {
+			t.setTargets(id, d.Targets)
+		}
+		return nil
 	}
 	if d.Left == nil || d.Right == nil {
-		return nil, fmt.Errorf("tree: node with exactly one child")
+		return fmt.Errorf("tree: node with exactly one child")
 	}
-	if d.Feature < 0 || d.Feature >= len(features) {
-		return nil, fmt.Errorf("tree: split feature %d outside the %d-feature schema", d.Feature, len(features))
+	if d.Feature < 0 || d.Feature >= len(t.features) {
+		return fmt.Errorf("tree: split feature %d outside the %d-feature schema", d.Feature, len(t.features))
 	}
-	ft := features[d.Feature]
-	n.feature = d.Feature
-	n.threshold = d.Threshold
-	if d.CatLeft != nil || d.NumCats > 0 {
+	ft := t.features[d.Feature]
+	key := Key(d.Threshold)
+	categorical := d.CatLeft != nil || d.NumCats > 0
+	if categorical {
 		if d.NumCats <= 0 {
-			return nil, fmt.Errorf("tree: categorical node without category count")
+			return fmt.Errorf("tree: categorical node without category count")
 		}
 		if ft.Kind != space.FeatCategorical {
-			return nil, fmt.Errorf("tree: categorical split on numeric feature %d (%s)", d.Feature, ft.Name)
+			return fmt.Errorf("tree: categorical split on numeric feature %d (%s)", d.Feature, ft.Name)
 		}
 		if d.NumCats != ft.NumCategories || d.NumCats > maxCategories {
-			return nil, fmt.Errorf("tree: categorical split of width %d on feature %d (%s) with %d categories",
+			return fmt.Errorf("tree: categorical split of width %d on feature %d (%s) with %d categories",
 				d.NumCats, d.Feature, ft.Name, ft.NumCategories)
 		}
-		n.catLeft = make([]bool, d.NumCats)
+		if d.Threshold != 0 {
+			return fmt.Errorf("tree: categorical split on feature %d (%s) with threshold %v", d.Feature, ft.Name, d.Threshold)
+		}
+		key = t.newCatBitmap(d.NumCats)
 		for _, c := range d.CatLeft {
 			if c < 0 || c >= d.NumCats {
-				return nil, fmt.Errorf("tree: category %d out of bitmap width %d", c, d.NumCats)
+				return fmt.Errorf("tree: category %d out of bitmap width %d", c, d.NumCats)
 			}
-			n.catLeft[c] = true
+			t.setCat(key, c)
 		}
 	} else if ft.Kind == space.FeatCategorical {
-		return nil, fmt.Errorf("tree: numeric split on categorical feature %d (%s)", d.Feature, ft.Name)
+		return fmt.Errorf("tree: numeric split on categorical feature %d (%s)", d.Feature, ft.Name)
 	}
-	var err error
-	if n.left, err = loadNode(d.Left, features); err != nil {
-		return nil, err
+	if err := t.loadNode(d.Left, depth+1); err != nil {
+		return err
 	}
-	if n.right, err = loadNode(d.Right, features); err != nil {
-		return nil, err
+	right := int32(len(t.nodes))
+	if err := t.loadNode(d.Right, depth+1); err != nil {
+		return err
 	}
-	return n, nil
+	t.setSplit(id, d.Feature, key, categorical, right)
+	return nil
 }
 
 // MarshalJSON encodes the fitted tree structure (see AppendJSON).
@@ -114,7 +123,7 @@ func (t *Regressor) AppendJSON(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	b = append(b, `,"root":`...)
-	if b, err = appendNode(b, t.root); err != nil {
+	if b, err = t.appendNode(b, 0); err != nil {
 		return nil, err
 	}
 	return append(b, '}'), nil
@@ -141,29 +150,34 @@ func (c Config) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendNode writes n's subtree in nodeDump order (f, t, cl, nc, l, r,
-// m, v, n, ts) with nodeDump's omitempty rules: zero split fields,
-// empty category lists and empty target lists are left out.
-func appendNode(b []byte, n *node) ([]byte, error) {
+// appendNode writes node i's subtree in nodeDump order (f, t, cl, nc,
+// l, r, m, v, n, ts) with nodeDump's omitempty rules: zero split
+// fields, empty category lists and empty target lists are left out. A
+// numeric split's threshold is the value its key decodes to; Key maps
+// both zeros to +0, which "t" omits either way.
+func (t *Regressor) appendNode(b []byte, i int32) ([]byte, error) {
 	var err error
+	nd := t.nodes[i]
 	b = append(b, '{')
-	if !n.isLeaf() {
-		if n.feature != 0 {
+	if !nd.isLeaf() {
+		if f := nd.feature(); f != 0 {
 			b = append(b, `"f":`...)
-			b = strconv.AppendInt(b, int64(n.feature), 10)
+			b = strconv.AppendInt(b, int64(f), 10)
 			b = append(b, ',')
 		}
-		if n.threshold != 0 {
-			b = append(b, `"t":`...)
-			if b, err = jsonw.Float(b, n.threshold); err != nil {
-				return nil, err
+		if nd.feat&catFlag == 0 {
+			if th := keyValue(nd.key); th != 0 {
+				b = append(b, `"t":`...)
+				if b, err = jsonw.Float(b, th); err != nil {
+					return nil, err
+				}
+				b = append(b, ',')
 			}
-			b = append(b, ',')
-		}
-		if n.catLeft != nil {
+		} else {
+			ncat := int(uint32(nd.key))
 			first := true
-			for c, in := range n.catLeft {
-				if !in {
+			for c := 0; c < ncat; c++ {
+				if !t.catLeft(nd.key, c) {
 					continue
 				}
 				if first {
@@ -177,36 +191,36 @@ func appendNode(b []byte, n *node) ([]byte, error) {
 			if !first {
 				b = append(b, "],"...)
 			}
-			if len(n.catLeft) != 0 {
+			if ncat != 0 {
 				b = append(b, `"nc":`...)
-				b = strconv.AppendInt(b, int64(len(n.catLeft)), 10)
+				b = strconv.AppendInt(b, int64(ncat), 10)
 				b = append(b, ',')
 			}
 		}
 		b = append(b, `"l":`...)
-		if b, err = appendNode(b, n.left); err != nil {
+		if b, err = t.appendNode(b, i+1); err != nil {
 			return nil, err
 		}
 		b = append(b, `,"r":`...)
-		if b, err = appendNode(b, n.right); err != nil {
+		if b, err = t.appendNode(b, i+1+nd.rdelta); err != nil {
 			return nil, err
 		}
 		b = append(b, ',')
 	}
 	b = append(b, `"m":`...)
-	if b, err = jsonw.Float(b, n.mean); err != nil {
+	if b, err = jsonw.Float(b, t.mean[i]); err != nil {
 		return nil, err
 	}
 	b = append(b, `,"v":`...)
-	if b, err = jsonw.Float(b, n.variance); err != nil {
+	if b, err = jsonw.Float(b, t.variance[i]); err != nil {
 		return nil, err
 	}
 	b = append(b, `,"n":`...)
-	b = strconv.AppendInt(b, int64(n.count), 10)
-	if n.isLeaf() && len(n.targets) != 0 {
+	b = strconv.AppendInt(b, int64(t.count[i]), 10)
+	if nd.isLeaf() && t.targets != nil && len(t.targets[i]) != 0 {
 		b = append(b, `,"ts":[`...)
-		for i, v := range n.targets {
-			if i > 0 {
+		for k, v := range t.targets[i] {
+			if k > 0 {
 				b = append(b, ',')
 			}
 			if b, err = jsonw.Float(b, v); err != nil {
@@ -219,8 +233,9 @@ func appendNode(b []byte, n *node) ([]byte, error) {
 }
 
 // UnmarshalJSONWithFeatures decodes a tree serialized by MarshalJSON,
-// reattaching the feature schema (kept by the owning forest) and
-// validating every split against it (see loadNode).
+// reattaching the feature schema (kept by the owning forest),
+// validating every node against it (see loadNode) and writing the nodes
+// straight into the flat arrays.
 func UnmarshalJSONWithFeatures(data []byte, features []space.Feature) (*Regressor, error) {
 	var d treeDump
 	if err := json.Unmarshal(data, &d); err != nil {
@@ -229,9 +244,9 @@ func UnmarshalJSONWithFeatures(data []byte, features []space.Feature) (*Regresso
 	if d.Root == nil {
 		return nil, fmt.Errorf("tree: dump has no root")
 	}
-	root, err := loadNode(d.Root, features)
-	if err != nil {
+	t := &Regressor{features: features, cfg: d.Config}
+	if err := t.loadNode(d.Root, 0); err != nil {
 		return nil, err
 	}
-	return &Regressor{features: features, root: root, cfg: d.Config}, nil
+	return t, nil
 }

@@ -33,13 +33,13 @@ func TestTreeJSONRoundTripNumeric(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		probe := []float64{r.Float64(), r.Float64()}
-		m1, v1, c1 := tr.PredictWithStats(probe)
-		m2, v2, c2 := tr2.PredictWithStats(probe)
+		m1, v1, c1 := tr.PredictStats(probe)
+		m2, v2, c2 := tr2.PredictStats(probe)
 		if m1 != m2 || v1 != v2 || c1 != c2 {
 			t.Fatal("round trip changed leaf stats")
 		}
 	}
-	if tr.NumNodes() != tr2.NumNodes() || tr.Depth() != tr2.Depth() {
+	if len(tr.nodes) != len(tr2.nodes) || tr.Depth() != tr2.Depth() {
 		t.Fatal("round trip changed structure")
 	}
 }
@@ -142,8 +142,9 @@ func TestLeafTargetsRouting(t *testing.T) {
 }
 
 // dumpNode and referenceJSON are the reflective encoder AppendJSON
-// replaced, kept as its oracle: encoding/json over the nodeDump form.
-func dumpNode(n *node) *nodeDump {
+// replaced, kept as its oracle: encoding/json over the nodeDump form of
+// the pointer oracle tree.
+func dumpNode(n *refNode) *nodeDump {
 	d := &nodeDump{Mean: n.mean, Variance: n.variance, Count: n.count}
 	if n.isLeaf() {
 		d.Targets = n.targets
@@ -167,13 +168,15 @@ func dumpNode(n *node) *nodeDump {
 	return d
 }
 
-func referenceJSON(t *Regressor) ([]byte, error) {
+func referenceJSON(t *refTree) ([]byte, error) {
 	return json.Marshal(treeDump{Config: t.cfg, Root: dumpNode(t.root)})
 }
 
-func checkMatchesReference(t *testing.T, name string, tr *Regressor) {
+// checkMatchesReference asserts that the flat tree tr encodes to exactly
+// the bytes encoding/json writes for the oracle tree ref.
+func checkMatchesReference(t *testing.T, name string, tr *Regressor, ref *refTree) {
 	t.Helper()
-	want, err := referenceJSON(tr)
+	want, err := referenceJSON(ref)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", name, err)
 	}
@@ -189,11 +192,12 @@ func checkMatchesReference(t *testing.T, name string, tr *Regressor) {
 	}
 }
 
-// TestAppendJSONMatchesEncodingJSON pins the direct appender to the
-// reflective encoder byte for byte: fitted numeric, categorical and
-// quantile trees, and hand-built nodes at every float-format boundary
-// and omitempty edge (zero feature and threshold, empty category list,
-// empty target list).
+// TestAppendJSONMatchesEncodingJSON pins the direct appender over the
+// flat arrays to the reflective encoder over the pointer oracle byte for
+// byte: fitted numeric, categorical and quantile trees (the engine's
+// flat tree against the reference builder's pointer tree), and
+// hand-built trees at every float-format boundary and omitempty edge
+// (zero feature, ±0 threshold, empty category list, empty target list).
 func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	r := rng.New(11)
 	mixed := []space.Feature{
@@ -210,46 +214,50 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 			y[i] = r.Norm() * math.Pow(10, float64(r.Intn(40)-20))
 		}
 		cfg := Config{MinSamplesLeaf: 1 + r.Intn(4), KeepTargets: rep%2 == 0, MinImpurityDecrease: float64(rep) * 1e-9}
-		tr, err := Fit(X, y, mixed, cfg, r)
+		tr, err := Fit(X, y, mixed, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkMatchesReference(t, "fitted", tr)
+		ref, err := FitReference(X, y, mixed, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMatchesReference(t, "fitted", tr, ref)
 	}
 
-	leaf := func(m, v float64, n int, ts ...float64) *node {
-		return &node{mean: m, variance: v, count: n, targets: ts}
+	leaf := func(m, v float64, n int, ts ...float64) *refNode {
+		return &refNode{mean: m, variance: v, count: n, targets: ts}
 	}
 	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 9.99999e-7, 1e-7, -1e-7, 1.5e-300,
 		5e-324, 1e20, 1e21, -1e21, 123456789e13, math.MaxFloat64, math.SmallestNonzeroFloat64, 1.0 / 3}
 	for i, v := range floats {
-		hand := &Regressor{
+		hand := &refTree{
 			cfg: Config{MaxDepth: i, MinImpurityDecrease: v},
-			root: &node{
+			root: &refNode{
 				feature: i % 2, threshold: v, mean: v, variance: v, count: i,
 				left: leaf(v, 0, 0),
-				right: &node{
+				right: &refNode{
 					feature: 1, catLeft: []bool{false, i%3 == 0, false}, mean: -v,
 					left:  leaf(1, v, 2, v, -v, 0),
 					right: leaf(v, v, 3, []float64{}...),
 				},
 			},
 		}
-		checkMatchesReference(t, "hand-built", hand)
+		checkMatchesReference(t, "hand-built", flatten(hand, nil), hand)
 	}
 }
 
 func TestAppendJSONRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		tr := &Regressor{root: &node{mean: bad}}
-		if _, err := tr.AppendJSON(nil); err == nil {
+		ref := &refTree{root: &refNode{mean: bad}}
+		if _, err := flatten(ref, nil).AppendJSON(nil); err == nil {
 			t.Fatalf("leaf mean %v encoded", bad)
 		}
-		if _, err := referenceJSON(tr); err == nil {
+		if _, err := referenceJSON(ref); err == nil {
 			t.Fatalf("oracle encoded leaf mean %v", bad)
 		}
-		tr = &Regressor{cfg: Config{MinImpurityDecrease: bad}, root: &node{}}
-		if _, err := tr.AppendJSON(nil); err == nil {
+		ref = &refTree{cfg: Config{MinImpurityDecrease: bad}, root: &refNode{}}
+		if _, err := flatten(ref, nil).AppendJSON(nil); err == nil {
 			t.Fatalf("config %v encoded", bad)
 		}
 	}
@@ -273,14 +281,21 @@ func TestUnmarshalValidatesAgainstSchema(t *testing.T) {
 		"negative leaf count":       `{"config":{},"root":{"m":1,"v":0,"n":-1}}`,
 		"negative internal count":   `{"config":{},"root":{"f":0,"t":0.5,"l":{"m":1,"v":0,"n":1},"r":{"m":2,"v":0,"n":1},"m":1,"v":0,"n":-2}}`,
 		"negative count deep below": `{"config":{},"root":{"f":0,"t":0.5,"l":{"m":1,"v":0,"n":1},"r":{"m":2,"v":0,"n":-1},"m":1,"v":0,"n":2}}`,
+		"leaf count past int32":     `{"config":{},"root":{"m":1,"v":0,"n":2147483648}}`,
+		"internal count past int32": `{"config":{},"root":{"f":0,"t":0.5,"l":{"m":1,"v":0,"n":1},"r":{"m":2,"v":0,"n":1},"m":1,"v":0,"n":4294967298}}`,
+		"threshold on categorical":  `{"config":{},"root":{"f":1,"t":0.5,"cl":[1],"nc":3,` + kids + `}}`,
 	}
 	for name, s := range cases {
 		if _, err := UnmarshalJSONWithFeatures([]byte(s), fs); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	ok := `{"config":{},"root":{"f":1,"cl":[0,2],"nc":3,` + kids + `}}`
-	if _, err := UnmarshalJSONWithFeatures([]byte(ok), fs); err != nil {
-		t.Fatalf("well-formed categorical split rejected: %v", err)
+	for name, ok := range map[string]string{
+		"categorical split": `{"config":{},"root":{"f":1,"cl":[0,2],"nc":3,` + kids + `}}`,
+		"largest count":     `{"config":{},"root":{"m":1,"v":0,"n":2147483647}}`,
+	} {
+		if _, err := UnmarshalJSONWithFeatures([]byte(ok), fs); err != nil {
+			t.Fatalf("well-formed %s rejected: %v", name, err)
+		}
 	}
 }

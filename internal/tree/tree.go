@@ -12,12 +12,14 @@
 // of their training targets so that the forest can compute the
 // law-of-total-variance uncertainty of Hutter et al. 2014.
 //
-// Fit and FitRanked build these trees with the presorted-column engine
-// of presort.go: each numeric column of the training set is ranked once
+// FitRanked builds these trees with the presorted-column engine of
+// presort.go: each numeric column of the training set is ranked once
 // (RankColumns), every tree derives its column orders from the ranks
 // with a counting sort of its sample, and the orders are stably
 // partitioned down the recursion, so split search is a single
-// allocation-free linear scan per node. The per-node-sorting builder of
+// allocation-free linear scan per node. The engine emits each node
+// straight into the flat preorder arrays every prediction walks (see
+// Regressor and flat.go). The per-node-sorting pointer-tree builder of
 // reference_test.go is the test oracle; presort_test.go pins the engine
 // to it bit for bit — same splits, thresholds, leaf statistics and RNG
 // stream consumption — with property tests.
@@ -75,34 +77,106 @@ func (c Config) minSplit() int {
 	return c.MinSamplesSplit
 }
 
-// node is one tree node; leaves have left == nil.
-type node struct {
-	// Split fields (internal nodes).
-	feature   int
-	threshold float64 // numeric: x <= threshold goes left
-	catLeft   []bool  // categorical: category-membership of the left child
-	left      *node
-	right     *node
-
-	// Leaf statistics (valid on every node; used for prediction only on
-	// leaves).
-	mean     float64
-	variance float64
-	count    int
-
-	// targets holds the leaf's sorted training targets when
-	// Config.KeepTargets is set; nil otherwise (and always nil on
-	// internal nodes — only LeafTargets and the serializer read them).
-	targets []float64
-}
-
-func (n *node) isLeaf() bool { return n.left == nil }
-
-// Regressor is a fitted CART regression tree.
+// Regressor is a fitted CART regression tree, held in flat preorder
+// form: node fields live in contiguous arrays indexed by node id, so a
+// node's left child immediately follows it (no left-child array is
+// needed) and the hot upper levels of the tree share cache lines. The
+// builder (FitRanked) and the decoder (UnmarshalJSONWithFeatures) write
+// these arrays directly; every prediction, the wire form and the
+// structural queries read them. See flat.go for the node layout and the
+// walks.
 type Regressor struct {
 	features []space.Feature
-	root     *node
 	cfg      Config
+
+	nodes []flatNode
+
+	// mean, variance and count hold every node's training-target
+	// statistics. Only leaves' are read for prediction; internal nodes
+	// keep theirs because the wire form carries them on every node.
+	mean, variance []float64
+	count          []int32
+
+	// targets[i] holds leaf i's sorted training targets. The slice is nil
+	// unless the tree was fitted with Config.KeepTargets (or decoded from
+	// a dump carrying targets); internal nodes' entries are always nil.
+	targets [][]float64
+
+	// catBits holds the packed category-membership bitmaps of all
+	// categorical split nodes; each node's word offset and width live
+	// in its key.
+	catBits []uint64
+
+	// depth is the maximum root-to-leaf depth (a lone leaf is 0). Leaf8T
+	// walks exactly this many levels instead of testing per level
+	// whether every lane settled: overshooting a shallow lane costs only
+	// no-op self-loop steps, while the settled check costs a reduction
+	// across all lanes on every level.
+	depth int32
+
+	// hasCat records whether any node splits categorically; Leaf8T only
+	// takes the categorical-aware walk when needed.
+	hasCat bool
+}
+
+// push appends a node at depth d carrying the statistics of its
+// training samples and returns its id. The node is a leaf until split
+// marks it, which happens once both of its subtrees are in place.
+func (t *Regressor) push(mean, variance float64, count int32, d int32) int32 {
+	id := int32(len(t.nodes))
+	t.nodes = append(t.nodes, flatNode{rdelta: -1})
+	t.mean = append(t.mean, mean)
+	t.variance = append(t.variance, variance)
+	t.count = append(t.count, count)
+	if t.targets != nil {
+		t.targets = append(t.targets, nil)
+	}
+	if d > t.depth {
+		t.depth = d
+	}
+	return id
+}
+
+// setTargets attaches sorted training targets to leaf id.
+func (t *Regressor) setTargets(id int32, ts []float64) {
+	if t.targets == nil {
+		t.targets = make([][]float64, len(t.nodes))
+	}
+	t.targets[id] = ts
+}
+
+// newCatBitmap appends a zeroed ncat-bit category bitmap and returns the
+// key a categorical split node stores to find it (see flatNode).
+func (t *Regressor) newCatBitmap(ncat int) uint64 {
+	off := len(t.catBits)
+	for w := 0; w < (ncat+63)/64; w++ {
+		t.catBits = append(t.catBits, 0)
+	}
+	t.hasCat = true
+	return uint64(off)<<32 | uint64(uint32(ncat))
+}
+
+// setCat routes category cat left in the bitmap of key.
+func (t *Regressor) setCat(key uint64, cat int) {
+	t.catBits[int(key>>32)+cat>>6] |= 1 << (uint(cat) & 63)
+}
+
+// catLeft reports whether category code cat goes left under the bitmap
+// of key: negative and out-of-range codes go right.
+func (t *Regressor) catLeft(key uint64, cat int) bool {
+	return cat >= 0 && cat < int(uint32(key)) &&
+		t.catBits[int(key>>32)+cat>>6]>>(uint(cat)&63)&1 != 0
+}
+
+// setSplit turns node id into a split on feature f whose right child is
+// node right (the left child is id+1). key is Key(threshold) for a
+// numeric split and the bitmap key for a categorical one.
+func (t *Regressor) setSplit(id int32, f int, key uint64, categorical bool, right int32) {
+	feat := int32(f) * 8
+	if categorical {
+		feat |= catFlag
+	}
+	t.nodes[id] = flatNode{key: key, feat: feat, rdelta: right - id - 1}
 }
 
 // validateMatrix checks that X is a non-empty matrix with one column per
@@ -143,36 +217,6 @@ func resolveMtry(d int, cfg Config, r *rng.RNG) (int, error) {
 	return mtry, nil
 }
 
-// Fit builds a regression tree on (X, y). X rows are feature vectors as
-// produced by space.Space.Encode; features describes each column. r
-// drives the random-subspace feature sampling and may be nil when
-// cfg.MaxFeatures selects all features.
-//
-// Fit runs the presorted-column engine on the whole set with a
-// throwaway workspace; call RankColumns once and FitRanked per tree with
-// a reused Workspace when fitting many trees to row samples of one
-// training set (the random forest does).
-func Fit(X [][]float64, y []float64, features []space.Feature, cfg Config, r *rng.RNG) (*Regressor, error) {
-	rk, err := RankColumns(X, features)
-	if err != nil {
-		return nil, err
-	}
-	picks := make([]int32, len(X))
-	for i := range picks {
-		picks[i] = int32(i)
-	}
-	return FitRanked(rk, y, picks, cfg, r, nil)
-}
-
-// split describes the best split found at a node.
-type split struct {
-	feature   int
-	threshold float64
-	catLeft   []bool
-	gain      float64 // squared-error reduction
-	valid     bool
-}
-
 // catStat accumulates per-category target statistics.
 type catStat struct {
 	cat   int
@@ -181,103 +225,37 @@ type catStat struct {
 	sumSq float64
 }
 
-// Predict returns the tree's point prediction for feature vector x.
-func (t *Regressor) Predict(x []float64) float64 {
-	m, _, _ := t.leaf(x)
-	return m
-}
+// NodeBytes returns the byte footprint of the traversal-hot node array —
+// what the forest's L2 tree-block budget is measured against.
+func (t *Regressor) NodeBytes() int { return 16 * len(t.nodes) }
 
-// PredictWithStats returns the mean, within-leaf variance and sample
-// count of the leaf x falls into, as needed by the forest's
-// law-of-total-variance uncertainty.
-func (t *Regressor) PredictWithStats(x []float64) (mean, variance float64, count int) {
-	return t.leaf(x)
-}
+// Depth returns the maximum root-to-leaf depth (a lone root has depth 0)
+// — the level count Leaf8T walks.
+func (t *Regressor) Depth() int { return int(t.depth) }
 
-func (t *Regressor) leaf(x []float64) (float64, float64, int) {
-	n := t.root
-	for !n.isLeaf() {
-		goLeft := false
-		if n.catLeft != nil {
-			c := int(x[n.feature])
-			goLeft = c >= 0 && c < len(n.catLeft) && n.catLeft[c]
-		} else {
-			goLeft = x[n.feature] <= n.threshold
-		}
-		if goLeft {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.mean, n.variance, n.count
-}
+// LeafMean returns the training mean of leaf node l.
+func (t *Regressor) LeafMean(l int32) float64 { return t.mean[l] }
+
+// LeafVariance returns the within-leaf variance of leaf node l.
+func (t *Regressor) LeafVariance(l int32) float64 { return t.variance[l] }
 
 // LeafTargets returns the sorted training targets of the leaf x falls
 // into, or nil when the tree was fitted without Config.KeepTargets.
 func (t *Regressor) LeafTargets(x []float64) []float64 {
-	n := t.root
-	for !n.isLeaf() {
-		goLeft := false
-		if n.catLeft != nil {
-			c := int(x[n.feature])
-			goLeft = c >= 0 && c < len(n.catLeft) && n.catLeft[c]
-		} else {
-			goLeft = x[n.feature] <= n.threshold
-		}
-		if goLeft {
-			n = n.left
-		} else {
-			n = n.right
-		}
+	if t.targets == nil {
+		return nil
 	}
-	return n.targets
-}
-
-// NumLeaves returns the number of leaves in the tree.
-func (t *Regressor) NumLeaves() int { return countLeaves(t.root) }
-
-func countLeaves(n *node) int {
-	if n.isLeaf() {
-		return 1
-	}
-	return countLeaves(n.left) + countLeaves(n.right)
-}
-
-// NumNodes returns the total node count.
-func (t *Regressor) NumNodes() int { return countNodes(t.root) }
-
-func countNodes(n *node) int {
-	if n.isLeaf() {
-		return 1
-	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
-}
-
-// Depth returns the maximum root-to-leaf depth (a lone root has depth 0).
-func (t *Regressor) Depth() int { return depth(t.root) }
-
-func depth(n *node) int {
-	if n.isLeaf() {
-		return 0
-	}
-	l, r := depth(n.left), depth(n.right)
-	return 1 + int(math.Max(float64(l), float64(r)))
+	return t.targets[t.leaf(x)]
 }
 
 // SplitCounts returns how many internal nodes split on each feature; the
 // forest aggregates this into a cheap feature-usage importance.
 func (t *Regressor) SplitCounts() []int {
 	counts := make([]int, len(t.features))
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.isLeaf() {
-			return
+	for _, nd := range t.nodes {
+		if !nd.isLeaf() {
+			counts[nd.feature()]++
 		}
-		counts[n.feature]++
-		walk(n.left)
-		walk(n.right)
 	}
-	walk(t.root)
 	return counts
 }

@@ -58,8 +58,8 @@ func TestConstantTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 {
-		t.Fatalf("pure node split anyway: %d leaves", tr.NumLeaves())
+	if numLeaves(tr) != 1 {
+		t.Fatalf("pure node split anyway: %d leaves", numLeaves(tr))
 	}
 	if got := tr.Predict([]float64{99}); got != 5 {
 		t.Fatalf("Predict = %v", got)
@@ -73,7 +73,7 @@ func TestConstantFeatureBecomesLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 {
+	if numLeaves(tr) != 1 {
 		t.Fatal("split on a constant feature")
 	}
 	if got := tr.Predict([]float64{7}); got != 2 {
@@ -97,8 +97,8 @@ func TestMaxDepth(t *testing.T) {
 	if tr.Depth() > 3 {
 		t.Fatalf("Depth = %d > 3", tr.Depth())
 	}
-	if tr.NumLeaves() > 8 {
-		t.Fatalf("NumLeaves = %d > 8", tr.NumLeaves())
+	if numLeaves(tr) > 8 {
+		t.Fatalf("NumLeaves = %d > 8", numLeaves(tr))
 	}
 }
 
@@ -115,15 +115,10 @@ func TestMinSamplesLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var check func(n *node) bool
-	check = func(nd *node) bool {
-		if nd.isLeaf() {
-			return nd.count >= 10
+	for i, nd := range tr.nodes {
+		if nd.isLeaf() && tr.count[i] < 10 {
+			t.Fatalf("leaf %d holds %d < MinSamplesLeaf samples", i, tr.count[i])
 		}
-		return check(nd.left) && check(nd.right)
-	}
-	if !check(tr.root) {
-		t.Fatal("found a leaf smaller than MinSamplesLeaf")
 	}
 }
 
@@ -134,7 +129,7 @@ func TestMinSamplesSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 {
+	if numLeaves(tr) != 1 {
 		t.Fatal("node below MinSamplesSplit was split")
 	}
 }
@@ -147,7 +142,7 @@ func TestMinImpurityDecrease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 {
+	if numLeaves(tr) != 1 {
 		t.Fatal("split despite MinImpurityDecrease")
 	}
 }
@@ -175,8 +170,8 @@ func TestStepFunctionRecovery(t *testing.T) {
 	if got := tr.Predict([]float64{0.8}); got != 9 {
 		t.Fatalf("Predict(0.8) = %v", got)
 	}
-	if tr.NumLeaves() != 2 {
-		t.Fatalf("NumLeaves = %d, want 2", tr.NumLeaves())
+	if numLeaves(tr) != 2 {
+		t.Fatalf("NumLeaves = %d, want 2", numLeaves(tr))
 	}
 }
 
@@ -236,8 +231,8 @@ func TestCategoricalSplit(t *testing.T) {
 		}
 	}
 	// With one optimal subset split, the tree should need exactly 2 leaves.
-	if tr.NumLeaves() != 2 {
-		t.Fatalf("NumLeaves = %d, want 2 (subset split)", tr.NumLeaves())
+	if numLeaves(tr) != 2 {
+		t.Fatalf("NumLeaves = %d, want 2 (subset split)", numLeaves(tr))
 	}
 }
 
@@ -264,7 +259,7 @@ func TestLeafStatsVariance(t *testing.T) {
 	}
 	// MinSamplesLeaf=3 prevents any split (right side would be 1 sample);
 	// the lone leaf holds all four samples.
-	m, v, c := tr.PredictWithStats([]float64{1})
+	m, v, c := tr.PredictStats([]float64{1})
 	if c != 4 {
 		t.Fatalf("leaf count = %d", c)
 	}
@@ -318,7 +313,7 @@ func TestSubspaceSkipsConstantFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() < 2 {
+	if numLeaves(tr) < 2 {
 		t.Fatal("constant feature starved the splitter")
 	}
 }
@@ -360,8 +355,8 @@ func TestNodeCountsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A strictly binary tree satisfies nodes = 2*leaves - 1.
-	if tr.NumNodes() != 2*tr.NumLeaves()-1 {
-		t.Fatalf("nodes=%d leaves=%d not binary-consistent", tr.NumNodes(), tr.NumLeaves())
+	if len(tr.nodes) != 2*numLeaves(tr)-1 {
+		t.Fatalf("nodes=%d leaves=%d not binary-consistent", len(tr.nodes), numLeaves(tr))
 	}
 }
 

@@ -1,6 +1,10 @@
 package tree
 
-import "repro/internal/space"
+import (
+	"slices"
+
+	"repro/internal/space"
+)
 
 // Workspace holds the reusable buffers of the presorted-column training
 // engine. One workspace serves any number of consecutive FitRanked
@@ -10,10 +14,9 @@ import "repro/internal/space"
 // instead of per node).
 //
 // A Workspace is NOT safe for concurrent use; give each fitting
-// goroutine its own. The fitted trees do not alias any workspace buffer
-// except the node arena chunks, which are write-once: entries handed out
-// by newNode are owned by the tree that received them and are never
-// touched again by the workspace.
+// goroutine its own. The fitted trees do not alias any workspace buffer:
+// a tree is built in the workspace's flat arrays and copied out at its
+// exact size (detach).
 type Workspace struct {
 	// rows/ys are the fit's materialised sample: rows[k] aliases the
 	// training row that sample position k was drawn from.
@@ -58,10 +61,13 @@ type Workspace struct {
 	present  []catStat
 	bestCats []int32
 
-	// arena is the current node allocation chunk; nodes are handed out
-	// sequentially and chunks are abandoned to their trees when full.
-	arena     []node
-	arenaUsed int
+	// catIn flags the left categories of the split being partitioned;
+	// build clears every flag it sets before recursing.
+	catIn []bool
+
+	// tree is the tree under construction: the builder appends its
+	// nodes to these arrays, which the next fit reuses.
+	tree Regressor
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -108,6 +114,7 @@ func (w *Workspace) ensure(n int, rk *Ranks) {
 		w.cats = make([]catStat, maxCat)
 		w.present = make([]catStat, 0, maxCat)
 		w.bestCats = make([]int32, 0, maxCat)
+		w.catIn = make([]bool, maxCat)
 	}
 }
 
@@ -118,20 +125,27 @@ type cut struct {
 	sum, sq float64
 }
 
-// arenaChunk is the node allocation granularity: one make per 512 nodes
-// instead of one per node. Chunks are never recycled — the trees own
-// their nodes — so reuse across fits is safe.
-const arenaChunk = 512
+// reset empties the tree's arrays for a new build, keeping capacity.
+// Leaf targets are never reused: each fit's belong to its tree.
+func (t *Regressor) reset() {
+	t.nodes, t.count, t.catBits = t.nodes[:0], t.count[:0], t.catBits[:0]
+	t.mean, t.variance = t.mean[:0], t.variance[:0]
+	t.targets, t.depth, t.hasCat = nil, 0, false
+}
 
-// newNode hands out a zeroed node from the arena. Callers assign the
-// full node value, so stale bytes can never leak between trees (chunks
-// are freshly allocated and write-once anyway).
-func (w *Workspace) newNode() *node {
-	if w.arenaUsed == len(w.arena) {
-		w.arena = make([]node, arenaChunk)
-		w.arenaUsed = 0
+// detach copies the tree just built in the workspace out at its exact
+// size, so the workspace's arrays are free for the next fit.
+func (w *Workspace) detach(features []space.Feature, cfg Config) *Regressor {
+	b := &w.tree
+	n := len(b.nodes)
+	stats := make([]float64, 2*n)
+	copy(stats, b.mean)
+	copy(stats[n:], b.variance)
+	return &Regressor{
+		features: features, cfg: cfg,
+		nodes: slices.Clone(b.nodes), count: slices.Clone(b.count),
+		mean: stats[:n:n], variance: stats[n:],
+		targets: slices.Clip(b.targets), catBits: append([]uint64(nil), b.catBits...),
+		depth: b.depth, hasCat: b.hasCat,
 	}
-	nd := &w.arena[w.arenaUsed]
-	w.arenaUsed++
-	return nd
 }
