@@ -135,7 +135,7 @@ chaos-soak:
 # reaches the floor (FuzzPWUFloor's committed seed corpus); the top-k
 # floor it reads is gated on its own.
 pool-equivalence:
-	go test -race -run 'TestRunStreamMatchesRun|TestRunStreamEnumerationSource|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestLHSMatchesSampleLHS|TestScanShardWorkerInvariance|TestScanConcurrentScans|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder|TestExactSlotsAggregateBitIdentical|TestPredictBatchRaggedChunks|TestPredictPool|TestUpdateRotationKeepsCacheConsistent|TestPoolPredictorPathBitIdentical|TestStreamCacheEquivalence|TestLevelKeyedScanBitIdentical|TestUniformAtMatchesStream|TestRandomAccessMatchesSequence|TestFetchConfigsSequentialSource|TestIntnEachMatchesIntn|TestScanStopsOnCancel|TestAskCancelledMidScan|TestMomentsMatchTreeOrderOracle|TestTopKFloor|TestPWUFloorMatchesExact|TestPWUFloorExactPaths|FuzzPWUFloor' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree ./internal/rng
+	go test -race -run 'TestRunStreamMatchesRun|TestResumeStreamEquivalence|TestSelectStreamMatchesSelect|TestSelectionContractSharedTable|TestSelectionHelpersClampK|TestSourcesShardInvariance|TestUniformMatchesSampleConfigs|TestScanShardWorkerInvariance|TestScanConcurrentScans|TestScanExactlyOnce|TestTopKMatchesOracle|TestScoreBatchMatchesPredictBatch|TestScoreBatchConcurrent|TestStreamMatchesInMemory|TestExactKernelsBitIdentical|TestLeaf8TBitIdentical|TestKeyOrder|FuzzKeyOrder|TestExactSlotsAggregateBitIdentical|TestPredictBatchRaggedChunks|TestPredictPool|TestUpdateRotationKeepsCacheConsistent|TestPoolPredictorPathBitIdentical|TestStreamCacheEquivalence|TestLevelKeyedScanBitIdentical|TestUniformAtMatchesStream|TestRandomAccessMatchesSequence|TestFetchConfigsSequentialSource|TestIntnEachMatchesIntn|TestScanStopsOnCancel|TestAskCancelledMidScan|TestMomentsMatchTreeOrderOracle|TestTopKFloor|TestPWUFloorMatchesExact|TestPWUFloorExactPaths|FuzzPWUFloor' ./internal/core ./internal/pool ./internal/forest ./internal/autotune ./internal/tree ./internal/rng
 
 # session-equivalence gates the ask-tell session refactor: the drivers
 # (Run/Resume) are thin loops over core.Session, and every strategy's

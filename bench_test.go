@@ -265,13 +265,20 @@ func BenchmarkFig7Speedup(b *testing.B) {
 	sc := figScale()
 	problems := append(bench.Kernels()[:4], bench.Applications()...)
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.PWUSpeedups(context.Background(), problems, sc, 47)
+		items := make([]experiment.CampaignItem, len(problems))
+		for i, p := range problems {
+			items[i] = experiment.CampaignItem{Problem: p, Scale: sc}
+		}
+		res, err := experiment.RunCampaign(context.Background(), experiment.Campaign{
+			Items: items, Strategies: []string{"PWU", "PBUS"}, Seed: 47, Workers: sc.Workers,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		prod, n := 1.0, 0
-		for _, r := range rows {
-			if r.OK {
+		for _, p := range problems {
+			sets := res.Curves[p.Name()]
+			if r := experiment.Speedup(sets[0], sets[1]); r.OK {
 				prod *= r.Speedup
 				n++
 			}

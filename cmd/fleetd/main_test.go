@@ -278,7 +278,7 @@ func assertCurveSetsEqual(t *testing.T, label string, got, want []*experiment.Cu
 }
 
 func testClient(base string) *fleet.Client {
-	cl := fleet.NewClient(base)
+	cl := &fleet.Client{Base: base}
 	cl.Poll = 20 * time.Millisecond
 	cl.RetryFor = 60 * time.Second
 	return cl

@@ -2,14 +2,22 @@ package repro_test
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // gateFiles are the files whose `go test -run '…'` lines define the
@@ -125,3 +133,248 @@ func matchesAny(re *regexp.Regexp, funcs []string) bool {
 	}
 	return false
 }
+
+// callerAllowlist names the package-level functions and methods under
+// internal/ that no command, example, daemon, figure or perfbench
+// workload reaches and that are kept anyway, one reason each. Keys are
+// "import/path.Func" or "import/path.Type.Method".
+var callerAllowlist = map[string]string{
+	"repro/internal/space.Space.SampleLHS":                "BenchmarkAblationLHSPool draws its Latin-hypercube training sets with it",
+	"repro/internal/space.Space.Enumerate":                "the kripke, hypre, core and pool tests enumerate whole spaces with it",
+	"repro/internal/space.Space.ByName":                   "the kripke and hypre tests look parameters up by name with it",
+	"repro/internal/forest.Forest.OOBRMSE":                "the out-of-bag error waits on its comparison with active surrogate estimators (ROADMAP item 5)",
+	"repro/internal/forest.Forest.NumTrees":               "the root benchmarks and forest tests check ensemble sizes with it",
+	"repro/internal/forest.Forest.Save":                   "the writer half of Load's format; tests in several packages round-trip forests through it",
+	"repro/internal/tree.Regressor.Depth":                 "the tree and forest tests check MaxDepth with it",
+	"repro/internal/pool.NewTopK":                         "FuzzTopK drives the bounded top-k reducer through it",
+	"repro/internal/pool.ScanCache.Stats":                 "the scan-cache counters wait on the metrics registry that exports them (ROADMAP item 3)",
+	"repro/internal/chaos.Injector.Stats":                 "the injector's fault counters wait on the metrics registry that exports them (ROADMAP item 3)",
+	"repro/internal/fleet.Client.Recovered":               "the submitter's recovery counters wait on the metrics registry that exports them (ROADMAP item 3)",
+	"repro/internal/space.Space.ConfigAt":                 "random access into Enumerate's order; only its own tests call it since the Enumeration pool source went, and its deletion is left to the next pass (CHANGES.md)",
+	"repro/internal/bench.TrueEvaluator":                  "only its own tests call it; its deletion is left to the next pass (CHANGES.md)",
+	"repro/internal/calibration.Report.Miscalibration":    "calibration waits on its scorecard verdict (ROADMAP items 5 and 9)",
+	"repro/internal/gp.GP.PredictObservedWithUncertainty": "the GP surrogate waits on its scorecard verdict (ROADMAP item 9)",
+	"repro/internal/gp.GP.LogMarginalLikelihood":          "the GP surrogate waits on its scorecard verdict (ROADMAP item 9)",
+	"repro/internal/gp.GP.Hyperparameters":                "the GP surrogate waits on its scorecard verdict (ROADMAP item 9)",
+	"repro/internal/stats.StdDev":                         "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Median":                         "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.SampleVariance":                 "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Min":                            "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Max":                            "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Spearman":                       "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Welford.N":                      "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Welford.Mean":                   "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Welford.StdDev":                 "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Welford.Merge":                  "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Histogram":                      "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.GeoMean":                        "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+}
+
+// goListPackage is the part of `go list -json` the caller lint reads.
+type goListPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+}
+
+// TestInternalFuncsHaveCallers fails on any package-level function or
+// method under internal/ that nothing outside its own declaration uses,
+// across every non-test package of the module (commands, examples,
+// daemons, figures) and of the perfbench module. Production code whose
+// only callers are its own tests belongs in the tests. Methods named
+// like a method of any module or standard-library interface are exempt,
+// since they may be reached only through that interface; anything else
+// that is kept without a caller needs a callerAllowlist entry.
+func TestInternalFuncsHaveCallers(t *testing.T) {
+	start := time.Now()
+	var pkgs []goListPackage
+	seen := map[string]bool{}
+	for _, dir := range []string{".", "perfbench"} {
+		for _, p := range goListDeps(t, dir) {
+			if !p.Standard && !seen[p.ImportPath] {
+				seen[p.ImportPath] = true
+				pkgs = append(pkgs, p)
+			}
+		}
+	}
+
+	// go list -deps prints dependencies before their dependents, so
+	// every module import is checked by the time a package needs it;
+	// standard-library imports are type-checked from source.
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+
+	type decl struct {
+		key      string
+		pos      token.Position
+		from, to token.Pos // the declaration's extent
+	}
+	decls := map[*types.Func]decl{}
+	used := map[*types.Func]bool{}
+	ifaceMethods := map[string]bool{"Error": true} // the universe's error
+	var infos []*types.Info
+	for _, p := range pkgs {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
+		conf := types.Config{Importer: imp}
+		tp, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = tp
+		infos = append(infos, info)
+		for _, tv := range info.Types {
+			addInterfaceMethods(ifaceMethods, tv.Type)
+		}
+		if !strings.HasPrefix(p.ImportPath, "repro/internal/") {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Name.Name == "init" || fd.Name.Name == "_" {
+					continue
+				}
+				fn := info.Defs[fd.Name].(*types.Func)
+				decls[fn] = decl{funcKey(fn), fset.Position(fd.Name.Pos()), fd.Pos(), fd.End()}
+			}
+		}
+	}
+	for _, info := range infos {
+		for id, obj := range info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			fn = fn.Origin()
+			if d, ok := decls[fn]; ok && (id.Pos() < d.from || id.Pos() >= d.to) {
+				used[fn] = true
+			}
+		}
+	}
+	// Every standard-library interface the module reaches, directly or
+	// through another standard package.
+	visited := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		if visited[p] {
+			return
+		}
+		visited[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				addInterfaceMethods(ifaceMethods, tn.Type())
+			}
+		}
+		for _, q := range p.Imports() {
+			walk(q)
+		}
+	}
+	for _, p := range checked {
+		walk(p)
+	}
+
+	var unused []string
+	allowed := map[string]bool{}
+	for fn, d := range decls {
+		if used[fn] {
+			continue
+		}
+		if sig := fn.Type().(*types.Signature); sig.Recv() != nil && ifaceMethods[fn.Name()] {
+			continue
+		}
+		if _, ok := callerAllowlist[d.key]; ok {
+			allowed[d.key] = true
+			continue
+		}
+		unused = append(unused, d.pos.String()+": "+d.key+" has no caller outside its own declaration")
+	}
+	sort.Strings(unused)
+	for _, msg := range unused {
+		t.Error(msg)
+	}
+	var stale []string
+	for key := range callerAllowlist {
+		if !allowed[key] {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	for _, key := range stale {
+		t.Errorf("callerAllowlist entry %s names no uncalled function: drop it", key)
+	}
+	t.Logf("checked %d functions and methods under internal/ across %d packages in %v; %d allowlisted",
+		len(decls), len(pkgs), time.Since(start).Round(time.Millisecond), len(allowed))
+}
+
+// goListDeps returns `go list -deps -json ./...` run in dir.
+func goListDeps(t *testing.T, dir string) []goListPackage {
+	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
+	}
+	var pkgs []goListPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p goListPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+// funcKey names fn as "import/path.Func" or "import/path.Type.Method".
+func funcKey(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Pkg().Path() + "." + fn.Name()
+	}
+	rt := recv.Type()
+	if ptr, ok := rt.(*types.Pointer); ok {
+		rt = ptr.Elem()
+	}
+	return fn.Pkg().Path() + "." + rt.(*types.Named).Obj().Name() + "." + fn.Name()
+}
+
+// addInterfaceMethods records the method names of t when it is an
+// interface.
+func addInterfaceMethods(names map[string]bool, t types.Type) {
+	if t == nil {
+		return
+	}
+	if it, ok := t.Underlying().(*types.Interface); ok {
+		for i := 0; i < it.NumMethods(); i++ {
+			names[it.Method(i).Name()] = true
+		}
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

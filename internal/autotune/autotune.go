@@ -79,14 +79,12 @@ type Config struct {
 	// zero scenario injects nothing.
 	Chaos chaos.Scenario
 
-	// StreamShard and StreamWorkers tune the sharded pool scan
-	// (candidates per scoring shard, concurrent scoring workers); <= 0
-	// uses the pool package defaults. The model phase's pool is generated
-	// lazily shard by shard, never materialized, so PoolSize can scale to
-	// production spaces (10^6–10^8) with memory bounded by
-	// O(StreamWorkers × StreamShard); the knobs never change the outcome.
-	StreamShard   int
-	StreamWorkers int
+	// StreamShard tunes the sharded pool scan (candidates per scoring
+	// shard); <= 0 uses the pool package default. The model phase's pool
+	// is generated lazily shard by shard, never materialized, so PoolSize
+	// can scale to production spaces (10^6–10^8) with memory bounded by
+	// O(GOMAXPROCS × StreamShard); the knob never changes the outcome.
+	StreamShard int
 
 	// WarmUpdate refits the surrogate by partially updating the
 	// ensemble each iteration instead of retraining from scratch. It
@@ -198,8 +196,8 @@ func Tune(ctx context.Context, p bench.Problem, cfg Config, seed uint64) (*Outco
 	params := core.Params{
 		NInit: 10, NBatch: 5, NMax: cfg.ModelBudget,
 		Forest: cfg.Forest, Failure: cfg.Failure,
-		StreamShard: cfg.StreamShard, StreamWorkers: cfg.StreamWorkers,
-		WarmUpdate: cfg.WarmUpdate,
+		StreamShard: cfg.StreamShard,
+		WarmUpdate:  cfg.WarmUpdate,
 	}
 	if cfg.CheckpointPath != "" {
 		params.CheckpointEvery = cfg.CheckpointEvery

@@ -167,9 +167,6 @@ func New(sc Scenario, seed uint64, inner core.Evaluator) *Injector {
 	}
 }
 
-// Wrap wraps inner with sc using the scenario's own seed.
-func Wrap(sc Scenario, inner core.Evaluator) *Injector { return New(sc, sc.Seed, inner) }
-
 // Stats returns the fault counts fired so far.
 func (i *Injector) Stats() Stats { return i.stats }
 

@@ -37,15 +37,6 @@ func ExitCode(err error) int {
 	}
 }
 
-// Fatal prints err to stderr and exits with its classified code. A nil
-// err exits 0 silently.
-func Fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-	}
-	os.Exit(ExitCode(err))
-}
-
 // Fatalf prints a formatted failure to stderr and exits ExitFailure —
 // for usage and validation errors that never involve a context.
 func Fatalf(format string, args ...interface{}) {
@@ -57,7 +48,7 @@ func Fatalf(format string, args ...interface{}) {
 // value fails at startup with a uniform message instead of being
 // silently clamped or panicking minutes into a run. Each returns nil
 // or an error naming the flag; collect them with FirstError and hand
-// the result to Fatal.
+// the result to Fatalf.
 
 // PositiveInt rejects values < 1 for flags where zero is meaningless
 // (-shard, -every, -trees, -max-sessions, ...).

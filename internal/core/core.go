@@ -7,8 +7,8 @@
 //  1. Sample n_init configurations uniformly from the unlabeled pool and
 //     evaluate them (cold-start phase). The pool is a pool.Source: a
 //     materialized slice (pool.NewSlice) or a lazily generated stream
-//     (pool.NewUniform, pool.NewEnumeration, ...), scored shard by shard
-//     so memory stays bounded whatever its size.
+//     (pool.NewUniform), scored shard by shard so memory stays bounded
+//     whatever its size.
 //  2. Fit a random forest to the labeled set.
 //  3. Ask the sampling strategy for the next batch, using the forest's
 //     per-configuration prediction mean μ and uncertainty σ over the
@@ -272,14 +272,12 @@ type Params struct {
 	// json.Marshaler set this to make their runs resumable.
 	ModelLoader func(data []byte) (Model, error)
 
-	// StreamShard and StreamWorkers tune the sharded pool scan:
-	// candidates per scoring shard and concurrent scoring workers
-	// (<= 0 uses the pool package defaults of 1024 and GOMAXPROCS; both
-	// are capped by the pool size). They are performance knobs only —
-	// selection is bit-identical across every setting, which the
-	// pool-equivalence gate enforces.
-	StreamShard   int
-	StreamWorkers int
+	// StreamShard is the sharded pool scan's candidates per scoring
+	// shard (<= 0 uses the pool package default of 1024; capped by the
+	// pool size); the scan runs GOMAXPROCS scoring workers. It is a
+	// performance knob only — selection is bit-identical for every
+	// shard size, which the pool-equivalence gate enforces.
+	StreamShard int
 
 	// StreamCacheMB bounds the cross-scan score cache (pool.ScanCache)
 	// active during warm-update runs: per-candidate per-tree leaf-id

@@ -17,6 +17,24 @@ func sliceOf(sp *space.Space, cfgs []space.Config) pool.Source {
 	return pool.NewSlice(sp, cfgs)
 }
 
+// sampleDistinct draws up to n distinct configurations of sp, or
+// enumerates the whole space when it has no more than n points.
+func sampleDistinct(sp *space.Space, r *rng.RNG, n int) []space.Config {
+	if card, ok := sp.Cardinality(); ok && card <= int64(n) {
+		return sp.Enumerate()
+	}
+	seen := make(map[string]bool, n)
+	out := make([]space.Config, 0, n)
+	for len(out) < n {
+		c := sp.SampleConfig(r)
+		if k := c.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // quadSpace is a tiny test problem: two numeric parameters, execution
 // time = (a-5)^2 + (b-3)^2 + 1, minimum 1 at (5, 3).
 func quadSpace(t testing.TB) (*space.Space, Evaluator) {
@@ -107,7 +125,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunNoDuplicateLabels(t *testing.T) {
 	sp, ev := quadSpace(t)
-	pool := sp.SampleDistinct(rng.New(7), 60)
+	pool := sampleDistinct(sp, rng.New(7), 60)
 	res, err := Run(context.Background(), sliceOf(sp, pool), ev, MaxU{}, Params{NInit: 5, NMax: 40, Forest: smallForest()}, rng.New(8), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func TestRetryPolicyCompletesRun(t *testing.T) {
 	ev := &flakyEvaluator{sp: sp, failuresPerConfig: 2, failCost: 0.5}
 	// Distinct configs: the transient-failure counter is per config key,
 	// so a duplicated pool entry would sail through on its second visit.
-	pool := sp.SampleDistinct(rng.New(50), 60)
+	pool := sampleDistinct(sp, rng.New(50), 60)
 	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
 		Params{NInit: 5, NBatch: 3, NMax: 20, Forest: smallForest(),
 			Failure: fastRetry(2, FailAbort)},
@@ -118,7 +118,7 @@ func TestZeroPolicyAbortsOnFirstFailure(t *testing.T) {
 
 func TestFailSkipDropsCursedConfigs(t *testing.T) {
 	sp, _ := quadSpace(t)
-	pool := sp.SampleDistinct(rng.New(54), 60)
+	pool := sampleDistinct(sp, rng.New(54), 60)
 	cursed := map[string]bool{pool[3].Key(): true, pool[17].Key(): true, pool[40].Key(): true}
 	ev := &flakyEvaluator{sp: sp, permanent: cursed}
 	res, err := Run(context.Background(), sliceOf(sp, pool), ev, MaxU{},

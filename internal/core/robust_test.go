@@ -40,7 +40,7 @@ func (h *hangingEvaluator) Evaluate(ctx context.Context, c space.Config) (float6
 // failure, completing the run.
 func TestTimeoutCutsHangAsRetryable(t *testing.T) {
 	sp, _ := quadSpace(t)
-	pool := sp.SampleDistinct(rng.New(90), 60)
+	pool := sampleDistinct(sp, rng.New(90), 60)
 	ev := &hangingEvaluator{sp: sp, hangSet: map[int]bool{3: true, 9: true}}
 	start := time.Now()
 	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
@@ -144,7 +144,7 @@ func TestBackoffInterruptedByCancel(t *testing.T) {
 // Backoff and a 30ms Timeout the retry must proceed promptly.
 func TestBackoffClampedByTimeout(t *testing.T) {
 	sp, _ := quadSpace(t)
-	pool := sp.SampleDistinct(rng.New(96), 60)
+	pool := sampleDistinct(sp, rng.New(96), 60)
 	ev := &failNTimesEvaluator{sp: sp, n: 1}
 	start := time.Now()
 	res, err := Run(context.Background(), sliceOf(sp, pool), ev, PWU{Alpha: 0.1},
@@ -248,7 +248,7 @@ func guardParams(guard LabelGuard) Params {
 // median, with the wasted machine time billed as guard cost.
 func TestGuardRemeasuresOutlier(t *testing.T) {
 	sp, _ := quadSpace(t)
-	pool := sp.SampleDistinct(rng.New(100), 40)
+	pool := sampleDistinct(sp, rng.New(100), 40)
 	// Call 7 is the second loop iteration's measurement (5 cold-start
 	// calls, then one per iteration).
 	ev := &corruptingEvaluator{corrupt: map[int]bool{7: true}, factor: 8}
@@ -285,7 +285,7 @@ func TestGuardRemeasuresOutlier(t *testing.T) {
 // configuration is dropped untrained and the run still reaches NMax.
 func TestGuardQuarantinesOutlier(t *testing.T) {
 	sp, _ := quadSpace(t)
-	pool := sp.SampleDistinct(rng.New(102), 40)
+	pool := sampleDistinct(sp, rng.New(102), 40)
 	ev := &corruptingEvaluator{corrupt: map[int]bool{7: true}, factor: 8}
 	res, err := Run(context.Background(), sliceOf(sp, pool), ev, Random{},
 		guardParams(LabelGuard{Z: 4, Action: GuardQuarantine}), rng.New(103), nil)
@@ -318,7 +318,7 @@ func TestGuardQuarantinesOutlier(t *testing.T) {
 // flagged, so guarded and unguarded runs are bit-identical.
 func TestGuardPassesHonestLabels(t *testing.T) {
 	sp, _ := quadSpace(t)
-	pool := sp.SampleDistinct(rng.New(104), 40)
+	pool := sampleDistinct(sp, rng.New(104), 40)
 	run := func(guard LabelGuard) *Result {
 		ev := &corruptingEvaluator{} // always clean
 		res, err := Run(context.Background(), sliceOf(sp, pool), ev, Random{}, guardParams(guard), rng.New(105), nil)
@@ -349,7 +349,7 @@ func TestGuardPassesHonestLabels(t *testing.T) {
 // GuardCost bookkeeping field.
 func TestGuardCostSurvivesSnapshot(t *testing.T) {
 	sp, _ := quadSpace(t)
-	pool := sp.SampleDistinct(rng.New(106), 40)
+	pool := sampleDistinct(sp, rng.New(106), 40)
 	ev := &corruptingEvaluator{corrupt: map[int]bool{7: true}, factor: 8}
 	var snap *Snapshot
 	params := guardParams(LabelGuard{Z: 4, K: 3})

@@ -304,12 +304,6 @@ func (s *Session) Samples() int { return len(s.res.TrainY) }
 // boundary).
 func (s *Session) Expecting() int { return len(s.queue) }
 
-// Model returns the current surrogate (nil before the cold-start fit).
-func (s *Session) Model() Model { return s.model }
-
-// Service returns the opaque manifest the session carries in snapshots.
-func (s *Session) Service() json.RawMessage { return s.service }
-
 // Result returns the session's live result, stamping the generator's
 // current stream position. The same pointer is returned every call; it
 // keeps growing while the session runs.

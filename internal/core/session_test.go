@@ -76,8 +76,8 @@ func TestSessionAskTellBasics(t *testing.T) {
 	if !rep.Completed || rep.Consumed != 5 || rep.Pending != 0 {
 		t.Fatalf("cold tell report: %+v", rep)
 	}
-	if s.Phase() != "ready" || s.Samples() != 5 || s.Model() == nil {
-		t.Fatalf("after cold: phase=%s samples=%d model=%v", s.Phase(), s.Samples(), s.Model())
+	if s.Phase() != "ready" || s.Samples() != 5 || s.model == nil {
+		t.Fatalf("after cold: phase=%s samples=%d model=%v", s.Phase(), s.Samples(), s.model)
 	}
 
 	// Telling at a boundary is an error; so is an oversized tell later.
@@ -271,7 +271,6 @@ func TestAskCancelledMidScan(t *testing.T) {
 			p.NMax = 13
 			p.WarmUpdate = warm
 			p.StreamShard = 16
-			p.StreamWorkers = 2
 			var ckpts int
 			p.Checkpoint = func(*Snapshot) error { ckpts++; return nil }
 			p.CheckpointEvery = 1

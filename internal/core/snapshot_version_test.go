@@ -89,8 +89,8 @@ func TestSnapshotVersionTolerance(t *testing.T) {
 	}
 	// The manifest rides along into the resumed session and its next
 	// snapshots.
-	if string(rs.Service()) != string(service) {
-		t.Fatalf("resumed session lost the manifest: %q", rs.Service())
+	if string(rs.service) != string(service) {
+		t.Fatalf("resumed session lost the manifest: %q", rs.service)
 	}
 	snap2, err := rs.Snapshot()
 	if err != nil {

@@ -59,9 +59,8 @@ func (ps *poolStream) Rand() *rng.RNG { return ps.s.r }
 func (ps *poolStream) Scan(consume func(ord int, x []float64, mu, sigma float64)) error {
 	sc := ps.s.batchScorer()
 	cfg := pool.ScanConfig{
-		Shard:   ps.s.p.StreamShard,
-		Workers: ps.s.p.StreamWorkers,
-		Skip:    ps.s.taken,
+		Shard: ps.s.p.StreamShard,
+		Skip:  ps.s.taken,
 	}
 	// The cross-scan cache needs the per-slot scoring contract; the
 	// serialized fallback scorer for plain Models doesn't have it.

@@ -65,9 +65,6 @@ func Build(ctx context.Context, p bench.Problem, poolSize, testSize int, r *rng.
 	return ds, nil
 }
 
-// PaperSizes returns the paper's pool and test sizes (7000, 3000).
-func PaperSizes() (poolSize, testSize int) { return 7000, 3000 }
-
 // WriteCSV writes the dataset as CSV: a header of parameter names plus
 // "set" and "y" columns; pool rows have an empty y.
 func (d *Dataset) WriteCSV(w io.Writer) error {
@@ -110,66 +107,6 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV reads a dataset written by WriteCSV back for problem p. The
-// header must match p's parameter names; TestTrue is recomputed from the
-// model.
-func ReadCSV(p bench.Problem, rd io.Reader) (*Dataset, error) {
-	sp := p.Space()
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("dataset: empty CSV")
-	}
-	header := strings.Split(sc.Text(), ",")
-	d := sp.NumParams()
-	if len(header) != d+2 {
-		return nil, fmt.Errorf("dataset: header has %d columns, want %d", len(header), d+2)
-	}
-	for i := 0; i < d; i++ {
-		if header[i] != sp.Param(i).Name {
-			return nil, fmt.Errorf("dataset: column %d is %q, want %q", i, header[i], sp.Param(i).Name)
-		}
-	}
-	ds := &Dataset{Problem: p}
-	line := 1
-	for sc.Scan() {
-		line++
-		cells := strings.Split(sc.Text(), ",")
-		if len(cells) != d+2 {
-			return nil, fmt.Errorf("dataset: line %d has %d columns, want %d", line, len(cells), d+2)
-		}
-		c := make(space.Config, d)
-		for i := 0; i < d; i++ {
-			v, err := strconv.Atoi(cells[i])
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d column %d: %v", line, i, err)
-			}
-			c[i] = v
-		}
-		if err := sp.Validate(c); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %v", line, err)
-		}
-		switch cells[d] {
-		case "pool":
-			ds.Pool = append(ds.Pool, c)
-		case "test":
-			y, err := strconv.ParseFloat(cells[d+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: bad y: %v", line, err)
-			}
-			ds.Test = append(ds.Test, c)
-			ds.TestY = append(ds.TestY, y)
-			ds.TestTrue = append(ds.TestTrue, p.TrueTime(c))
-		default:
-			return nil, fmt.Errorf("dataset: line %d: unknown set %q", line, cells[d])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return ds, nil
 }
 
 // TestX returns the encoded test design matrix.

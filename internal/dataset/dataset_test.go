@@ -3,12 +3,14 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"math"
-	"strings"
+	"strconv"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/rng"
+	"repro/internal/space"
 )
 
 func TestBuildSizes(t *testing.T) {
@@ -25,13 +27,6 @@ func TestBuildSizes(t *testing.T) {
 	}
 	if len(ds.TestY) != 300 || len(ds.TestTrue) != 300 {
 		t.Fatal("missing test labels")
-	}
-}
-
-func TestPaperSizes(t *testing.T) {
-	pool, test := PaperSizes()
-	if pool != 7000 || test != 3000 {
-		t.Fatalf("paper sizes = %d/%d", pool, test)
 	}
 }
 
@@ -81,43 +76,45 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := ds.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ds2, err := ReadCSV(p, &buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds2.Pool) != 40 || len(ds2.Test) != 25 {
-		t.Fatalf("round trip sizes %d/%d", len(ds2.Pool), len(ds2.Test))
-	}
-	for i := range ds.Pool {
-		if ds.Pool[i].Key() != ds2.Pool[i].Key() {
-			t.Fatal("pool config corrupted")
+	sp := p.Space()
+	d := sp.NumParams()
+	for i := 0; i < d; i++ {
+		if rows[0][i] != sp.Param(i).Name {
+			t.Fatalf("header column %d is %q, want %q", i, rows[0][i], sp.Param(i).Name)
 		}
 	}
-	for i := range ds.Test {
-		if ds.Test[i].Key() != ds2.Test[i].Key() || ds.TestY[i] != ds2.TestY[i] {
-			t.Fatal("test row corrupted")
-		}
-		if ds2.TestTrue[i] != p.TrueTime(ds2.Test[i]) {
-			t.Fatal("TestTrue not recomputed")
-		}
+	if got := rows[0][d:]; len(got) != 2 || got[0] != "set" || got[1] != "y" {
+		t.Fatalf("header ends %v, want [set y]", got)
 	}
-}
-
-func TestReadCSVRejectsGarbage(t *testing.T) {
-	p, _ := bench.ByName("kripke")
-	cases := []string{
-		"",      // empty
-		"a,b\n", // wrong header width
-		"layout,gset,dset,pmethod,#process,set,y\n1,2\n",                // short row
-		"layout,gset,dset,pmethod,#process,set,y\n9,0,0,0,0,pool,\n",    // out-of-range level
-		"layout,gset,dset,pmethod,#process,set,y\n0,0,0,0,0,weird,\n",   // unknown set
-		"layout,gset,dset,pmethod,#process,set,y\n0,0,0,0,0,test,abc\n", // bad y
-		"layout,gset,dset,pmethod,#process,set,y\nx,0,0,0,0,pool,\n",    // bad int
-		"wrong,gset,dset,pmethod,#process,set,y\n",                      // wrong name
+	rows = rows[1:]
+	if len(rows) != len(ds.Pool)+len(ds.Test) {
+		t.Fatalf("%d rows, want %d pool + %d test", len(rows), len(ds.Pool), len(ds.Test))
 	}
-	for i, s := range cases {
-		if _, err := ReadCSV(p, strings.NewReader(s)); err == nil {
-			t.Fatalf("case %d accepted", i)
+	for i, row := range rows {
+		want, set := space.Config(nil), "pool"
+		if i < len(ds.Pool) {
+			want = ds.Pool[i]
+			if row[d+1] != "" {
+				t.Fatalf("pool row %d has y %q", i, row[d+1])
+			}
+		} else {
+			k := i - len(ds.Pool)
+			want, set = ds.Test[k], "test"
+			if y, err := strconv.ParseFloat(row[d+1], 64); err != nil || y != ds.TestY[k] {
+				t.Fatalf("test row %d has y %q, want %v", k, row[d+1], ds.TestY[k])
+			}
+		}
+		if row[d] != set {
+			t.Fatalf("row %d is in set %q, want %q", i, row[d], set)
+		}
+		for j := 0; j < d; j++ {
+			if row[j] != strconv.Itoa(want[j]) {
+				t.Fatalf("row %d column %d is %q, want level %d", i, j, row[j], want[j])
+			}
 		}
 	}
 }

@@ -31,8 +31,8 @@ type Campaign struct {
 	Strategies []string
 
 	// Seed is the experiment seed. Repetition r of every (item,
-	// strategy) cell derives its seed as rng.Mix(Seed, r), exactly like
-	// RunStrategy, so campaign results are bit-identical to sequential
+	// strategy) cell derives its seed as rng.Mix(Seed, r), never from
+	// the schedule, so campaign results are bit-identical to sequential
 	// per-strategy runs with the same seed.
 	Seed uint64
 
@@ -79,8 +79,9 @@ type CampaignResult struct {
 // of once per strategy.
 //
 // Cancelling ctx lets every in-flight cell record the checkpoints it
-// reached; the partial curves aggregate exactly as in RunStrategy and
-// the first cell error is returned alongside the result. The result is
+// reached; each curve set averages the repetitions that reached a
+// checkpoint over the checkpoints all of them reached, and the first
+// cell error is returned alongside the result. The result is
 // nil only when a strategy name is unknown, which is rejected before any
 // labeling runs.
 //
@@ -156,10 +157,11 @@ func RunCampaign(ctx context.Context, c Campaign) (*CampaignResult, error) {
 
 // cachedProvider adapts the campaign dataset cache to a runOnce
 // provider. It consumes one r.Split() whatever the cache outcome, so the
-// repetition's downstream generator stream is bit-identical to
-// buildDataset's; and because every strategy at one repetition passes an
-// identically-seeded child, whichever cell builds first produces the
-// exact dataset any of them would have.
+// repetition's downstream generator stream is bit-identical to that of
+// a repetition building its own dataset from r.Split(); and because
+// every strategy at one repetition passes an identically-seeded child,
+// whichever cell builds first produces the exact dataset any of them
+// would have.
 func cachedProvider(cache *campaign.Datasets) datasetProvider {
 	return func(ctx context.Context, p bench.Problem, sc Scale, repSeed uint64, r *rng.RNG) (*dataset.Dataset, [][]float64, error) {
 		child := r.Split()

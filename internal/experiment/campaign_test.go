@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/rng"
 )
 
 // assertCurvesEqual compares two curve sets bit for bit (curves and
@@ -44,13 +47,13 @@ func assertCurvesEqual(t *testing.T, got, want *CurveSet) {
 }
 
 // runAllSequential is the campaign engine's test oracle, the
-// pre-campaign drain: strategies run one after another through
-// RunStrategy, each parallel only across its own repetitions, each
-// repetition building its own dataset.
+// pre-campaign drain: strategies run one after another, each parallel
+// only across its own repetitions (runReps), each repetition building
+// its own dataset (buildDataset).
 func runAllSequential(ctx context.Context, p bench.Problem, names []string, sc Scale, seed uint64) ([]*CurveSet, error) {
 	out := make([]*CurveSet, 0, len(names))
 	for _, name := range names {
-		cs, err := RunStrategy(ctx, p, name, sc, seed)
+		cs, err := aggregate(ctx, p.Name(), name, sc, runReps(ctx, p, name, sc, seed, buildDataset))
 		if cs != nil {
 			out = append(out, cs)
 		}
@@ -59,6 +62,40 @@ func runAllSequential(ctx context.Context, p bench.Problem, names []string, sc S
 		}
 	}
 	return out, nil
+}
+
+// runReps drains sc.Reps repetitions of one strategy through a bounded
+// worker pool. Repetition seeds derive from (seed, rep), never from the
+// launch schedule, so results are identical for any Workers.
+func runReps(ctx context.Context, p bench.Problem, strategyName string, sc Scale, seed uint64, prov datasetProvider) []repResult {
+	workers := sc.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	reps := make([]repResult, sc.Reps)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for rep := 0; rep < sc.Reps; rep++ {
+		wg.Add(1)
+		go func(rep int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			reps[rep] = runOnce(ctx, p, strategyName, sc, rng.Mix(seed, uint64(rep)), prov)
+		}(rep)
+	}
+	wg.Wait()
+	return reps
+}
+
+// buildDataset is the direct provider: each repetition builds its own
+// dataset in place.
+func buildDataset(ctx context.Context, p bench.Problem, sc Scale, _ uint64, r *rng.RNG) (*dataset.Dataset, [][]float64, error) {
+	ds, err := dataset.Build(ctx, p, sc.PoolSize, sc.TestSize, r.Split())
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, ds.TestX(), nil
 }
 
 // BenchmarkCampaignFig2Sequential drains the default grid of the root

@@ -4,8 +4,9 @@
 // set, cumulative labeling cost CC), and averages the resulting learning
 // curves over repetitions — the exact procedure behind Figs. 2–7.
 //
-// Repetitions run in parallel; each derives an independent seed from the
-// experiment seed, so results are reproducible regardless of GOMAXPROCS.
+// Repetitions run in parallel on the campaign engine; each derives an
+// independent seed from the experiment seed, so results are reproducible
+// regardless of GOMAXPROCS.
 package experiment
 
 import (
@@ -13,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/chaos"
@@ -77,8 +76,9 @@ type Scale struct {
 	// reproducible as a clean one. The zero scenario injects nothing.
 	Chaos chaos.Scenario
 
-	// Workers bounds run-level parallelism (repetitions in RunStrategy,
-	// the whole task grid in RunCampaign); <= 0 means GOMAXPROCS.
+	// Workers bounds run-level parallelism (the strategy × repetition
+	// grid of RunStrategy and RunAll, the whole task grid of
+	// RunCampaign); <= 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -126,13 +126,6 @@ func Smoke() Scale {
 		Reps: 2, Alpha: 0.1, EvalEvery: 10,
 		Forest: forest.Config{NumTrees: 16},
 	}
-}
-
-func (s Scale) workers() int {
-	if s.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Workers
 }
 
 // CurveSet is the averaged learning curves of one strategy on one
@@ -209,44 +202,26 @@ type repResult struct {
 var ErrRepPanic = errors.New("experiment: repetition quarantined after evaluator panic")
 
 // RunStrategy runs sc.Reps repetitions of Algorithm 1 with the named
-// strategy on problem p and returns the averaged curves. Repetition r
-// uses an independent dataset and seed derived from seed, matching the
-// paper's "10 random experiments" protocol.
+// strategy on problem p and returns the averaged curves: RunAll with one
+// strategy. Repetition r uses an independent dataset and seed derived
+// from seed, matching the paper's "10 random experiments" protocol.
 //
-// Cancelling ctx drains the repetition workers and returns the partial
-// curve set averaged over the repetitions that reached at least one
-// checkpoint, truncated to the checkpoints all of them reached,
-// alongside an error wrapping ctx.Err(); the partial set is nil when no
-// repetition reached its first checkpoint.
+// Cancelling ctx returns the partial curve set averaged over the
+// repetitions that reached at least one checkpoint, truncated to the
+// checkpoints all of them reached, alongside an error wrapping
+// ctx.Err(); the partial set is nil when no repetition reached its
+// first checkpoint. A repetition whose evaluator panics is quarantined
+// as in RunCampaign.
 func RunStrategy(ctx context.Context, p bench.Problem, strategyName string, sc Scale, seed uint64) (*CurveSet, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	sets, err := RunAll(ctx, p, []string{strategyName}, sc, seed)
+	if len(sets) == 0 {
+		return nil, err
 	}
-	reps := runReps(ctx, p, strategyName, sc, seed, buildDataset)
-	return aggregate(ctx, p.Name(), strategyName, sc, reps)
+	return sets[0], err
 }
 
-// runReps drains sc.Reps repetitions through a bounded worker pool.
-// Repetition seeds derive from (seed, rep), never from the launch
-// schedule, so results are identical for any Workers.
-func runReps(ctx context.Context, p bench.Problem, strategyName string, sc Scale, seed uint64, prov datasetProvider) []repResult {
-	reps := make([]repResult, sc.Reps)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, sc.workers())
-	for rep := 0; rep < sc.Reps; rep++ {
-		wg.Add(1)
-		go func(rep int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			reps[rep] = runOnce(ctx, p, strategyName, sc, rng.Mix(seed, uint64(rep)), prov)
-		}(rep)
-	}
-	wg.Wait()
-	return reps
-}
-
-// aggregate averages repetition results into one curve set.
+// aggregate averages repetition results into one curve set. Its errors
+// do not name the (benchmark, strategy) cell; callers wrap them with it.
 //
 // On cancellation, only the repetitions that reached at least one
 // checkpoint contribute, averaged over the common prefix of checkpoints
@@ -297,11 +272,9 @@ func aggregate(ctx context.Context, benchmark, strategyName string, sc Scale, re
 		}
 		if len(contributing) == 0 {
 			if cancelled {
-				return nil, fmt.Errorf("experiment: %s/%s interrupted before the first checkpoint: %w",
-					benchmark, strategyName, cancelErr)
+				return nil, fmt.Errorf("interrupted before the first checkpoint: %w", cancelErr)
 			}
-			return nil, fmt.Errorf("experiment: %s/%s: every repetition quarantined: %w",
-				benchmark, strategyName, ErrRepPanic)
+			return nil, fmt.Errorf("every repetition quarantined: %w", ErrRepPanic)
 		}
 		for _, rr := range contributing {
 			if len(rr.rmse) < usable {
@@ -332,8 +305,7 @@ func aggregate(ctx context.Context, benchmark, strategyName string, sc Scale, re
 		cs.merge(rr.stats)
 	}
 	if cancelled {
-		return cs, fmt.Errorf("experiment: %s/%s interrupted at checkpoint %d/%d: %w",
-			benchmark, strategyName, usable, len(checkpoints), cancelErr)
+		return cs, fmt.Errorf("interrupted at checkpoint %d/%d: %w", usable, len(checkpoints), cancelErr)
 	}
 	return cs, nil
 }
@@ -344,16 +316,6 @@ func aggregate(ctx context.Context, benchmark, strategyName string, sc Scale, re
 // one, so the generator stream feeding the evaluator and the engine is
 // bit-identical across providers.
 type datasetProvider func(ctx context.Context, p bench.Problem, sc Scale, repSeed uint64, r *rng.RNG) (*dataset.Dataset, [][]float64, error)
-
-// buildDataset is the direct provider: build the repetition's dataset in
-// place, as standalone RunStrategy calls always have.
-func buildDataset(ctx context.Context, p bench.Problem, sc Scale, _ uint64, r *rng.RNG) (*dataset.Dataset, [][]float64, error) {
-	ds, err := dataset.Build(ctx, p, sc.PoolSize, sc.TestSize, r.Split())
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, ds.TestX(), nil
-}
 
 // testPredict evaluates the surrogate on the held-out test set. Warm
 // runs keep one forest alive across checkpoints with only a few trees
@@ -489,8 +451,9 @@ func checkpointSizes(sc Scale) []int {
 // pool, with each repetition's dataset built once and shared by every
 // strategy. Each strategy sees the same experiment seed, so repetition r
 // of every strategy works on the same dataset draw; the curves are
-// bit-identical to running each strategy alone through RunStrategy, for
-// any worker count (TestCampaignMatchesSequential).
+// bit-identical to running each strategy alone, one repetition after
+// another with its own dataset build, for any worker count
+// (TestCampaignMatchesSequential).
 //
 // On cancellation it returns the curve sets that reached any checkpoint
 // (partial sets, see RunStrategy) together with the first error.

@@ -170,17 +170,19 @@ func TestSelectionScatter(t *testing.T) {
 	}
 }
 
-func TestPWUSpeedups(t *testing.T) {
+// TestSpeedup computes a Fig. 7 bar from a PWU/PBUS curve pair.
+func TestSpeedup(t *testing.T) {
 	p, _ := bench.ByName("atax")
-	rows, err := PWUSpeedups(context.Background(), []bench.Problem{p}, Smoke(), 11)
+	sets, err := RunAll(context.Background(), p, []string{"PWU", "PBUS"}, Smoke(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Benchmark != "atax" {
-		t.Fatalf("rows = %+v", rows)
+	row := Speedup(sets[0], sets[1])
+	if row.Benchmark != "atax" {
+		t.Fatalf("row = %+v", row)
 	}
-	if rows[0].OK && (rows[0].Speedup <= 0 || math.IsInf(rows[0].Speedup, 0)) {
-		t.Fatalf("speedup = %v", rows[0].Speedup)
+	if row.OK && (row.Speedup <= 0 || math.IsInf(row.Speedup, 0)) {
+		t.Fatalf("speedup = %v", row.Speedup)
 	}
 }
 

@@ -71,30 +71,10 @@ type SpeedupRow struct {
 	OK        bool
 }
 
-// PWUSpeedups computes Fig. 7 for each problem: run PWU and PBUS,
-// choose the target as the slower method's converged RMSE with 5%
-// headroom, and report cost(PBUS)/cost(PWU). The whole
-// (problem × {PWU, PBUS} × repetition) grid drains through one campaign
-// (see RunCampaign), with both strategies sharing each repetition's
-// dataset.
-func PWUSpeedups(ctx context.Context, problems []bench.Problem, sc Scale, seed uint64) ([]SpeedupRow, error) {
-	items := make([]CampaignItem, len(problems))
-	for i, p := range problems {
-		items[i] = CampaignItem{Problem: p, Scale: sc}
-	}
-	res, err := RunCampaign(ctx, Campaign{
-		Items: items, Strategies: []string{"PWU", "PBUS"},
-		Seed: seed, Workers: sc.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]SpeedupRow, 0, len(problems))
-	for _, p := range problems {
-		sets := res.Curves[p.Name()]
-		pwu, pbus := sets[0], sets[1]
-		sp, target, ok := metrics.SpeedupToTarget(pwu.RMSECurve(), pwu.CCCurve(), pbus.RMSECurve(), pbus.CCCurve(), 1.05)
-		rows = append(rows, SpeedupRow{Benchmark: p.Name(), Speedup: sp, Target: target, OK: ok})
-	}
-	return rows, nil
+// Speedup computes one bar of Fig. 7 from a benchmark's PWU and PBUS
+// curve sets: the target is the slower method's converged RMSE with 5%
+// headroom, and the speedup is cost(PBUS)/cost(PWU) to first reach it.
+func Speedup(pwu, pbus *CurveSet) SpeedupRow {
+	sp, target, ok := metrics.SpeedupToTarget(pwu.RMSECurve(), pwu.CCCurve(), pbus.RMSECurve(), pbus.CCCurve(), 1.05)
+	return SpeedupRow{Benchmark: pwu.Benchmark, Speedup: sp, Target: target, OK: ok}
 }

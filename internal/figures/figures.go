@@ -446,8 +446,7 @@ func (g *Generator) Fig7() error {
 		pwu, pbus := byName["PWU"], byName["PBUS"]
 		row := experiment.SpeedupRow{Benchmark: p.Name()}
 		if pwu != nil && pbus != nil {
-			sp, target, ok := speedupOf(pwu, pbus)
-			row.Speedup, row.Target, row.OK = sp, target, ok
+			row = experiment.Speedup(pwu, pbus)
 		}
 		if row.OK {
 			names = append(names, row.Benchmark)
@@ -463,10 +462,6 @@ func (g *Generator) Fig7() error {
 		return err
 	}
 	return g.writeFile("fig7_speedup.csv", "benchmark,speedup,target\n"+strings.Join(lines, "\n")+"\n")
-}
-
-func speedupOf(pwu, pbus *experiment.CurveSet) (speedup, target float64, ok bool) {
-	return speedupFromCurves(pwu, pbus)
 }
 
 // Fig8 renders the atax tuning comparison: ground-truth vs surrogate

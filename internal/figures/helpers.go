@@ -9,16 +9,10 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiment"
 	"repro/internal/forest"
-	"repro/internal/metrics"
 	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
-
-// speedupFromCurves computes the Fig. 7 statistic from two curve sets.
-func speedupFromCurves(pwu, pbus *experiment.CurveSet) (speedup, target float64, ok bool) {
-	return metrics.SpeedupToTarget(pwu.RMSECurve(), pwu.CCCurve(), pbus.RMSECurve(), pbus.CCCurve(), 1.05)
-}
 
 // surrogateModel builds the Fig. 8 surrogate: the model produced by a
 // PWU active-learning run at the given scale.

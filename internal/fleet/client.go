@@ -44,9 +44,6 @@ type Client struct {
 	Logf func(format string, args ...interface{})
 }
 
-// NewClient returns a Submitter for the coordinator at base.
-func NewClient(base string) *Client { return &Client{Base: base} }
-
 func (cl *Client) poll() time.Duration {
 	if cl.Poll <= 0 {
 		return 200 * time.Millisecond

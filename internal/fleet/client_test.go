@@ -41,7 +41,7 @@ func (s *swapHandler) swap(h http.Handler, down bool) {
 }
 
 func testClient(url string) *Client {
-	cl := NewClient(url)
+	cl := &Client{Base: url}
 	cl.Poll = 5 * time.Millisecond
 	cl.RetryFor = 5 * time.Second
 	return cl

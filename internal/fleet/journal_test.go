@@ -418,7 +418,7 @@ func TestJournalFailedCompleteExpiresLease(t *testing.T) {
 	// Break the journal for exactly one append: close the live segment,
 	// attempt the completion, then reopen the segment.
 	c.mu.Lock()
-	segment := c.jnl.log.Path()
+	segment := filepath.Join(c.jnl.dir, segName(c.jnl.seq))
 	_ = c.jnl.log.Close()
 	c.mu.Unlock()
 	if status, err := c.Complete(w1, key, payload, Checksum(payload), time.Millisecond); err == nil {

@@ -380,68 +380,3 @@ func (f *Forest) FeatureUsage() []float64 {
 	}
 	return totals
 }
-
-// PermutationImportance returns the increase in RMSE on (X, y) when each
-// feature column is permuted, averaged over rounds; larger is more
-// important. r drives the permutations.
-func (f *Forest) PermutationImportance(X [][]float64, y []float64, rounds int, r *rng.RNG) []float64 {
-	if rounds <= 0 {
-		rounds = 1
-	}
-	base := f.rmseOn(X, y)
-	d := len(f.features)
-	imp := make([]float64, d)
-	col := make([]float64, len(X))
-	scratch := make([][]float64, len(X))
-	for i := range scratch {
-		scratch[i] = make([]float64, d)
-		copy(scratch[i], X[i])
-	}
-	for j := 0; j < d; j++ {
-		var acc float64
-		for round := 0; round < rounds; round++ {
-			for i := range X {
-				col[i] = X[i][j]
-			}
-			r.Shuffle(len(col), func(a, b int) { col[a], col[b] = col[b], col[a] })
-			for i := range scratch {
-				scratch[i][j] = col[i]
-			}
-			acc += f.rmseOn(scratch, y) - base
-		}
-		for i := range scratch {
-			scratch[i][j] = X[i][j]
-		}
-		imp[j] = acc / float64(rounds)
-	}
-	return imp
-}
-
-func (f *Forest) rmseOn(X [][]float64, y []float64) float64 {
-	mu, _ := f.PredictBatch(X)
-	var sse float64
-	for i := range y {
-		d := mu[i] - y[i]
-		sse += d * d
-	}
-	return math.Sqrt(sse / float64(len(y)))
-}
-
-// TreeDepthStats returns the min, mean and max depth across trees,
-// useful for diagnostics and tests.
-func (f *Forest) TreeDepthStats() (min int, mean float64, max int) {
-	min, max = math.MaxInt, 0
-	var sum int
-	for _, tr := range f.trees {
-		d := tr.Depth()
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-		sum += d
-	}
-	mean = float64(sum) / float64(len(f.trees))
-	return min, mean, max
-}

@@ -41,19 +41,3 @@ func (f *Forest) PredictQuantile(x []float64, q float64) (float64, error) {
 	frac := pos - float64(lo)
 	return pool[lo]*(1-frac) + pool[lo+1]*frac, nil
 }
-
-// PredictInterval returns the central predictive interval
-// [ (1−level)/2, (1+level)/2 ] quantiles at x, e.g. level = 0.9 for a
-// 90% interval. Requires Config.Tree.KeepTargets.
-func (f *Forest) PredictInterval(x []float64, level float64) (lo, hi float64, err error) {
-	if level <= 0 || level > 1 {
-		return 0, 0, fmt.Errorf("forest: interval level %v outside (0,1]", level)
-	}
-	tail := (1 - level) / 2
-	lo, err = f.PredictQuantile(x, tail)
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = f.PredictQuantile(x, 1-tail)
-	return lo, hi, err
-}

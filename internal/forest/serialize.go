@@ -105,6 +105,9 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 	if len(d.Features) == 0 {
 		return fmt.Errorf("forest: dump has no feature schema")
 	}
+	if d.NextRefresh < 0 {
+		return fmt.Errorf("forest: negative next_refresh %d", d.NextRefresh)
+	}
 	trees := make([]*tree.Regressor, len(d.Trees))
 	for i, raw := range d.Trees {
 		t, err := tree.UnmarshalJSONWithFeatures(raw, d.Features)

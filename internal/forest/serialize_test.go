@@ -134,6 +134,38 @@ func TestReloadedForestUpdatable(t *testing.T) {
 	}
 }
 
+// TestForestLoadRejectsNegativeCursor: a checkpoint whose rotation
+// cursor is negative must fail to load rather than load a forest whose
+// next Update indexes slot -1. Non-negative cursors load as before.
+func TestForestLoadRejectsNegativeCursor(t *testing.T) {
+	X, y := friedman(rng.New(10), 60)
+	f, err := Fit(X, y, numFeatures(7), Config{NumTrees: 4}, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := f.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCursor := func(c string) []byte {
+		return append(append(enc[:len(enc)-1:len(enc)-1], `,"next_refresh":`+c...), '}')
+	}
+	var bad Forest
+	if err := bad.UnmarshalJSON(withCursor("-1")); err == nil {
+		t.Fatalf("negative next_refresh accepted (cursor %d)", bad.nextRefresh)
+	}
+	var good Forest
+	if err := good.UnmarshalJSON(withCursor("3")); err != nil {
+		t.Fatal(err)
+	}
+	if good.nextRefresh != 3 {
+		t.Fatalf("cursor %d, want 3", good.nextRefresh)
+	}
+	if err := good.Update(X, y, rng.New(12)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // referenceForestJSON is the reflective encoder AppendJSON replaced,
 // kept as its oracle: encoding/json over forestDump, each tree through
 // its own marshaler (which internal/tree pins to encoding/json over its
@@ -283,7 +315,8 @@ func sameFloats(a, b []float64) bool {
 // session takes over a checkpoint read from disk. Whatever loads must
 // predict without panicking on any probe row, and must re-encode through
 // AppendJSON to bytes that load into the same forest: same encoding,
-// same predictions bit for bit. The committed corpus
+// same predictions bit for bit. It must then take a partial Update on a
+// small training set without panicking. The committed corpus
 // (testdata/fuzz/FuzzForestLoad) holds small fitted forests of every
 // shape plus the hostile splits the loader rejects.
 func FuzzForestLoad(f *testing.F) {
@@ -314,5 +347,37 @@ func FuzzForestLoad(f *testing.F) {
 		if !sameFloats(mu, mu2) || !sameFloats(sigma, sigma2) {
 			t.Fatal("reload predicts differently")
 		}
+		// A resumed warm run's next step: a partial update, which may
+		// fail on a hostile config but must not panic, and whose result
+		// must still predict and encode.
+		X, y := probeTraining(back.features)
+		if err := back.Update(X, y, rng.New(1)); err != nil {
+			return
+		}
+		back.PredictBatch(rows)
+		if _, err := back.AppendJSON(nil); err != nil {
+			t.Fatalf("updated forest does not encode: %v", err)
+		}
 	})
+}
+
+// probeTraining builds a small valid training set for features: finite
+// numeric values and in-range category codes.
+func probeTraining(features []space.Feature) ([][]float64, []float64) {
+	const n = 12
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		row := make([]float64, len(features))
+		for j, ft := range features {
+			if ft.Kind == space.FeatCategorical && ft.NumCategories > 0 {
+				row[j] = float64((i + j) % ft.NumCategories)
+			} else {
+				row[j] = float64((i*7+j*3)%5) - 1.5
+			}
+		}
+		X[i] = row
+		y[i] = float64(i%4) + 0.25*float64(i)
+	}
+	return X, y
 }

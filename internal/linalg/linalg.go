@@ -103,12 +103,3 @@ func Dot(a, b []float64) float64 {
 	}
 	return acc
 }
-
-// MatVec returns A x.
-func MatVec(A [][]float64, x []float64) []float64 {
-	out := make([]float64, len(A))
-	for i, row := range A {
-		out[i] = Dot(row, x)
-	}
-	return out
-}

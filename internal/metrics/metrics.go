@@ -19,84 +19,6 @@ import (
 	"repro/internal/stats"
 )
 
-// RMSE returns the root mean-square error between observations y and
-// predictions yhat. It panics on length mismatch and returns NaN for
-// empty input.
-func RMSE(y, yhat []float64) float64 {
-	if len(y) != len(yhat) {
-		panic("metrics: RMSE length mismatch")
-	}
-	if len(y) == 0 {
-		return math.NaN()
-	}
-	var sse float64
-	for i := range y {
-		d := y[i] - yhat[i]
-		sse += d * d
-	}
-	return math.Sqrt(sse / float64(len(y)))
-}
-
-// MAE returns the mean absolute error.
-func MAE(y, yhat []float64) float64 {
-	if len(y) != len(yhat) {
-		panic("metrics: MAE length mismatch")
-	}
-	if len(y) == 0 {
-		return math.NaN()
-	}
-	var acc float64
-	for i := range y {
-		acc += math.Abs(y[i] - yhat[i])
-	}
-	return acc / float64(len(y))
-}
-
-// MAPE returns the mean absolute percentage error (fractions, not
-// percent). Observations equal to zero are skipped; if all are zero the
-// result is NaN.
-func MAPE(y, yhat []float64) float64 {
-	if len(y) != len(yhat) {
-		panic("metrics: MAPE length mismatch")
-	}
-	var acc float64
-	n := 0
-	for i := range y {
-		if y[i] == 0 {
-			continue
-		}
-		acc += math.Abs((y[i] - yhat[i]) / y[i])
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return acc / float64(n)
-}
-
-// R2 returns the coefficient of determination. A constant observation
-// vector yields NaN.
-func R2(y, yhat []float64) float64 {
-	if len(y) != len(yhat) {
-		panic("metrics: R2 length mismatch")
-	}
-	if len(y) == 0 {
-		return math.NaN()
-	}
-	mean := stats.Mean(y)
-	var ssRes, ssTot float64
-	for i := range y {
-		d := y[i] - yhat[i]
-		ssRes += d * d
-		t := y[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		return math.NaN()
-	}
-	return 1 - ssRes/ssTot
-}
-
 // TopAlphaIndices returns the indices of the m = ⌊nα⌋ best-performing
 // (smallest execution time) observations, per Eq. 2. If ⌊nα⌋ is zero it
 // returns the single best index so the metric stays defined, mirroring

@@ -8,17 +8,19 @@ import (
 	"repro/internal/rng"
 )
 
+// TestRMSE: at α = 1 every sample is in the top set, so RMSE@α is the
+// plain RMSE.
 func TestRMSE(t *testing.T) {
 	y := []float64{1, 2, 3}
 	yhat := []float64{1, 2, 3}
-	if got := RMSE(y, yhat); got != 0 {
+	if got := RMSEAtAlpha(y, yhat, 1); got != 0 {
 		t.Fatalf("perfect RMSE = %v", got)
 	}
 	yhat2 := []float64{2, 3, 4}
-	if got := RMSE(y, yhat2); math.Abs(got-1) > 1e-12 {
+	if got := RMSEAtAlpha(y, yhat2, 1); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("unit-offset RMSE = %v", got)
 	}
-	if !math.IsNaN(RMSE(nil, nil)) {
+	if !math.IsNaN(RMSEAtAlpha(nil, nil, 1)) {
 		t.Fatal("empty RMSE should be NaN")
 	}
 }
@@ -29,40 +31,7 @@ func TestRMSEPanicsOnMismatch(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	RMSE([]float64{1}, []float64{1, 2})
-}
-
-func TestMAE(t *testing.T) {
-	if got := MAE([]float64{0, 0}, []float64{3, -1}); got != 2 {
-		t.Fatalf("MAE = %v", got)
-	}
-}
-
-func TestMAPE(t *testing.T) {
-	if got := MAPE([]float64{10, 20}, []float64{11, 18}); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("MAPE = %v", got)
-	}
-	// zeros skipped
-	if got := MAPE([]float64{0, 10}, []float64{5, 11}); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("MAPE with zero obs = %v", got)
-	}
-	if !math.IsNaN(MAPE([]float64{0}, []float64{1})) {
-		t.Fatal("all-zero MAPE should be NaN")
-	}
-}
-
-func TestR2(t *testing.T) {
-	y := []float64{1, 2, 3, 4}
-	if got := R2(y, y); got != 1 {
-		t.Fatalf("perfect R2 = %v", got)
-	}
-	mean := []float64{2.5, 2.5, 2.5, 2.5}
-	if got := R2(y, mean); math.Abs(got) > 1e-12 {
-		t.Fatalf("mean-predictor R2 = %v", got)
-	}
-	if !math.IsNaN(R2([]float64{1, 1}, []float64{1, 2})) {
-		t.Fatal("constant-y R2 should be NaN")
-	}
+	RMSEAtAlpha([]float64{1}, []float64{1, 2}, 1)
 }
 
 func TestTopAlphaIndices(t *testing.T) {
@@ -109,7 +78,7 @@ func TestRMSEAtAlphaOnlyTopMatters(t *testing.T) {
 	if got := RMSEAtAlpha(y, yhat, 0.5); got != 0 {
 		t.Fatalf("top-half RMSE = %v, want 0", got)
 	}
-	if got := RMSE(y, yhat); got == 0 {
+	if got := RMSEAtAlpha(y, yhat, 1); got == 0 {
 		t.Fatal("overall RMSE should be nonzero")
 	}
 }

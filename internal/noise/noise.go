@@ -9,11 +9,7 @@
 // mean: measured = true * exp(N(-σ²/2, σ)).
 package noise
 
-import (
-	"math"
-
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // Model describes one benchmark's measurement-noise profile.
 type Model struct {
@@ -33,9 +29,6 @@ func Kernel() Model { return Model{Sigma: 0.06, Repeats: 35} }
 
 // Application returns the noise profile used for kripke and hypre.
 func Application() Model { return Model{Sigma: 0.03, Repeats: 5} }
-
-// None returns a noise-free profile (useful in tests and ablations).
-func None() Model { return Model{Sigma: 0, Repeats: 1} }
 
 // Sample returns one noisy measurement of trueTime: a single simulated
 // program run.
@@ -61,22 +54,4 @@ func (m Model) Measure(trueTime float64, r *rng.RNG) float64 {
 		sum += m.Sample(trueTime, r)
 	}
 	return sum / float64(reps)
-}
-
-// MeanSigma returns the relative standard deviation of an averaged
-// Measure of trueTime 1 — the honest scatter a repeat-averaged
-// measurement still carries. A single log-normal run has relative
-// standard deviation sqrt(exp(σ²)−1); averaging Repeats independent
-// runs divides it by sqrt(Repeats). Label-screening layers
-// (core.LabelGuard) can use this to size a flagging threshold that
-// tolerates honest noise but catches corrupted labels.
-func (m Model) MeanSigma() float64 {
-	if m.Sigma <= 0 {
-		return 0
-	}
-	reps := m.Repeats
-	if reps < 1 {
-		reps = 1
-	}
-	return math.Sqrt((math.Exp(m.Sigma*m.Sigma) - 1) / float64(reps))
 }

@@ -19,7 +19,6 @@ package pool
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/rng"
 	"repro/internal/space"
@@ -59,9 +58,8 @@ type Source interface {
 }
 
 // RandomAccess is an optional Source capability: decode the i-th candidate
-// directly. Sources whose stream position is a pure function of the index
-// (enumeration, precomputed LHS columns, materialized slices) support it,
-// and so does Uniform, by replay from recorded generator checkpoints.
+// directly. Slice supports it by indexing, and Uniform by replay from
+// recorded generator checkpoints.
 type RandomAccess interface {
 	Source
 
@@ -94,56 +92,6 @@ func fingerprintSpace(h uint64, sp *space.Space) uint64 {
 		h = fnvMix(h, uint64(sp.Param(i).NumLevels()))
 	}
 	return h
-}
-
-// Enumeration streams every configuration of a space in odometer order —
-// the full cross product, identical to space.Enumerate but without the
-// 1<<22 materialization cap.
-type Enumeration struct {
-	sp *space.Space
-	it *space.Iterator
-	n  int
-}
-
-// NewEnumeration builds an enumeration source. It errors when the space's
-// cardinality does not fit an int (such spaces cannot be indexed by the
-// engine's global candidate indices).
-func NewEnumeration(sp *space.Space) (*Enumeration, error) {
-	card, ok := sp.Cardinality()
-	if !ok || card > math.MaxInt64 || int64(int(card)) != card {
-		return nil, fmt.Errorf("pool: space cardinality overflows int")
-	}
-	return &Enumeration{sp: sp, it: sp.Iter(), n: int(card)}, nil
-}
-
-// Space implements Source.
-func (e *Enumeration) Space() *space.Space { return e.sp }
-
-// Len implements Source.
-func (e *Enumeration) Len() int { return e.n }
-
-// Reset implements Source.
-func (e *Enumeration) Reset() { e.it.Reset() }
-
-// Next implements Source.
-func (e *Enumeration) Next(dst []space.Config) int {
-	k := 0
-	for k < len(dst) && e.it.Next(dst[k]) {
-		k++
-	}
-	return k
-}
-
-// At implements RandomAccess via mixed-radix decoding.
-func (e *Enumeration) At(i int, dst space.Config) {
-	e.sp.ConfigAt(int64(i), dst)
-}
-
-// Fingerprint implements Source.
-func (e *Enumeration) Fingerprint() uint64 {
-	h := fnvMix(fnvOffset, 'E')
-	h = fingerprintSpace(h, e.sp)
-	return fnvMix(h, uint64(e.n))
 }
 
 // Uniform streams n configurations sampled uniformly with replacement —
@@ -261,62 +209,6 @@ func (u *Uniform) Fingerprint() uint64 {
 	h = fingerprintSpace(h, u.sp)
 	h = fnvMix(h, u.seed)
 	return fnvMix(h, uint64(u.n))
-}
-
-// LHS streams the n configurations of a discrete Latin-hypercube draw,
-// bit-identical to space.SampleLHS(rng.New(seed), n). All randomness is
-// consumed at construction (the per-parameter shuffled columns), which is
-// what makes shard-size invariance trivial — but it also means the source
-// holds O(NumParams × n) ints; LHS pools are cold-start-sized, not
-// 10^7-sized, so that footprint is by design.
-type LHS struct {
-	sp   *space.Space
-	seed uint64
-	cols [][]int
-	n    int
-	pos  int
-}
-
-// NewLHS builds a Latin-hypercube source of n candidates.
-func NewLHS(sp *space.Space, seed uint64, n int) *LHS {
-	return &LHS{sp: sp, seed: seed, cols: sp.SampleLHSColumns(rng.New(seed), n), n: n}
-}
-
-// Space implements Source.
-func (l *LHS) Space() *space.Space { return l.sp }
-
-// Len implements Source.
-func (l *LHS) Len() int { return l.n }
-
-// Reset implements Source.
-func (l *LHS) Reset() { l.pos = 0 }
-
-// Next implements Source.
-func (l *LHS) Next(dst []space.Config) int {
-	k := len(dst)
-	if rem := l.n - l.pos; k > rem {
-		k = rem
-	}
-	for i := 0; i < k; i++ {
-		l.At(l.pos+i, dst[i])
-	}
-	l.pos += k
-	return k
-}
-
-// At implements RandomAccess.
-func (l *LHS) At(i int, dst space.Config) {
-	for j := range l.cols {
-		dst[j] = l.cols[j][i]
-	}
-}
-
-// Fingerprint implements Source.
-func (l *LHS) Fingerprint() uint64 {
-	h := fnvMix(fnvOffset, 'L')
-	h = fingerprintSpace(h, l.sp)
-	h = fnvMix(h, l.seed)
-	return fnvMix(h, uint64(l.n))
 }
 
 // Slice adapts a materialized pool to the Source interface: the form

@@ -56,15 +56,9 @@ func assertSameConfigs(t *testing.T, label string, got, want []space.Config) {
 // pool-equivalence gate stand on.
 func TestSourcesShardInvariance(t *testing.T) {
 	sp := testSpace(t)
-	enum, err := NewEnumeration(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sources := map[string]Source{
-		"enumeration": enum,
-		"uniform":     NewUniform(sp, 42, 157),
-		"lhs":         NewLHS(sp, 42, 61),
-		"slice":       NewSlice(sp, sp.SampleConfigs(rng.New(3), 83)),
+		"uniform": NewUniform(sp, 42, 157),
+		"slice":   NewSlice(sp, sp.SampleConfigs(rng.New(3), 83)),
 	}
 	for name, src := range sources {
 		want := drain(t, src, 1)
@@ -86,29 +80,11 @@ func TestUniformMatchesSampleConfigs(t *testing.T) {
 	assertSameConfigs(t, "uniform", drain(t, NewUniform(sp, seed, n), 17), want)
 }
 
-func TestLHSMatchesSampleLHS(t *testing.T) {
-	sp := testSpace(t)
-	const seed, n = 77, 45
-	want := sp.SampleLHS(rng.New(seed), n)
-	assertSameConfigs(t, "lhs", drain(t, NewLHS(sp, seed, n), 8), want)
-}
-
-func TestEnumerationMatchesEnumerate(t *testing.T) {
-	sp := testSpace(t)
-	enum, err := NewEnumeration(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameConfigs(t, "enumeration", drain(t, enum, 13), sp.Enumerate())
-}
-
 func TestRandomAccessMatchesSequence(t *testing.T) {
 	sp := testSpace(t)
-	enum, _ := NewEnumeration(sp)
 	for name, src := range map[string]RandomAccess{
-		"enumeration": enum,
-		"lhs":         NewLHS(sp, 5, 29),
-		"slice":       NewSlice(sp, sp.SampleConfigs(rng.New(9), 31)),
+		"uniform": NewUniform(sp, 5, 29),
+		"slice":   NewSlice(sp, sp.SampleConfigs(rng.New(9), 31)),
 	} {
 		want := drain(t, src, 10)
 		got := make(space.Config, sp.NumParams())
@@ -190,13 +166,11 @@ func TestUniformAtMatchesStream(t *testing.T) {
 
 func TestFingerprintsDistinguishSources(t *testing.T) {
 	sp := testSpace(t)
-	enum, _ := NewEnumeration(sp)
 	prints := map[string]uint64{
-		"enumeration":   enum.Fingerprint(),
 		"uniform-1-100": NewUniform(sp, 1, 100).Fingerprint(),
 		"uniform-2-100": NewUniform(sp, 2, 100).Fingerprint(),
 		"uniform-1-101": NewUniform(sp, 1, 101).Fingerprint(),
-		"lhs-1-100":     NewLHS(sp, 1, 100).Fingerprint(),
+		"slice-1-100":   NewSlice(sp, sp.SampleConfigs(rng.New(1), 100)).Fingerprint(),
 	}
 	seen := map[uint64]string{}
 	for name, h := range prints {

@@ -297,27 +297,3 @@ func FromState(st State) (*RNG, error) {
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
-
-// Pick returns a uniformly random element index weighted by w (w >= 0,
-// not all zero). It panics on invalid weights.
-func (r *RNG) Pick(w []float64) int {
-	total := 0.0
-	for _, x := range w {
-		if x < 0 || math.IsNaN(x) {
-			panic("rng: Pick with negative or NaN weight")
-		}
-		total += x
-	}
-	if total <= 0 {
-		panic("rng: Pick with all-zero weights")
-	}
-	target := r.Float64() * total
-	acc := 0.0
-	for i, x := range w {
-		acc += x
-		if target < acc {
-			return i
-		}
-	}
-	return len(w) - 1
-}

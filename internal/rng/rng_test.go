@@ -265,32 +265,6 @@ func TestSamplePanics(t *testing.T) {
 	New(1).Sample(3, 4)
 }
 
-func TestPickWeighted(t *testing.T) {
-	r := New(47)
-	w := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[r.Pick(w)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight bucket picked %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if math.Abs(ratio-3) > 0.2 {
-		t.Fatalf("weight ratio = %v, want about 3", ratio)
-	}
-}
-
-func TestPickPanicsOnAllZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pick(all-zero) did not panic")
-		}
-	}()
-	New(1).Pick([]float64{0, 0})
-}
-
 func TestMixDeterministic(t *testing.T) {
 	if Mix(1, 2) != Mix(1, 2) {
 		t.Fatal("Mix not deterministic")

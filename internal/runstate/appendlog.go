@@ -55,9 +55,6 @@ func OpenAppendLog(path string) (*AppendLog, error) {
 	return &AppendLog{f: f, path: path}, nil
 }
 
-// Path returns the log's file path.
-func (l *AppendLog) Path() string { return l.path }
-
 // Append frames, writes and fsyncs one record. When it returns nil the
 // record is durable: any later Replay recovers it. Payloads must be
 // newline-free (canonical JSON is).

@@ -111,10 +111,9 @@ func TestConfigAtOutOfRangePanics(t *testing.T) {
 	}
 }
 
-// TestSampleLHSColumnsReconstruction is the LHS half of the
-// shard-size-invariance contract: the precomputed columns consume the
-// generator identically to SampleLHS, so reading them in any chunking
-// reproduces the materialized draw bit for bit.
+// TestSampleLHSColumnsReconstruction: the precomputed columns consume
+// the generator identically to SampleLHS, so reading them in any
+// chunking reproduces the materialized draw bit for bit.
 func TestSampleLHSColumnsReconstruction(t *testing.T) {
 	sp := iterTestSpace(t)
 	const n = 37

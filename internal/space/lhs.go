@@ -9,10 +9,8 @@ import "repro/internal/rng"
 // evenly — and the assignment order is then shuffled per parameter.
 //
 // The rng stream is consumed entirely here, in one fixed pass over the
-// parameters, so a caller that hands the columns to a lazy source and reads
-// the samples in shards consumes exactly the same random draws as one that
-// materializes all n configs up front. That shard-size invariance is what
-// lets the streaming pool pipeline reproduce SampleLHS bit-for-bit.
+// parameters, so reading the samples out of the columns in any order or
+// chunking consumes exactly the same random draws as SampleLHS.
 func (s *Space) SampleLHSColumns(r *rng.RNG, n int) [][]int {
 	if n <= 0 {
 		return nil

@@ -86,37 +86,6 @@ func TestLHSDeterministic(t *testing.T) {
 	}
 }
 
-func TestSampleFeasible(t *testing.T) {
-	s := MustNew(NumRange("a", 0, 9, 1), NumRange("b", 0, 9, 1))
-	r := rng.New(7)
-	even := func(c Config) bool { return c[0]%2 == 0 }
-	out, err := s.SampleFeasible(r, 50, even)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 50 {
-		t.Fatalf("got %d configs", len(out))
-	}
-	for _, c := range out {
-		if !even(c) {
-			t.Fatal("infeasible config returned")
-		}
-	}
-	// nil constraint falls back to plain sampling.
-	out2, err := s.SampleFeasible(r, 5, nil)
-	if err != nil || len(out2) != 5 {
-		t.Fatalf("nil constraint: %v, %d", err, len(out2))
-	}
-}
-
-func TestSampleFeasibleHopelessConstraint(t *testing.T) {
-	s := MustNew(NumRange("a", 0, 9, 1))
-	never := func(Config) bool { return false }
-	if _, err := s.SampleFeasible(rng.New(8), 3, never); err == nil {
-		t.Fatal("unsatisfiable constraint accepted")
-	}
-}
-
 func TestLHSShufflesBetweenDimensions(t *testing.T) {
 	// The per-dimension shuffles must decorrelate columns: with two
 	// identical parameter definitions the two columns should not be

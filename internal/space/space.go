@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -329,51 +328,6 @@ func (s *Space) SampleConfigs(r *rng.RNG, n int) []Config {
 	return out
 }
 
-// Constraint restricts a space to feasible configurations; it returns
-// true when c is feasible. SPAPT-style search problems attach one to
-// exclude parameter combinations whose code variant fails to build.
-type Constraint func(c Config) bool
-
-// SampleFeasible draws n configurations satisfying the constraint by
-// rejection sampling. It returns an error when the acceptance rate makes
-// that hopeless (fewer than n hits in 1000×n tries), which indicates the
-// constraint excludes essentially the whole space.
-func (s *Space) SampleFeasible(r *rng.RNG, n int, feasible Constraint) ([]Config, error) {
-	if feasible == nil {
-		return s.SampleConfigs(r, n), nil
-	}
-	out := make([]Config, 0, n)
-	for tries := 0; len(out) < n; tries++ {
-		if tries >= 1000*n {
-			return nil, fmt.Errorf("space: constraint acceptance below 0.1%%: %d/%d after %d tries", len(out), n, tries)
-		}
-		if c := s.SampleConfig(r); feasible(c) {
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
-// SampleDistinct draws up to n distinct configurations. If the space has
-// fewer than n points it enumerates them all instead.
-func (s *Space) SampleDistinct(r *rng.RNG, n int) []Config {
-	if card, ok := s.Cardinality(); ok && card <= int64(n) {
-		return s.Enumerate()
-	}
-	seen := make(map[string]bool, n)
-	out := make([]Config, 0, n)
-	for len(out) < n {
-		c := s.SampleConfig(r)
-		k := c.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, c)
-	}
-	return out
-}
-
 // Enumerate lists every configuration of the space in odometer order. It
 // panics if the space has more than 1<<22 points; callers should check
 // Cardinality first for anything that could be large (and use Iter to
@@ -441,15 +395,4 @@ func (s *Space) EncodeAll(cs []Config) [][]float64 {
 		xs[i] = s.Encode(c)
 	}
 	return xs
-}
-
-// SortedNames returns the parameter names in lexicographic order; useful
-// for stable table output.
-func (s *Space) SortedNames() []string {
-	names := make([]string, len(s.params))
-	for i, p := range s.params {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
 }

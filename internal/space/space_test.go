@@ -198,30 +198,6 @@ func TestSampleConfigsCount(t *testing.T) {
 	}
 }
 
-func TestSampleDistinct(t *testing.T) {
-	s := testSpace(t)
-	cs := s.SampleDistinct(rng.New(3), 10)
-	seen := map[string]bool{}
-	for _, c := range cs {
-		k := c.Key()
-		if seen[k] {
-			t.Fatal("duplicate in SampleDistinct")
-		}
-		seen[k] = true
-	}
-	if len(cs) != 10 {
-		t.Fatalf("got %d configs", len(cs))
-	}
-}
-
-func TestSampleDistinctSmallSpaceEnumerates(t *testing.T) {
-	s := MustNew(Bool("a"), Bool("b"))
-	cs := s.SampleDistinct(rng.New(4), 100)
-	if len(cs) != 4 {
-		t.Fatalf("small space returned %d configs, want 4", len(cs))
-	}
-}
-
 func TestEnumerate(t *testing.T) {
 	s := MustNew(Num("x", 1, 2), Cat("y", "a", "b", "c"))
 	all := s.Enumerate()

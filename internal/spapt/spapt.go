@@ -180,12 +180,6 @@ func (k *Kernel) Feasible(c space.Config) bool {
 	return true
 }
 
-// Constraint returns the kernel's feasibility predicate as a
-// space.Constraint.
-func (k *Kernel) Constraint() space.Constraint {
-	return func(c space.Config) bool { return k.Feasible(c) }
-}
-
 // TrueTime returns the modeled noise-free execution time in seconds of
 // the kernel variant generated by configuration c. Infeasible variants
 // (see Feasible) fall back to the untransformed kernel plus a rebuild
