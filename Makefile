@@ -241,73 +241,72 @@ race:
 bench:
 	go test -bench=. -benchmem -run xxx ./...
 
+# The recorded benchmark trajectories. bench-train, bench-campaign and
+# bench-pool append their entries to BENCH_train.json, BENCH_campaign.json
+# and BENCH_pool.json through BENCH_JSON; each bench-*-smoke gate fails
+# through BENCH_BASELINE when a benchmark's per-core value (value x
+# workers) exceeds twice that of the newest entry of the same bench and
+# key in the committed trajectory (the 2x margin absorbs runner noise).
+# All three files share one entry schema (report.BenchEntry; recorder:
+# bench_record_test.go) and `go run ./cmd/report -bench FILE` renders
+# any of them. Setting BENCH_JSON when calling a smoke target records its
+# entries too, as CI does.
+
 # Training-engine benchmarks only: paper-scale tree and forest fits on
 # the presorted engine, plus the tune-shaped forest refit (the reference
 # builder is a test oracle, timed unrecorded by
 # `go test -bench FitReference ./internal/tree`). Each run appends one
-# entry per benchmark to BENCH_train.json (schema: train_bench_test.go),
-# the recorded trajectory that bench-train-smoke guards against and
-# `go run ./cmd/report -bench-train BENCH_train.json` renders.
+# entry per benchmark to BENCH_train.json.
 bench-train:
-	BENCH_TRAIN_JSON=BENCH_train.json go test -bench 'TreeFit|ForestFit' -benchmem -run xxx .
+	BENCH_JSON=BENCH_train.json go test -bench 'TreeFit|ForestFit' -benchmem -run xxx .
 
 # Smoke-sized bench-train for the check gate and CI: the paper-scale and
-# tune-shaped forest refits for about half a second each — fails if
-# either one's per-core ms/fit exceeds twice its most recent
-# BENCH_train.json entry (the 2x margin absorbs runner noise).
+# tune-shaped forest refits for about half a second each, guarded
+# against BENCH_train.json.
 bench-train-smoke:
-	TRAIN_BENCH_BASELINE=BENCH_train.json go test -bench 'BenchmarkForestFit$$|BenchmarkForestFitTune$$' -benchmem -benchtime 500ms -run xxx .
+	BENCH_BASELINE=BENCH_train.json go test -bench 'BenchmarkForestFit$$|BenchmarkForestFitTune$$' -benchmem -benchtime 500ms -run xxx .
 
 # Campaign-engine benchmarks: the work-stealing grid drain vs the fleet
 # drain (coordinator + two network workers) on a Fig. 2-shaped grid,
 # the sequential test oracle on the same default grid (unrecorded,
-# internal/experiment), plus the CSV writer. Each run appends
-# mode=local and mode=fleet entries to BENCH_campaign.json (schema:
-# campaign_bench_test.go), the recorded trajectory that
-# bench-campaign-smoke guards against and
-# `go run ./cmd/report -bench-campaign BENCH_campaign.json` renders.
-# The recording runs a fixed four drains per mode (-benchtime 4x): the
-# harness's one-drain probe run goes first and warms the process, and
-# the recorded entry is the mean of the four that follow, not one ~1 s
-# run whose first drain reads high.
+# internal/experiment), plus the CSV writer. Each run appends key=local
+# and key=fleet entries to BENCH_campaign.json. The recording runs a
+# fixed four drains per mode (-benchtime 4x): the harness's one-drain
+# probe run goes first and warms the process, and the recorded entry is
+# the mean of the four that follow, not one ~1 s run whose first drain
+# reads high.
 bench-campaign:
-	BENCH_CAMPAIGN_JSON=BENCH_campaign.json go test -bench 'BenchmarkCampaignFig2' -benchmem -benchtime 4x -run xxx .
+	BENCH_JSON=BENCH_campaign.json go test -bench 'BenchmarkCampaignFig2' -benchmem -benchtime 4x -run xxx .
 	go test -bench 'BenchmarkCampaignFig2Sequential' -benchmem -run xxx ./internal/experiment
 	go test -bench 'WriteCSV' -benchmem -run xxx ./internal/dataset
 
 # Smoke-sized bench-campaign for the check gate and CI: a two-kernel
 # grid, one iteration of the local and fleet drains — proves both
-# engines end to end in about a second and fails if either mode's
-# per-core ms/cell exceeds twice its most recent BENCH_campaign.json
-# entry (the 2x margin absorbs runner noise).
+# engines end to end in about a second, guarded against
+# BENCH_campaign.json.
 bench-campaign-smoke:
-	CAMPAIGN_BENCH_PROBLEMS=2 CAMPAIGN_BENCH_BASELINE=BENCH_campaign.json go test -bench 'BenchmarkCampaignFig2$$|BenchmarkCampaignFig2Fleet$$' -benchmem -benchtime 1x -run xxx .
+	CAMPAIGN_BENCH_PROBLEMS=2 BENCH_BASELINE=BENCH_campaign.json go test -bench 'BenchmarkCampaignFig2$$|BenchmarkCampaignFig2Fleet$$' -benchmem -benchtime 1x -run xxx .
 
 # Streaming-pool benchmark: PWU-score a pool that is never materialized
 # (generate -> encode -> 64-tree score -> bounded top-k) on the forest's
-# exact kernel, on one core (-cpu 1). POOL_BENCH_N
-# sets the pool size; the default is 200k and the 10^7-config
-# demonstration is
+# exact kernel, on one core (-cpu 1). POOL_BENCH_N sets the pool size;
+# the default is 200k and the 10^7-config demonstration is
 # POOL_BENCH_N=10000000 (B/op stays flat — peak memory is
-# O(workers x shard), not O(pool)). Each run appends machine-readable
-# entries to BENCH_pool.json (schema: pool_bench_test.go), the recorded
-# benchmark trajectory that bench-pool-smoke guards against and
-# `go run ./cmd/report -bench-pool BENCH_pool.json` renders. The
-# recording runs a fixed ten scans (-benchtime 10x): the harness's
-# one-scan probe goes first and warms the process, and the recorded
-# entry is the mean of the ten that follow, not the two or three scans
-# the default 1 s benchtime fits at 200k candidates.
+# O(workers x shard), not O(pool)). Each run appends a key=exact entry
+# to BENCH_pool.json. The recording runs a fixed ten scans
+# (-benchtime 10x): the harness's one-scan probe goes first and warms
+# the process, and the recorded entry is the mean of the ten that
+# follow, not the two or three scans the default 1 s benchtime fits at
+# 200k candidates.
 bench-pool:
-	BENCH_POOL_JSON=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -benchtime 10x -cpu 1 -run xxx .
+	BENCH_JSON=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -benchtime 10x -cpu 1 -run xxx .
 
 # Smoke-sized bench-pool for the check gate and CI: a 20k pool, one
 # iteration at -cpu 1 — proves the pipeline end to end in about a
-# second and fails if its ns/candidate exceeds twice the most recent
-# exact BENCH_pool.json entry at the same worker count (bench-pool
-# records at -cpu 1 too, so the baseline is like for like; the 2x
-# margin absorbs runner noise).
+# second, guarded against BENCH_pool.json (bench-pool records at -cpu 1
+# too, so the baseline is like for like).
 bench-pool-smoke:
-	POOL_BENCH_N=20000 POOL_BENCH_BASELINE=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -benchtime 1x -cpu 1 -run xxx .
+	POOL_BENCH_N=20000 BENCH_BASELINE=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -benchtime 1x -cpu 1 -run xxx .
 
 # Regenerate every table and figure of the paper (quick, shape-preserving).
 figures:

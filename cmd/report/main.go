@@ -1,22 +1,18 @@
 // Command report summarises a cmd/figures output directory as Markdown:
 // per-benchmark endpoints, PWU-vs-PBUS speedups and tuning results.
-// With -bench-pool it instead renders the latest recorded streaming-pool
-// benchmark entries (BENCH_pool.json, written by `make bench-pool`);
-// with -bench-campaign, the campaign-drain trajectory
-// (BENCH_campaign.json, written by `make bench-campaign`) with the
-// fleet transport's overhead over the local drain; with -bench-train,
-// the latest training-engine entries (BENCH_train.json, written by
-// `make bench-train`) with each benchmark's speedup over the previous
-// commit.
+// With -bench it instead renders a benchmark trajectory — BENCH_pool.json,
+// BENCH_train.json or BENCH_campaign.json, written by `make bench-pool`,
+// `make bench-train` and `make bench-campaign` in one entry schema
+// (report.BenchEntry): the newest entry per (bench, key, workers) with
+// its per-core value, B/op, allocs/op, params and commit, then each
+// one's speedup over the previous commit.
 // With -service it renders a tuned daemon's /stats dump as a Service
 // section (`curl host:8080/stats > stats.json; report -service stats.json`).
 //
 // Usage:
 //
 //	report [-dir out] [-o results.md]
-//	report -bench-pool BENCH_pool.json
-//	report -bench-campaign BENCH_campaign.json
-//	report -bench-train BENCH_train.json
+//	report -bench BENCH_pool.json
 //	report -service stats.json
 package main
 
@@ -39,9 +35,7 @@ func main() {
 
 	dir := flag.String("dir", "out", "cmd/figures output directory")
 	out := flag.String("o", "", "write to file instead of stdout")
-	benchPool := flag.String("bench-pool", "", "render the latest entries of a bench-pool JSON trajectory instead")
-	benchCampaign := flag.String("bench-campaign", "", "render a bench-campaign JSON trajectory instead")
-	benchTrain := flag.String("bench-train", "", "render the latest entries of a bench-train JSON trajectory instead")
+	bench := flag.String("bench", "", "render the newest entries of a BENCH_*.json trajectory instead")
 	service := flag.String("service", "", "render a tuned daemon /stats dump instead")
 	flag.Parse()
 
@@ -54,20 +48,8 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if *benchPool != "" {
-		if err := report.BenchPool(*benchPool, w); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchCampaign != "" {
-		if err := report.BenchCampaign(*benchCampaign, w); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchTrain != "" {
-		if err := report.BenchTrain(*benchTrain, w); err != nil {
+	if *bench != "" {
+		if err := report.Bench(*bench, w); err != nil {
 			fatal(err)
 		}
 		return

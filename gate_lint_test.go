@@ -150,8 +150,6 @@ var callerAllowlist = map[string]string{
 	"repro/internal/pool.ScanCache.Stats":                 "the scan-cache counters wait on the metrics registry that exports them (ROADMAP item 3)",
 	"repro/internal/chaos.Injector.Stats":                 "the injector's fault counters wait on the metrics registry that exports them (ROADMAP item 3)",
 	"repro/internal/fleet.Client.Recovered":               "the submitter's recovery counters wait on the metrics registry that exports them (ROADMAP item 3)",
-	"repro/internal/space.Space.ConfigAt":                 "random access into Enumerate's order; only its own tests call it since the Enumeration pool source went, and its deletion is left to the next pass (CHANGES.md)",
-	"repro/internal/bench.TrueEvaluator":                  "only its own tests call it; its deletion is left to the next pass (CHANGES.md)",
 	"repro/internal/calibration.Report.Miscalibration":    "calibration waits on its scorecard verdict (ROADMAP items 5 and 9)",
 	"repro/internal/gp.GP.PredictObservedWithUncertainty": "the GP surrogate waits on its scorecard verdict (ROADMAP item 9)",
 	"repro/internal/gp.GP.LogMarginalLikelihood":          "the GP surrogate waits on its scorecard verdict (ROADMAP item 9)",
@@ -162,6 +160,7 @@ var callerAllowlist = map[string]string{
 	"repro/internal/stats.Min":                            "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
 	"repro/internal/stats.Max":                            "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
 	"repro/internal/stats.Spearman":                       "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
+	"repro/internal/stats.Welford.Add":                    "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
 	"repro/internal/stats.Welford.N":                      "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
 	"repro/internal/stats.Welford.Mean":                   "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
 	"repro/internal/stats.Welford.StdDev":                 "statistics kept for the paired-bootstrap scorecard (ROADMAP item 1)",
@@ -182,10 +181,12 @@ type goListPackage struct {
 // method under internal/ that nothing outside its own declaration uses,
 // across every non-test package of the module (commands, examples,
 // daemons, figures) and of the perfbench module. Production code whose
-// only callers are its own tests belongs in the tests. Methods named
-// like a method of any module or standard-library interface are exempt,
-// since they may be reached only through that interface; anything else
-// that is kept without a caller needs a callerAllowlist entry.
+// only callers are its own tests belongs in the tests. A method that
+// implements a method of a module or standard-library interface, for a
+// type of the module that satisfies that interface, counts as used,
+// since it may be reached only through the interface (a promoted method
+// counts for the embedded type's declaration); anything else that is
+// kept without a caller needs a callerAllowlist entry.
 func TestInternalFuncsHaveCallers(t *testing.T) {
 	start := time.Now()
 	var pkgs []goListPackage
@@ -219,7 +220,10 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 	}
 	decls := map[*types.Func]decl{}
 	used := map[*types.Func]bool{}
-	ifaceMethods := map[string]bool{"Error": true} // the universe's error
+	// Every interface the scan sees, starting with the universe's error,
+	// and every named type the module declares.
+	ifaces := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
+	var named []*types.Named
 	var infos []*types.Info
 	for _, p := range pkgs {
 		var files []*ast.File
@@ -243,7 +247,14 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		checked[p.ImportPath] = tp
 		infos = append(infos, info)
 		for _, tv := range info.Types {
-			addInterfaceMethods(ifaceMethods, tv.Type)
+			addInterface(ifaces, tv.Type)
+		}
+		for _, obj := range info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok {
+					named = append(named, n)
+				}
+			}
 		}
 		if !strings.HasPrefix(p.ImportPath, "repro/internal/") {
 			continue
@@ -283,7 +294,7 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		scope := p.Scope()
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				addInterfaceMethods(ifaceMethods, tn.Type())
+				addInterface(ifaces, tn.Type())
 			}
 		}
 		for _, q := range p.Imports() {
@@ -293,14 +304,33 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 	for _, p := range checked {
 		walk(p)
 	}
+	// A method is reachable through an interface when its type (or a
+	// pointer to it, whose method set includes the type's) implements
+	// the interface; the method set resolves a promoted method to the
+	// embedded type's declaration.
+	for _, n := range named {
+		if n.TypeParams().Len() > 0 || types.IsInterface(n) {
+			continue
+		}
+		ptr := types.NewPointer(n)
+		mset := types.NewMethodSet(ptr)
+		for it := range ifaces {
+			if it.NumMethods() == 0 || mset.Lookup(it.Method(0).Pkg(), it.Method(0).Name()) == nil || !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if fn, ok := mset.Lookup(m.Pkg(), m.Name()).Obj().(*types.Func); ok {
+					used[fn.Origin()] = true
+				}
+			}
+		}
+	}
 
 	var unused []string
 	allowed := map[string]bool{}
 	for fn, d := range decls {
 		if used[fn] {
-			continue
-		}
-		if sig := fn.Type().(*types.Signature); sig.Recv() != nil && ifaceMethods[fn.Name()] {
 			continue
 		}
 		if _, ok := callerAllowlist[d.key]; ok {
@@ -362,16 +392,13 @@ func funcKey(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + rt.(*types.Named).Obj().Name() + "." + fn.Name()
 }
 
-// addInterfaceMethods records the method names of t when it is an
-// interface.
-func addInterfaceMethods(names map[string]bool, t types.Type) {
+// addInterface records t when it is an interface.
+func addInterface(ifaces map[*types.Interface]bool, t types.Type) {
 	if t == nil {
 		return
 	}
 	if it, ok := t.Underlying().(*types.Interface); ok {
-		for i := 0; i < it.NumMethods(); i++ {
-			names[it.Method(i).Name()] = true
-		}
+		ifaces[it] = true
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/hypre"
 	"repro/internal/kripke"
 	"repro/internal/machine"
@@ -161,16 +160,4 @@ func (e *NoisyEvaluator) RestoreEvaluatorState(st rng.State) error {
 // simulates the full §III-B protocol (repeated runs, averaged).
 func Evaluator(p Problem, r *rng.RNG) *NoisyEvaluator {
 	return &NoisyEvaluator{p: p, n: p.Noise(), r: r}
-}
-
-// TrueEvaluator returns a noise-free evaluator for p (used by ablations
-// and the tuning ground truth). A done ctx returns ctx.Err() without
-// measuring.
-func TrueEvaluator(p Problem) core.Evaluator {
-	return core.EvaluatorFunc(func(ctx context.Context, c space.Config) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return p.TrueTime(c), nil
-	})
 }

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/space"
 )
 
 func TestFourteenProblems(t *testing.T) {
@@ -86,46 +84,6 @@ func TestEvaluatorNoisyButClose(t *testing.T) {
 	if math.Abs(got-truth)/truth > 0.2 {
 		t.Fatalf("averaged measurement %v too far from truth %v", got, truth)
 	}
-}
-
-// countingProblem counts TrueTime calls.
-type countingProblem struct {
-	Problem
-	calls int
-}
-
-func (p *countingProblem) TrueTime(c space.Config) float64 {
-	p.calls++
-	return p.Problem.TrueTime(c)
-}
-
-// TestTrueEvaluatorExact pins TrueEvaluator's contract: one TrueTime
-// call per measurement, returned exactly, and a done context returns
-// ctx.Err() without measuring.
-func TestTrueEvaluatorExact(t *testing.T) {
-	mm, _ := ByName("mm")
-	c := mm.Space().SampleConfig(rng.New(3))
-	t.Run("live", func(t *testing.T) {
-		p := &countingProblem{Problem: mm}
-		got, err := TrueEvaluator(p).Evaluate(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != mm.TrueTime(c) || p.calls != 1 {
-			t.Fatalf("got %v after %d TrueTime calls, want %v after 1", got, p.calls, mm.TrueTime(c))
-		}
-	})
-	t.Run("cancelled", func(t *testing.T) {
-		p := &countingProblem{Problem: mm}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := TrueEvaluator(p).Evaluate(ctx, c); !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if p.calls != 0 {
-			t.Fatalf("done context still measured: %d TrueTime calls", p.calls)
-		}
-	})
 }
 
 func TestEvaluatorDeterministicPerSeed(t *testing.T) {

@@ -266,30 +266,12 @@ type Params struct {
 	// checkpoint error aborts the run.
 	Checkpoint func(*Snapshot) error
 
-	// ModelLoader reconstructs a snapshot's serialized model during
-	// Resume; nil defaults to forest deserialization, which matches the
-	// default Fitter. Custom Fitters whose models implement
-	// json.Marshaler set this to make their runs resumable.
-	ModelLoader func(data []byte) (Model, error)
-
 	// StreamShard is the sharded pool scan's candidates per scoring
 	// shard (<= 0 uses the pool package default of 1024; capped by the
 	// pool size); the scan runs GOMAXPROCS scoring workers. It is a
 	// performance knob only — selection is bit-identical for every
 	// shard size, which the pool-equivalence gate enforces.
 	StreamShard int
-
-	// StreamCacheMB bounds the cross-scan score cache (pool.ScanCache)
-	// active during warm-update runs: per-candidate per-tree leaf-id
-	// panels (4 bytes an entry) are kept across iterations so each scan
-	// re-walks only the ensemble slots the preceding partial Update
-	// actually refreshed.
-	// 0 means a 256 MiB default, < 0 disables the cache; candidates
-	// beyond the budgeted prefix are re-scored from scratch each scan.
-	// Results are bit-identical with the cache on, off, or at any
-	// budget. Without WarmUpdate every iteration refits a fresh model,
-	// no slot survives, and the cache stays off.
-	StreamCacheMB int
 }
 
 // Normalized returns p with the engine's defaults applied. Callers that

@@ -196,8 +196,8 @@ type Session struct {
 	src   pool.Source
 	taken []int
 
-	// cache reuses score panels across the run's scans (nil when
-	// disabled; see Params.StreamCacheMB).
+	// cache reuses score panels across the run's scans (nil without
+	// WarmUpdate; see streamCacheBytes).
 	cache *pool.ScanCache
 
 	service json.RawMessage
@@ -228,6 +228,17 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	return newSession(cfg, cfg.RNG)
 }
+
+// streamCacheBytes bounds the cross-scan score cache (pool.ScanCache) of
+// warm-update sessions: per-candidate per-tree leaf-id panels (4 bytes
+// an entry) are kept across iterations so each scan re-walks only the
+// ensemble slots the preceding partial Update actually refreshed.
+// Candidates beyond the budgeted prefix are re-scored from scratch each
+// scan; < 0 disables the cache. Results are bit-identical with the cache
+// on, off, or at any budget (TestStreamCacheEquivalence). Without
+// WarmUpdate every iteration refits a fresh model, no slot survives, and
+// the cache stays off.
+var streamCacheBytes int64 = 256 << 20
 
 // newSession is the shared construction path of NewSession and
 // ResumeSession (which restores the generator from the snapshot instead
@@ -263,8 +274,8 @@ func newSession(cfg SessionConfig, r *rng.RNG) (*Session, error) {
 
 	// taken and trainX grow with the labels actually taken: presizing
 	// them by NMax would let a client-chosen bound allocate up front.
-	if p.WarmUpdate && p.StreamCacheMB >= 0 {
-		s.cache = pool.NewScanCache(int64(p.StreamCacheMB) << 20)
+	if p.WarmUpdate && streamCacheBytes >= 0 {
+		s.cache = pool.NewScanCache(streamCacheBytes)
 	}
 	s.features = s.sp.Features()
 	s.fitter = p.Fitter
@@ -287,9 +298,6 @@ func (s *Session) fail(err error) error {
 
 // Done reports that the session collected its NMax labels.
 func (s *Session) Done() bool { return s.phase == phaseDone }
-
-// Err returns the terminal error of a failed session, nil otherwise.
-func (s *Session) Err() error { return s.err }
 
 // Phase names the session's state-machine position.
 func (s *Session) Phase() string { return s.phase.String() }

@@ -298,12 +298,6 @@ func (s *Session) marshalModel() (model []byte, appended bool, err error) {
 	return model, true, nil
 }
 
-// defaultModelLoader is the Resume model fallback, matching
-// the default forest Fitter.
-func defaultModelLoader(data []byte) (Model, error) {
-	return forest.Load(bytes.NewReader(data))
-}
-
 // ResumeSession rebuilds a Session from a Snapshot at the iteration
 // boundary it was taken at. The configuration supplies the regenerated
 // deterministic inputs (the source — validated against the snapshot's
@@ -363,11 +357,7 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot RNG: %w", err)
 	}
-	loader := s.p.ModelLoader
-	if loader == nil {
-		loader = defaultModelLoader
-	}
-	model, err := loader(snap.Model)
+	model, err := forest.Load(bytes.NewReader(snap.Model))
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot model: %w", err)
 	}
@@ -418,8 +408,7 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 // source (validated against the snapshot's fingerprint), the evaluator,
 // the strategy and the params, which must match the original run — and
 // Resume restores the rest from the snapshot: the labeled set, pool
-// membership, the loop generator, the fitted model (via
-// params.ModelLoader, defaulting to the forest format) and, for
+// membership, the loop generator, the fitted forest and, for
 // StatefulEvaluator evaluators, the evaluator's noise stream.
 func Resume(ctx context.Context, snap *Snapshot, src pool.Source, ev Evaluator, strat Strategy, params Params, obs Observer) (*Result, error) {
 	if ev == nil {

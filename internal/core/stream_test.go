@@ -237,11 +237,13 @@ func TestFetchConfigsSequentialSource(t *testing.T) {
 func TestStreamCacheEquivalence(t *testing.T) {
 	sp, ev := quadSpace(t)
 	src := pool.NewUniform(sp, 51, 150)
-	run := func(cacheMB int) *Result {
+	defaultBytes := streamCacheBytes
+	t.Cleanup(func() { streamCacheBytes = defaultBytes })
+	run := func(cacheBytes int64) *Result {
 		t.Helper()
+		streamCacheBytes = cacheBytes
 		p := streamParams()
 		p.WarmUpdate = true
-		p.StreamCacheMB = cacheMB
 		p.StreamShard = 32
 		res, err := Run(context.Background(), src, ev, PWU{Alpha: 0.05}, p, rng.New(9), nil)
 		if err != nil {
@@ -250,8 +252,9 @@ func TestStreamCacheEquivalence(t *testing.T) {
 		return res
 	}
 	want := run(-1) // cache disabled
-	assertSameResult(t, "default cache", run(0), want)
-	// A starvation budget covers only a prefix of the pool: the rest
-	// takes the fresh-score path every scan. Still bit-identical.
-	assertSameResult(t, "tiny cache", run(1), want)
+	assertSameResult(t, "default cache", run(defaultBytes), want)
+	// A starvation budget covers only a prefix of the pool: 1 KiB holds
+	// 16 of the 150 candidates' rows (16 trees × 4 bytes a row), and the
+	// rest take the fresh-score path every scan. Still bit-identical.
+	assertSameResult(t, "tiny cache", run(1<<10), want)
 }

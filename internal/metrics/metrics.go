@@ -82,17 +82,6 @@ type Curve struct {
 // Len returns the number of checkpoints.
 func (c Curve) Len() int { return len(c.Samples) }
 
-// At returns the value at the checkpoint with the given sample count,
-// with ok=false if that checkpoint does not exist.
-func (c Curve) At(samples int) (float64, bool) {
-	for i, s := range c.Samples {
-		if s == samples {
-			return c.Values[i], true
-		}
-	}
-	return 0, false
-}
-
 // FirstReach returns the index of the first checkpoint whose value is <=
 // target, or -1 if the curve never reaches it.
 func (c Curve) FirstReach(target float64) int {

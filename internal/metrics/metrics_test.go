@@ -101,19 +101,6 @@ func TestCumulativeCost(t *testing.T) {
 	}
 }
 
-func TestCurveAt(t *testing.T) {
-	c := Curve{Samples: []int{10, 20, 30}, Values: []float64{5, 3, 1}}
-	if v, ok := c.At(20); !ok || v != 3 {
-		t.Fatalf("At(20) = %v, %v", v, ok)
-	}
-	if _, ok := c.At(25); ok {
-		t.Fatal("At(25) found a checkpoint")
-	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
 func TestFirstReach(t *testing.T) {
 	c := Curve{Samples: []int{1, 2, 3}, Values: []float64{9, 4, 2}}
 	if i := c.FirstReach(4); i != 1 {

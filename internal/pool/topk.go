@@ -267,9 +267,6 @@ func (t *TopK) siftDown(i int) {
 	}
 }
 
-// Len returns the number of retained selection entries so far.
-func (t *TopK) Len() int { return len(t.heap) }
-
 // Worst returns the worst retained selection entry — for a full reducer,
 // the k-th order statistic, i.e. the selection boundary — as the original
 // (un-negated) score and its ordinal. ok is false while nothing is

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,6 +155,34 @@ func TestServerHugePoolSizeRejected(t *testing.T) {
 	req.PoolSize = maxPoolSize
 	if code := a.do("POST", "/sessions", req, nil); code != http.StatusCreated {
 		t.Fatalf("create with pool_size=%d after the hostile one: status %d, want 201", maxPoolSize, code)
+	}
+}
+
+// TestServerCreateRequestErrorsAre400: every create the request alone
+// makes unservable — n_init above n_max, n_max above pool_size, an
+// empty or malformed space, an unknown strategy — is refused with 400
+// and an errInvalid error, not a 500, and no refusal leaks the one
+// admission slot.
+func TestServerCreateRequestErrorsAre400(t *testing.T) {
+	m := NewManager(Config{MaxSessions: 1})
+	a := newAPI(t, m)
+	for name, body := range map[string]string{
+		"n_init above n_max":  `{"space":[{"name":"x","min":0,"max":7}],"n_init":50,"n_max":20}`,
+		"n_max above pool":    `{"space":[{"name":"x","min":0,"max":7}],"pool_size":10,"n_max":20}`,
+		"empty space":         `{"space":[],"n_max":20}`,
+		"duplicate parameter": `{"space":[{"name":"x","min":0,"max":7},{"name":"x","bool":true}],"n_max":20}`,
+		"unknown strategy":    `{"space":[{"name":"x","min":0,"max":7}],"strategy":"Oracle","n_max":20}`,
+	} {
+		var body400 struct{ Error string }
+		if code := a.do("POST", "/sessions", json.RawMessage(body), &body400); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", name, code, body400.Error)
+		}
+		if !strings.HasPrefix(body400.Error, errInvalid.Error()) {
+			t.Fatalf("%s: error %q does not wrap errInvalid", name, body400.Error)
+		}
+	}
+	if code := a.do("POST", "/sessions", testCreate("acme"), nil); code != http.StatusCreated {
+		t.Fatalf("valid create after the refused ones: status %d, want 201", code)
 	}
 }
 

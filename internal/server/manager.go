@@ -216,7 +216,10 @@ func (m *Manager) manifestFromRequest(id string, req *CreateRequest) (*Manifest,
 	p := core.Params{NInit: req.NInit, NBatch: req.NBatch, NMax: req.NMax}.Normalized()
 	man.NInit, man.NBatch, man.NMax = p.NInit, p.NBatch, p.NMax
 	if man.NMax > man.PoolSize {
-		return nil, fmt.Errorf("server: n_max %d exceeds pool_size %d", man.NMax, man.PoolSize)
+		return nil, fmt.Errorf("%w: n_max %d exceeds pool_size %d", errInvalid, man.NMax, man.PoolSize)
+	}
+	if man.NInit > man.NMax {
+		return nil, fmt.Errorf("%w: n_init %d exceeds n_max %d", errInvalid, man.NInit, man.NMax)
 	}
 	return man, nil
 }
@@ -242,7 +245,7 @@ func (m *Manager) sessionConfig(man *Manifest) (core.SessionConfig, error) {
 	}
 	strat, err := core.ByName(man.Strategy, man.Alpha)
 	if err != nil {
-		return core.SessionConfig{}, fmt.Errorf("server: %w", err)
+		return core.SessionConfig{}, fmt.Errorf("%w: %w", errInvalid, err)
 	}
 	service, err := man.encode()
 	if err != nil {
@@ -731,9 +734,5 @@ func isClientError(err error) bool {
 	return strings.Contains(msg, "non-finite y") ||
 		strings.Contains(msg, "labels told") ||
 		strings.Contains(msg, "empty tell") ||
-		strings.Contains(msg, "no labels expected") ||
-		strings.Contains(msg, "unknown strategy") ||
-		strings.HasPrefix(msg, "server: empty space") ||
-		strings.Contains(msg, "exceeds pool_size") ||
-		strings.HasPrefix(msg, "space:")
+		strings.Contains(msg, "no labels expected")
 }

@@ -57,7 +57,7 @@ const maxPoolSize = 1 << 24
 // BuildSpace assembles a space.Space from wire parameter specs.
 func BuildSpace(specs []ParamSpec) (*space.Space, error) {
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("server: empty space")
+		return nil, fmt.Errorf("%w: empty space", errInvalid)
 	}
 	params := make([]space.Parameter, len(specs))
 	for i, ps := range specs {
@@ -84,7 +84,11 @@ func BuildSpace(specs []ParamSpec) (*space.Space, error) {
 			params[i] = space.NumRange(ps.Name, ps.Min, ps.Max, step)
 		}
 	}
-	return space.New(params...)
+	sp, err := space.New(params...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errInvalid, err)
+	}
+	return sp, nil
 }
 
 // SpecFromSpace renders a space back into wire parameter specs —

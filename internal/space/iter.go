@@ -5,7 +5,7 @@ package space
 // advances fastest, exactly matching the order Enumerate materializes. It
 // exists so callers can stream arbitrarily large spaces (up to 10^18+
 // points) one configuration at a time without ever holding the pool in
-// memory. The iterator is deterministic and resettable: any interleaving of
+// memory. The iterator is deterministic: any interleaving of
 // Next calls — one at a time, or shard-sized bursts — yields the identical
 // sequence as a single pass.
 //
@@ -23,18 +23,9 @@ func (s *Space) Iter() *Iterator {
 	return &Iterator{s: s, cur: make(Config, len(s.params))}
 }
 
-// Reset rewinds the iterator to before the first configuration.
-func (it *Iterator) Reset() {
-	for i := range it.cur {
-		it.cur[i] = 0
-	}
-	it.started = false
-	it.done = false
-}
-
 // Next writes the next configuration into dst (which must have length
 // NumParams) and reports whether one was produced. After it returns false
-// the iterator stays exhausted until Reset.
+// the iterator stays exhausted.
 func (it *Iterator) Next(dst Config) bool {
 	if it.done {
 		return false
@@ -59,22 +50,4 @@ func (it *Iterator) Next(dst Config) bool {
 	}
 	copy(dst, it.cur)
 	return true
-}
-
-// ConfigAt decodes the idx-th configuration of the enumeration order into
-// dst without iterating: the space is a mixed-radix number system whose
-// least-significant digit is the last parameter (matching Enumerate and
-// Iterator). It panics if idx is outside [0, Cardinality).
-func (s *Space) ConfigAt(idx int64, dst Config) {
-	if idx < 0 {
-		panic("space: ConfigAt negative index")
-	}
-	for i := len(s.params) - 1; i >= 0; i-- {
-		l := int64(s.params[i].NumLevels())
-		dst[i] = int(idx % l)
-		idx /= l
-	}
-	if idx != 0 {
-		panic("space: ConfigAt index out of range")
-	}
 }

@@ -68,49 +68,6 @@ func TestIteratorShardInvariance(t *testing.T) {
 	}
 }
 
-func TestIteratorReset(t *testing.T) {
-	sp := iterTestSpace(t)
-	it := sp.Iter()
-	cur := make(Config, sp.NumParams())
-	for i := 0; i < 5; i++ {
-		it.Next(cur)
-	}
-	it.Reset()
-	if !it.Next(cur) {
-		t.Fatal("reset iterator is exhausted")
-	}
-	if cur.Key() != sp.Enumerate()[0].Key() {
-		t.Fatalf("after Reset got %v, want the first config", cur)
-	}
-}
-
-func TestConfigAtMatchesEnumerationOrder(t *testing.T) {
-	sp := iterTestSpace(t)
-	want := sp.Enumerate()
-	got := make(Config, sp.NumParams())
-	for i, w := range want {
-		sp.ConfigAt(int64(i), got)
-		if got.Key() != w.Key() {
-			t.Fatalf("ConfigAt(%d) = %v, want %v", i, got, w)
-		}
-	}
-}
-
-func TestConfigAtOutOfRangePanics(t *testing.T) {
-	sp := iterTestSpace(t)
-	card, _ := sp.Cardinality()
-	for _, idx := range []int64{-1, card, card + 7} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("ConfigAt(%d) did not panic", idx)
-				}
-			}()
-			sp.ConfigAt(idx, make(Config, sp.NumParams()))
-		}()
-	}
-}
-
 // TestSampleLHSColumnsReconstruction: the precomputed columns consume
 // the generator identically to SampleLHS, so reading them in any
 // chunking reproduces the materialized draw bit for bit.

@@ -7,103 +7,22 @@
 // BenchmarkForestFit times a full 64-tree refit at paper scale
 // and BenchmarkForestFitTune the refit autotune.Tune runs at Default()
 // sizes (gemver's encoded space, 200 labels, 64 trees). Each records one
-// entry per run.
-//
-// Environment hooks, wired up by the Makefile:
-//
-//	BENCH_TRAIN_JSON=path    append a machine-readable result entry
-//	                         (see benchTrainEntry) to the JSON array at
-//	                         path — the trajectory BENCH_train.json.
-//	TRAIN_BENCH_BASELINE=path  regression guard: fail the benchmark if
-//	                         per-core ms/fit (ms × workers) exceeds twice
-//	                         the most recent recorded entry for the same
-//	                         benchmark (the 2× margin tolerates CI-runner
-//	                         noise).
+// entry per run (bench_record_test.go): bench the benchmark's name, no
+// key, metric "ms_per_fit", params n, d and trees; workers is 1 for a
+// tree and GOMAXPROCS for a forest.
 package repro_test
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/forest"
+	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/tree"
 )
-
-// benchTrainEntry is one recorded bench-train measurement — the schema
-// of BENCH_train.json (an array, newest entry last).
-type benchTrainEntry struct {
-	Bench       string  `json:"bench"`
-	N           int     `json:"n"`
-	D           int     `json:"d"`
-	Trees       int     `json:"trees"`
-	MsPerFit    float64 `json:"ms_per_fit"`
-	BPerOp      int64   `json:"b_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Workers     int     `json:"workers"` // goroutines fitting: 1 for a tree, GOMAXPROCS for a forest
-	GitSHA      string  `json:"git_sha"`
-	Timestamp   string  `json:"timestamp"`
-}
-
-// trainEntryIdx tracks, per benchmark, the BENCH_TRAIN_JSON index this
-// process already wrote, so only the final (longest, most accurate)
-// harness invocation survives as the run's recorded entry.
-var trainEntryIdx = map[string]int{}
-
-// recordTrainBench appends the entry to $BENCH_TRAIN_JSON (if set) and
-// enforces the $TRAIN_BENCH_BASELINE regression guard (if set).
-func recordTrainBench(b *testing.B, e benchTrainEntry) {
-	if path := os.Getenv("BENCH_TRAIN_JSON"); path != "" {
-		var entries []benchTrainEntry
-		if data, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(data, &entries); err != nil {
-				b.Fatalf("BENCH_TRAIN_JSON %s: existing file is not a bench entry array: %v", path, err)
-			}
-		}
-		if idx, ok := trainEntryIdx[e.Bench]; ok && idx < len(entries) {
-			entries[idx] = e
-		} else {
-			trainEntryIdx[e.Bench] = len(entries)
-			entries = append(entries, e)
-		}
-		data, err := json.MarshalIndent(entries, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatalf("BENCH_TRAIN_JSON: %v", err)
-		}
-	}
-	if path := os.Getenv("TRAIN_BENCH_BASELINE"); path != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			b.Fatalf("TRAIN_BENCH_BASELINE: %v", err)
-		}
-		var entries []benchTrainEntry
-		if err := json.Unmarshal(data, &entries); err != nil {
-			b.Fatalf("TRAIN_BENCH_BASELINE %s: %v", path, err)
-		}
-		// Per-core ms/fit (ms × workers), as for bench-pool: forest fits
-		// parallelise across trees, so a baseline recorded on more cores
-		// would otherwise trip on any smaller runner.
-		perCore := e.MsPerFit * float64(e.Workers)
-		baseline := 0.0
-		for _, base := range entries { // newest matching entry wins
-			if base.Bench == e.Bench {
-				baseline = base.MsPerFit * float64(base.Workers)
-			}
-		}
-		if baseline > 0 && perCore > 2*baseline {
-			b.Fatalf("training regression: %.1f per-core ms/fit on %s, recorded baseline %.1f (limit 2x)",
-				perCore, e.Bench, baseline)
-		}
-	}
-}
 
 // trainBenchLoop times b.N calls of fit and records them under name.
 func trainBenchLoop(b *testing.B, name string, n, d, trees, workers int, fit func(i int) error) {
@@ -118,17 +37,14 @@ func trainBenchLoop(b *testing.B, name string, n, d, trees, workers int, fit fun
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)
-	recordTrainBench(b, benchTrainEntry{
+	recordBench(b, report.BenchEntry{
 		Bench:       name,
-		N:           n,
-		D:           d,
-		Trees:       trees,
-		MsPerFit:    float64(b.Elapsed().Nanoseconds()) / float64(b.N) / 1e6,
+		Metric:      "ms_per_fit",
+		Value:       float64(b.Elapsed().Nanoseconds()) / float64(b.N) / 1e6,
+		Workers:     workers,
 		BPerOp:      int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(b.N),
 		AllocsPerOp: int64(ms1.Mallocs-ms0.Mallocs) / int64(b.N),
-		Workers:     workers,
-		GitSHA:      gitSHA(),
-		Timestamp:   time.Now().UTC().Format(time.RFC3339),
+		Params:      map[string]float64{"n": float64(n), "d": float64(d), "trees": float64(trees)},
 	})
 }
 
