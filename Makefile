@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check fmt-check vet test race fuzz-smoke train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-train bench-train-smoke bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
+.PHONY: all build check fmt-check vet test race fuzz-smoke train-equivalence resume-equivalence campaign-equivalence chaos-equivalence chaos-soak pool-equivalence session-equivalence soak-server fleet-equivalence fleet-soak fleet-failover bench bench-checkpoint bench-train bench-train-smoke bench-campaign bench-campaign-smoke bench-pool bench-pool-smoke figures figures-paper report examples clean
 
 all: build check
 
@@ -52,9 +52,15 @@ train-equivalence:
 # warm refits, leaf targets, a categorical space, a service manifest, a
 # non-forest model) and every tree and forest encoding must be
 # byte-identical to encoding/json's, and the forest loader must survive
-# its fuzz seed corpus (hostile splits included) without a panic.
+# its fuzz seed corpus (hostile splits included) without a panic. A
+# cold-refit snapshot records its fit seed instead of the model: resume
+# -> snapshot -> resume must rebuild the same model bytes from a
+# fit-seed, a legacy model-carrying and a warm-update snapshot, the
+# refit must equal the live forest, and the snapshot loader must survive
+# its fuzz seed corpus (v1, v2 with a service manifest, v3 fit seed, a
+# legacy Remaining snapshot) without a panic.
 resume-equivalence:
-	go test -race -run 'TestResumeEquivalence|TestResumeStreamEquivalence|TestLegacyCheckpoint|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint|TestSnapshotBytesMatchEncodingJSON|TestSaveValidatesUnappendedModels|TestAppendJSONMatchesEncodingJSON|FuzzForestLoad' ./internal/core ./internal/autotune ./internal/runstate ./internal/forest ./internal/tree
+	go test -race -run 'TestResumeEquivalence|TestResumeStreamEquivalence|TestLegacyCheckpoint|TestCheckpointCadence|TestTuneCheckpointResume|TestTuneRejectsForeignCheckpoint|TestSnapshotBytesMatchEncodingJSON|TestSaveValidatesUnappendedModels|TestAppendJSONMatchesEncodingJSON|FuzzForestLoad|TestSnapshotResumeRoundTrip|TestSnapshotResumeCorpus|FuzzSnapshotResume' ./internal/core ./internal/autotune ./internal/runstate ./internal/forest ./internal/tree
 
 # campaign-equivalence gates the campaign engine: the work-stealing
 # drain must reproduce the sequential per-strategy test oracle
@@ -151,7 +157,7 @@ pool-equivalence:
 # kept as the test oracle in internal/figures, bit for bit, over six
 # problems, two seeds and both the true and the surrogate annotator.
 session-equivalence:
-	go test -race -run 'TestSessionEquivalenceGolden|TestSessionResumeEveryPrefix|TestLegacyCheckpoint|TestSnapshotVersionTolerance|TestSession' ./internal/core
+	go test -race -run 'TestSessionEquivalenceGolden|TestSessionResumeEveryPrefix|TestLegacyCheckpoint|TestSnapshotVersionTolerance|TestSnapshotResumeRoundTrip|TestSession' ./internal/core
 	go test -race -run 'TestDaemonKillRecoverEquivalence' ./cmd/tuned
 	go test -race -run 'TestFig8MatchesGreedyOracle' ./internal/figures
 
@@ -215,7 +221,8 @@ fleet-failover:
 # fuzz-smoke runs each fuzz target for a few seconds beyond its committed
 # seed corpus (which every plain `go test` already replays): the top-k
 # reducers against the sort-based specification, the float-to-key order
-# map, the forest loader on hostile model JSON, and PWU's floor bound.
+# map, the forest loader on hostile model JSON, PWU's floor bound, and
+# the checkpoint loader (decode + ResumeSession) on hostile snapshots.
 # A failing input is written under the package's testdata/fuzz, ready to
 # commit as a seed.
 fuzz-smoke:
@@ -223,6 +230,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzKeyOrder$$' -fuzztime 2s ./internal/tree
 	go test -run xxx -fuzz '^FuzzForestLoad$$' -fuzztime 2s ./internal/forest
 	go test -run xxx -fuzz '^FuzzPWUFloor$$' -fuzztime 2s ./internal/core
+	go test -run xxx -fuzz '^FuzzSnapshotResume$$' -fuzztime 2s ./internal/runstate
 
 # fmt-check fails when any Go file is not gofmt-clean.
 fmt-check:
@@ -241,16 +249,20 @@ race:
 bench:
 	go test -bench=. -benchmem -run xxx ./...
 
-# The recorded benchmark trajectories. bench-train, bench-campaign and
-# bench-pool append their entries to BENCH_train.json, BENCH_campaign.json
-# and BENCH_pool.json through BENCH_JSON; each bench-*-smoke gate fails
+# The recorded benchmark trajectories. bench-train, bench-campaign,
+# bench-pool and bench-checkpoint append their entries to
+# BENCH_train.json, BENCH_campaign.json, BENCH_pool.json and
+# BENCH_checkpoint.json through BENCH_JSON; each bench-*-smoke gate fails
 # through BENCH_BASELINE when a benchmark's per-core value (value x
-# workers) exceeds twice that of the newest entry of the same bench and
-# key in the committed trajectory (the 2x margin absorbs runner noise).
-# All three files share one entry schema (report.BenchEntry; recorder:
-# bench_record_test.go) and `go run ./cmd/report -bench FILE` renders
-# any of them. Setting BENCH_JSON when calling a smoke target records its
-# entries too, as CI does.
+# workers) exceeds twice that of the newest entry of the same workload —
+# bench, key and workload params (problems, pool_size, n, d, trees,
+# labels) — in the committed trajectory (the 2x margin absorbs runner
+# noise), so a smoke-sized run is guarded by a committed smoke-sized
+# entry, never by a full-size recording. All four files share one entry
+# schema (report.BenchEntry; recorder: bench_record_test.go) and
+# `go run ./cmd/report -bench FILE` renders any of them. Setting
+# BENCH_JSON when calling a smoke target records its entries too, as CI
+# does.
 
 # Training-engine benchmarks only: paper-scale tree and forest fits on
 # the presorted engine, plus the tune-shaped forest refit (the reference
@@ -282,8 +294,8 @@ bench-campaign:
 
 # Smoke-sized bench-campaign for the check gate and CI: a two-kernel
 # grid, one iteration of the local and fleet drains — proves both
-# engines end to end in about a second, guarded against
-# BENCH_campaign.json.
+# engines end to end in about a second, guarded against the committed
+# problems=2 entries of BENCH_campaign.json.
 bench-campaign-smoke:
 	CAMPAIGN_BENCH_PROBLEMS=2 BENCH_BASELINE=BENCH_campaign.json go test -bench 'BenchmarkCampaignFig2$$|BenchmarkCampaignFig2Fleet$$' -benchmem -benchtime 1x -run xxx .
 
@@ -303,10 +315,20 @@ bench-pool:
 
 # Smoke-sized bench-pool for the check gate and CI: a 20k pool, one
 # iteration at -cpu 1 — proves the pipeline end to end in about a
-# second, guarded against BENCH_pool.json (bench-pool records at -cpu 1
-# too, so the baseline is like for like).
+# second, guarded against the committed pool_size=20000 entry of
+# BENCH_pool.json (recorded at -cpu 1 too, so the baseline is like for
+# like).
 bench-pool-smoke:
 	POOL_BENCH_N=20000 BENCH_BASELINE=BENCH_pool.json go test -bench 'BenchmarkPoolStreamPWU' -benchmem -benchtime 1x -cpu 1 -run xxx .
+
+# Checkpoint benchmark: one boundary checkpoint of a serve-refit-shaped
+# session (Session.Snapshot + runstate.Save: encode, write, fsync,
+# rename, directory fsync) on one core, a fixed 200 checkpoints after
+# the harness's probe run. Each run appends one entry, with the
+# checkpoint's size in params.bytes, to BENCH_checkpoint.json. It has no
+# smoke gate: the fsync dominates, and its latency belongs to the disk.
+bench-checkpoint:
+	BENCH_JSON=BENCH_checkpoint.json go test -bench 'BenchmarkSessionCheckpoint$$' -benchmem -benchtime 200x -cpu 1 -run xxx .
 
 # Regenerate every table and figure of the paper (quick, shape-preserving).
 figures:

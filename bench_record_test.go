@@ -1,9 +1,11 @@
-// Benchmark trajectories: BENCH_pool.json, BENCH_train.json and
-// BENCH_campaign.json, JSON arrays of report.BenchEntry with the newest
-// entry last, rendered by `go run ./cmd/report -bench FILE`. The
-// pool-scoring (pool_bench_test.go), training (train_bench_test.go) and
-// campaign-drain (campaign_bench_test.go) benchmarks each record one
-// entry per (bench, key) per run through recordBench.
+// Benchmark trajectories: BENCH_pool.json, BENCH_train.json,
+// BENCH_campaign.json and BENCH_checkpoint.json, JSON arrays of
+// report.BenchEntry with the newest entry last, rendered by
+// `go run ./cmd/report -bench FILE`. The pool-scoring
+// (pool_bench_test.go), training (train_bench_test.go), campaign-drain
+// (campaign_bench_test.go) and session-checkpoint
+// (checkpoint_bench_test.go) benchmarks each record one entry per
+// (bench, key) per run through recordBench.
 //
 // Environment hooks, wired up by the Makefile:
 //
@@ -13,9 +15,12 @@
 //	                     point it at the committed trajectory.
 //	BENCH_BASELINE=path  regression guard: fail the benchmark if its
 //	                     per-core value (value × workers) exceeds twice
-//	                     that of the newest entry at path with the same
-//	                     bench and key (the 2× margin tolerates CI-runner
-//	                     noise) — the bench-*-smoke gates of `make check`.
+//	                     that of the newest entry at path of the same
+//	                     workload — bench, key and workload params such
+//	                     as problems and pool_size, report.SameWorkload —
+//	                     (the 2× margin tolerates CI-runner noise): the
+//	                     bench-*-smoke gates of `make check`, each
+//	                     guarded by a committed entry of its own size.
 package repro_test
 
 import (
@@ -93,13 +98,13 @@ func recordBench(b *testing.B, e report.BenchEntry) {
 		// and its smoke, so its comparison is like for like. With no
 		// matching entry there is nothing to guard against.
 		var base *report.BenchEntry
-		for i := range entries { // the newest matching entry wins
-			if entries[i].Bench == e.Bench && entries[i].Key == e.Key {
+		for i := range entries { // the newest entry of the same workload wins
+			if entries[i].SameWorkload(e) {
 				base = &entries[i]
 			}
 		}
 		if base == nil {
-			b.Logf("BENCH_BASELINE: no %s %q entry; guard skipped", e.Bench, e.Key)
+			b.Logf("BENCH_BASELINE: no %s %q entry of this workload; guard skipped", e.Bench, e.Key)
 		} else if e.PerCore() > 2*base.PerCore() {
 			b.Fatalf("%s %q regression: per-core %s %.1f, recorded baseline %.1f at %s (limit 2x)",
 				e.Bench, e.Key, e.Metric, e.PerCore(), base.PerCore(), base.GitSHA)

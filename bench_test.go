@@ -182,7 +182,7 @@ func BenchmarkCampaignFig2(b *testing.B) {
 		cells = res.Scheduler.Tasks
 	}
 	b.StopTimer()
-	reportCampaign(b, "local", cells, st, 0)
+	reportCampaign(b, "local", len(problems), cells, st, 0)
 }
 
 // BenchmarkFig3KernelCC regenerates Fig. 3's series: cumulative labeling

@@ -6,8 +6,9 @@
 // two engines: the in-process work-stealing scheduler (key "local") and
 // a fleet coordinator serving in-process network workers (key "fleet").
 // Both record one entry per run (bench_record_test.go): bench
-// "CampaignFig2", metric "ms_per_cell", params cells, wall_ms,
-// utilization, steals and requeues. The trajectory answers, per commit,
+// "CampaignFig2", metric "ms_per_cell", params problems (the grid's
+// kernel count, which sizes the workload), cells, wall_ms, utilization,
+// steals and requeues. The trajectory answers, per commit,
 // what a campaign cell costs and what the fleet transport adds on top
 // of the local drain: `report -bench` puts the two per-core values in
 // adjacent rows.
@@ -47,7 +48,7 @@ func campaignBenchProblems(b *testing.B) int {
 // reportCampaign attaches the scheduler metrics to the benchmark output
 // and records the trajectory entry for the run. requeues is the fleet
 // coordinator's re-queue count over the run (0 for the local drain).
-func reportCampaign(b *testing.B, mode string, cells int, st campaign.Stats, requeues int64) {
+func reportCampaign(b *testing.B, mode string, problems, cells int, st campaign.Stats, requeues int64) {
 	wallMs := float64(b.Elapsed().Nanoseconds()) / 1e6 / float64(b.N)
 	b.ReportMetric(st.Utilization, "utilization")
 	b.ReportMetric(float64(st.Steals), "steals")
@@ -59,6 +60,7 @@ func reportCampaign(b *testing.B, mode string, cells int, st campaign.Stats, req
 		Value:   wallMs / float64(cells),
 		Workers: st.Workers,
 		Params: map[string]float64{
+			"problems":    float64(problems),
 			"cells":       float64(cells),
 			"wall_ms":     wallMs,
 			"utilization": st.Utilization,
@@ -118,7 +120,7 @@ func BenchmarkCampaignFig2Fleet(b *testing.B) {
 		cells = res.Scheduler.Tasks
 	}
 	b.StopTimer()
-	reportCampaign(b, "fleet", cells, st, coord.Stats().Requeues-requeues)
+	reportCampaign(b, "fleet", len(problems), cells, st, coord.Stats().Requeues-requeues)
 
 	cancel()
 	for i := 0; i < nWorkers; i++ {

@@ -1,9 +1,10 @@
 // Command report summarises a cmd/figures output directory as Markdown:
 // per-benchmark endpoints, PWU-vs-PBUS speedups and tuning results.
 // With -bench it instead renders a benchmark trajectory — BENCH_pool.json,
-// BENCH_train.json or BENCH_campaign.json, written by `make bench-pool`,
-// `make bench-train` and `make bench-campaign` in one entry schema
-// (report.BenchEntry): the newest entry per (bench, key, workers) with
+// BENCH_train.json, BENCH_campaign.json or BENCH_checkpoint.json,
+// written by `make bench-pool`, `make bench-train`, `make bench-campaign`
+// and `make bench-checkpoint` in one entry schema (report.BenchEntry):
+// the newest entry per (bench, key, workload params, workers) with
 // its per-core value, B/op, allocs/op, params and commit, then each
 // one's speedup over the previous commit.
 // With -service it renders a tuned daemon's /stats dump as a Service

@@ -102,7 +102,11 @@ type Model interface {
 }
 
 // Fitter builds a surrogate from the current labeled set. Params.Fitter
-// defaults to random-forest fitting with Params.Forest.
+// defaults to random-forest fitting with Params.Forest. A Fitter must be
+// deterministic in its generator — the same labeled set and a generator
+// of the same seed must give the same model — because a snapshot records
+// a cold fit as its generator's seed and resume refits through the
+// Fitter (see Snapshot.FitSeed).
 type Fitter func(X [][]float64, y []float64, features []space.Feature, r *rng.RNG) (Model, error)
 
 // Updatable is an optional Model capability: a warm partial refit on the
@@ -233,7 +237,8 @@ type Params struct {
 	Forest forest.Config
 
 	// Fitter overrides the surrogate; nil means random forest with the
-	// Forest configuration.
+	// Forest configuration. It must be deterministic in its generator:
+	// resuming a snapshot refits the model through it (see Fitter).
 	Fitter Fitter
 
 	// WarmUpdate refits via Model.Update when the model supports it

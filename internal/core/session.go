@@ -208,6 +208,14 @@ type Session struct {
 	iter     int
 	labelSum float64 // running sum of TrainY
 
+	// fitSeed is the seed of the generator the live model's cold fit
+	// drew from, which a snapshot records instead of the model; seeded
+	// is false while the model is not a function of one seed (after a
+	// warm Update, or when it was decoded from a model-carrying
+	// snapshot).
+	fitSeed uint64
+	seeded  bool
+
 	// modelBytes is the size of the last snapshot's forest encoding,
 	// which presizes the next one (see marshalModel).
 	modelBytes int
@@ -677,13 +685,16 @@ func (s *Session) completeBatch() error {
 
 	fitStart := time.Now()
 	var err error
+	fr := s.r.Split()
 	if u, ok := s.model.(Updatable); !cold && s.p.WarmUpdate && ok {
-		err = u.Update(s.trainX, s.res.TrainY, s.r.Split())
+		err = u.Update(s.trainX, s.res.TrainY, fr)
+		s.seeded = false
 	} else {
 		var m Model
-		m, err = s.fitter(s.trainX, s.res.TrainY, s.features, s.r.Split())
+		m, err = s.fitter(s.trainX, s.res.TrainY, s.features, fr)
 		if err == nil {
 			s.model = m
+			s.fitSeed, s.seeded = fr.Seed(), true
 		}
 	}
 	if err != nil {

@@ -118,13 +118,22 @@ func zeroDurations(stats []IterStats) []IterStats {
 }
 
 // canonicalSnapshot renders a snapshot deterministically: durations
-// zeroed and the serialized model replaced by its SHA-256, so the golden
+// zeroed and the model replaced by the SHA-256 of the model ResumeSession
+// rebuilds from it (refitted from a fit seed, or decoded), so the golden
 // stays compact while still pinning the model bytes.
-func canonicalSnapshot(t testing.TB, snap *Snapshot) json.RawMessage {
+func canonicalSnapshot(t testing.TB, snap *Snapshot, src pool.Source, strat Strategy) json.RawMessage {
 	t.Helper()
+	rs, err := ResumeSession(snap, SessionConfig{Source: src, Strategy: strat, Params: goldenParams(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _, err := rs.marshalModel()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cp := *snap
 	cp.Stats = zeroDurations(cp.Stats)
-	sum := sha256.Sum256(cp.Model)
+	sum := sha256.Sum256(model)
 	hashed, err := json.Marshal("sha256:" + hex.EncodeToString(sum[:]))
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +182,7 @@ func goldenRun(t testing.TB, strat Strategy, src pool.Source) (goldenCase, []*Sn
 	mid := snaps[len(snaps)/2]
 	gc := resultCase(strat, res)
 	gc.SnapshotAt = mid.Iteration
-	gc.Snapshot = canonicalSnapshot(t, mid)
+	gc.Snapshot = canonicalSnapshot(t, mid, src, strat)
 	return gc, snaps
 }
 

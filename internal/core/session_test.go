@@ -206,8 +206,9 @@ func TestSessionSnapshotBoundaryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 1 || !snap.Streamed || snap.Iteration != 0 {
-		t.Fatalf("boundary snapshot: version=%d streamed=%v iter=%d", snap.Version, snap.Streamed, snap.Iteration)
+	if snap.Version != snapshotVersionFitSeed || snap.FitSeed == nil || snap.Model != nil || !snap.Streamed || snap.Iteration != 0 {
+		t.Fatalf("boundary snapshot: version=%d fit_seed=%v model=%q streamed=%v iter=%d",
+			snap.Version, snap.FitSeed, snap.Model, snap.Streamed, snap.Iteration)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 )
 
 // Snapshot wire versions. The engine writes the lowest version that can
-// represent the state — version 1 unless the session carries a service
-// manifest — and reads every version in the supported range, so
+// represent the state — version 3 when the live model is a cold fit of a
+// known seed, otherwise version 1, or 2 when the session carries a
+// service manifest — and reads every version in the supported range, so
 // checkpoints written by older engine generations keep resuming and a
 // genuinely unknown version fails with a typed error instead of a
 // silent misparse.
@@ -26,6 +27,11 @@ const (
 	// snapshotVersionService adds the opaque service manifest a
 	// daemon-managed session stores for crash recovery.
 	snapshotVersionService = 2
+
+	// snapshotVersionFitSeed replaces the model by the seed of the
+	// generator its cold fit drew from (FitSeed); resume refits. The
+	// service manifest is optional in it.
+	snapshotVersionFitSeed = 3
 )
 
 // SnapshotVersionError reports a snapshot whose wire version this
@@ -37,16 +43,31 @@ type SnapshotVersionError struct {
 // Error implements error.
 func (e *SnapshotVersionError) Error() string {
 	return fmt.Sprintf("core: snapshot version %d unsupported (engine speaks %d..%d)",
-		e.Version, snapshotVersion, snapshotVersionService)
+		e.Version, snapshotVersion, snapshotVersionFitSeed)
 }
 
 // checkSnapshotVersion rejects wire versions outside the supported
 // range with a typed error.
 func checkSnapshotVersion(v int) error {
-	if v < snapshotVersion || v > snapshotVersionService {
+	if v < snapshotVersion || v > snapshotVersionFitSeed {
 		return &SnapshotVersionError{Version: v}
 	}
 	return nil
+}
+
+// SnapshotModelError reports a snapshot whose model record does not fit
+// its wire version: a version-3 snapshot carries fit_seed and no model,
+// versions 1 and 2 carry a model and no fit_seed.
+type SnapshotModelError struct {
+	Version  int
+	HasModel bool
+	HasSeed  bool
+}
+
+// Error implements error.
+func (e *SnapshotModelError) Error() string {
+	return fmt.Sprintf("core: snapshot version %d with model=%t fit_seed=%t (version %d carries only fit_seed, earlier versions only a model)",
+		e.Version, e.HasModel, e.HasSeed, snapshotVersionFitSeed)
 }
 
 // Snapshot is the complete serializable state of a run at an iteration
@@ -102,10 +123,19 @@ type Snapshot struct {
 	// noise stream).
 	Evaluator *rng.State `json:"evaluator,omitempty"`
 
-	// Model is the fitted surrogate, serialized by its own marshaler
+	// FitSeed is the seed of the generator the live model's cold fit
+	// drew from (version 3). A cold fit is a pure function of the
+	// labeled set and that generator, so a snapshot that carries it
+	// carries no Model: resume refits through the session's Fitter with
+	// rng.New(FitSeed) and rebuilds the model bit for bit.
+	FitSeed *uint64 `json:"fit_seed,omitempty"`
+
+	// Model is the fitted surrogate when it is not a function of one
+	// seed (a warm-updated model, or one loaded from a model-carrying
+	// snapshot and not refitted since), serialized by its own marshaler
 	// (the forest/tree JSON format by default) and compacted, as
-	// encoding/json writes it. runstate.Save copies these bytes into
-	// the checkpoint verbatim.
+	// encoding/json writes it; null in version 3. runstate.Save copies
+	// these bytes into the checkpoint verbatim.
 	Model json.RawMessage `json:"model"`
 
 	// Stats, Selections, FailedCost and GuardCost restore the Result
@@ -241,29 +271,37 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 }
 
 // snapshot captures the session's boundary state. Slices are copied so
-// the snapshot stays valid while the session keeps running.
+// the snapshot stays valid while the session keeps running. A model
+// that is a cold fit of a known seed is recorded as that seed (version
+// 3); any other model is serialized.
 func (s *Session) snapshot() (*Snapshot, error) {
-	model, appended, err := s.marshalModel()
-	if err != nil {
-		return nil, fmt.Errorf("serializing model: %w", err)
-	}
 	snap := &Snapshot{
 		Version:      snapshotVersion,
 		Iteration:    s.iter,
 		TrainConfigs: append([]space.Config(nil), s.res.TrainConfigs...),
 		TrainY:       append([]float64(nil), s.res.TrainY...),
 		RNG:          s.r.State(),
-		Model:        model,
 		Stats:        append([]IterStats(nil), s.res.Stats...),
 		Selections:   append([]Selection(nil), s.res.Selections...),
 		FailedCost:   s.res.FailedCost,
 		GuardCost:    s.res.GuardCost,
 	}
-	if appended {
-		snap.appended = model
+	if s.seeded {
+		seed := s.fitSeed
+		snap.Version = snapshotVersionFitSeed
+		snap.FitSeed = &seed
+	} else {
+		model, appended, err := s.marshalModel()
+		if err != nil {
+			return nil, fmt.Errorf("serializing model: %w", err)
+		}
+		snap.Model = model
+		if appended {
+			snap.appended = model
+		}
 	}
 	if s.service != nil {
-		snap.Version = snapshotVersionService
+		snap.Version = max(snap.Version, snapshotVersionService)
 		snap.Service = append(json.RawMessage(nil), s.service...)
 	}
 	snap.Streamed = true
@@ -303,8 +341,10 @@ func (s *Session) marshalModel() (model []byte, appended bool, err error) {
 // deterministic inputs (the source — validated against the snapshot's
 // fingerprint — strategy and params, which must match the original
 // run's); the snapshot restores the labeled set, pool membership, the
-// generator, the fitted model and, when present, the evaluator's noise
-// stream (via SessionConfig.Evaluator). The configuration's RNG is
+// generator, the fitted model — refitted through the configuration's
+// Fitter from a version-3 snapshot's fit seed, decoded from any earlier
+// version — and, when present, the evaluator's noise stream (via
+// SessionConfig.Evaluator). The configuration's RNG is
 // ignored; the generator always resumes from the snapshot's stream
 // position. Legacy materialized-pool snapshots resume too, over a
 // source replaying the same candidate sequence (see Snapshot).
@@ -352,13 +392,31 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 	if len(snap.TrainY) == 0 || len(snap.TrainY) > s.p.NMax {
 		return nil, fmt.Errorf("core: snapshot labeled-set size %d outside (0, NMax=%d]", len(snap.TrainY), s.p.NMax)
 	}
+	for i, c := range snap.TrainConfigs {
+		if err := s.sp.Validate(c); err != nil {
+			return nil, fmt.Errorf("core: snapshot train config %d: %w", i, err)
+		}
+	}
+	hasModel := len(snap.Model) > 0 && string(snap.Model) != "null"
+	seeded := snap.FitSeed != nil
+	if hasModel == seeded || seeded != (snap.Version >= snapshotVersionFitSeed) {
+		return nil, &SnapshotModelError{Version: snap.Version, HasModel: hasModel, HasSeed: seeded}
+	}
 
 	r, err := rng.FromState(snap.RNG)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot RNG: %w", err)
 	}
-	model, err := forest.Load(bytes.NewReader(snap.Model))
-	if err != nil {
+	for _, c := range snap.TrainConfigs {
+		s.trainX = append(s.trainX, s.sp.Encode(c))
+	}
+	var model Model
+	if seeded {
+		s.fitSeed, s.seeded = *snap.FitSeed, true
+		if model, err = s.fitter(s.trainX, snap.TrainY, s.features, rng.New(s.fitSeed)); err != nil {
+			return nil, fmt.Errorf("core: snapshot refit: %w", err)
+		}
+	} else if model, err = forest.Load(bytes.NewReader(snap.Model)); err != nil {
 		return nil, fmt.Errorf("core: snapshot model: %w", err)
 	}
 	if snap.Evaluator != nil {
@@ -385,9 +443,6 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 		Model:        model,
 	}
 	s.taken = append(s.taken[:0], taken...)
-	for _, c := range snap.TrainConfigs {
-		s.trainX = append(s.trainX, s.sp.Encode(c))
-	}
 	for _, y := range snap.TrainY {
 		s.labelSum += y
 	}
@@ -408,7 +463,7 @@ func ResumeSession(snap *Snapshot, cfg SessionConfig) (*Session, error) {
 // source (validated against the snapshot's fingerprint), the evaluator,
 // the strategy and the params, which must match the original run — and
 // Resume restores the rest from the snapshot: the labeled set, pool
-// membership, the loop generator, the fitted forest and, for
+// membership, the loop generator, the fitted model and, for
 // StatefulEvaluator evaluators, the evaluator's noise stream.
 func Resume(ctx context.Context, snap *Snapshot, src pool.Source, ev Evaluator, strat Strategy, params Params, obs Observer) (*Result, error) {
 	if ev == nil {

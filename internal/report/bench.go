@@ -12,10 +12,10 @@ import (
 )
 
 // BenchEntry is one recorded benchmark measurement: the one schema of
-// the BENCH_pool.json, BENCH_train.json and BENCH_campaign.json
-// trajectories, each a JSON array with the newest entry last. The root
-// package's benchmarks append entries (recordBench in
-// bench_record_test.go); Bench renders them.
+// the BENCH_pool.json, BENCH_train.json, BENCH_campaign.json and
+// BENCH_checkpoint.json trajectories, each a JSON array with the newest
+// entry last. The root package's benchmarks append entries (recordBench
+// in bench_record_test.go); Bench renders them.
 type BenchEntry struct {
 	Bench       string             `json:"bench"`
 	Key         string             `json:"key,omitempty"` // the kernel or the mode; empty for training
@@ -33,6 +33,31 @@ type BenchEntry struct {
 // compares across hosts of different core counts.
 func (e BenchEntry) PerCore() float64 { return e.Value * float64(e.Workers) }
 
+// workloadParams are the params that size a benchmark's workload: the
+// campaign grid's kernel count, the scored pool, the training set and
+// forest, the labeled set. Entries that differ in any of them — or carry
+// one the other lacks — time different workloads.
+var workloadParams = []string{"problems", "pool_size", "n", "d", "trees", "labels"}
+
+// workload renders the entry's workload params, the part of its
+// identity beyond bench and key.
+func (e BenchEntry) workload() string {
+	var parts []string
+	for _, k := range workloadParams {
+		if v, ok := e.Params[k]; ok {
+			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
+		}
+	}
+	return strings.Join(parts, " ")
+}
+
+// SameWorkload reports whether e and o time the same workload: the same
+// bench and key, and equal workload params (a smoke-sized run never
+// compares with a full-size recording).
+func (e BenchEntry) SameWorkload(o BenchEntry) bool {
+	return e.Bench == o.Bench && e.Key == o.Key && e.workload() == o.workload()
+}
+
 // ReadBench reads a benchmark trajectory. An empty array is not an
 // error; a missing file or malformed JSON is.
 func ReadBench(path string) ([]BenchEntry, error) {
@@ -48,9 +73,9 @@ func ReadBench(path string) ([]BenchEntry, error) {
 }
 
 // Bench renders a benchmark trajectory as a Markdown section: the newest
-// entry per (bench, key, workers), in first-appearance order, then one
-// speedup line comparing each such entry with the newest earlier entry
-// of the same (bench, key, workers) recorded at a different commit.
+// entry per (bench, key, workload, workers), in first-appearance order,
+// then one speedup line comparing each such entry with the newest
+// earlier entry of the same group recorded at a different commit.
 func Bench(path string, w io.Writer) error {
 	entries, err := ReadBench(path)
 	if err != nil {
@@ -60,13 +85,13 @@ func Bench(path string, w io.Writer) error {
 		return fmt.Errorf("%s: no recorded entries", path)
 	}
 	type group struct {
-		bench, key string
-		workers    int
+		bench, key, workload string
+		workers              int
 	}
 	latest := map[group]int{}
 	var order []group
 	for i, e := range entries { // the newest entry per group wins
-		g := group{e.Bench, e.Key, e.Workers}
+		g := group{e.Bench, e.Key, e.workload(), e.Workers}
 		if _, seen := latest[g]; !seen {
 			order = append(order, g)
 		}
@@ -84,11 +109,14 @@ func Bench(path string, w io.Writer) error {
 			e.Bench, e.Key, e.Metric, e.Value, e.Workers, e.PerCore(), e.BPerOp, e.AllocsPerOp, formatParams(e.Params), e.GitSHA)
 		for j := i - 1; j >= 0; j-- {
 			p := entries[j]
-			if (group{p.Bench, p.Key, p.Workers}) == g && p.GitSHA != e.GitSHA {
+			if p.SameWorkload(e) && p.Workers == e.Workers && p.GitSHA != e.GitSHA {
 				if e.Value > 0 {
 					name := e.Bench
 					if e.Key != "" {
 						name += "/" + e.Key
+					}
+					if g.workload != "" {
+						name += " [" + g.workload + "]"
 					}
 					speedups = append(speedups, fmt.Sprintf("%s (workers=%d) %.2fx (%.1f at %s)", name, e.Workers, p.Value/e.Value, p.Value, p.GitSHA))
 				}

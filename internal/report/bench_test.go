@@ -39,19 +39,23 @@ func wantRows(t *testing.T, out string, rows ...string) {
 }
 
 // TestBenchPoolRendersLatestPerKernel: a pool-scoring trajectory renders
-// the newest entry per key (kernel), with the per-core value (value ×
-// workers), the memory columns, the params and the commit.
+// the newest entry per key (kernel) and pool size, with the per-core
+// value (value × workers), the memory columns, the params and the
+// commit; a smoke-sized pool is its own row and never a baseline.
 func TestBenchPoolRendersLatestPerKernel(t *testing.T) {
-	// Two exact entries (the stale one must lose) plus one historical
-	// entry of the removed quant kernel at two workers.
+	// Two exact entries (the stale one must lose), one historical entry
+	// of the removed quant kernel at two workers, and a smoke-sized exact
+	// entry at another commit.
 	out := renderBench(t, `[
-	  {"bench":"PoolStreamPWU","key":"exact","metric":"ns_per_candidate","value":9000,"workers":1,"b_per_op":1,"params":{"pool_size":1000,"shard":1024},"git_sha":"abc1234","timestamp":"t0"},
+	  {"bench":"PoolStreamPWU","key":"exact","metric":"ns_per_candidate","value":9000,"workers":1,"b_per_op":1,"params":{"pool_size":200000,"shard":1024},"git_sha":"abc1234","timestamp":"t0"},
 	  {"bench":"PoolStreamPWU","key":"quant","metric":"ns_per_candidate","value":1000,"workers":2,"b_per_op":3,"params":{"pool_size":200000,"shard":1024},"git_sha":"f675e74","timestamp":"t1"},
-	  {"bench":"PoolStreamPWU","key":"exact","metric":"ns_per_candidate","value":4000,"workers":1,"b_per_op":2,"allocs_per_op":5,"params":{"pool_size":200000,"shard":1024},"git_sha":"abc1234","timestamp":"t1"}
+	  {"bench":"PoolStreamPWU","key":"exact","metric":"ns_per_candidate","value":4000,"workers":1,"b_per_op":2,"allocs_per_op":5,"params":{"pool_size":200000,"shard":1024},"git_sha":"abc1234","timestamp":"t1"},
+	  {"bench":"PoolStreamPWU","key":"exact","metric":"ns_per_candidate","value":6000,"workers":1,"params":{"pool_size":20000,"shard":1024},"git_sha":"def5678","timestamp":"t2"}
 	]`)
 	wantRows(t, out,
 		"| PoolStreamPWU | exact | ns_per_candidate | 4000.0 | 1 | 4000.0 | 2 | 5 | pool_size=200000 shard=1024 | abc1234 |",
 		"| PoolStreamPWU | quant | ns_per_candidate | 1000.0 | 2 | 2000.0 | 3 | 0 | pool_size=200000 shard=1024 | f675e74 |",
+		"| PoolStreamPWU | exact | ns_per_candidate | 6000.0 | 1 | 6000.0 | 0 | 0 | pool_size=20000 shard=1024 | def5678 |",
 	)
 	if strings.Contains(out, "9000") {
 		t.Fatalf("stale exact entry rendered:\n%s", out)
@@ -73,7 +77,7 @@ func TestBenchTrainRendersLatestPerBench(t *testing.T) {
 	out := renderBench(t, `[
 	  {"bench":"ForestFit","metric":"ms_per_fit","value":900,"workers":2,"git_sha":"old","timestamp":"t0"},
 	  {"bench":"ForestFit","metric":"ms_per_fit","value":650,"workers":2,"git_sha":"abc1234","timestamp":"t1"},
-	  {"bench":"TreeFit","metric":"ms_per_fit","value":12,"workers":1,"git_sha":"abc1234","timestamp":"t1"},
+	  {"bench":"TreeFit","metric":"ms_per_fit","value":12,"workers":1,"params":{"d":10,"n":3000,"trees":1},"git_sha":"abc1234","timestamp":"t1"},
 	  {"bench":"ForestFit","metric":"ms_per_fit","value":700,"workers":4,"git_sha":"abc1234","timestamp":"t1"},
 	  {"bench":"ForestFit","key":"other","metric":"ms_per_fit","value":100,"workers":2,"git_sha":"abc1234","timestamp":"t1"},
 	  {"bench":"ForestFit","metric":"ms_per_fit","value":600,"workers":2,"git_sha":"abc1234","timestamp":"t1"},
@@ -156,3 +160,28 @@ func TestBenchTrainErrors(t *testing.T) { wantBenchErrors(t, "BENCH_train.json")
 // TestBenchCampaignErrors: the campaign trajectory's bad files are
 // errors, and the committed one renders.
 func TestBenchCampaignErrors(t *testing.T) { wantBenchErrors(t, "BENCH_campaign.json") }
+
+// TestBenchCheckpointErrors: the checkpoint trajectory's bad files are
+// errors, and the committed one renders.
+func TestBenchCheckpointErrors(t *testing.T) { wantBenchErrors(t, "BENCH_checkpoint.json") }
+
+// TestBenchSameWorkload: entries time the same workload when bench, key
+// and every workload param agree; a param one entry lacks, a different
+// size, key or bench does not match, and side counters do not matter.
+func TestBenchSameWorkload(t *testing.T) {
+	base := BenchEntry{Bench: "CampaignFig2", Key: "local", Params: map[string]float64{"problems": 2, "cells": 36, "wall_ms": 300}}
+	same := BenchEntry{Bench: "CampaignFig2", Key: "local", Params: map[string]float64{"problems": 2, "cells": 36, "wall_ms": 900}}
+	if !base.SameWorkload(same) {
+		t.Fatal("side counters split a workload")
+	}
+	for name, o := range map[string]BenchEntry{
+		"size":    {Bench: "CampaignFig2", Key: "local", Params: map[string]float64{"problems": 4}},
+		"missing": {Bench: "CampaignFig2", Key: "local", Params: map[string]float64{"cells": 36}},
+		"key":     {Bench: "CampaignFig2", Key: "fleet", Params: map[string]float64{"problems": 2}},
+		"bench":   {Bench: "PoolStreamPWU", Key: "local", Params: map[string]float64{"problems": 2}},
+	} {
+		if base.SameWorkload(o) || o.SameWorkload(base) {
+			t.Fatalf("%s: entries of different workloads match", name)
+		}
+	}
+}

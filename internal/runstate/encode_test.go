@@ -49,9 +49,11 @@ type forestMirror struct {
 
 // checkSnapshotBytes saves snap and requires the file to equal the
 // reflective encoding of the whole snapshot (the previous Save), and —
-// for forest models — the model bytes to equal encoding/json over the
-// mirror of the decoded model and to survive a forest reload unchanged.
-func checkSnapshotBytes(t *testing.T, path string, snap *core.Snapshot, isForest bool) {
+// for a forest model, given as the bytes the snapshot carries or, for a
+// fit-seed snapshot, those of the forest its resume refits — the model
+// bytes to equal encoding/json over the mirror of the decoded model and
+// to survive a forest reload unchanged. model is nil for other models.
+func checkSnapshotBytes(t *testing.T, path string, snap *core.Snapshot, model []byte) {
 	t.Helper()
 	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
@@ -67,38 +69,63 @@ func checkSnapshotBytes(t *testing.T, path string, snap *core.Snapshot, isForest
 	if !bytes.Equal(got, want) {
 		t.Fatalf("iteration %d: checkpoint differs from encoding/json (%d vs %d bytes)", snap.Iteration, len(got), len(want))
 	}
-	if !isForest {
+	if model == nil {
 		return
 	}
 	var m forestMirror
-	if err := json.Unmarshal(snap.Model, &m); err != nil {
+	if err := json.Unmarshal(model, &m); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(snap.Model, ref) {
+	if !bytes.Equal(model, ref) {
 		t.Fatalf("iteration %d: model bytes differ from encoding/json over the model", snap.Iteration)
 	}
-	f, err := forest.Load(bytes.NewReader(snap.Model))
+	f, err := forest.Load(bytes.NewReader(model))
 	if err != nil {
 		t.Fatal(err)
 	}
 	again, err := f.AppendJSON(nil)
-	if err != nil || !bytes.Equal(again, snap.Model) {
+	if err != nil || !bytes.Equal(again, model) {
 		t.Fatalf("iteration %d: reloaded model re-encodes differently (err %v)", snap.Iteration, err)
 	}
 }
 
+// forestJSON is the wire form of a forest model.
+func forestJSON(t *testing.T, m core.Model) []byte {
+	t.Helper()
+	data, err := m.(*forest.Forest).AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // drive runs a session to completion, checking every boundary snapshot.
+// The forest a fit-seed snapshot's resume refits must equal the live one.
 func drive(t *testing.T, cfg core.SessionConfig, ev core.Evaluator, isForest bool) int {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	n := 0
+	var s *core.Session
 	cfg.Params.CheckpointEvery = 1
-	cfg.Params.Checkpoint = func(s *core.Snapshot) error {
-		checkSnapshotBytes(t, path, s, isForest)
+	cfg.Params.Checkpoint = func(snap *core.Snapshot) error {
+		var model []byte
+		if isForest {
+			model = snap.Model
+			if snap.FitSeed != nil {
+				rs, err := core.ResumeSession(snap, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if model = forestJSON(t, rs.Result().Model); !bytes.Equal(model, forestJSON(t, s.Result().Model)) {
+					t.Fatalf("iteration %d: refit from the fit seed differs from the live forest", snap.Iteration)
+				}
+			}
+		}
+		checkSnapshotBytes(t, path, snap, model)
 		n++
 		return nil
 	}
@@ -145,12 +172,22 @@ func (m prettyModel) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(map[string]interface{}{"kind": "<mean> & co", "mean": m.mean}, "", "  ")
 }
 
+// updatingModel is a prettyModel that warm-updates in place, so a
+// WarmUpdate session serializes it instead of recording a fit seed.
+type updatingModel struct{ prettyModel }
+
+func (m *updatingModel) Update(_ [][]float64, y []float64, _ *rng.RNG) error {
+	m.mean = y[len(y)-1]
+	return nil
+}
+
 // TestSnapshotBytesMatchEncodingJSON gates the checkpoint wire path: for
 // every bench problem, cold and warm refits, with and without leaf
 // targets, a categorical space, a service manifest and a non-forest
-// model, every checkpoint file is byte-identical to encoding/json's
-// encoding of the snapshot, and every forest model to encoding/json's
-// encoding of the model.
+// model (cold-refit and warm-updated), every checkpoint file is
+// byte-identical to encoding/json's encoding of the snapshot, and every
+// forest model — carried, or refitted from the fit seed — to
+// encoding/json's encoding of the model.
 func TestSnapshotBytesMatchEncodingJSON(t *testing.T) {
 	for i, p := range bench.All() {
 		for _, warm := range []bool{false, true} {
@@ -191,6 +228,14 @@ func TestSnapshotBytesMatchEncodingJSON(t *testing.T) {
 	drive(t, core.SessionConfig{
 		Source: pool.NewUniform(sp, 11, 100), Strategy: core.PWU{Alpha: 0.1},
 		Params: core.Params{NInit: 4, NBatch: 2, NMax: 10, Fitter: fit},
+		RNG:    rng.New(12), Service: manifest,
+	}, ev, false)
+	fitUpdating := func(_ [][]float64, y []float64, _ []space.Feature, _ *rng.RNG) (core.Model, error) {
+		return &updatingModel{prettyModel{mean: y[0]}}, nil
+	}
+	drive(t, core.SessionConfig{
+		Source: pool.NewUniform(sp, 11, 100), Strategy: core.PWU{Alpha: 0.1},
+		Params: core.Params{NInit: 4, NBatch: 2, NMax: 10, Fitter: fitUpdating, WarmUpdate: true},
 		RNG:    rng.New(12), Service: manifest,
 	}, ev, false)
 }
@@ -284,8 +329,10 @@ func refitSession(b *testing.B) *core.Session {
 var encodedSink []byte
 
 // BenchmarkSnapshotEncode times what every serve-refit boundary pays
-// before the disk: the session snapshot (model encode included) and its
-// file encoding. Run with -cpu 1.
+// before the disk: the session snapshot (which records this cold-refit
+// session's fit seed, not its forest) and its file encoding. Run with
+// -cpu 1. The root package's BenchmarkSessionCheckpoint adds the
+// fsync'd write and records the BENCH_checkpoint.json trajectory.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	s := refitSession(b)
 	b.ReportAllocs()
@@ -302,39 +349,24 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	b.ReportMetric(float64(len(encodedSink)), "bytes/snapshot")
 }
 
-// BenchmarkSave times the whole boundary checkpoint: snapshot, encode
-// and the atomic fsync'd write.
-func BenchmarkSave(b *testing.B) {
-	s := refitSession(b)
-	path := filepath.Join(b.TempDir(), "run.ckpt")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap, err := s.Snapshot()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := Save(path, snap); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestSaveValidatesUnappendedModels: Save skips json.Valid only for the
 // model bytes the forest's appender wrote for the snapshot. A session
 // snapshot whose model went through json.Marshal (a non-forest
 // surrogate) and a forest snapshot whose Model was replaced are both
 // validated, so an invalid model is still rejected before the temp
-// file exists and the previous checkpoint stays as it was.
+// file exists and the previous checkpoint stays as it was. Both
+// sessions warm-update, so their snapshots carry the model rather than
+// a fit seed.
 func TestSaveValidatesUnappendedModels(t *testing.T) {
 	sp := space.MustNew(space.NumRange("tile", 1, 64, 1), space.Bool("unroll"))
 	ev := core.EvaluatorFunc(func(_ context.Context, c space.Config) (float64, error) {
 		return float64(c[1]) + sp.ValueByName(c, "tile")/7, nil
 	})
 	fit := func(_ [][]float64, y []float64, _ []space.Feature, _ *rng.RNG) (core.Model, error) {
-		return prettyModel{mean: y[0]}, nil
+		return &updatingModel{prettyModel{mean: y[0]}}, nil
 	}
-	// take runs the cold start and returns the boundary snapshot.
+	// take runs the cold start and one warm update and returns the
+	// boundary snapshot.
 	take := func(p core.Params) *core.Snapshot {
 		t.Helper()
 		s, err := core.NewSession(core.SessionConfig{
@@ -344,16 +376,18 @@ func TestSaveValidatesUnappendedModels(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		batch, err := s.Ask(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels := make([]core.Label, len(batch))
-		for i, c := range batch {
-			labels[i].Y, _ = ev.Evaluate(ctx, c)
-		}
-		if _, err := s.Tell(ctx, labels); err != nil {
-			t.Fatal(err)
+		for s.Iteration() < 1 {
+			batch, err := s.Ask(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels := make([]core.Label, len(batch))
+			for i, c := range batch {
+				labels[i].Y, _ = ev.Evaluate(ctx, c)
+			}
+			if _, err := s.Tell(ctx, labels); err != nil {
+				t.Fatal(err)
+			}
 		}
 		snap, err := s.Snapshot()
 		if err != nil {
@@ -361,8 +395,8 @@ func TestSaveValidatesUnappendedModels(t *testing.T) {
 		}
 		return snap
 	}
-	forestSnap := take(core.Params{NInit: 4, NBatch: 2, NMax: 10, Forest: forest.Config{NumTrees: 4}})
-	marshaled := take(core.Params{NInit: 4, NBatch: 2, NMax: 10, Fitter: fit})
+	forestSnap := take(core.Params{NInit: 4, NBatch: 2, NMax: 10, Forest: forest.Config{NumTrees: 4}, WarmUpdate: true})
+	marshaled := take(core.Params{NInit: 4, NBatch: 2, NMax: 10, Fitter: fit, WarmUpdate: true})
 	if !forestSnap.ModelAppended() || marshaled.ModelAppended() {
 		t.Fatalf("ModelAppended: forest %v, json.Marshal model %v; want true, false",
 			forestSnap.ModelAppended(), marshaled.ModelAppended())

@@ -40,6 +40,16 @@ func FileSink(path string) func(*core.Snapshot) error {
 	}
 }
 
+// tempSuffix is the os.CreateTemp pattern suffix of Save's temp files.
+const tempSuffix = ".tmp-*"
+
+// TempGlob is the filepath.Glob pattern matching the temp files Save
+// creates for checkpoints at paths matching path (itself a path or a
+// glob). A process that dies between creating one and renaming it over
+// the checkpoint leaves it behind; the rename is the commit point, so
+// such a file never holds state and may be removed while no Save runs.
+func TempGlob(path string) string { return path + tempSuffix }
+
 // Save writes the snapshot atomically to path: temp file in the same
 // directory, fsync, rename over path, then fsync the directory so the
 // rename itself survives a power loss. A snapshot that does not encode
@@ -51,7 +61,7 @@ func Save(path string, snap *core.Snapshot) error {
 		return fmt.Errorf("runstate: encoding snapshot: %w", err)
 	}
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tempSuffix)
 	if err != nil {
 		return fmt.Errorf("runstate: creating temp file: %w", err)
 	}
@@ -85,12 +95,12 @@ func Save(path string, snap *core.Snapshot) error {
 const modelField = `"model":null`
 
 // encode writes the snapshot as encoding/json does, except that the
-// model — the bulk of the file, already encoded by its own marshaler
-// (compact, as Session snapshots are) — is spliced in verbatim instead
-// of being re-scanned and re-compacted. One json.Valid pass keeps a
-// malformed model out of the file; it is skipped only for a model the
-// forest's appender wrote (Snapshot.ModelAppended), which is valid by
-// construction.
+// model — when the snapshot carries one rather than a fit seed, the bulk
+// of the file, already encoded by its own marshaler (compact, as Session
+// snapshots are) — is spliced in verbatim instead of being re-scanned
+// and re-compacted. One json.Valid pass keeps a malformed model out of
+// the file; it is skipped only for a model the forest's appender wrote
+// (Snapshot.ModelAppended), which is valid by construction.
 func encode(snap *core.Snapshot) ([]byte, error) {
 	model := snap.Model
 	if model == nil {
@@ -141,13 +151,19 @@ func Load(path string) (*core.Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstate: reading snapshot: %w", err)
 	}
+	return decode(data, path)
+}
+
+// decode parses checkpoint bytes read from the file name, with Load's
+// error classification.
+func decode(data []byte, name string) (*core.Snapshot, error) {
 	var snap core.Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		var syntax *json.SyntaxError
 		if errors.As(err, &syntax) && syntax.Offset >= int64(len(data)) {
-			return nil, fmt.Errorf("%w (%w): %s after %d bytes: %v", ErrCorrupt, ErrTruncated, path, len(data), err)
+			return nil, fmt.Errorf("%w (%w): %s after %d bytes: %v", ErrCorrupt, ErrTruncated, name, len(data), err)
 		}
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
 	return &snap, nil
 }

@@ -392,13 +392,27 @@ func (m *Manager) Delete(id string) error {
 // Recover scans the checkpoint directory and adopts every decodable
 // snapshot that carries a service manifest. Damaged or alien files are
 // skipped with a log line — a half-written checkpoint from a crash must
-// not block the daemon from serving. Returns the number of sessions
-// adopted.
+// not block the daemon from serving. Temp files a crash left between a
+// checkpoint write and its rename never hold state and are removed, one
+// log line each; Recover therefore runs before the manager serves.
+// Returns the number of sessions adopted.
 func (m *Manager) Recover() (int, error) {
 	if m.cfg.CheckpointDir == "" {
 		return 0, nil
 	}
-	paths, err := filepath.Glob(filepath.Join(m.cfg.CheckpointDir, "*.ckpt"))
+	pattern := filepath.Join(m.cfg.CheckpointDir, "*.ckpt")
+	temps, err := filepath.Glob(runstate.TempGlob(pattern))
+	if err != nil {
+		return 0, fmt.Errorf("server: scanning checkpoint temp files: %w", err)
+	}
+	for _, tmp := range temps {
+		if err := os.Remove(tmp); err != nil {
+			m.logf("recovery: removing stale %s: %v", filepath.Base(tmp), err)
+			continue
+		}
+		m.logf("recovery: removed stale %s", filepath.Base(tmp))
+	}
+	paths, err := filepath.Glob(pattern)
 	if err != nil {
 		return 0, fmt.Errorf("server: scanning checkpoints: %w", err)
 	}

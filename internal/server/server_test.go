@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -369,12 +371,20 @@ func TestServerCrashRecovery(t *testing.T) {
 	}
 
 	// Plant a corrupt checkpoint next to the good one: recovery must
-	// skip it, not die.
+	// skip it, not die. And a temp file a crash left between a
+	// checkpoint write and its rename: recovery must remove it.
 	if err := os.WriteFile(filepath.Join(dir, "s-corrupt.ckpt"), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	stale := filepath.Join(dir, id+".ckpt.tmp-123456")
+	if err := os.WriteFile(stale, []byte(`{"version":3,"iter`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	m2 := NewManager(Config{CheckpointDir: dir})
+	var logs []string
+	m2 := NewManager(Config{CheckpointDir: dir, Logf: func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
 	n, err := m2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -384,6 +394,17 @@ func TestServerCrashRecovery(t *testing.T) {
 	}
 	if m2.Stats().RecoverySkips != 1 {
 		t.Fatalf("corrupt checkpoint not counted as skipped: %+v", m2.Stats())
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale checkpoint temp file survived recovery: %v", err)
+	}
+	if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, "removed stale "+filepath.Base(stale)) }) {
+		t.Fatalf("stale temp file removal not logged: %q", logs)
+	}
+	// The recovered forest, refitted from the checkpoint's fit seed, is
+	// the live one byte for byte.
+	if live, recovered := sessionForest(t, m1, id), sessionForest(t, m2, id); !bytes.Equal(live, recovered) {
+		t.Fatalf("recovered forest differs from the live one (%d vs %d bytes)", len(recovered), len(live))
 	}
 	a2 := newAPI(t, m2)
 	got = append(got, a2.drive(id)...)
@@ -403,6 +424,22 @@ func TestServerCrashRecovery(t *testing.T) {
 	if next.ID == id {
 		t.Fatalf("fresh id collided with recovered session %s", id)
 	}
+}
+
+// sessionForest is the wire form of a managed session's live forest.
+func sessionForest(t *testing.T, m *Manager, id string) []byte {
+	t.Helper()
+	s, err := m.get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, err := json.Marshal(s.sess.Result().Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestServerRecoveredTellReplay: a tell whose response the crash ate is
